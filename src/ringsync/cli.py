@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -46,6 +47,15 @@ def _out_path(path: str) -> str:
     return path
 
 
+@contextmanager
+def _required_keys(kind: str):
+    """Report a key missing from a parsed document as InvalidInstanceError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise InvalidInstanceError(f"{kind} document lacks key {exc}") from None
+
+
 def instance_to_json(inst: Instance) -> dict:
     doc = {"format_version": FORMAT_VERSION, "mode": inst.mode,
            "label": inst.label, "meta": inst.meta}
@@ -62,14 +72,15 @@ def instance_from_json(doc: dict) -> Instance:
     if doc.get("format_version") != FORMAT_VERSION:
         raise InvalidInstanceError(
             f"unsupported instance format_version {doc.get('format_version')!r}")
-    if doc["mode"] == "circle":
-        circles = [Circle(Point2(x, y), radius) for x, y, radius in doc["circles"]]
-        return Instance(mode="circle", circles=circles,
-                        comm_range=doc["comm_range"],
+    with _required_keys("instance"):
+        if doc["mode"] == "circle":
+            circles = [Circle(Point2(x, y), radius) for x, y, radius in doc["circles"]]
+            return Instance(mode="circle", circles=circles,
+                            comm_range=doc["comm_range"],
+                            label=doc.get("label", ""), meta=doc.get("meta", {}))
+        paths = [ClosedPath(np.array(v)) for v in doc["paths"]]
+        return Instance(mode="path", paths=paths, ranges=doc["ranges"],
                         label=doc.get("label", ""), meta=doc.get("meta", {}))
-    paths = [ClosedPath(np.array(v)) for v in doc["paths"]]
-    return Instance(mode="path", paths=paths, ranges=doc["ranges"],
-                    label=doc.get("label", ""), meta=doc.get("meta", {}))
 
 
 def schedule_to_json(sched: Schedule, retained_edges, dropped,
@@ -96,21 +107,22 @@ def schedule_from_json(doc: dict) -> tuple[Schedule, list, SectionPlan | None]:
     if doc.get("format_version") != FORMAT_VERSION:
         raise InvalidInstanceError(
             f"unsupported schedule format_version {doc.get('format_version')!r}")
-    epochs = None
-    if "epochs" in doc:
-        epochs = [{int(nb): t for nb, t in ep.items()} for ep in doc["epochs"]]
-    sched = Schedule(mode=doc["mode"], period=doc["period"],
-                     starts=doc["starts"], dirs=doc["dirs"], epochs=epochs)
-    retained = [tuple(e) for e in doc["retained_edges"]]
-    plan = None
-    if doc.get("plan"):
-        p = doc["plan"]
-        plan = SectionPlan(
-            period=p["period"],
-            link_order={int(i): nbs for i, nbs in p["link_order"].items()},
-            times={int(i): ts for i, ts in p["times"].items()},
-            section_lengths=None if p["section_lengths"] is None else
-            {int(i): ls for i, ls in p["section_lengths"].items()})
+    with _required_keys("schedule"):
+        epochs = None
+        if "epochs" in doc:
+            epochs = [{int(nb): t for nb, t in ep.items()} for ep in doc["epochs"]]
+        sched = Schedule(mode=doc["mode"], period=doc["period"],
+                         starts=doc["starts"], dirs=doc["dirs"], epochs=epochs)
+        retained = [tuple(e) for e in doc["retained_edges"]]
+        plan = None
+        if doc.get("plan"):
+            p = doc["plan"]
+            plan = SectionPlan(
+                period=p["period"],
+                link_order={int(i): nbs for i, nbs in p["link_order"].items()},
+                times={int(i): ts for i, ts in p["times"].items()},
+                section_lengths=None if p["section_lengths"] is None else
+                {int(i): ls for i, ls in p["section_lengths"].items()})
     return sched, retained, plan
 
 

@@ -3,6 +3,15 @@
 Nodes are trajectory indices.  Each edge carries the undirected line angle
 beta in [0, pi), the two link positions (angles in circle mode, arc lengths
 in path mode) and the link distance.
+
+Every structural fact derives from one BFS (`bfs_forest`) or one DFS
+(`dfs_forest`).  Both start at the given root, then at each node not yet
+reached in ascending order, and visit neighbours in ascending order.  That
+order fixes the 2-colouring and its odd-cycle witness, the spanning forest,
+the components, the fundamental cycle basis, the chords the synchronization
+filter keeps, the reflection-propagation and epoch trees of the schedulers,
+and the `dfs` strategy tree.  Schedules, traces and summaries are compared
+byte for byte, so they depend on it: changing the order changes artifacts.
 """
 
 from __future__ import annotations
@@ -10,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +46,16 @@ class CommGraph:
     edges: dict = field(default_factory=dict)  # (i, j) i<j -> EdgeData
     mode: str = "circle"                       # "circle" | "path"
     lengths: list | None = None                # trajectory lengths (path mode)
+    # per node: neighbours in ascending order; edges is never mutated after
+    # construction (subgraph builds a new graph)
+    _adj: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        adj = [[] for _ in range(self.n)]
+        for a, b in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        self._adj = [tuple(sorted(nbs)) for nbs in adj]
 
     def has_edge(self, i: int, j: int) -> bool:
         return edge_key(i, j) in self.edges
@@ -50,17 +70,8 @@ class CommGraph:
         """Link position of i with respect to j."""
         return self.edge(i, j).phi[i]
 
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for (a, b) in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
+    def neighbors(self, i: int) -> tuple[int, ...]:
+        return self._adj[i]
 
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -70,51 +81,108 @@ class CommGraph:
         return replace(self, edges={k: v for k, v in self.edges.items() if k in keep})
 
     def components(self) -> list[list[int]]:
-        seen = set()
+        """Sorted node lists of the BFS forest's trees, ordered by least node."""
+        f = bfs_forest(self, 0)
         comps = []
-        for start in range(self.n):
-            if start in seen:
-                continue
-            comp, stack = [], [start]
-            seen.add(start)
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v in self.neighbors(u):
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            comps.append(sorted(comp))
-        return comps
+        for v in f.order:
+            if f.parent[v] is None:
+                comps.append([])
+            comps[-1].append(v)
+        return [sorted(c) for c in comps]
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
 
-@dataclass
-class Coloring:
-    classes: list  # per node: "A" | "B"
+class Forest(NamedTuple):
+    """A traversal forest: nodes in discovery order, parent (None at a root) and depth."""
+    order: list
+    parent: list
+    depth: list
 
-    def side(self, i: int) -> str:
-        return self.classes[i]
+    def tree_edges(self) -> list[tuple[int, int]]:
+        """Tree edges in discovery order."""
+        return [edge_key(self.parent[v], v) for v in self.order
+                if self.parent[v] is not None]
+
+    def is_tree_edge(self, i: int, j: int) -> bool:
+        return self.parent[i] == j or self.parent[j] == i
+
+
+def _starts(g: CommGraph, root: int):
+    """Traversal starts: root, then every node in ascending order."""
+    if not g.n:
+        return ()
+    if not 0 <= root < g.n:
+        raise ValueError(f"root {root} is not a node of a {g.n}-node graph")
+    return (root, *range(g.n))
+
+
+def bfs_forest(g: CommGraph, root: int) -> Forest:
+    """Breadth-first forest from root, then from each unreached node ascending."""
+    parent = [None] * g.n
+    depth = [0] * g.n
+    seen = [False] * g.n
+    order, head = [], 0          # order[head:] is the BFS queue
+    for start in _starts(g, root):
+        if seen[start]:
+            continue
+        seen[start] = True
+        order.append(start)
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for v in g.neighbors(u):
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v] = u
+                    depth[v] = depth[u] + 1
+                    order.append(v)
+    return Forest(order, parent, depth)
+
+
+def dfs_forest(g: CommGraph, root: int) -> Forest:
+    """Depth-first forest (preorder), iterative so long chains cannot overflow."""
+    parent = [None] * g.n
+    depth = [0] * g.n
+    seen = [False] * g.n
+    order = []
+    for start in _starts(g, root):
+        if seen[start]:
+            continue
+        seen[start] = True
+        order.append(start)
+        stack = [(start, iter(g.neighbors(start)))]
+        while stack:
+            u, pending = stack[-1]
+            for v in pending:
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v] = u
+                    depth[v] = depth[u] + 1
+                    order.append(v)
+                    stack.append((v, iter(g.neighbors(v))))
+                    break
+            else:
+                stack.pop()
+    return Forest(order, parent, depth)
 
 
 def build_circle_graph(circles: list[Circle], r: float) -> CommGraph:
     """Proximity graph of unit circles: edge iff center distance <= 2 + r."""
     n = len(circles)
-    for i, j in itertools.combinations(range(n), 2):
-        if center_distance(circles[i], circles[j]) <= circles[i].radius + circles[j].radius:
-            raise InvalidInstanceError(f"circles {i} and {j} overlap")
     edges = {}
     for i, j in itertools.combinations(range(n), 2):
-        d = center_distance(circles[i], circles[j])
-        threshold = circles[i].radius + circles[j].radius + r
-        if d <= threshold:
-            phi_ij, phi_ji = link_positions(circles[i], circles[j])
+        ci, cj = circles[i], circles[j]
+        d = center_distance(ci, cj)
+        if d <= ci.radius + cj.radius:
+            raise InvalidInstanceError(f"circles {i} and {j} overlap")
+        if d <= ci.radius + cj.radius + r:
+            phi_ij, phi_ji = link_positions(ci, cj)
             edges[(i, j)] = EdgeData(
-                beta=line_angle(circles[i], circles[j]),
+                beta=line_angle(ci, cj),
                 phi={i: phi_ij, j: phi_ji},
-                distance=d - circles[i].radius - circles[j].radius,
+                distance=d - ci.radius - cj.radius,
             )
     return CommGraph(n=n, edges=edges, mode="circle")
 
@@ -138,46 +206,18 @@ def build_path_graph(paths: list[ClosedPath], ranges: list[float]) -> CommGraph:
 
 
 def two_color(g: CommGraph):
-    """2-color the graph.
+    """2-color the graph by BFS depth parity from node 0.
 
-    Returns (Coloring, None) on success or (None, witness) where witness is an
-    odd cycle as a node sequence.
+    Returns (colors, None) on success, colors[i] in {0, 1} with node 0 and
+    every component's least node on 0, or (None, witness) where witness is
+    the odd cycle that the first same-parity edge in BFS order closes.
     """
-    color = [None] * g.n
-    parent = [None] * g.n
-    for start in range(g.n):
-        if color[start] is not None:
-            continue
-        color[start] = "A"
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            for v in g.neighbors(u):
-                if color[v] is None:
-                    color[v] = "B" if color[u] == "A" else "A"
-                    parent[v] = u
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None, _odd_cycle_witness(parent, u, v)
-    return Coloring(classes=color), None
-
-
-def _odd_cycle_witness(parent, u, v):
-    """Close the cycle through the BFS-tree paths of two same-color neighbors."""
-    path_u, path_v = [u], [v]
-    seen = {u: 0}
-    x = u
-    while parent[x] is not None:
-        x = parent[x]
-        seen[x] = len(path_u)
-        path_u.append(x)
-    x = v
-    while x not in seen:
-        x = parent[x]
-        path_v.append(x)
-    # x is the lowest common ancestor
-    cycle = path_u[:seen[x] + 1] + path_v[-2::-1]
-    return cycle
+    f = bfs_forest(g, 0)
+    for u in f.order:
+        for v in g.neighbors(u):
+            if f.depth[u] % 2 == f.depth[v] % 2:
+                return None, fundamental_cycle(f.parent, f.depth, (u, v))
+    return [d % 2 for d in f.depth], None
 
 
 def is_bipartite(g: CommGraph) -> bool:
@@ -191,8 +231,7 @@ EXACT_MAXCUT_EDGE_LIMIT = 24
 
 def max_bipartite_subgraph(g: CommGraph) -> CommGraph:
     """Edge-maximum bipartite subgraph (exact for small graphs, greedy beyond)."""
-    coloring, _ = two_color(g)
-    if coloring is not None:
+    if is_bipartite(g):
         return g
     if len(g.edges) <= EXACT_MAXCUT_EDGE_LIMIT:
         sides = _exact_max_cut(g)
@@ -237,9 +276,9 @@ def _greedy_max_cut(g: CommGraph):
     while improved:
         improved = False
         for u in range(g.n):
-            same = sum(1 for v in g.neighbors(u) if sides[v] == sides[u])
-            diff = g.degree(u) - same
-            if same > diff:
+            nbs = g.neighbors(u)
+            same = sum(1 for v in nbs if sides[v] == sides[u])
+            if same > len(nbs) - same:
                 sides[u] = 1 - sides[u]
                 improved = True
     return sides
@@ -281,24 +320,11 @@ def cycle_residue(cycle, g: CommGraph) -> float:
 
 
 def spanning_tree(g: CommGraph, root: int = 0):
-    """BFS spanning tree (forest) edges; neighbor visits in ascending index order."""
-    tree, seen = [], set()
-    for start in [root] + [i for i in range(g.n) if i != root]:
-        if start in seen:
-            continue
-        seen.add(start)
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            for v in g.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    tree.append(edge_key(u, v))
-                    queue.append(v)
-    return tree
+    """BFS spanning tree (forest) edges in discovery order."""
+    return bfs_forest(g, root).tree_edges()
 
 
-def fundamental_cycle(tree_adj, parent, depth, chord):
+def fundamental_cycle(parent, depth, chord):
     """Node sequence of the cycle that a chord closes in a rooted tree."""
     u, v = chord
     pu, pv = [u], [v]
@@ -312,37 +338,16 @@ def fundamental_cycle(tree_adj, parent, depth, chord):
     return pu + pv[-2::-1]
 
 
-def _root_tree(g: CommGraph, tree_edges):
-    adj = {i: [] for i in range(g.n)}
-    for a, b in tree_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent = [None] * g.n
-    depth = [0] * g.n
-    seen = set()
-    for start in range(g.n):
-        if start in seen:
-            continue
-        seen.add(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in sorted(adj[u]):
-                if v not in seen:
-                    seen.add(v)
-                    parent[v] = u
-                    depth[v] = depth[u] + 1
-                    stack.append(v)
-    return adj, parent, depth
+def _chord_cycles(g: CommGraph):
+    """(chord, fundamental cycle) per chord of the BFS forest from node 0, in edge order."""
+    f = bfs_forest(g, 0)
+    return [(e, fundamental_cycle(f.parent, f.depth, e))
+            for e in g.edge_list() if not f.is_tree_edge(*e)]
 
 
 def cycle_basis(g: CommGraph):
     """Fundamental cycles of the BFS spanning tree, one per chord."""
-    tree = spanning_tree(g)
-    tree_set = set(tree)
-    adj, parent, depth = _root_tree(g, tree)
-    return [fundamental_cycle(adj, parent, depth, e)
-            for e in g.edge_list() if e not in tree_set]
+    return [cyc for _, cyc in _chord_cycles(g)]
 
 
 def max_synch_subgraph(g: CommGraph, tol: float = ANGLE_TOL) -> CommGraph:
@@ -352,37 +357,18 @@ def max_synch_subgraph(g: CommGraph, tol: float = ANGLE_TOL) -> CommGraph:
     cycle_feasible_opposite (alternating beta sums add over symmetric
     differences).
     """
-    coloring, witness = two_color(g)
-    if coloring is None:
+    colors, witness = two_color(g)
+    if colors is None:
         raise ValueError(f"graph is not bipartite (odd cycle {witness})")
-    tree = spanning_tree(g)
-    tree_set = set(tree)
-    adj, parent, depth = _root_tree(g, tree)
-    keep = list(tree)
-    for e in g.edge_list():
-        if e in tree_set:
-            continue
-        cyc = fundamental_cycle(adj, parent, depth, e)
-        if cycle_feasible_opposite(cyc, g, tol=tol):
-            keep.append(e)
-    return g.subgraph(keep)
+    dropped = {e for e, cyc in _chord_cycles(g)
+               if not cycle_feasible_opposite(cyc, g, tol=tol)}
+    return g.subgraph(e for e in g.edges if e not in dropped)
 
 
 def dfs_tree(g: CommGraph, root: int):
-    """DFS tree edge set from root; neighbors visited in ascending index order."""
+    """DFS tree edges from root in discovery order; requires a connected graph."""
     comps = g.components()
     if len(comps) > 1:
         raise DisconnectedGraphError(
             f"graph is disconnected ({len(comps)} components)", components=comps)
-    seen = {root}
-    tree = []
-
-    def visit(u):
-        for v in g.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                tree.append(edge_key(u, v))
-                visit(v)
-
-    visit(root)
-    return tree
+    return dfs_forest(g, root).tree_edges()

@@ -197,10 +197,6 @@ class ClosedPath:
         return Point2(float(p[0]), float(p[1]))
 
 
-def position_at(path: ClosedPath, s: float) -> Point2:
-    return path.position_at(s)
-
-
 def min_distance(pi: ClosedPath, pj: ClosedPath) -> tuple[float, float, float]:
     """Minimum distance between two disjoint closed paths.
 

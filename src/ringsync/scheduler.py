@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .commgraph import (CommGraph, cycle_basis, edge_key, spanning_tree,
-                        two_color)
+from .commgraph import CommGraph, bfs_forest, cycle_basis, two_color
 from .errors import (ClosureViolationError, InfeasibleSectionTimesError,
                      NotSynchronizableError)
 from .geometry import TWO_PI, norm_angle
@@ -61,14 +60,24 @@ def arrival_time(alpha: float, direction: str, phi: float, period: float) -> flo
     return delta * period / TWO_PI
 
 
-def schedule_same_direction(g: CommGraph, base: float = 0.0, period: float = 1.0) -> Schedule:
-    """All agents CCW; the two color classes start antipodally (base, base+pi)."""
-    coloring, witness = two_color(g)
-    if coloring is None:
+def _bipartite_colors(g: CommGraph) -> list:
+    """two_color's colors; raises NotSynchronizableError with the odd-cycle witness."""
+    colors, witness = two_color(g)
+    if colors is None:
         raise NotSynchronizableError(
             f"graph is not bipartite; odd cycle {witness}", witness=witness)
-    starts = [norm_angle(base) if coloring.side(i) == "A" else norm_angle(base + math.pi)
-              for i in range(g.n)]
+    return colors
+
+
+def _color_dirs(colors) -> list:
+    """Color 0 flies CCW, color 1 CW."""
+    return [CW if c else CCW for c in colors]
+
+
+def schedule_same_direction(g: CommGraph, base: float = 0.0, period: float = 1.0) -> Schedule:
+    """All agents CCW; the two color classes start antipodally (base, base+pi)."""
+    starts = [norm_angle(base + math.pi) if c else norm_angle(base)
+              for c in _bipartite_colors(g)]
     return Schedule(mode="same-direction", period=period,
                     starts=starts, dirs=[CCW] * g.n)
 
@@ -82,32 +91,14 @@ def schedule_opposite_directions(g: CommGraph, start_node: int = 0,
     closure; the reflection identity makes either +-pi branch acceptable, so
     the check is that the verified phase error vanishes.
     """
-    coloring, witness = two_color(g)
-    if coloring is None:
-        raise NotSynchronizableError(
-            f"graph is not bipartite; odd cycle {witness}", witness=witness)
+    _bipartite_colors(g)
+    f = bfs_forest(g, start_node)
     starts = [None] * g.n
-    dirs = [None] * g.n
-    starts[start_node] = norm_angle(alpha0)
-    dirs[start_node] = CCW
-    queue = [start_node]
-    seen = {start_node}
-    order = [start_node] + [i for i in range(g.n) if i != start_node]
-    for s in order:  # cover disconnected graphs deterministically
-        if s not in seen:
-            starts[s] = norm_angle(alpha0)
-            dirs[s] = CCW
-            seen.add(s)
-            queue.append(s)
-        while queue:
-            w = queue.pop(0)
-            for a in g.neighbors(w):
-                if a in seen:
-                    continue
-                seen.add(a)
-                starts[a] = norm_angle(2.0 * g.beta(w, a) - starts[w] - math.pi)
-                dirs[a] = CW if dirs[w] == CCW else CCW
-                queue.append(a)
+    for a in f.order:  # every forest root is anchored at alpha0
+        w = f.parent[a]
+        starts[a] = (norm_angle(alpha0) if w is None else
+                     norm_angle(2.0 * g.beta(w, a) - starts[w] - math.pi))
+    dirs = _color_dirs(d % 2 for d in f.depth)
     sched = Schedule(mode="opposite-directions", period=period, starts=starts, dirs=dirs)
     report = verify_schedule(g, sched, tol=tol)
     bad = [e for e, (ok, _) in report.edges.items() if not ok]
@@ -286,13 +277,10 @@ def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0,
     constant speed exactly.  min_fraction is the smallest admissible section
     time as a fraction of T.
     """
-    coloring, witness = two_color(g)
-    if coloring is None:
-        raise NotSynchronizableError(
-            f"graph is not bipartite; odd cycle {witness}", witness=witness)
+    colors = _bipartite_colors(g)
     if g.lengths is None:
         raise ValueError("assign_section_times requires trajectory lengths (path mode)")
-    dirs = [CCW if coloring.side(i) == "A" else CW for i in range(g.n)]
+    dirs = _color_dirs(colors)
     order = _travel_orders(g, dirs)
     sec_len = _section_lengths(g, order, dirs)
     if cycles is None:
@@ -394,12 +382,11 @@ def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0,
 
 def schedule_general(g: CommGraph, plan: SectionPlan, start_node: int = 0,
                      s0: float = 0.0, tol: float = 1e-6) -> Schedule:
-    """Propagate link arrival epochs over a BFS tree; verify non-tree closure."""
-    coloring, witness = two_color(g)
-    if coloring is None:
-        raise NotSynchronizableError(
-            f"graph is not bipartite; odd cycle {witness}", witness=witness)
-    dirs = [CCW if coloring.side(i) == "A" else CW for i in range(g.n)]
+    """Propagate link arrival epochs over a BFS forest; verify non-tree closure.
+
+    Each forest root (start_node first) is anchored at arc length s0.
+    """
+    dirs = _color_dirs(_bipartite_colors(g))
     T = plan.period
     epochs = [dict() for _ in range(g.n)]
 
@@ -412,26 +399,18 @@ def schedule_general(g: CommGraph, plan: SectionPlan, start_node: int = 0,
             t += plan.times[traj][(k + step - 1) % len(nbs)]
             epochs[traj][nbs[(k + step) % len(nbs)]] = math.fmod(t, T)
 
-    # Anchor the start trajectory: time from s0 to its first link at plan speeds.
-    first_nb = plan.link_order[start_node][0]
-    t0 = _time_to_first_link(g, plan, start_node, s0, dirs[start_node])
-    fill_from(start_node, first_nb, t0)
-
-    tree = spanning_tree(g, root=start_node)
-    tree_set = set(tree)
-    seen = {start_node}
-    queue = [start_node]
-    while queue:
-        w = queue.pop(0)
-        for a in g.neighbors(w):
-            if a in seen or edge_key(w, a) not in tree_set:
-                continue
-            seen.add(a)
+    f = bfs_forest(g, start_node)
+    for a in f.order:
+        w = f.parent[a]
+        if w is not None:
             fill_from(a, w, epochs[w][a])
-            queue.append(a)
+        elif g.neighbors(a):
+            # Anchor a root: time from s0 to its first link at plan speeds.
+            fill_from(a, plan.link_order[a][0],
+                      _time_to_first_link(g, plan, a, s0, dirs[a]))
 
     for (i, j) in g.edge_list():
-        if edge_key(i, j) in tree_set:
+        if f.is_tree_edge(i, j):
             continue
         diff = math.fmod(abs(epochs[i][j] - epochs[j][i]), T)
         err = min(diff, T - diff)

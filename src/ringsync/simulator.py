@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commgraph import CommGraph, dfs_tree, edge_key
+from .commgraph import CommGraph, dfs_forest, edge_key
 from .errors import InvalidInstanceError
 from .instance import Instance
 from .scheduler import Schedule, link_epochs, verify_schedule
@@ -23,14 +23,11 @@ from .scheduler import Schedule, link_epochs, verify_schedule
 _PRIORITY = {"failure": 0, "emit": 1, "enter-region": 2, "meeting": 3,
              "deliver": 4, "switch": 5, "exit-region": 6, "tour-complete": 7}
 
-EVENT_KINDS = tuple(_PRIORITY)
-
 
 @dataclass(frozen=True)
 class Message:
     origin: int
     seq: int
-    emit_time: float
 
     @property
     def key(self) -> str:
@@ -85,9 +82,6 @@ class SimConfig:
     failures: list = field(default_factory=list)   # (agent id, time)
     emission_period: float | None = None           # default: schedule period
     emission_end: float | None = None              # default: horizon / 2
-    meeting_tol: float | None = None               # seconds; default period / 1000
-    engine: str = "event"                          # "event" | "fixed-step"
-    dt: float | None = None                        # fixed-step granularity
     record_region_events: bool = False
 
     def __post_init__(self):
@@ -128,33 +122,6 @@ class Trace:
         return [e for e in self.events if e.kind == kind]
 
 
-def _dfs_forest(g: CommGraph, root: int):
-    edges = set()
-    for comp in g.components():
-        r = root if root in comp else comp[0]
-        sub = g.subgraph([e for e in g.edges if e[0] in comp and e[1] in comp])
-        # dfs_tree demands connectivity of its input; restrict to the component
-        if len(comp) == 1:
-            continue
-        edges.update(_dfs_component(sub, r, set(comp)))
-    return edges
-
-
-def _dfs_component(g: CommGraph, root: int, comp: set):
-    seen = {root}
-    tree = []
-
-    def visit(u):
-        for v in g.neighbors(u):
-            if v in comp and v not in seen:
-                seen.add(v)
-                tree.append(edge_key(u, v))
-                visit(v)
-
-    visit(root)
-    return tree
-
-
 def strategy_decide(strategy: Strategy, edge, rng, dfs_edges=None) -> bool:
     """True to switch across this edge when the expected neighbor is absent."""
     if strategy.kind == "alw":
@@ -181,6 +148,10 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     report = verify_schedule(g, schedule, tol=1e-6)
     if not report.all_synchronized:
         raise InvalidInstanceError("schedule is not synchronized; refusing to simulate")
+    n = g.n
+    for agent, _ in config.failures:
+        if not 0 <= agent < n:
+            raise InvalidInstanceError(f"failure agent {agent} outside 0..{n - 1}")
     T = schedule.period
     horizon = config.horizon
     epochs = link_epochs(g, schedule)
@@ -188,15 +159,13 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     rng = np.random.default_rng(config.seed)
     dfs_edges = None
     if strategy.kind == "dfs":
-        dfs_edges = _dfs_forest(g, resolve_root(strategy, instance))
+        dfs_edges = set(dfs_forest(g, resolve_root(strategy, instance)).tree_edges())
 
-    n = g.n
     occupancy = list(range(n))        # traj -> agent id or None
     agent_traj = list(range(n))       # agent -> traj or None
     entry_time = [0.0] * n            # agent -> time it entered its current traj
     alive = [True] * n
     known = [set() for _ in range(n)]
-    work_area = [{i} for i in range(n)]
     events: list[TraceEvent] = []
 
     def close_tours(agent, leave_time):
@@ -247,7 +216,7 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
         elif item[0] == "emit":
             _, agent, s = item
             if alive[agent]:
-                msg = Message(origin=agent, seq=s, emit_time=t)
+                msg = Message(origin=agent, seq=s)
                 known[agent].add(msg)
                 events.append(TraceEvent(time=t, kind="emit", agents=[agent],
                                          trajs=[agent_traj[agent]], msg=msg.key))
@@ -281,7 +250,6 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
                     occupancy[dst] = agent
                     agent_traj[agent] = dst
                     entry_time[agent] = t
-                    work_area[agent].add(dst)
                     events.append(TraceEvent(time=t, kind="switch", agents=[agent],
                                              trajs=[src, dst], location=loc))
 

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 import ringsync as rs
@@ -164,3 +165,40 @@ def test_schedule_file_round_trip(tmp_path):
 def test_bad_format_version(tmp_path):
     with pytest.raises(Exception):
         cli.instance_from_json({"format_version": 99, "mode": "circle"})
+
+
+def test_simulate_fail_at_unknown_agent_is_error(tmp_path, capsys):
+    inst, sched = tmp_path / "i.json", tmp_path / "s.json"
+    invoke("generate", "--grid", "3x3", "-o", str(inst))
+    invoke("schedule", "-i", str(inst), "--period", "300", "-o", str(sched))
+    capsys.readouterr()
+    assert invoke("simulate", "-i", str(inst), "-s", str(sched),
+                  "--horizon", "600", "--fail-at", "99:0",
+                  "-o", str(tmp_path / "t")) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInstanceError" and "99" in err["message"]
+
+
+def test_instance_missing_key_is_error(tmp_path, capsys):
+    doc = cli.instance_to_json(rs.grid(2, 2))
+    del doc["comm_range"]
+    inst = tmp_path / "i.json"
+    inst.write_text(cli._dumps(doc))
+    assert invoke("schedule", "-i", str(inst), "-o", str(tmp_path / "s.json")) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInstanceError" and "comm_range" in err["message"]
+
+
+def test_schedule_disconnected_path_layout(tmp_path, capsys):
+    # two separate pairs of unit squares: each component gets its own anchor
+    squares = [rs.ClosedPath(np.array([[x, 0.0], [x + 1.0, 0.0], [x + 1.0, 1.0], [x, 1.0]]))
+               for x in (0.0, 1.4, 10.0, 11.4)]
+    inst = rs.Instance(mode="path", paths=squares, ranges=[0.5] * 4)
+    g = inst.graph()
+    assert g.components() == [[0, 1], [2, 3]]
+    sched = rs.schedule_general(g, rs.assign_section_times(g, period=10.0))
+    assert rs.verify_schedule(g, sched).all_synchronized
+    inst_file = tmp_path / "pairs.json"
+    inst_file.write_text(cli._dumps(cli.instance_to_json(inst)))
+    assert invoke("schedule", "-i", str(inst_file), "--period", "10",
+                  "-o", str(tmp_path / "s.json")) == 0

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import ringsync as rs
 from ringsync.commgraph import (EXACT_MAXCUT_EDGE_LIMIT, CommGraph, EdgeData,
-                                cycle_alternating_beta_sum, edge_key)
+                                bfs_forest, cycle_alternating_beta_sum,
+                                dfs_forest, edge_key)
 from ringsync.errors import DisconnectedGraphError, InvalidInstanceError
 from ringsync.geometry import Circle, ClosedPath, Point2
 
@@ -45,7 +46,7 @@ def test_path_graph_chain_and_coloring():
     assert sorted(g.edges) == [(0, 1), (1, 2)]
     coloring, witness = rs.two_color(g)
     assert witness is None
-    assert [coloring.side(i) for i in range(3)] == ["A", "B", "A"]
+    assert coloring == [0, 1, 0]
 
 
 def test_path_graph_range_is_minimum():
@@ -122,14 +123,13 @@ def test_grid_cycle_residues(grid33_graph):
 
 
 def test_spanning_tree_and_fundamental_cycles(grid33_graph):
-    from ringsync.commgraph import _root_tree
     tree = rs.spanning_tree(grid33_graph)
     assert len(tree) == 8
     chords = [e for e in grid33_graph.edge_list() if edge_key(*e) not in set(tree)]
     assert len(chords) == 4
-    tree_adj, parent, depth = _root_tree(grid33_graph, tree)
+    forest = bfs_forest(grid33_graph, 0)
     for chord in chords:
-        cyc = rs.fundamental_cycle(tree_adj, parent, depth, chord)
+        cyc = rs.fundamental_cycle(forest.parent, forest.depth, chord)
         assert len(cyc) >= 3
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             assert grid33_graph.has_edge(a, b)
@@ -205,3 +205,55 @@ def test_components_and_subgraph(grid33_graph):
     sub = grid33_graph.subgraph([edge_key(0, 1)])
     comps = sub.components()
     assert sorted(len(c) for c in comps) == [1] * 7 + [2]
+
+
+def _random_traversal_graph(rng):
+    """Seeded random graph on range(n); sparse ones are often disconnected."""
+    n = int(rng.integers(1, 16))
+    p = float(rng.uniform(0.05, 0.6))
+    edges = {(i, j): EdgeData(beta=0.0, phi={i: 0.0, j: 0.0}, distance=0.0)
+             for i in range(n) for j in range(i + 1, n) if rng.random() < p}
+    return CommGraph(n=n, edges=edges)
+
+
+def _nx_forest_edges(G, root, traverse):
+    """Edges of traverse(G, start) from root, then from each other component's least node."""
+    starts = [root] + sorted(min(c) for c in nx.connected_components(G) if root not in c)
+    return [edge_key(u, v) for s in starts for u, v in traverse(G, s)]
+
+
+def test_traversal_order_matches_networkx():
+    """The BFS/DFS ordering contract that byte-exact artifacts depend on."""
+    rng = np.random.default_rng(2024)
+    odd = disconnected = 0
+    for _ in range(200):
+        g = _random_traversal_graph(rng)
+        G = _nx_mirror(g)   # edges inserted in sorted order: ascending adjacency
+        root = int(rng.integers(g.n))
+        assert rs.spanning_tree(g, root) == _nx_forest_edges(G, root, nx.bfs_edges)
+        assert dfs_forest(g, root).tree_edges() == _nx_forest_edges(G, root, nx.dfs_edges)
+        assert g.components() == sorted(sorted(c) for c in nx.connected_components(G))
+        if g.is_connected():
+            assert rs.dfs_tree(g, root) == [edge_key(*e) for e in nx.dfs_edges(G, root)]
+        else:
+            disconnected += 1
+            with pytest.raises(DisconnectedGraphError):
+                rs.dfs_tree(g, root)
+        colors, witness = rs.two_color(g)
+        if nx.is_bipartite(G):
+            assert witness is None
+            assert all(colors[a] != colors[b] for a, b in g.edges)
+        else:
+            odd += 1
+            assert colors is None
+            assert len(witness) % 2 == 1 and len(set(witness)) == len(witness)
+            for a, b in zip(witness, witness[1:] + witness[:1]):
+                assert g.has_edge(a, b)
+    assert odd > 20 and disconnected > 20
+
+
+def test_traversal_rejects_unknown_root(grid33_graph):
+    for walk in (bfs_forest, dfs_forest):
+        for root in (-1, 9):
+            with pytest.raises(ValueError):
+                walk(grid33_graph, root)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from ringsync.errors import OverlappingTrajectoriesError
 from ringsync.geometry import (Circle, ClosedPath, Point2, line_angle,
                                line_angle_points, link_positions, min_distance,
-                               norm_angle, norm_line_angle, position_at)
+                               norm_angle, norm_line_angle)
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,17 +68,17 @@ def unit_square(x0=0.0, y0=0.0, side=1.0):
 def test_closed_path_length_and_position():
     sq = unit_square()
     assert sq.length == pytest.approx(4.0)
-    p = position_at(sq, 0.5)
+    p = sq.position_at(0.5)
     assert (p.x, p.y) == (pytest.approx(0.5), pytest.approx(0.0))
-    p = position_at(sq, 2.5)
+    p = sq.position_at(2.5)
     assert (p.x, p.y) == (pytest.approx(0.5), pytest.approx(1.0))
 
 
 @given(st.floats(-20.0, 20.0))
 def test_position_at_periodic(s):
     sq = unit_square()
-    p = position_at(sq, s)
-    q = position_at(sq, s + sq.length)
+    p = sq.position_at(s)
+    q = sq.position_at(s + sq.length)
     assert (p.x, p.y) == (pytest.approx(q.x, abs=1e-9), pytest.approx(q.y, abs=1e-9))
 
 
@@ -94,7 +94,7 @@ def test_min_distance_parallel_squares():
     d, si, sj = min_distance(a, b)
     assert d == pytest.approx(0.4, abs=1e-12)
     # closest points sit on the facing edges
-    pa, pb = position_at(a, si), position_at(b, sj)
+    pa, pb = a.position_at(si), b.position_at(sj)
     assert pa.x == pytest.approx(1.0, abs=1e-9)
     assert pb.x == pytest.approx(1.4, abs=1e-9)
 
@@ -115,8 +115,8 @@ def test_min_distance_brute_force_agreement():
         b = unit_square(dx, dy)
         d, _, _ = min_distance(a, b)
         ss = np.linspace(0.0, 4.0, 400, endpoint=False)
-        pa = np.array([[position_at(a, s).x, position_at(a, s).y] for s in ss])
-        pb = np.array([[position_at(b, s).x, position_at(b, s).y] for s in ss])
+        pa = np.array([[a.position_at(s).x, a.position_at(s).y] for s in ss])
+        pb = np.array([[b.position_at(s).x, b.position_at(s).y] for s in ss])
         brute = np.min(np.hypot(pa[:, None, 0] - pb[None, :, 0],
                                 pa[:, None, 1] - pb[None, :, 1]))
         assert d <= brute + 1e-9

@@ -183,3 +183,19 @@ def test_invalid_config_rejected():
         SimConfig(horizon=-1.0)
     with pytest.raises(Exception):
         SimConfig(horizon=10.0, failures=[(0, 20.0)])
+
+
+def test_dfs_on_long_chain():
+    # 1,500 nodes is deeper than the interpreter's default recursion limit;
+    # the chain has no geometry, so building it is O(n).
+    from ringsync.commgraph import CommGraph, EdgeData
+    n = 1500
+    g = CommGraph(n=n, edges={(i, i + 1): EdgeData(beta=0.0, phi={i: 0.0, i + 1: math.pi},
+                                                   distance=0.4)
+                              for i in range(n - 1)})
+    assert rs.dfs_tree(g, 0) == [(i, i + 1) for i in range(n - 1)]
+    sched = rs.schedule_opposite_directions(g, period=1.0)
+    tr = run(None, sched, SimConfig(horizon=2.0, strategy=Strategy("dfs", root=n - 1),
+                                    failures=[(0, 0.0)]), graph=g)
+    assert [e.trajs for e in tr.events_of("switch")][:1] == [[1, 0]]
+    assert occupancy_check(tr)
