@@ -145,17 +145,18 @@ def trace_from_lines(lines) -> Trace:
     if head.get("format_version") != FORMAT_VERSION:
         raise InvalidInstanceError(
             f"unsupported trace format_version {head.get('format_version')!r}")
-    trace = Trace(n=head["n"], period=head["period"], horizon=head["horizon"],
-                  strategy=head["strategy"], seed=head["seed"],
-                  initial_occupancy=head["initial_occupancy"],
-                  survivors=head["survivors"])
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        d = json.loads(line)
-        trace.events.append(TraceEvent(time=d["time"], kind=d["kind"],
-                                       agents=d["agents"], trajs=d["trajs"],
-                                       location=d["location"], msg=d["msg"]))
+    with _required_keys("trace"):
+        trace = Trace(n=head["n"], period=head["period"], horizon=head["horizon"],
+                      strategy=head["strategy"], seed=head["seed"],
+                      initial_occupancy=head["initial_occupancy"],
+                      survivors=head["survivors"])
+        for line in lines[1:]:
+            if not line.strip():
+                continue
+            d = json.loads(line)
+            trace.events.append(TraceEvent(time=d["time"], kind=d["kind"],
+                                           agents=d["agents"], trajs=d["trajs"],
+                                           location=d["location"], msg=d["msg"]))
     return trace
 
 

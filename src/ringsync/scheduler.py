@@ -8,12 +8,10 @@ simultaneously.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .commgraph import CommGraph, bfs_forest, cycle_basis, two_color
 from .errors import (ClosureViolationError, InfeasibleSectionTimesError,
@@ -25,6 +23,12 @@ CW = "CW"
 
 # Phase tolerance (fraction of the period) for synchronization checks.
 PHASE_TOL = 1e-9
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first use: only path mode solves LPs."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 @dataclass
@@ -273,7 +277,10 @@ def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0,
 
     The objective minimizes the maximum relative deviation of section speed
     from the trajectory's mean speed length/T, via bisection on the deviation
-    bound with an LP feasibility check per candidate z combination.  Trees get
+    bound with an LP feasibility check per step.  The cycle multiples z come
+    from an exact branch-and-bound over z-prefixes in lexicographic order: it
+    returns the first z with the least bound, as full enumeration would, and
+    its worst case is still exponential in the number of cycles.  Trees get
     constant speed exactly.  min_fraction is the smallest admissible section
     time as a fraction of T.
     """
@@ -292,64 +299,67 @@ def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0,
                            section_lengths=sec_len)
 
     # Flatten variables: one per (trajectory, section)
-    var_index = {}
-    for i in order:
-        for k in range(len(order[i])):
-            var_index[(i, k)] = len(var_index)
-    nvars = len(var_index)
-
-    def section_vars(traj, from_nb, to_nb):
-        """Variable indices of the sections from one link to another."""
-        nbs = order[traj]
-        k = nbs.index(from_nb)
-        out = []
-        while nbs[k] != to_nb:
-            out.append(var_index[(traj, k)])
-            k = (k + 1) % len(nbs)
-        return out
+    keys = [(i, k) for i in order for k in range(len(order[i]))]
+    var_index = {key: vi for vi, key in enumerate(keys)}
+    nvars = len(keys)
+    nom_vec = np.array([nominal[i][k] for i, k in keys])
 
     A_period = np.zeros((len(order), nvars))
     b_period = np.full(len(order), period)
     for row, i in enumerate(order):
-        for k in range(len(order[i])):
-            A_period[row, var_index[(i, k)]] = 1.0
+        A_period[row, [var_index[(i, k)] for k in range(len(order[i]))]] = 1.0
 
     cycle_rows = []
     for cyc in cycles:
         row = np.zeros(nvars)
         for idx, node in enumerate(cyc):
-            prev = cyc[(idx - 1) % len(cyc)]
-            nxt = cyc[(idx + 1) % len(cyc)]
-            for vi in section_vars(node, nxt, prev):
-                row[vi] += 1.0
+            # the sections on node from its link to the next cycle node to
+            # its link to the previous one
+            nbs, prev = order[node], cyc[idx - 1]
+            k = nbs.index(cyc[(idx + 1) % len(cyc)])
+            while nbs[k] != prev:
+                row[var_index[(node, k)]] += 1.0
+                k = (k + 1) % len(nbs)
         cycle_rows.append(row)
 
-    lo = min_fraction * period
-    nom_vec = np.zeros(nvars)
-    for (i, k), vi in var_index.items():
-        nom_vec[vi] = nominal[i][k]
+    def equalities(zs):
+        """Period rows plus the first len(zs) cycle rows, closing on z*T."""
+        return (np.vstack([A_period] + cycle_rows[:len(zs)]),
+                np.concatenate([b_period, [z * period for z in zs]]))
 
     def feasible(lam, zs):
         """LP feasibility at speed-deviation bound lam for the z choices."""
         # speed dev <= lam  <=>  nominal/(1+lam) <= tau <= nominal/(1-lam)
-        lower = np.maximum(nom_vec / (1.0 + lam), lo)
-        upper = nom_vec / (1.0 - lam) if lam < 1.0 else np.full(nvars, period)
-        upper = np.minimum(upper, period)
+        lower = np.maximum(nom_vec / (1.0 + lam), min_fraction * period)
+        upper = np.minimum(nom_vec / (1.0 - lam), period)
         if np.any(lower > upper):
             return None
-        A_eq = np.vstack([A_period] + cycle_rows)
-        b_eq = np.concatenate([b_period, [z * period for z in zs]])
+        A_eq, b_eq = equalities(zs)
         res = linprog(np.zeros(nvars), A_eq=A_eq, b_eq=b_eq,
                       bounds=list(zip(lower, upper)), method="highs")
         return res.x if res.status == 0 else None
 
+    def children(zs):
+        """The prefix extended by each z of the next cycle, smallest last."""
+        return [zs + (z,) for z in range(len(cycles[len(zs)]) - 1, 0, -1)]
+
+    # Depth-first over z-prefixes in lexicographic order.  A prefix LP drops
+    # the later cycle rows, so it relaxes every completion; feasibility is
+    # monotone in lam.  A prefix infeasible at the best lam so far therefore
+    # has no completion that bisects strictly lower, and its subtree is cut.
     best = None
-    z_ranges = [range(1, len(cyc)) for cyc in cycles]
-    for zs in itertools.product(*z_ranges):
-        if feasible(0.999999, zs) is None:
+    stack = children(())
+    while stack:
+        zs = stack.pop()
+        x = feasible(0.999999 if best is None else best[0], zs)
+        if x is None:
             continue
-        lo_l, hi_l = 0.0, 0.999999
-        x_best = feasible(hi_l, zs)
+        if len(zs) < len(cycles):
+            stack += children(zs)
+            continue
+        # x solves lam=0.999999 when best is None; otherwise this z can only
+        # win (hi_l < best lam) after a feasible mid has replaced it.
+        lo_l, hi_l, x_best = 0.0, 0.999999, x
         for _ in range(40):
             mid = 0.5 * (lo_l + hi_l)
             x = feasible(mid, zs)
@@ -366,8 +376,7 @@ def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0,
     _, zs, x = best
     # LP solutions satisfy the equalities only to ~1e-8; project onto the
     # exact equality manifold (minimum-norm correction, well within bounds).
-    A_eq = np.vstack([A_period] + cycle_rows)
-    b_eq = np.concatenate([b_period, [z * period for z in zs]])
+    A_eq, b_eq = equalities(zs)
     corr, *_ = np.linalg.lstsq(A_eq, A_eq @ x - b_eq, rcond=None)
     x = x - corr
     times = {i: [float(x[var_index[(i, k)]]) for k in range(len(order[i]))]

@@ -243,8 +243,7 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
                 src = i if oi is not None else j
                 dst = j if oi is not None else i
                 if strategy_decide(strategy, (i, j), rng, dfs_edges):
-                    # target is unoccupied here by construction (absent neighbor
-                    # means an empty trajectory under the timetable model)
+                    assert occupancy[dst] is None
                     close_tours(agent, t)
                     occupancy[src] = None
                     occupancy[dst] = agent

@@ -43,3 +43,22 @@ def paper_section_plan(period: float = 1.0):
 
 
 CASE_STUDY_CYCLES = [[2, 7, 8, 5], [2, 5, 8, 6, 4, 3]]
+
+
+def path_grid(rows: int, cols: int, staggered: bool = True):
+    """Unit squares 0.4 apart with range 0.5, so only grid neighbours link.
+
+    Staggered grids shift row r by 0.1*r in x and column c by 0.1*c in y, so
+    no two links of one square coincide.
+    """
+    import numpy as np
+    from ringsync import ClosedPath, Instance
+    paths = []
+    for r in range(rows):
+        for c in range(cols):
+            x0 = 1.4 * c + (0.1 * r if staggered else 0.0)
+            y0 = -1.4 * r + (0.1 * c if staggered else 0.0)
+            paths.append(ClosedPath(np.array(
+                [[x0, y0], [x0 + 1.0, y0], [x0 + 1.0, y0 + 1.0], [x0, y0 + 1.0]])))
+    return Instance(mode="path", paths=paths, ranges=[0.5] * len(paths),
+                    label=f"path-grid-{rows}x{cols}")

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -202,3 +204,55 @@ def test_schedule_disconnected_path_layout(tmp_path, capsys):
     inst_file.write_text(cli._dumps(cli.instance_to_json(inst)))
     assert invoke("schedule", "-i", str(inst_file), "--period", "10",
                   "-o", str(tmp_path / "s.json")) == 0
+
+
+@pytest.mark.parametrize("drop", ["header", "event"])
+def test_trace_missing_key_is_error(tmp_path, capsys, drop):
+    _, _, traces = pipeline(tmp_path, seeds="1")
+    path = traces / "trace-0.jsonl"
+    lines = path.read_text().splitlines()
+    row = 0 if drop == "header" else 1
+    doc = json.loads(lines[row])
+    key = "survivors" if drop == "header" else "agents"
+    del doc[key]
+    lines[row] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert invoke("report", "-t", str(traces)) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInstanceError" and key in err["message"]
+
+
+SCIPY_PROBE = """
+import json, sys
+import ringsync.cli as cli
+loaded = {"import": "scipy" in sys.modules}
+steps = [
+    ("generate", ["generate", "--grid", "3x3", "-o", "grid.json"]),
+    ("schedule", ["schedule", "-i", "grid.json", "--period", "300", "-o", "s.json"]),
+    ("simulate", ["simulate", "-i", "grid.json", "-s", "s.json", "--horizon", "600",
+                  "-o", "traces"]),
+    ("report", ["report", "-t", "traces"]),
+    ("generate-path", ["generate", "--preset", "case-study", "-o", "paths.json"]),
+    ("schedule-path", ["schedule", "-i", "paths.json", "--period", "100",
+                       "-o", "ps.json"]),
+]
+codes = {}
+for name, argv in steps:
+    codes[name] = cli.main(argv)
+    loaded[name] = "scipy" in sys.modules
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+def test_scipy_loaded_only_by_path_schedule(tmp_path):
+    src = os.path.dirname(os.path.dirname(rs.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop(cli.OUTPUT_DIR_ENV, None)
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    doc = json.loads(out.splitlines()[-1])
+    assert set(doc["codes"].values()) == {0}
+    assert doc["loaded"] == {"import": False, "generate": False, "schedule": False,
+                             "simulate": False, "report": False,
+                             "generate-path": False, "schedule-path": True}

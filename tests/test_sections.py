@@ -1,11 +1,16 @@
-"""The published seven-trajectory section-time table, loaded verbatim."""
+"""The published seven-trajectory section-time table, loaded verbatim, and the
+z search of assign_section_times checked against full enumeration."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import ringsync as rs
-from conftest import CASE_STUDY_CYCLES, paper_section_plan
+import ringsync.scheduler as sch
+from conftest import CASE_STUDY_CYCLES, paper_section_plan, path_grid
 from ringsync.errors import InfeasibleSectionTimesError
 
 
@@ -71,3 +76,153 @@ def test_period_scales_linearly():
     plan = paper_section_plan(250.0)
     zs = rs.validate_section_plan(plan, CASE_STUDY_CYCLES, tol=1e-12)
     assert zs == [2, 2]
+
+
+# ---------------------------------------------------------------------------
+# The z search against full enumeration
+
+def enumerated_section_times(g, cycles=None, period=1.0, min_fraction=0.01):
+    """assign_section_times by trying every z-vector: the reference oracle.
+
+    Same LP, bisection and projection as the library, but each z in
+    itertools.product order is solved in full, with no pruning.
+    """
+    dirs = sch._color_dirs(sch._bipartite_colors(g))
+    order = sch._travel_orders(g, dirs)
+    sec_len = sch._section_lengths(g, order, dirs)
+    cycles = rs.cycle_basis(g) if cycles is None else cycles
+    nominal = {i: [L * period / g.lengths[i] for L in sec_len[i]] for i in order}
+    if not cycles:
+        return rs.SectionPlan(period, order, nominal, sec_len)
+    var_index = {}
+    for i in order:
+        for k in range(len(order[i])):
+            var_index[(i, k)] = len(var_index)
+    nvars = len(var_index)
+    A_period = np.zeros((len(order), nvars))
+    for row, i in enumerate(order):
+        for k in range(len(order[i])):
+            A_period[row, var_index[(i, k)]] = 1.0
+    cycle_rows = []
+    for cyc in cycles:
+        row = np.zeros(nvars)
+        for idx, node in enumerate(cyc):
+            prev, nxt = cyc[(idx - 1) % len(cyc)], cyc[(idx + 1) % len(cyc)]
+            nbs = order[node]
+            k = nbs.index(nxt)
+            while nbs[k] != prev:
+                row[var_index[(node, k)]] += 1.0
+                k = (k + 1) % len(nbs)
+        cycle_rows.append(row)
+    A_eq = np.vstack([A_period] + cycle_rows)
+    nom_vec = np.zeros(nvars)
+    for (i, k), vi in var_index.items():
+        nom_vec[vi] = nominal[i][k]
+
+    def feasible(lam, zs):
+        lower = np.maximum(nom_vec / (1.0 + lam), min_fraction * period)
+        upper = np.minimum(nom_vec / (1.0 - lam), period)
+        if np.any(lower > upper):
+            return None
+        b_eq = np.concatenate([np.full(len(order), period), [z * period for z in zs]])
+        res = linprog(np.zeros(nvars), A_eq=A_eq, b_eq=b_eq,
+                      bounds=list(zip(lower, upper)), method="highs")
+        return res.x if res.status == 0 else None
+
+    best = None
+    for zs in itertools.product(*[range(1, len(cyc)) for cyc in cycles]):
+        if feasible(0.999999, zs) is None:
+            continue
+        lo_l, hi_l = 0.0, 0.999999
+        x_best = feasible(hi_l, zs)
+        for _ in range(40):
+            mid = 0.5 * (lo_l + hi_l)
+            x = feasible(mid, zs)
+            if x is not None:
+                hi_l, x_best = mid, x
+            else:
+                lo_l = mid
+        if best is None or hi_l < best[0]:
+            best = (hi_l, zs, x_best)
+    if best is None:
+        raise InfeasibleSectionTimesError("no z", cycles=cycles)
+    _, zs, x = best
+    b_eq = np.concatenate([np.full(len(order), period), [z * period for z in zs]])
+    corr, *_ = np.linalg.lstsq(A_eq, A_eq @ x - b_eq, rcond=None)
+    x = x - corr
+    times = {i: [float(x[var_index[(i, k)]]) for k in range(len(order[i]))]
+             for i in order}
+    for i in times:
+        scale = period / math.fsum(times[i])
+        times[i] = [t * scale for t in times[i]]
+    return rs.SectionPlan(period, order, times, sec_len)
+
+
+def jittered_path_layout(seed):
+    """Up to a 3x3 grid of unit squares, some cells left out, corners jittered."""
+    rng = np.random.default_rng(seed)
+    rows, cols = (2, 3, 3)[rng.integers(3)], (2, 3)[rng.integers(2)]
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    drop = set(rng.choice(len(cells), size=rng.integers(0, 3), replace=False).tolist())
+    paths = []
+    for idx, (r, c) in enumerate(cells):
+        if idx in drop:
+            continue
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        square += [1.4 * c, -1.4 * r]
+        paths.append(rs.ClosedPath(square + rng.uniform(-0.05, 0.05, (4, 2))))
+    return rs.Instance(mode="path", paths=paths, ranges=[0.5] * len(paths))
+
+
+def _layouts_with_cycles(count, lo=1, hi=4):
+    out, seed = [], 0
+    while len(out) < count:
+        inst = jittered_path_layout(seed)
+        if lo <= len(rs.cycle_basis(rs.max_bipartite_subgraph(inst.graph()))) <= hi:
+            out.append(pytest.param(inst, None, id=f"jittered-{seed}"))
+        seed += 1
+    return out
+
+
+def _reordered_3x3_cycles():
+    g = rs.max_bipartite_subgraph(path_grid(3, 3).graph())
+    return [list(reversed(c)) for c in reversed(rs.cycle_basis(g))]
+
+
+ORACLE_CASES = [
+    pytest.param(rs.preset("case-study"), None, id="case-study"),
+    pytest.param(path_grid(2, 2), None, id="grid-2x2"),
+    pytest.param(path_grid(3, 3), None, id="grid-3x3"),
+    pytest.param(path_grid(3, 4), None, id="grid-3x4"),
+    pytest.param(path_grid(3, 3), _reordered_3x3_cycles(), id="grid-3x3-cycles-reordered"),
+] + _layouts_with_cycles(20)
+
+
+@pytest.mark.parametrize("inst,cycles", ORACLE_CASES)
+def test_section_times_match_full_enumeration(inst, cycles):
+    g = rs.max_bipartite_subgraph(inst.graph())
+    try:
+        expected = enumerated_section_times(g, cycles, period=100.0)
+    except InfeasibleSectionTimesError:
+        with pytest.raises(InfeasibleSectionTimesError):
+            rs.assign_section_times(g, cycles, period=100.0)
+        return
+    plan = rs.assign_section_times(g, cycles, period=100.0)
+    assert plan.times == expected.times
+    assert plan.link_order == expected.link_order
+    assert plan.section_lengths == expected.section_lengths
+
+
+def test_path_grid_4x4_schedules_within_solve_budget(monkeypatch):
+    calls = []
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(sch, "linprog", counting_linprog)
+    g = rs.max_bipartite_subgraph(path_grid(4, 4).graph())
+    assert len(rs.cycle_basis(g)) == 9
+    sched = rs.schedule_general(g, rs.assign_section_times(g, period=100.0))
+    assert rs.verify_schedule(g, sched).all_synchronized
+    assert 0 < len(calls) <= 200
