@@ -16,15 +16,15 @@ from .errors import (ClosureViolationError, DisconnectedGraphError,
 from .generator import grid, preset, random_connected, validate_instance
 from .geometry import Circle, ClosedPath, Point2, link_positions, line_angle, min_distance
 from .instance import Instance
-from .metrics import (MetricsReport, abandoned_time, aggregate, broadcast_time,
-                      completed_tours, prove_starvation, render_table, report,
-                      starvation_time)
+from .metrics import (MetricsReport, abandoned_time, aggregate, arrival_times,
+                      broadcast_time, completed_tours, prove_starvation,
+                      render_table, report, starvation_time)
 from .scheduler import (Schedule, SectionPlan, assign_section_times,
                         check_cycle_opposite, check_cycle_same_direction,
                         schedule_general, schedule_opposite_directions,
                         schedule_same_direction, validate_section_plan,
                         verify_schedule)
-from .simulator import (Message, SimConfig, Strategy, Trace, TraceEvent,
-                        occupancy_check, parse_strategy, run, strategy_decide)
+from .simulator import (SimConfig, Strategy, Trace, TraceEvent, occupancy_check,
+                        parse_strategy, run, strategy_decide)
 
 __version__ = "0.1.0"

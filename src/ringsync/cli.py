@@ -29,6 +29,7 @@ from .simulator import (SimConfig, Strategy, Trace, TraceEvent, parse_strategy,
                         resolve_root, run)
 
 FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2   # 2: no per-delivery events; gossip is derived from meetings
 OUTPUT_DIR_ENV = "RINGSYNC_OUTPUT_DIR"
 
 
@@ -127,7 +128,7 @@ def schedule_from_json(doc: dict) -> tuple[Schedule, list, SectionPlan | None]:
 
 
 def trace_to_lines(trace: Trace) -> list[str]:
-    header = {"format_version": FORMAT_VERSION, "type": "header",
+    header = {"format_version": TRACE_FORMAT_VERSION, "type": "header",
               "n": trace.n, "period": trace.period, "horizon": trace.horizon,
               "strategy": trace.strategy, "seed": trace.seed,
               "initial_occupancy": trace.initial_occupancy,
@@ -142,7 +143,7 @@ def trace_to_lines(trace: Trace) -> list[str]:
 
 def trace_from_lines(lines) -> Trace:
     head = json.loads(lines[0])
-    if head.get("format_version") != FORMAT_VERSION:
+    if head.get("format_version") != TRACE_FORMAT_VERSION:
         raise InvalidInstanceError(
             f"unsupported trace format_version {head.get('format_version')!r}")
     with _required_keys("trace"):

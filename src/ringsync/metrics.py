@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .simulator import Trace
 
 INF = float("inf")
@@ -30,33 +32,53 @@ TABLE_HEADER = (f"{'':>12} | {'Max. ST(s)':>10} | {'Avg. CT':>8}"
                 f" | {'Max. AT(s)':>10} | {'Avg. BT(s)':>10}")
 
 
+def arrival_times(trace: Trace):
+    """First time each agent knows each message, from emits and meetings.
+
+    One earliest-arrival scan over the trace in time order (the temporal-graph
+    reachability of Wu et al., "Path Problems in Temporal Graphs", VLDB 2014):
+    an emit gives its origin the message, and a meeting gives each agent every
+    message the other knows, at the meeting time.  Events at one instant apply
+    in trace order: emits before meetings, meetings in edge order.
+
+    Returns (emits, arrival): emits maps each message key to its emit time, in
+    trace order; arrival[a, k] is when agent a first knew the k-th message of
+    emits, inf if it never did.
+    """
+    emits = {ev.msg: ev.time for ev in trace.events if ev.kind == "emit"}
+    column = {key: k for k, key in enumerate(emits)}
+    arrival = np.full((trace.n, len(emits)), INF)
+    informed = np.zeros(arrival.shape, dtype=bool)
+    for ev in trace.events:
+        if ev.kind == "emit":
+            agent, k = ev.agents[0], column[ev.msg]
+            informed[agent, k] = True
+            arrival[agent, k] = ev.time
+        elif ev.kind == "meeting":
+            a, b = ev.agents
+            union = informed[a] | informed[b]
+            np.copyto(arrival[a], ev.time, where=union > informed[a])
+            np.copyto(arrival[b], ev.time, where=union > informed[b])
+            informed[a] = union
+            informed[b] = union
+    return emits, arrival
+
+
 def broadcast_time(trace: Trace) -> float:
     """Average time for a message to reach every surviving agent.
 
     Messages that never reach all survivors make the result infinite;
-    otherwise the average is over fully delivered messages.
+    otherwise the average is over all messages, summed in emit order.
     """
-    survivors = set(trace.survivors)
-    if not survivors:
+    if not trace.survivors:
         return INF
-    emit = {}        # msg key -> (time, origin)
-    received = {}    # msg key -> {agent: time}
-    for ev in trace.events:
-        if ev.kind == "emit":
-            emit[ev.msg] = (ev.time, ev.agents[0])
-            received.setdefault(ev.msg, {})[ev.agents[0]] = ev.time
-        elif ev.kind == "deliver":
-            received.setdefault(ev.msg, {})[ev.agents[0]] = ev.time
-    if not emit:
+    emits, arrival = arrival_times(trace)
+    if not emits:
         return INF
-    times = []
-    for key, (t0, _origin) in emit.items():
-        got = received.get(key, {})
-        if survivors <= set(got):
-            times.append(max(got[a] for a in survivors) - t0)
-        else:
-            return INF
-    return sum(times) / len(times)
+    latest = arrival[trace.survivors].max(axis=0).tolist()
+    if INF in latest:
+        return INF
+    return sum(t - t0 for t, t0 in zip(latest, emits.values())) / len(emits)
 
 
 def occupancy_intervals(trace: Trace):

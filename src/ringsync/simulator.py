@@ -21,17 +21,7 @@ from .scheduler import Schedule, link_epochs, verify_schedule
 
 # Event sort priorities within one timestamp.
 _PRIORITY = {"failure": 0, "emit": 1, "enter-region": 2, "meeting": 3,
-             "deliver": 4, "switch": 5, "exit-region": 6, "tour-complete": 7}
-
-
-@dataclass(frozen=True)
-class Message:
-    origin: int
-    seq: int
-
-    @property
-    def key(self) -> str:
-        return f"{self.origin}:{self.seq}"
+             "switch": 4, "exit-region": 5, "tour-complete": 6}
 
 
 @dataclass
@@ -45,10 +35,6 @@ class Strategy:
             raise InvalidInstanceError(f"unknown strategy {self.kind!r}")
         if self.kind == "rand" and not (0.0 <= self.p <= 1.0):
             raise InvalidInstanceError(f"rand probability {self.p} outside [0,1]")
-
-    @property
-    def deterministic(self) -> bool:
-        return self.kind in ("alw", "dfs") or self.p in (0.0, 1.0)
 
     def describe(self) -> str:
         if self.kind == "rand":
@@ -81,7 +67,6 @@ class SimConfig:
     seed: int = 0
     failures: list = field(default_factory=list)   # (agent id, time)
     emission_period: float | None = None           # default: schedule period
-    emission_end: float | None = None              # default: horizon / 2
     record_region_events: bool = False
 
     def __post_init__(self):
@@ -165,7 +150,6 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     agent_traj = list(range(n))       # agent -> traj or None
     entry_time = [0.0] * n            # agent -> time it entered its current traj
     alive = [True] * n
-    known = [set() for _ in range(n)]
     events: list[TraceEvent] = []
 
     def close_tours(agent, leave_time):
@@ -183,11 +167,10 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     for agent, t in config.failures:
         items.append((t, 0, ("failure", agent)))
     em_period = config.emission_period if config.emission_period is not None else T
-    em_end = config.emission_end if config.emission_end is not None else horizon / 2.0
-    # Each agent emits once per emission period at a seeded random phase,
-    # modeling messages issued at arbitrary instants of the patrol.
+    # Each agent emits once per emission period of [0, horizon / 2] at a seeded
+    # random phase, modeling messages issued at arbitrary instants of the patrol.
     seq = 0
-    while seq * em_period <= min(em_end, horizon):
+    while seq * em_period <= horizon / 2.0:
         for agent in range(n):
             t_emit = (seq + rng.random()) * em_period
             if t_emit <= horizon:
@@ -216,10 +199,8 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
         elif item[0] == "emit":
             _, agent, s = item
             if alive[agent]:
-                msg = Message(origin=agent, seq=s)
-                known[agent].add(msg)
                 events.append(TraceEvent(time=t, kind="emit", agents=[agent],
-                                         trajs=[agent_traj[agent]], msg=msg.key))
+                                         trajs=[agent_traj[agent]], msg=f"{agent}:{s}"))
         else:
             i, j = item[1]
             oi, oj = occupancy[i], occupancy[j]
@@ -229,15 +210,6 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
             if oi is not None and oj is not None:
                 events.append(TraceEvent(time=t, kind="meeting",
                                          agents=[oi, oj], trajs=[i, j], location=loc))
-                for msg in sorted(known[oi] - known[oj], key=lambda m: (m.origin, m.seq)):
-                    events.append(TraceEvent(time=t, kind="deliver", agents=[oj],
-                                             trajs=[j], msg=msg.key))
-                for msg in sorted(known[oj] - known[oi], key=lambda m: (m.origin, m.seq)):
-                    events.append(TraceEvent(time=t, kind="deliver", agents=[oi],
-                                             trajs=[i], msg=msg.key))
-                union = known[oi] | known[oj]
-                known[oi] = set(union)
-                known[oj] = set(union)
             else:
                 agent = oi if oi is not None else oj
                 src = i if oi is not None else j

@@ -223,6 +223,28 @@ def test_trace_missing_key_is_error(tmp_path, capsys, drop):
     assert err["error"] == "InvalidInstanceError" and key in err["message"]
 
 
+def test_simulate_trace_has_no_deliver_events(tmp_path):
+    _, _, traces = pipeline(tmp_path, seeds="1", extra=("--fail-at", "4:600"))
+    lines = (traces / "trace-0.jsonl").read_text().splitlines()
+    assert json.loads(lines[0])["format_version"] == 2
+    assert {json.loads(line)["kind"] for line in lines[1:]} == {
+        "emit", "meeting", "switch", "failure", "tour-complete"}
+
+
+def test_report_rejects_version_1_trace(tmp_path, capsys):
+    _, _, traces = pipeline(tmp_path, seeds="1")
+    path = traces / "trace-0.jsonl"
+    lines = path.read_text().splitlines()
+    head = json.loads(lines[0])
+    head["format_version"] = 1
+    lines[0] = json.dumps(head)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert invoke("report", "-t", str(traces)) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInstanceError" and "format_version 1" in err["message"]
+
+
 SCIPY_PROBE = """
 import json, sys
 import ringsync.cli as cli

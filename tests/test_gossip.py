@@ -1,0 +1,156 @@
+"""Message dissemination derived from emits and meetings.
+
+The oracle is the hand-off loop the simulator used to run at every meeting:
+per-agent sets of known messages, where a meeting gives each agent the
+messages only the other knows and leaves both with the union.  Replayed over
+a trace's emit and meeting events in trace order, it must give exactly the
+first-knowledge times of `arrival_times` and the same `broadcast_time`.
+"""
+
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
+
+import ringsync as rs
+from ringsync.metrics import INF, arrival_times, broadcast_time
+from ringsync.scheduler import link_epochs
+from ringsync.simulator import SimConfig, Strategy, Trace, TraceEvent, run
+
+
+def reference_arrivals(trace):
+    """Per message key, {agent: first time it knew the message}, by known sets."""
+    known = [set() for _ in range(trace.n)]
+    received = {}
+    for ev in trace.events:
+        if ev.kind == "emit":
+            agent = ev.agents[0]
+            known[agent].add(ev.msg)
+            received.setdefault(ev.msg, {})[agent] = ev.time
+        elif ev.kind == "meeting":
+            a, b = ev.agents
+            for msg in known[a] - known[b]:
+                received[msg][b] = ev.time
+            for msg in known[b] - known[a]:
+                received[msg][a] = ev.time
+            union = known[a] | known[b]
+            known[a] = set(union)
+            known[b] = set(union)
+    return received
+
+
+def reference_broadcast_time(trace, received):
+    """The average over messages of the time to reach every survivor."""
+    survivors = set(trace.survivors)
+    if not survivors:
+        return INF
+    emit = {ev.msg: ev.time for ev in trace.events if ev.kind == "emit"}
+    if not emit:
+        return INF
+    times = []
+    for key, t0 in emit.items():
+        got = received.get(key, {})
+        if not survivors <= set(got):
+            return INF
+        times.append(max(got[a] for a in survivors) - t0)
+    return sum(times) / len(times)
+
+
+def assert_matches_reference(trace):
+    received = reference_arrivals(trace)
+    emits, arrival = arrival_times(trace)
+    assert list(emits.items()) == [(ev.msg, ev.time) for ev in trace.events
+                                   if ev.kind == "emit"]
+    assert arrival.shape == (trace.n, len(emits))
+    for k, key in enumerate(emits):
+        got = received[key]
+        for agent in range(trace.n):
+            assert arrival[agent, k] == got.get(agent, INF), (key, agent)
+    assert broadcast_time(trace) == reference_broadcast_time(trace, received)
+
+
+@lru_cache(maxsize=None)
+def scheduled(kind, a, b):
+    """(instance, synchronized subgraph, schedule) of a grid or random layout."""
+    inst = rs.grid(a, b) if kind == "grid" else rs.random_connected(a, seed=b)
+    g = rs.max_synch_subgraph(rs.max_bipartite_subgraph(inst.graph()))
+    return inst, g, rs.schedule_opposite_directions(g, period=1.0)
+
+
+@st.composite
+def simulations(draw):
+    if draw(st.booleans()):
+        layout = ("grid", draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    else:
+        layout = ("random", draw(st.integers(2, 12)), draw(st.integers(0, 30)))
+    inst, g, sched = scheduled(*layout)
+    horizon = float(draw(st.integers(1, 8)))
+    link_instants = sorted(e + k for e in link_epochs(g, sched).values()
+                           for k in range(int(horizon)) if e + k <= horizon)
+    # Half the failures land on a link instant, so they tie with meetings.
+    fail_time = st.floats(0.0, horizon)
+    if link_instants:
+        fail_time = st.one_of(fail_time, st.sampled_from(link_instants))
+    failed = draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=g.n // 2))
+    strategy = draw(st.one_of(
+        st.just(Strategy("alw")),
+        st.floats(0.0, 1.0).map(lambda p: Strategy("rand", p=p)),
+        st.integers(0, g.n - 1).map(lambda root: Strategy("dfs", root=root))))
+    config = SimConfig(horizon=horizon, strategy=strategy,
+                       seed=draw(st.integers(0, 10_000)),
+                       failures=[(agent, draw(fail_time)) for agent in failed],
+                       emission_period=draw(st.sampled_from([None, 0.4, 2.5])),
+                       record_region_events=True)
+    return run(inst, sched, config, graph=g)
+
+
+@given(simulations())
+@settings(max_examples=150, deadline=None)
+def test_arrival_times_match_known_set_handoff(trace):
+    assert_matches_reference(trace)
+
+
+@st.composite
+def synthetic_traces(draw):
+    """Emits and meetings on a few integer instants, so most events tie."""
+    n = draw(st.integers(2, 5))
+    agent = st.integers(0, n - 1)
+    time = st.integers(0, 4).map(float)
+    events = []
+    for k in range(draw(st.integers(0, 25))):
+        if draw(st.booleans()):
+            origin = draw(agent)
+            events.append(TraceEvent(time=draw(time), kind="emit", agents=[origin],
+                                     trajs=[origin], msg=f"{origin}:{k}"))
+        else:
+            a, b = sorted(draw(st.lists(agent, min_size=2, max_size=2, unique=True)))
+            events.append(TraceEvent(time=draw(time), kind="meeting",
+                                     agents=[a, b], trajs=[a, b]))
+    events.sort(key=TraceEvent.sort_key)
+    survivors = draw(st.lists(agent, unique=True))
+    return Trace(n=n, period=1.0, horizon=5.0, strategy="alw", seed=0,
+                 initial_occupancy=list(range(n)), events=events,
+                 survivors=sorted(survivors))
+
+
+@given(synthetic_traces())
+@settings(max_examples=300, deadline=None)
+def test_arrival_times_match_reference_on_ties(trace):
+    assert_matches_reference(trace)
+
+
+def test_same_instant_order():
+    # At t=1: agent 1 emits, then links (0,1) and (1,2) meet in edge order.
+    # Agent 0 learns agent 2's message only at t=2, through agent 1.
+    events = [TraceEvent(time=1.0, kind="meeting", agents=[1, 2], trajs=[1, 2]),
+              TraceEvent(time=1.0, kind="meeting", agents=[0, 1], trajs=[0, 1]),
+              TraceEvent(time=1.0, kind="emit", agents=[1], trajs=[1], msg="1:0"),
+              TraceEvent(time=0.5, kind="emit", agents=[2], trajs=[2], msg="2:0"),
+              TraceEvent(time=2.0, kind="meeting", agents=[0, 1], trajs=[0, 1])]
+    events.sort(key=TraceEvent.sort_key)
+    trace = Trace(n=3, period=1.0, horizon=3.0, strategy="alw", seed=0,
+                  initial_occupancy=[0, 1, 2], events=events, survivors=[0, 1, 2])
+    emits, arrival = arrival_times(trace)
+    assert emits == {"2:0": 0.5, "1:0": 1.0}
+    assert arrival.tolist() == [[2.0, 1.0], [1.0, 1.0], [0.5, 1.0]]
+    assert broadcast_time(trace) == ((2.0 - 0.5) + (1.0 - 1.0)) / 2
+    assert_matches_reference(trace)
