@@ -36,8 +36,9 @@ OUTPUT_DIR_ENV = "RINGSYNC_OUTPUT_DIR"
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# One encoder for every document and trace line; json.dumps with these
+# arguments would build a new JSONEncoder per call.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _out_path(path: str) -> str:
@@ -141,6 +142,21 @@ def trace_to_lines(trace: Trace) -> list[str]:
     return lines
 
 
+def _check_agent_ids(trace: Trace) -> None:
+    """Every survivor and non-null initial occupant must be an agent id in 0..n-1."""
+    n, survivors, occupancy = trace.n, trace.survivors, trace.initial_occupancy
+    if type(n) is not int or n < 0:
+        raise InvalidInstanceError(f"trace header n {n!r} is not an agent count")
+    if not (isinstance(survivors, list) and isinstance(occupancy, list)):
+        raise InvalidInstanceError("trace header survivors and initial_occupancy must be lists")
+    for key, ids in (("survivors", survivors),
+                     ("initial_occupancy", [a for a in occupancy if a is not None])):
+        bad = [a for a in ids if type(a) is not int or not 0 <= a < n]
+        if bad:
+            raise InvalidInstanceError(
+                f"trace header {key} holds {bad[0]!r}, not an agent id in 0..{n - 1}")
+
+
 def trace_from_lines(lines) -> Trace:
     head = json.loads(lines[0])
     if head.get("format_version") != TRACE_FORMAT_VERSION:
@@ -151,6 +167,7 @@ def trace_from_lines(lines) -> Trace:
                       strategy=head["strategy"], seed=head["seed"],
                       initial_occupancy=head["initial_occupancy"],
                       survivors=head["survivors"])
+        _check_agent_ids(trace)
         for line in lines[1:]:
             if not line.strip():
                 continue
@@ -184,8 +201,7 @@ def cmd_generate(args) -> int:
                                           seed=args.seed)
     else:
         inst = generator.preset(args.preset)
-    generator.validate_instance(inst)
-    g = inst.graph()
+    g = generator.validate_instance(inst)
     _write_json(args.output, instance_to_json(inst))
     print(f"{inst.label or 'instance'}: {g.n} nodes, {len(g.edges)} edges "
           f"-> {args.output}")

@@ -16,7 +16,6 @@ byte for byte, so they depend on it: changing the order changes artifacts.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -168,39 +167,74 @@ def dfs_forest(g: CommGraph, root: int) -> Forest:
     return Forest(order, parent, depth)
 
 
+# Relative slack on the numpy prefilters below.  They only pick candidate
+# pairs; each candidate is decided by the exact scalar code, so the slack must
+# cover the rounding gap between the two and may not hide a pair.
+_PREFILTER_SLACK = 1e-9
+
+
 def build_circle_graph(circles: list[Circle], r: float) -> CommGraph:
-    """Proximity graph of unit circles: edge iff center distance <= 2 + r."""
+    """Proximity graph of unit circles: edge iff center distance <= 2 + r.
+
+    One numpy distance row per circle picks the pairs that can overlap or
+    link (d <= ri + rj + max(r, 0), with slack); only those run the exact
+    test, in (i, j) order, so the first overlapping pair raises as before.
+    """
     n = len(circles)
+    xs = np.array([c.center.x for c in circles])
+    ys = np.array([c.center.y for c in circles])
+    radii = np.array([c.radius for c in circles])
+    reach = r if r > 0 else 0.0
     edges = {}
-    for i, j in itertools.combinations(range(n), 2):
-        ci, cj = circles[i], circles[j]
-        d = center_distance(ci, cj)
-        if d <= ci.radius + cj.radius:
-            raise InvalidInstanceError(f"circles {i} and {j} overlap")
-        if d <= ci.radius + cj.radius + r:
-            phi_ij, phi_ji = link_positions(ci, cj)
-            edges[(i, j)] = EdgeData(
-                beta=line_angle(ci, cj),
-                phi={i: phi_ij, j: phi_ji},
-                distance=d - ci.radius - cj.radius,
-            )
+    for i in range(n - 1):
+        near = np.hypot(xs[i + 1:] - xs[i], ys[i + 1:] - ys[i]) <= \
+            (radii[i] + radii[i + 1:] + reach) * (1.0 + _PREFILTER_SLACK)
+        ci = circles[i]
+        for j in (np.flatnonzero(near) + (i + 1)).tolist():
+            cj = circles[j]
+            d = center_distance(ci, cj)
+            if d <= ci.radius + cj.radius:
+                raise InvalidInstanceError(f"circles {i} and {j} overlap")
+            if d <= ci.radius + cj.radius + r:
+                phi_ij, phi_ji = link_positions(ci, cj)
+                edges[(i, j)] = EdgeData(
+                    beta=line_angle(ci, cj),
+                    phi={i: phi_ij, j: phi_ji},
+                    distance=d - ci.radius - cj.radius,
+                )
     return CommGraph(n=n, edges=edges, mode="circle")
 
 
 def build_path_graph(paths: list[ClosedPath], ranges: list[float]) -> CommGraph:
-    """Proximity graph of closed paths: edge iff min distance <= min of the two ranges."""
+    """Proximity graph of closed paths: edge iff min distance <= min of the two ranges.
+
+    A pair whose bounding boxes are farther apart than min(range_i, range_j)
+    (at least 0, with slack) can neither link nor intersect and is skipped;
+    every other pair runs the exact `min_distance` in (i, j) order.  The
+    absolute slack scales with the coordinates, because `min_distance`
+    rounds at their magnitude.
+    """
     n = len(paths)
+    lo = np.array([p.vertices.min(axis=0) for p in paths]).reshape(n, 2)
+    hi = np.array([p.vertices.max(axis=0) for p in paths]).reshape(n, 2)
+    rng = np.array(ranges, dtype=float)
+    tol = _PREFILTER_SLACK * (1.0 + np.abs(np.concatenate((lo, hi))).max(initial=0.0))
     edges = {}
-    for i, j in itertools.combinations(range(n), 2):
-        d, si, sj = min_distance(paths[i], paths[j])
-        if d <= min(ranges[i], ranges[j]):
-            pi = paths[i].position_at(si)
-            pj = paths[j].position_at(sj)
-            edges[(i, j)] = EdgeData(
-                beta=line_angle_points(pi, pj),
-                phi={i: si, j: sj},
-                distance=d,
-            )
+    for i in range(n - 1):
+        gap = np.maximum(np.maximum(lo[i + 1:] - hi[i], lo[i] - hi[i + 1:]), 0.0)
+        reach = np.minimum(rng[i], rng[i + 1:])
+        reach = np.where(reach > 0, reach, 0.0)
+        far = np.hypot(gap[:, 0], gap[:, 1]) > reach * (1.0 + _PREFILTER_SLACK) + tol
+        for j in (np.flatnonzero(~far) + (i + 1)).tolist():
+            d, si, sj = min_distance(paths[i], paths[j])
+            if d <= min(ranges[i], ranges[j]):
+                pi = paths[i].position_at(si)
+                pj = paths[j].position_at(sj)
+                edges[(i, j)] = EdgeData(
+                    beta=line_angle_points(pi, pj),
+                    phi={i: si, j: sj},
+                    distance=d,
+                )
     return CommGraph(n=n, edges=edges, mode="path",
                      lengths=[p.length for p in paths])
 

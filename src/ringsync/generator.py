@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .commgraph import build_circle_graph
+from .commgraph import CommGraph
 from .errors import GenerationFailureError, InvalidInstanceError
 from .geometry import Circle, ClosedPath, Point2
 from .instance import Instance
@@ -38,26 +38,30 @@ def random_connected(n: int, r: float = 0.5, seed: int = 0) -> Instance:
     Each new circle sits on a uniformly random ray from a uniformly random
     existing circle, at a center distance drawn uniformly from (2, 2+r], and
     is redrawn while it overlaps a third circle (retry cap 1000 per circle).
+    Each placement attempt tests the candidate against the k centers placed
+    so far with one vectorized numpy distance test, O(k) work in a single
+    call, so a layout costs O(n^2) arithmetic but only O(attempts) numpy calls.
     """
     if n < 1:
         raise InvalidInstanceError("need n >= 1")
     rng = np.random.default_rng(seed)
-    centers = [np.array([0.0, 0.0])]
-    for _ in range(1, n):
+    centers = np.zeros((n, 2))
+    for k in range(1, n):
+        placed = centers[:k]
         for attempt in range(_PLACEMENT_RETRY_CAP):
-            anchor = centers[int(rng.integers(len(centers)))]
+            anchor = centers[int(rng.integers(k))]
             theta = rng.uniform(0.0, 2.0 * math.pi)
             d = rng.uniform(2.0, 2.0 + r)
             if d <= 2.0:
                 continue
             cand = anchor + d * np.array([math.cos(theta), math.sin(theta)])
-            if all(np.hypot(*(cand - c)) > 2.0 for c in centers):
-                centers.append(cand)
+            if np.all(np.hypot(cand[0] - placed[:, 0], cand[1] - placed[:, 1]) > 2.0):
+                centers[k] = cand
                 break
         else:
             raise GenerationFailureError(
-                f"could not place circle {len(centers)} after {_PLACEMENT_RETRY_CAP} tries")
-    circles = [Circle(Point2(float(c[0]), float(c[1]))) for c in centers]
+                f"could not place circle {k} after {_PLACEMENT_RETRY_CAP} tries")
+    circles = [Circle(Point2(x, y)) for x, y in centers.tolist()]
     inst = Instance(mode="circle", circles=circles, comm_range=r,
                     label=f"random-{n}-seed{seed}", meta={"seed": seed})
     if not inst.graph().is_connected():
@@ -182,8 +186,12 @@ def preset(name: str) -> Instance:
     raise InvalidInstanceError(f"unknown preset {name!r}")
 
 
-def validate_instance(inst: Instance) -> None:
-    """Disjointness and connectivity validation; raises on failure."""
+def validate_instance(inst: Instance) -> CommGraph:
+    """Disjointness and connectivity validation; returns the graph it built.
+
+    Raises on overlapping trajectories or a disconnected communication graph.
+    """
     g = inst.graph()  # construction raises on overlap
     if not g.is_connected():
         raise InvalidInstanceError("communication graph is disconnected")
+    return g

@@ -223,6 +223,48 @@ def test_trace_missing_key_is_error(tmp_path, capsys, drop):
     assert err["error"] == "InvalidInstanceError" and key in err["message"]
 
 
+@pytest.mark.parametrize("key,value", [
+    ("survivors", [0, 1, 2, 9]), ("survivors", [0, 1, 2, -1]),
+    ("initial_occupancy", [0, 1, 2, 3, 4, 5, 6, 7, 9]),
+    ("initial_occupancy", [0, 1, 2, 3, 4, 5, 6, 7, -1])])
+def test_trace_agent_id_out_of_range_is_error(tmp_path, capsys, key, value):
+    _, _, traces = pipeline(tmp_path, seeds="1")
+    path = traces / "trace-0.jsonl"
+    lines = path.read_text().splitlines()
+    head = json.loads(lines[0])
+    head[key] = value
+    lines[0] = json.dumps(head)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert invoke("report", "-t", str(traces)) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInstanceError" and key in err["message"]
+    assert str(value[-1]) in err["message"]
+
+
+@pytest.mark.parametrize("source,builds", [
+    (("--grid", "3x3"), 1), (("--preset", "case-study"), 1), (("--random", "12"), 2)])
+def test_generate_builds_graph_once_in_command(tmp_path, monkeypatch, capsys,
+                                               source, builds):
+    # --random builds one more graph inside random_connected's own check
+    calls = []
+    real = rs.Instance.graph
+    monkeypatch.setattr(rs.Instance, "graph", lambda self: calls.append(1) or real(self))
+    assert invoke("generate", *source, "-o", str(tmp_path / "i.json")) == 0
+    assert len(calls) == builds
+    g = real(cli.instance_from_json(json.loads((tmp_path / "i.json").read_text())))
+    assert f"{g.n} nodes, {len(g.edges)} edges" in capsys.readouterr().out
+
+
+def test_trace_lines_match_json_dumps(tmp_path):
+    _, _, traces = pipeline(tmp_path, seeds="1", extra=("--fail-at", "4:600"))
+    lines = (traces / "trace-0.jsonl").read_text().splitlines()
+    trace = cli.trace_from_lines(lines)
+    assert cli.trace_to_lines(trace) == lines == [
+        json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+        for line in lines]
+
+
 def test_simulate_trace_has_no_deliver_events(tmp_path):
     _, _, traces = pipeline(tmp_path, seeds="1", extra=("--fail-at", "4:600"))
     lines = (traces / "trace-0.jsonl").read_text().splitlines()

@@ -13,6 +13,8 @@ from ringsync.commgraph import (EXACT_MAXCUT_EDGE_LIMIT, CommGraph, EdgeData,
 from ringsync.errors import DisconnectedGraphError, InvalidInstanceError
 from ringsync.geometry import Circle, ClosedPath, Point2
 
+from conftest import path_grid
+
 
 def test_circle_graph_threshold_inclusive():
     c0 = Circle(Point2(0.0, 0.0))
@@ -257,3 +259,199 @@ def test_traversal_rejects_unknown_root(grid33_graph):
         for root in (-1, 9):
             with pytest.raises(ValueError):
                 walk(grid33_graph, root)
+
+
+# ---------------------------------------------------------------------------
+# Graph builds against the all-pairs loops they replaced
+
+def _circle_graph_reference(circles, r):
+    """All-pairs circle build: the exact test on every pair in (i, j) order."""
+    from ringsync.geometry import center_distance, line_angle, link_positions
+    edges = {}
+    for i, j in itertools.combinations(range(len(circles)), 2):
+        ci, cj = circles[i], circles[j]
+        d = center_distance(ci, cj)
+        if d <= ci.radius + cj.radius:
+            raise InvalidInstanceError(f"circles {i} and {j} overlap")
+        if d <= ci.radius + cj.radius + r:
+            phi_ij, phi_ji = link_positions(ci, cj)
+            edges[(i, j)] = EdgeData(beta=line_angle(ci, cj),
+                                     phi={i: phi_ij, j: phi_ji},
+                                     distance=d - ci.radius - cj.radius)
+    return edges
+
+
+def _path_graph_reference(paths, ranges):
+    """All-pairs path build: min_distance on every pair in (i, j) order."""
+    from ringsync.geometry import line_angle_points, min_distance
+    edges = {}
+    for i, j in itertools.combinations(range(len(paths)), 2):
+        d, si, sj = min_distance(paths[i], paths[j])
+        if d <= min(ranges[i], ranges[j]):
+            edges[(i, j)] = EdgeData(
+                beta=line_angle_points(paths[i].position_at(si),
+                                       paths[j].position_at(sj)),
+                phi={i: si, j: sj}, distance=d)
+    return edges
+
+
+def _outcome(build, *args):
+    """Edges in insertion order, or the type and message of the error raised."""
+    try:
+        edges = build(*args)
+    except rs.RingsyncError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return list((edges if isinstance(edges, dict) else edges.edges).items())
+
+
+def _assert_circle_build_matches(circles, r):
+    expect = _outcome(_circle_graph_reference, circles, r)
+    assert _outcome(rs.build_circle_graph, circles, r) == expect
+    return expect
+
+
+def _assert_path_build_matches(paths, ranges):
+    expect = _outcome(_path_graph_reference, paths, ranges)
+    assert _outcome(rs.build_path_graph, paths, ranges) == expect
+    return expect
+
+
+@st.composite
+def circle_layouts(draw):
+    """Circles with mixed radii; some placed at exactly ri + rj + r (or
+    ri + rj, an overlap) from an earlier circle, the rest anywhere."""
+    r = draw(st.one_of(st.sampled_from([0.5, 0.0, -0.3, 1.2]),
+                       st.floats(-1.0, 2.0, allow_nan=False)))
+    circles = []
+    for _ in range(draw(st.integers(1, 14))):
+        radius = draw(st.sampled_from([1.0, 1.0, 0.5, 1.7, 0.25]))
+        if circles and draw(st.booleans()):
+            base = circles[draw(st.integers(0, len(circles) - 1))]
+            gap = draw(st.sampled_from([r, r, 0.0, abs(r) + 0.1]))
+            theta = draw(st.floats(0.0, 2.0 * math.pi))
+            dist = base.radius + radius + gap
+            center = Point2(base.center.x + dist * math.cos(theta),
+                            base.center.y + dist * math.sin(theta))
+        else:
+            center = Point2(draw(st.floats(-9.0, 9.0)), draw(st.floats(-9.0, 9.0)))
+        circles.append(Circle(center, radius))
+    return circles, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(circle_layouts())
+def test_circle_graph_matches_all_pairs_loop(layout):
+    _assert_circle_build_matches(*layout)
+
+
+def test_circle_graph_matches_all_pairs_on_generated_layouts(grid33):
+    _assert_circle_build_matches(grid33.circles, grid33.comm_range)
+    for name in ("fig9a", "fig9b", "fig11", "fig7-starve", "fig10a"):
+        inst = rs.preset(name)
+        _assert_circle_build_matches(inst.circles, inst.comm_range)
+    inst = rs.random_connected(200, seed=3)
+    assert _assert_circle_build_matches(inst.circles, inst.comm_range)
+
+
+def test_circle_graph_keeps_pairs_numpy_rounds_past_threshold():
+    # np.hypot and math.hypot differ in the last bit on some inputs.  Pairs
+    # whose exact distance is at the threshold but whose numpy distance is
+    # one ulp beyond it must still link: the prefilter's slack keeps them.
+    c0 = Circle(Point2(0.0, 0.0))
+    found = 0
+    for k in range(20000):
+        theta = 2.0 * math.pi * k / 20000
+        c1 = Circle(Point2(2.5 * math.cos(theta), 2.5 * math.sin(theta)))
+        dx, dy = c1.center.x, c1.center.y
+        if math.hypot(dx, dy) <= 2.5 < float(np.hypot(dx, dy)):
+            found += 1
+            assert len(_assert_circle_build_matches([c0, c1], 0.5)) == 1
+    assert found > 0
+
+
+def test_circle_graph_negative_range_still_rejects_overlap():
+    # With r < 0 no pair links, but an overlap must still raise.
+    circles = [Circle(Point2(0.0, 0.0)), Circle(Point2(5.0, 0.0)), Circle(Point2(1.9, 0.0))]
+    assert _assert_circle_build_matches(circles, -0.5) == \
+        "InvalidInstanceError: circles 0 and 2 overlap"
+
+
+def _rect(x0, y0, w, h):
+    return ClosedPath(np.array([[x0, y0], [x0 + w, y0], [x0 + w, y0 + h], [x0, y0 + h]]))
+
+
+@pytest.mark.parametrize("rows,cols,staggered", [
+    (2, 2, True), (3, 3, True), (3, 4, True), (4, 4, True),
+    (2, 2, False), (3, 3, False), (3, 4, False)])
+def test_path_graph_matches_all_pairs_on_grids(rows, cols, staggered):
+    inst = path_grid(rows, cols, staggered=staggered)
+    expect = _assert_path_build_matches(inst.paths, inst.ranges)
+    assert len(expect) == rows * (cols - 1) + cols * (rows - 1)
+
+
+def test_path_graph_matches_all_pairs_on_presets():
+    inst = rs.preset("case-study")
+    _assert_path_build_matches(inst.paths, inst.ranges)
+    for ranges in ([0.4] * 7, [0.0] * 7, [-0.5] * 7, [10.0] * 7):
+        _assert_path_build_matches(inst.paths, ranges)
+    _assert_path_build_matches(square_paths(4), [0.4, 0.5, 0.3, 0.4])
+
+
+@st.composite
+def rectangle_layouts(draw):
+    """Rectangles, one per 3x3 cell (disjoint) unless `loose` lets them
+    roam and intersect; ranges include each path's exact distance to the
+    next one, 0 and negatives."""
+    from ringsync.geometry import min_distance
+    loose = draw(st.booleans())
+    cols = draw(st.integers(1, 4))
+    paths = []
+    for k in range(draw(st.integers(1, 10))):
+        w, h = draw(st.floats(0.2, 2.6)), draw(st.floats(0.2, 2.6))
+        cx, cy = 3.0 * (k % cols), -3.0 * (k // cols)
+        x0 = cx + draw(st.floats(-2.0, 2.0) if loose else st.floats(0.0, 2.8 - w))
+        y0 = cy + draw(st.floats(-2.0, 2.0) if loose else st.floats(0.0, 2.8 - h))
+        paths.append(_rect(x0, y0, w, h))
+    ranges = []
+    for k, p in enumerate(paths):
+        kind = draw(st.sampled_from(["exact", "exact", "draw", "zero", "negative"]))
+        if kind == "exact" and k + 1 < len(paths):
+            try:
+                ranges.append(min_distance(p, paths[k + 1])[0])
+            except rs.RingsyncError:
+                ranges.append(0.5)
+        elif kind == "zero":
+            ranges.append(0.0)
+        elif kind == "negative":
+            ranges.append(-draw(st.floats(0.01, 2.0)))
+        else:
+            ranges.append(draw(st.floats(0.0, 4.0)))
+    return paths, ranges
+
+
+@settings(max_examples=200, deadline=None)
+@given(rectangle_layouts())
+def test_path_graph_matches_all_pairs_on_rectangles(layout):
+    _assert_path_build_matches(*layout)
+
+
+def test_path_graph_prune_slack_scales_with_coordinates():
+    # min_distance rounds at the coordinates' magnitude: at 1e16 it reports
+    # 1.0 for a true gap of 2.0, so with range 1.5 the pair links, although
+    # the bounding boxes are 2.0 apart.
+    a = ClosedPath(np.array([[-1e16, 0.0], [3.0, 0.0], [-1e16, 1.0]]))
+    b = _rect(5.0, 0.0, 1.0, 1.0)
+    assert len(_assert_path_build_matches([a, b], [1.5, 1.5])) == 1
+
+
+def test_path_graph_skips_pairs_with_distant_bounding_boxes(monkeypatch):
+    import ringsync.commgraph as commgraph
+    calls = []
+    real = commgraph.min_distance
+    monkeypatch.setattr(commgraph, "min_distance",
+                        lambda p, q: calls.append(1) or real(p, q))
+    inst = path_grid(4, 4)
+    g = rs.build_path_graph(inst.paths, inst.ranges)
+    # of the 120 pairs, only the 24 grid neighbours have bounding boxes
+    # within range 0.5 of each other (diagonal ones are about 0.57 apart)
+    assert len(g.edges) == 24 and len(calls) == 24

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ringsync as rs
-from ringsync.errors import InvalidInstanceError
+from ringsync.errors import GenerationFailureError, InvalidInstanceError
 
 
 def test_grid_counts():
@@ -46,7 +47,7 @@ def test_random_connected_valid_and_deterministic():
 def test_random_connected_single():
     inst = rs.random_connected(1)
     assert inst.n == 1
-    rs.validate_instance(inst)
+    assert rs.validate_instance(inst).n == 1
 
 
 def test_unknown_preset():
@@ -90,3 +91,56 @@ def test_validate_instance_rejects_disconnected():
                        comm_range=0.5)
     with pytest.raises(InvalidInstanceError):
         rs.validate_instance(inst)
+
+
+def _random_connected_reference(n, r, seed):
+    """The per-center placement loop that random_connected replaced: one
+    np.hypot call per placed center on each attempt."""
+    from ringsync.errors import GenerationFailureError
+    from ringsync.geometry import Circle, Point2
+    rng = np.random.default_rng(seed)
+    centers = [np.array([0.0, 0.0])]
+    for _ in range(1, n):
+        for _attempt in range(1000):
+            anchor = centers[int(rng.integers(len(centers)))]
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            d = rng.uniform(2.0, 2.0 + r)
+            if d <= 2.0:
+                continue
+            cand = anchor + d * np.array([math.cos(theta), math.sin(theta)])
+            if all(np.hypot(*(cand - c)) > 2.0 for c in centers):
+                centers.append(cand)
+                break
+        else:
+            raise GenerationFailureError(
+                f"could not place circle {len(centers)} after 1000 tries")
+    circles = [Circle(Point2(float(c[0]), float(c[1]))) for c in centers]
+    return rs.Instance(mode="circle", circles=circles, comm_range=r,
+                       label=f"random-{n}-seed{seed}", meta={"seed": seed})
+
+
+def _instance_bytes(make, n, r, seed):
+    """Instance JSON of make(n, r, seed), or the type and message it raised."""
+    from ringsync.cli import _dumps, instance_to_json
+    try:
+        return _dumps(instance_to_json(make(n, r, seed)))
+    except (GenerationFailureError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_matches_reference(n, r, seed):
+    new = _instance_bytes(lambda n, r, seed: rs.random_connected(n, r=r, seed=seed),
+                          n, r, seed)
+    assert new == _instance_bytes(_random_connected_reference, n, r, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       r=st.one_of(st.sampled_from([0.5, 0.01, 0.0, -0.2, 2.0]),
+                   st.floats(0.001, 3.0)))
+def test_random_connected_matches_per_center_loop(n, seed, r):
+    _assert_matches_reference(n, r, seed)
+
+
+def test_random_connected_n400_matches_per_center_loop():
+    _assert_matches_reference(400, 0.5, 0)
