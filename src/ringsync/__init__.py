@@ -12,7 +12,8 @@ from .commgraph import (CommGraph, build_circle_graph, build_path_graph,
 from .errors import (ClosureViolationError, DisconnectedGraphError,
                      GenerationFailureError, InfeasibleSectionTimesError,
                      InvalidInstanceError, NotSynchronizableError,
-                     OverlappingTrajectoriesError, RingsyncError)
+                     OverlappingTrajectoriesError, RingsyncError,
+                     SectionSearchBudgetError)
 from .generator import grid, preset, random_connected, validate_instance
 from .geometry import Circle, ClosedPath, Point2, link_positions, line_angle, min_distance
 from .instance import Instance

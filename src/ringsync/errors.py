@@ -42,6 +42,10 @@ class InfeasibleSectionTimesError(RingsyncError):
         self.cycles = cycles
 
 
+class SectionSearchBudgetError(RingsyncError):
+    """Raised when the section-time search exceeds its LP solve budget."""
+
+
 class GenerationFailureError(RingsyncError):
     """Raised when random instance generation exhausts its retry budget."""
 

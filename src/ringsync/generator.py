@@ -37,13 +37,19 @@ def random_connected(n: int, r: float = 0.5, seed: int = 0) -> Instance:
 
     Each new circle sits on a uniformly random ray from a uniformly random
     existing circle, at a center distance drawn uniformly from (2, 2+r], and
-    is redrawn while it overlaps a third circle (retry cap 1000 per circle).
+    is redrawn while it overlaps a third circle (retry cap 1000 per circle),
+    so r must be positive once a second circle is placed.
     Each placement attempt tests the candidate against the k centers placed
     so far with one vectorized numpy distance test, O(k) work in a single
     call, so a layout costs O(n^2) arithmetic but only O(attempts) numpy calls.
     """
     if n < 1:
         raise InvalidInstanceError("need n >= 1")
+    if not r >= 0:
+        raise InvalidInstanceError(f"range {r} must be non-negative")
+    if r == 0 and n > 1:
+        raise GenerationFailureError(
+            "range 0 leaves no center distance in (2, 2]: cannot place circle 1")
     rng = np.random.default_rng(seed)
     centers = np.zeros((n, 2))
     for k in range(1, n):

@@ -8,6 +8,7 @@ simultaneously.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .commgraph import CommGraph, bfs_forest, cycle_basis, two_color
 from .errors import (ClosureViolationError, InfeasibleSectionTimesError,
-                     NotSynchronizableError)
+                     NotSynchronizableError, SectionSearchBudgetError)
 from .geometry import TWO_PI, norm_angle
 
 CCW = "CCW"
@@ -23,6 +24,16 @@ CW = "CW"
 
 # Phase tolerance (fraction of the period) for synchronization checks.
 PHASE_TOL = 1e-9
+
+# Slack of the interval cut (_interval_infeasible) per row nonzero, plus one.
+# It is absolute, as HiGHS's primal feasibility tolerance (default 1e-7) is,
+# and ten times that tolerance: HiGHS reports case-study LPs feasible whose
+# bound sums miss a row by up to 9.999e-8, which at T = 1 is far beyond a
+# slack of 1e-9 * T.
+INTERVAL_SLACK = 1e-6
+
+# Most LP solves one assign_section_times call may run.
+SECTION_LP_BUDGET = 5000
 
 
 def linprog(*args, **kwargs):
@@ -271,6 +282,15 @@ def _section_lengths(g: CommGraph, order, dirs):
     return lengths
 
 
+def _interval_infeasible(row_min, row_max, b_eq, nnz) -> bool:
+    """Whether some equality row cannot meet its right-hand side: the least
+    value it can take within the bounds (row_min) exceeds it, or the greatest
+    (row_max) falls short of it, by more than INTERVAL_SLACK times one plus
+    the row's nonzero count nnz."""
+    tol = INTERVAL_SLACK * (1 + nnz)
+    return bool(np.any(row_min - b_eq > tol) or np.any(b_eq - row_max > tol))
+
+
 def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0,
                          min_fraction: float = 0.01) -> SectionPlan:
     """Assign section times satisfying the period and cycle constraints.
@@ -278,11 +298,17 @@ def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0,
     The objective minimizes the maximum relative deviation of section speed
     from the trajectory's mean speed length/T, via bisection on the deviation
     bound with an LP feasibility check per step.  The cycle multiples z come
-    from an exact branch-and-bound over z-prefixes in lexicographic order: it
-    returns the first z with the least bound, as full enumeration would, and
-    its worst case is still exponential in the number of cycles.  Trees get
-    constant speed exactly.  min_fraction is the smallest admissible section
-    time as a fraction of T.
+    from an exact branch-and-bound over z-prefixes.  Each cycle's z nearest
+    its nominal (constant-speed) closure is tried first, so the first
+    bisection usually finds the least bound and later ones are cut early.
+    Equality rows whose section-bound sums cannot reach their right-hand
+    side are rejected without an LP; until the first leaf is reached, that
+    check is the only one prefixes get.  The result is the lexicographically
+    first z with the least bound, as full enumeration returns.  The worst
+    case is still exponential in the number of cycles: past
+    SECTION_LP_BUDGET LP solves, SectionSearchBudgetError is raised.  Trees
+    get constant speed exactly.  min_fraction is the smallest admissible
+    section time as a fraction of T.
     """
     colors = _bipartite_colors(g)
     if g.lengths is None:
@@ -321,53 +347,96 @@ def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0,
                 row[var_index[(node, k)]] += 1.0
                 k = (k + 1) % len(nbs)
         cycle_rows.append(row)
+    A_all = np.vstack([A_period] + cycle_rows)
+    nnz = np.count_nonzero(A_all, axis=1)
+    nominal_closure = A_all[len(order):] @ nom_vec / period
 
     def equalities(zs):
         """Period rows plus the first len(zs) cycle rows, closing on z*T."""
-        return (np.vstack([A_period] + cycle_rows[:len(zs)]),
+        return (A_all[:len(order) + len(zs)],
                 np.concatenate([b_period, [z * period for z in zs]]))
 
-    def feasible(lam, zs):
-        """LP feasibility at speed-deviation bound lam for the z choices."""
+    def bounds(lam):
         # speed dev <= lam  <=>  nominal/(1+lam) <= tau <= nominal/(1-lam)
-        lower = np.maximum(nom_vec / (1.0 + lam), min_fraction * period)
-        upper = np.minimum(nom_vec / (1.0 - lam), period)
+        return (np.maximum(nom_vec / (1.0 + lam), min_fraction * period),
+                np.minimum(nom_vec / (1.0 - lam), period))
+
+    @functools.lru_cache(maxsize=2)
+    def row_ranges(lam):
+        """Each equality row's least and greatest value within the bounds at
+        lam (the coefficients are all 0 or 1), or None if a bound is empty.
+        The search cuts many siblings at one lam, so the last two are kept."""
+        lower, upper = bounds(lam)
         if np.any(lower > upper):
             return None
+        return A_all @ lower, A_all @ upper
+
+    def cut(lam, zs):
+        """Whether the bounds at lam rule the z choices out without an LP."""
+        ranges = row_ranges(lam)
+        if ranges is None:
+            return True
+        _, b_eq = equalities(zs)
+        m = len(b_eq)
+        return _interval_infeasible(ranges[0][:m], ranges[1][:m], b_eq, nnz[:m])
+
+    solves = 0
+
+    def solve(lam, zs):
+        """LP feasibility at speed-deviation bound lam for the z choices."""
+        nonlocal solves
+        if solves >= SECTION_LP_BUDGET:
+            raise SectionSearchBudgetError(
+                f"section-time search on {len(cycles)} cycles gave up after "
+                f"{solves} LP solves")
+        solves += 1
         A_eq, b_eq = equalities(zs)
         res = linprog(np.zeros(nvars), A_eq=A_eq, b_eq=b_eq,
-                      bounds=list(zip(lower, upper)), method="highs")
+                      bounds=list(zip(*bounds(lam))), method="highs")
         return res.x if res.status == 0 else None
 
     def children(zs):
-        """The prefix extended by each z of the next cycle, smallest last."""
-        return [zs + (z,) for z in range(len(cycles[len(zs)]) - 1, 0, -1)]
+        """The prefix extended by each z of the next cycle; the z nearest the
+        cycle's nominal closure last (popped first), ties to the smaller z."""
+        c = len(zs)
+        near_first = sorted(range(1, len(cycles[c])),
+                            key=lambda z: (abs(z - nominal_closure[c]), z))
+        return [zs + (z,) for z in reversed(near_first)]
 
-    # Depth-first over z-prefixes in lexicographic order.  A prefix LP drops
-    # the later cycle rows, so it relaxes every completion; feasibility is
-    # monotone in lam.  A prefix infeasible at the best lam so far therefore
-    # has no completion that bisects strictly lower, and its subtree is cut.
+    # Depth-first over z-prefixes.  A prefix LP drops the later cycle rows, so
+    # it relaxes every completion; feasibility is monotone in lam.  A prefix
+    # infeasible at the best lam so far therefore has no completion that
+    # bisects as low, and its subtree is cut.  Until the first leaf is
+    # reached there is no best lam to cut with, so the first descent checks
+    # prefixes by their bounds alone.
     best = None
+    leaf_reached = False
     stack = children(())
     while stack:
         zs = stack.pop()
-        x = feasible(0.999999 if best is None else best[0], zs)
-        if x is None:
+        lam = 0.999999 if best is None else best[0]
+        if cut(lam, zs):
             continue
         if len(zs) < len(cycles):
-            stack += children(zs)
+            if not leaf_reached or solve(lam, zs) is not None:
+                stack += children(zs)
+            continue
+        leaf_reached = True
+        x = solve(lam, zs)
+        if x is None:
             continue
         # x solves lam=0.999999 when best is None; otherwise this z can only
-        # win (hi_l < best lam) after a feasible mid has replaced it.
+        # win (hi_l <= best lam) after a feasible mid has replaced it, or when
+        # best lam is 0.999999 itself.
         lo_l, hi_l, x_best = 0.0, 0.999999, x
         for _ in range(40):
             mid = 0.5 * (lo_l + hi_l)
-            x = feasible(mid, zs)
+            x = None if cut(mid, zs) else solve(mid, zs)
             if x is not None:
                 hi_l, x_best = mid, x
             else:
                 lo_l = mid
-        if best is None or hi_l < best[0]:
+        if best is None or hi_l < best[0] or (hi_l == best[0] and zs < best[1]):
             best = (hi_l, zs, x_best)
     if best is None:
         raise InfeasibleSectionTimesError(

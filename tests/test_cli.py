@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import ringsync as rs
+import ringsync.scheduler as sch
+from conftest import path_grid
 from ringsync import cli
 
 
@@ -297,6 +299,8 @@ steps = [
     ("simulate", ["simulate", "-i", "grid.json", "-s", "s.json", "--horizon", "600",
                   "-o", "traces"]),
     ("report", ["report", "-t", "traces"]),
+    ("schedule-aligned", ["schedule", "-i", "aligned.json", "--period", "100",
+                          "-o", "as.json"]),
     ("generate-path", ["generate", "--preset", "case-study", "-o", "paths.json"]),
     ("schedule-path", ["schedule", "-i", "paths.json", "--period", "100",
                        "-o", "ps.json"]),
@@ -310,13 +314,33 @@ print(json.dumps({"loaded": loaded, "codes": codes}))
 
 
 def test_scipy_loaded_only_by_path_schedule(tmp_path):
+    # the aligned 2x2 path grid fails without an LP: the interval cut
+    # rejects every z, so that schedule leaves scipy unloaded
+    aligned = cli.instance_to_json(path_grid(2, 2, staggered=False))
+    (tmp_path / "aligned.json").write_text(cli._dumps(aligned))
     src = os.path.dirname(os.path.dirname(rs.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop(cli.OUTPUT_DIR_ENV, None)
-    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, check=True).stdout
-    doc = json.loads(out.splitlines()[-1])
-    assert set(doc["codes"].values()) == {0}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["codes"] == {"generate": 0, "schedule": 0, "simulate": 0, "report": 0,
+                            "schedule-aligned": 1, "generate-path": 0,
+                            "schedule-path": 0}
+    assert json.loads(proc.stderr)["error"] == "InfeasibleSectionTimesError"
     assert doc["loaded"] == {"import": False, "generate": False, "schedule": False,
                              "simulate": False, "report": False,
-                             "generate-path": False, "schedule-path": True}
+                             "schedule-aligned": False, "generate-path": False,
+                             "schedule-path": True}
+
+
+def test_schedule_over_solve_budget_is_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sch, "SECTION_LP_BUDGET", 10)
+    inst_file = tmp_path / "grid.json"
+    inst_file.write_text(cli._dumps(cli.instance_to_json(path_grid(3, 3))))
+    assert invoke("schedule", "-i", str(inst_file), "--period", "100",
+                  "-o", str(tmp_path / "s.json")) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SectionSearchBudgetError"
+    assert "4 cycles" in err["message"] and "10 LP solves" in err["message"]
+    assert not (tmp_path / "s.json").exists()

@@ -136,10 +136,30 @@ def _assert_matches_reference(n, r, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
-       r=st.one_of(st.sampled_from([0.5, 0.01, 0.0, -0.2, 2.0]),
-                   st.floats(0.001, 3.0)))
+       r=st.one_of(st.sampled_from([0.5, 0.01, 2.0]), st.floats(0.001, 3.0)))
 def test_random_connected_matches_per_center_loop(n, seed, r):
     _assert_matches_reference(n, r, seed)
+
+
+def _no_rng(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("random_connected drew from an RNG")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("r", [-0.2, -1e-300, float("nan")])
+def test_random_connected_rejects_negative_range(monkeypatch, n, r):
+    _no_rng(monkeypatch)
+    with pytest.raises(InvalidInstanceError, match="non-negative"):
+        rs.random_connected(n, r=r)
+
+
+def test_random_connected_zero_range(monkeypatch):
+    assert rs.random_connected(1, r=0.0).n == 1
+    _no_rng(monkeypatch)
+    with pytest.raises(GenerationFailureError, match="range 0"):
+        rs.random_connected(2, r=0.0)
 
 
 def test_random_connected_n400_matches_per_center_loop():

@@ -3,6 +3,7 @@ z search of assign_section_times checked against full enumeration."""
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.optimize import linprog
 import ringsync as rs
 import ringsync.scheduler as sch
 from conftest import CASE_STUDY_CYCLES, paper_section_plan, path_grid
-from ringsync.errors import InfeasibleSectionTimesError
+from ringsync.errors import InfeasibleSectionTimesError, SectionSearchBudgetError
 
 
 def test_period_sums_exact():
@@ -85,7 +86,8 @@ def enumerated_section_times(g, cycles=None, period=1.0, min_fraction=0.01):
     """assign_section_times by trying every z-vector: the reference oracle.
 
     Same LP, bisection and projection as the library, but each z in
-    itertools.product order is solved in full, with no pruning.
+    itertools.product order is solved in full, with no pruning.  Every LP
+    that HiGHS calls feasible must also pass the library's interval cut.
     """
     dirs = sch._color_dirs(sch._bipartite_colors(g))
     order = sch._travel_orders(g, dirs)
@@ -127,6 +129,9 @@ def enumerated_section_times(g, cycles=None, period=1.0, min_fraction=0.01):
         b_eq = np.concatenate([np.full(len(order), period), [z * period for z in zs]])
         res = linprog(np.zeros(nvars), A_eq=A_eq, b_eq=b_eq,
                       bounds=list(zip(lower, upper)), method="highs")
+        if res.status == 0:
+            assert not sch._interval_infeasible(A_eq @ lower, A_eq @ upper, b_eq,
+                                                np.count_nonzero(A_eq, axis=1))
         return res.x if res.status == 0 else None
 
     best = None
@@ -189,31 +194,43 @@ def _reordered_3x3_cycles():
     return [list(reversed(c)) for c in reversed(rs.cycle_basis(g))]
 
 
-ORACLE_CASES = [
-    pytest.param(rs.preset("case-study"), None, id="case-study"),
-    pytest.param(path_grid(2, 2), None, id="grid-2x2"),
-    pytest.param(path_grid(3, 3), None, id="grid-3x3"),
-    pytest.param(path_grid(3, 4), None, id="grid-3x4"),
-    pytest.param(path_grid(3, 3), _reordered_3x3_cycles(), id="grid-3x3-cycles-reordered"),
-] + _layouts_with_cycles(20)
+def _oracle_cases():
+    """Each layout at T = 100, and the case study, the 3x3 grid and the
+    jittered layouts also at T = 1 and T = 1e4, where the interval cut's
+    absolute slack is largest and smallest against the period."""
+    layouts = [
+        pytest.param(rs.preset("case-study"), None, id="case-study"),
+        pytest.param(path_grid(2, 2), None, id="grid-2x2"),
+        pytest.param(path_grid(3, 3), None, id="grid-3x3"),
+        pytest.param(path_grid(3, 4), None, id="grid-3x4"),
+        pytest.param(path_grid(3, 3), _reordered_3x3_cycles(),
+                     id="grid-3x3-cycles-reordered"),
+    ] + _layouts_with_cycles(20)
+    cases = [pytest.param(*p.values, 100.0, id=p.id) for p in layouts]
+    for p in layouts:
+        if p.id in ("case-study", "grid-3x3") or p.id.startswith("jittered-"):
+            cases += [pytest.param(*p.values, 1.0, id=f"{p.id}-T1"),
+                      pytest.param(*p.values, 1e4, id=f"{p.id}-T1e4")]
+    return cases
 
 
-@pytest.mark.parametrize("inst,cycles", ORACLE_CASES)
-def test_section_times_match_full_enumeration(inst, cycles):
+@pytest.mark.parametrize("inst,cycles,period", _oracle_cases())
+def test_section_times_match_full_enumeration(inst, cycles, period):
     g = rs.max_bipartite_subgraph(inst.graph())
     try:
-        expected = enumerated_section_times(g, cycles, period=100.0)
+        expected = enumerated_section_times(g, cycles, period=period)
     except InfeasibleSectionTimesError:
         with pytest.raises(InfeasibleSectionTimesError):
-            rs.assign_section_times(g, cycles, period=100.0)
+            rs.assign_section_times(g, cycles, period=period)
         return
-    plan = rs.assign_section_times(g, cycles, period=100.0)
+    plan = rs.assign_section_times(g, cycles, period=period)
     assert plan.times == expected.times
     assert plan.link_order == expected.link_order
     assert plan.section_lengths == expected.section_lengths
 
 
-def test_path_grid_4x4_schedules_within_solve_budget(monkeypatch):
+def _counted_linprog(monkeypatch):
+    """Route the scheduler's LP solves through a counter; returns its list."""
     calls = []
 
     def counting_linprog(*args, **kwargs):
@@ -221,8 +238,69 @@ def test_path_grid_4x4_schedules_within_solve_budget(monkeypatch):
         return linprog(*args, **kwargs)
 
     monkeypatch.setattr(sch, "linprog", counting_linprog)
-    g = rs.max_bipartite_subgraph(path_grid(4, 4).graph())
-    assert len(rs.cycle_basis(g)) == 9
+    return calls
+
+
+def _solves_to_schedule(monkeypatch, inst):
+    """LP solves assign_section_times runs on inst; the schedule must verify."""
+    calls = _counted_linprog(monkeypatch)
+    g = rs.max_bipartite_subgraph(inst.graph())
     sched = rs.schedule_general(g, rs.assign_section_times(g, period=100.0))
     assert rs.verify_schedule(g, sched).all_synchronized
-    assert 0 < len(calls) <= 200
+    return len(calls)
+
+
+def test_path_grid_4x4_schedules_within_solve_budget(monkeypatch):
+    assert len(rs.cycle_basis(rs.max_bipartite_subgraph(path_grid(4, 4).graph()))) == 9
+    assert 0 < _solves_to_schedule(monkeypatch, path_grid(4, 4)) <= 45
+
+
+@pytest.mark.parametrize("inst,n_cycles", [
+    pytest.param(rs.preset("case-study"), 2, id="case-study"),
+    pytest.param(path_grid(10, 10), 81, id="grid-10x10"),
+])
+def test_nominal_first_search_needs_one_bisection(monkeypatch, inst, n_cycles):
+    # one 40-step bisection plus its first LP, and at most a few more
+    assert len(rs.cycle_basis(rs.max_bipartite_subgraph(inst.graph()))) == n_cycles
+    assert 0 < _solves_to_schedule(monkeypatch, inst) <= 45
+
+
+def test_equal_bounds_go_to_the_lexicographically_first_z(monkeypatch):
+    """Two z-vectors bisect to the same bound; the first in lexicographic
+    order wins although the search tries the other first.
+
+    A fake linprog calls every prefix feasible, and a full z-vector feasible
+    only if it is one of the two and the speed-deviation bound, read back
+    from the variable bounds, is at least 0.6.  Both pass the interval cut
+    there, so both bisect to the same dyadic bound.
+    """
+    T = 100.0
+    g = rs.max_bipartite_subgraph(rs.preset("case-study").graph())
+    cycles = rs.cycle_basis(g)
+    n_period = sum(1 for i in range(g.n) if g.neighbors(i))
+    tied = {(4, 2), (3, 2)}
+    leaves = []
+
+    def fake_linprog(c, A_eq, b_eq, bounds, method):
+        zs = tuple(int(round(b / T)) for b in b_eq[n_period:])
+        lower, upper = np.array(bounds).T
+        # (u - l) / (u + l) is lam for every section neither bound clips
+        lam = np.max((upper - lower) / (upper + lower))
+        if len(zs) == len(cycles) and zs not in leaves:
+            leaves.append(zs)
+        ok = len(zs) < len(cycles) or (zs in tied and lam >= 0.6)
+        return SimpleNamespace(status=0 if ok else 2, x=0.5 * (lower + upper))
+
+    monkeypatch.setattr(sch, "linprog", fake_linprog)
+    plan = rs.assign_section_times(g, period=T)
+    assert leaves.index((4, 2)) < leaves.index((3, 2))
+    assert rs.validate_section_plan(plan, cycles, tol=1e-9) == [3, 2]
+
+
+def test_solve_budget_raises_typed_error(monkeypatch):
+    calls = _counted_linprog(monkeypatch)
+    monkeypatch.setattr(sch, "SECTION_LP_BUDGET", 10)
+    g = rs.max_bipartite_subgraph(path_grid(3, 3).graph())
+    with pytest.raises(SectionSearchBudgetError, match="4 cycles .* 10 LP solves"):
+        rs.assign_section_times(g, period=100.0)
+    assert len(calls) == 10
