@@ -8,6 +8,7 @@ so a pipeline re-run with the same arguments is byte-identical.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from .metrics import TABLE_HEADER, aggregate, report as metrics_report
 from .scheduler import (SectionPlan, Schedule, assign_section_times,
                         schedule_general, schedule_opposite_directions,
                         schedule_same_direction, verify_schedule)
-from .simulator import (SimConfig, Strategy, Trace, TraceEvent, parse_strategy,
+from .simulator import (EVENT_KINDS, NO_ID, SimConfig, Strategy, Trace, parse_strategy,
                         resolve_root, run)
 
 FORMAT_VERSION = 1
@@ -56,6 +57,19 @@ def _required_keys(kind: str):
         yield
     except KeyError as exc:
         raise InvalidInstanceError(f"{kind} document lacks key {exc}") from None
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector while a trace's acyclic containers
+    are built, so that its collections do not rescan them as they pile up."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -128,23 +142,60 @@ def schedule_from_json(doc: dict) -> tuple[Schedule, list, SectionPlan | None]:
     return sched, retained, plan
 
 
+# An event line holds the keys of `_dumps` in sorted order; each field is
+# formatted as the encoder would: ints by str, floats by float.__repr__ and
+# strings by `_dumps`.
+_EVENT_LINE = ('{"agents":%s,"kind":%s,"location":%s,"msg":%s,"time":%s,'
+               '"trajs":%s,"type":"event"}')
+_KIND_JSON = [_dumps(kind) for kind in EVENT_KINDS]
+_EVENT_KEYS = ("time", "kind", "agents", "trajs", "location", "msg")
+
+
+def _format_distinct(keys: np.ndarray, rows: np.ndarray, fmt) -> list[str]:
+    """fmt(row) for each row, called once per distinct key.
+
+    Link positions, link instants and id pairs repeat across a trace, so
+    this formats far fewer floats and lists than there are rows.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    strings = np.array([fmt(row) for row in rows[first].tolist()], dtype=object)
+    return strings[inverse.reshape(-1)].tolist()
+
+
+def _id_lists(ids: np.ndarray) -> list[str]:
+    """JSON lists of the padded id pairs."""
+    return _format_distinct(ids[:, 0] * (ids.max(initial=0) + 2) + ids[:, 1], ids,
+                            lambda a: f"[{a[0]}]" if a[1] == NO_ID else f"[{a[0]},{a[1]}]")
+
+
 def trace_to_lines(trace: Trace) -> list[str]:
+    """The trace file's lines: a header, then one line per event row.
+
+    Each event line is byte for byte the `_dumps` encoding of the row's
+    {"type": "event", "time", "kind", "agents", "trajs", "location", "msg"}
+    object, filled into one line template from fields formatted column by
+    column rather than by an encoder call per line.
+    """
     header = {"format_version": TRACE_FORMAT_VERSION, "type": "header",
               "n": trace.n, "period": trace.period, "horizon": trace.horizon,
               "strategy": trace.strategy, "seed": trace.seed,
               "initial_occupancy": trace.initial_occupancy,
               "survivors": trace.survivors}
-    lines = [_dumps(header)]
-    for e in trace.events:
-        lines.append(_dumps({"type": "event", "time": e.time, "kind": e.kind,
-                             "agents": e.agents, "trajs": e.trajs,
-                             "location": e.location, "msg": e.msg}))
-    return lines
+    fr = float.__repr__
+    present = ~np.isnan(trace.location[:, 0])
+    location = np.full(len(trace), "null", dtype=object)
+    pairs = np.ascontiguousarray(trace.location[present])
+    location[present] = _format_distinct(pairs.view(np.complex128), pairs,
+                                         lambda xy: f"[{fr(xy[0])},{fr(xy[1])}]")
+    msg = ["null" if m is None else _dumps(m) for m in trace.msg.tolist()]
+    kind = [_KIND_JSON[k] for k in trace.kind.tolist()]
+    fields = zip(_id_lists(trace.agents), kind, location.tolist(), msg,
+                 _format_distinct(trace.time, trace.time, fr), _id_lists(trace.trajs))
+    return [_dumps(header)] + [_EVENT_LINE % row for row in fields]
 
 
-def _check_agent_ids(trace: Trace) -> None:
+def _check_agent_ids(n, survivors, occupancy) -> None:
     """Every survivor and non-null initial occupant must be an agent id in 0..n-1."""
-    n, survivors, occupancy = trace.n, trace.survivors, trace.initial_occupancy
     if type(n) is not int or n < 0:
         raise InvalidInstanceError(f"trace header n {n!r} is not an agent count")
     if not (isinstance(survivors, list) and isinstance(occupancy, list)):
@@ -158,23 +209,32 @@ def _check_agent_ids(trace: Trace) -> None:
 
 
 def trace_from_lines(lines) -> Trace:
+    """Parse a trace file's lines (blank lines skipped) into a trace table.
+
+    The event lines go through one `json.loads` over their joined text, and
+    `Trace.from_columns` checks the columns: an unknown kind, bad agent or
+    trajectory ids, a non-finite time or location, or times out of order
+    raise InvalidInstanceError, as do a missing key and a bad header.
+    """
     head = json.loads(lines[0])
     if head.get("format_version") != TRACE_FORMAT_VERSION:
         raise InvalidInstanceError(
             f"unsupported trace format_version {head.get('format_version')!r}")
     with _required_keys("trace"):
-        trace = Trace(n=head["n"], period=head["period"], horizon=head["horizon"],
+        header = dict(n=head["n"], period=head["period"], horizon=head["horizon"],
                       strategy=head["strategy"], seed=head["seed"],
                       initial_occupancy=head["initial_occupancy"],
                       survivors=head["survivors"])
-        _check_agent_ids(trace)
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            trace.events.append(TraceEvent(time=d["time"], kind=d["kind"],
-                                           agents=d["agents"], trajs=d["trajs"],
-                                           location=d["location"], msg=d["msg"]))
+        _check_agent_ids(header["n"], header["survivors"], header["initial_occupancy"])
+        body = [line for line in lines[1:] if line.strip()]
+        with _gc_paused():
+            events = json.loads("[" + ",".join(body) + "]")
+            if len(events) != len(body) or not set(map(type, events)) <= {dict}:
+                raise InvalidInstanceError("each trace event line must hold one JSON object")
+            columns = [[event[key] for event in events] for key in _EVENT_KEYS]
+            del events
+            trace = Trace.from_columns(*columns, **header)
+            del columns
     return trace
 
 

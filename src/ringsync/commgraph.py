@@ -258,49 +258,53 @@ def is_bipartite(g: CommGraph) -> bool:
     return two_color(g)[0] is not None
 
 
-# Exhaustive max-cut search is exact up to this many edges; larger graphs
-# fall back to the local-move heuristic.
-EXACT_MAXCUT_EDGE_LIMIT = 24
+# Exhaustive max-cut search enumerates the 2^(m-1) side assignments of an
+# m-node non-bipartite component.  It runs while no such component has more
+# than this many nodes; beyond, the local-move heuristic runs instead.
+EXACT_MAXCUT_NODE_LIMIT = 24
 
 
 def max_bipartite_subgraph(g: CommGraph) -> CommGraph:
-    """Edge-maximum bipartite subgraph (exact for small graphs, greedy beyond)."""
-    if is_bipartite(g):
+    """Edge-maximum bipartite subgraph (exact for small odd components, greedy beyond).
+
+    A bipartite component keeps all its edges without any search.
+    """
+    f = bfs_forest(g, 0)
+    # an edge joining equal BFS depth parities closes an odd cycle
+    odd_nodes = {a for a, b in g.edges if f.depth[a] % 2 == f.depth[b] % 2}
+    odd = [comp for comp in g.components() if not odd_nodes.isdisjoint(comp)]
+    if not odd:
         return g
-    if len(g.edges) <= EXACT_MAXCUT_EDGE_LIMIT:
-        sides = _exact_max_cut(g)
+    if max(map(len, odd)) <= EXACT_MAXCUT_NODE_LIMIT:
+        sides = [d % 2 for d in f.depth]
+        for comp in odd:
+            _exact_max_cut(g, comp, sides)
     else:
         sides = _greedy_max_cut(g)
     keep = [e for e in g.edges if sides[e[0]] != sides[e[1]]]
     return g.subgraph(keep)
 
 
-def _exact_max_cut(g: CommGraph):
-    sides = [0] * g.n
-    for comp in g.components():
-        comp_edges = [e for e in g.edges if e[0] in comp]
-        if not comp_edges:
-            continue
-        index = {node: k for k, node in enumerate(comp)}
-        m = len(comp)
-        ii = np.array([index[a] for a, b in comp_edges])
-        jj = np.array([index[b] for a, b in comp_edges])
-        best_count, best_mask = -1, 0
-        # Fix comp[0] on side 0; enumerate the rest in chunks.
-        total = 1 << (m - 1)
-        chunk = 1 << 20
-        for lo in range(0, total, chunk):
-            masks = np.arange(lo, min(lo + chunk, total), dtype=np.uint64) << np.uint64(1)
-            bits_i = (masks[:, None] >> ii.astype(np.uint64)) & np.uint64(1)
-            bits_j = (masks[:, None] >> jj.astype(np.uint64)) & np.uint64(1)
-            counts = np.sum(bits_i != bits_j, axis=1)
-            k = int(np.argmax(counts))
-            if counts[k] > best_count:
-                best_count = int(counts[k])
-                best_mask = int(masks[k])
-        for node in comp:
-            sides[node] = (best_mask >> index[node]) & 1
-    return sides
+def _exact_max_cut(g: CommGraph, comp: list[int], sides: list) -> None:
+    """Set sides on comp to its first maximum cut in mask order (comp[0] on side 0)."""
+    index = {node: k for k, node in enumerate(comp)}
+    pairs = [(index[a], index[b]) for a, b in g.edges if a in index]
+    best_count, best_mask = -1, 0
+    total = 1 << (len(comp) - 1)
+    chunk = 1 << 16
+    for lo in range(0, total, chunk):
+        masks = np.arange(lo, min(lo + chunk, total), dtype=np.uint64) << np.uint64(1)
+        bits = [((masks >> np.uint64(k)) & np.uint64(1)).astype(np.uint8)
+                for k in range(len(comp))]
+        counts = np.zeros(len(masks), dtype=np.int32)
+        for i, j in pairs:
+            counts += bits[i] ^ bits[j]
+        k = int(np.argmax(counts))
+        if counts[k] > best_count:
+            best_count = int(counts[k])
+            best_mask = int(masks[k])
+    for node in comp:
+        sides[node] = (best_mask >> index[node]) & 1
 
 
 def _greedy_max_cut(g: CommGraph):

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simulator import Trace
+from .simulator import (EMIT, FAILURE, TOUR_COMPLETE, Occupancy, Trace,
+                        expand_ranges, occupancy_replay)
 
 INF = float("inf")
 
@@ -45,22 +46,27 @@ def arrival_times(trace: Trace):
     trace order; arrival[a, k] is when agent a first knew the k-th message of
     emits, inf if it never did.
     """
-    emits = {ev.msg: ev.time for ev in trace.events if ev.kind == "emit"}
+    rows = trace.rows_of("emit", "meeting")
+    kinds = trace.kind[rows].tolist()
+    times = trace.time[rows].tolist()
+    msgs = trace.msg[rows].tolist()
+    emits = {msg: t for kind, msg, t in zip(kinds, msgs, times) if kind == EMIT}
     column = {key: k for k, key in enumerate(emits)}
     arrival = np.full((trace.n, len(emits)), INF)
     informed = np.zeros(arrival.shape, dtype=bool)
-    for ev in trace.events:
-        if ev.kind == "emit":
-            agent, k = ev.agents[0], column[ev.msg]
-            informed[agent, k] = True
-            arrival[agent, k] = ev.time
-        elif ev.kind == "meeting":
-            a, b = ev.agents
-            union = informed[a] | informed[b]
-            np.copyto(arrival[a], ev.time, where=union > informed[a])
-            np.copyto(arrival[b], ev.time, where=union > informed[b])
-            informed[a] = union
-            informed[b] = union
+    arrival_of, informed_of = list(arrival), list(informed)   # per agent, a row view
+    for kind, t, (a, b), msg in zip(kinds, times, trace.agents[rows].tolist(), msgs):
+        if kind == EMIT:
+            k = column[msg]
+            informed[a, k] = True
+            arrival[a, k] = t
+        else:
+            known_a, known_b = informed_of[a], informed_of[b]
+            union = known_a | known_b
+            np.copyto(arrival_of[a], t, where=union > known_a)
+            np.copyto(arrival_of[b], t, where=union > known_b)
+            known_a[:] = union
+            known_b[:] = union
     return emits, arrival
 
 
@@ -81,33 +87,24 @@ def broadcast_time(trace: Trace) -> float:
     return sum(t - t0 for t, t0 in zip(latest, emits.values())) / len(emits)
 
 
-def occupancy_intervals(trace: Trace):
-    """Per trajectory, list of (start, end, agent) occupation intervals."""
-    n = trace.n
-    intervals = {t: [] for t in range(n)}
-    current = {t: (0.0, a) for t, a in enumerate(trace.initial_occupancy)
-               if a is not None}
-    for ev in trace.events:
-        if ev.kind == "failure":
-            traj = ev.trajs[0]
-            if traj in current:
-                start, agent = current.pop(traj)
-                intervals[traj].append((start, ev.time, agent))
-        elif ev.kind == "switch":
-            src, dst = ev.trajs
-            if src in current:
-                start, agent = current.pop(src)
-                intervals[src].append((start, ev.time, agent))
-            current[dst] = (ev.time, ev.agents[0])
-    for traj, (start, agent) in current.items():
-        intervals[traj].append((start, trace.horizon, agent))
+def occupancy_intervals(trace: Trace, occupancy: Occupancy | None = None):
+    """Per trajectory, list of (start, end, agent) occupation intervals.
+
+    An interval still open at the end of the trace ends at the horizon.
+    """
+    occ = occupancy_replay(trace) if occupancy is None else occupancy
+    intervals = {t: [] for t in range(trace.n)}
+    ends = np.where(np.isinf(occ.end), trace.horizon, occ.end)
+    for traj, start, end, agent in zip(occ.traj.tolist(), occ.start.tolist(),
+                                       ends.tolist(), occ.agent.tolist()):
+        intervals[traj].append((start, end, agent))
     return intervals
 
 
-def abandoned_time(trace: Trace) -> float:
+def abandoned_time(trace: Trace, occupancy: Occupancy | None = None) -> float:
     """Max over trajectories of the longest unattended interval."""
     worst = 0.0
-    for traj, ivals in occupancy_intervals(trace).items():
+    for traj, ivals in occupancy_intervals(trace, occupancy).items():
         t = 0.0
         gap = 0.0
         for start, end, _ in ivals:
@@ -118,116 +115,114 @@ def abandoned_time(trace: Trace) -> float:
     return worst
 
 
-def meeting_times(trace: Trace):
-    out = {a: [] for a in range(trace.n)}
-    for ev in trace.events:
-        if ev.kind == "meeting":
-            for a in ev.agents:
-                out[a].append(ev.time)
-    return out
+def meeting_times(trace: Trace) -> dict:
+    """Per agent, the times of its meetings as an array in trace order."""
+    rows = trace.rows_of("meeting")
+    agents = trace.agents[rows].ravel()
+    order = np.argsort(agents, kind="stable")
+    bounds = np.cumsum(np.bincount(agents, minlength=trace.n))[:-1]
+    return dict(enumerate(np.split(np.repeat(trace.time[rows], 2)[order], bounds)))
 
 
-def starvation_time(trace: Trace):
+def starvation_time(trace: Trace, meets: dict | None = None):
     """Max over surviving agents of the longest gap between meetings.
 
-    Returns (max_gap, potentially_starving): agents whose final gap runs to
-    the end of the horizon are flagged as potentially starving.
+    The gaps of an agent run from 0 to its first meeting, between its
+    meetings, and from its last meeting to the horizon.  Returns (max_gap,
+    potentially_starving): agents whose final gap runs to the end of the
+    horizon are flagged as potentially starving.  meets is
+    `meeting_times(trace)`, computed here when not given.
     """
-    meets = meeting_times(trace)
-    worst = 0.0
-    flagged = []
-    for a in trace.survivors:
-        ts = meets[a]
-        gap = 0.0
-        prev = 0.0
-        for t in ts:
-            gap = max(gap, t - prev)
-            prev = t
-        final = trace.horizon - prev
-        gap = max(gap, final)
-        worst = max(worst, gap)
-        if not ts or final >= trace.period:
-            flagged.append(a)
+    meets = meeting_times(trace) if meets is None else meets
+    per_agent = [meets[a] for a in trace.survivors]
+    counts = np.array([len(ts) for ts in per_agent], dtype=np.int64)
+    met = counts > 0
+    times = np.concatenate(per_agent) if per_agent else np.zeros(0)
+    first = (np.cumsum(counts) - counts)[met]
+    gaps = np.diff(times, prepend=0.0)
+    gaps[first] = times[first]        # t - 0.0 before the first meeting
+    longest = np.zeros(len(counts))
+    if len(first):
+        longest[met] = np.maximum(np.maximum.reduceat(gaps, first), 0.0)
+    final = np.full(len(counts), trace.horizon - 0.0)
+    final[met] = trace.horizon - times[first + counts[met] - 1]
+    worst = max(np.maximum(longest, final).max(initial=0.0).item(), 0.0)
+    flagged = [a for a, m, f in zip(trace.survivors, met.tolist(), final.tolist())
+               if not m or f >= trace.period]
     return worst, flagged
 
 
 def completed_tours(trace: Trace) -> float:
     """Average count of completed tours per trajectory."""
-    counts = [0] * trace.n
-    for ev in trace.events:
-        if ev.kind == "tour-complete":
-            counts[ev.trajs[0]] += 1
-    return sum(counts) / trace.n if trace.n else 0.0
+    tours = int(np.count_nonzero(trace.kind == TOUR_COMPLETE))
+    return tours / trace.n if trace.n else 0.0
 
 
-def _occupancy_at_boundaries(trace: Trace):
-    """Occupancy tuple (agent or None per trajectory) at each multiple of T."""
-    n, T = trace.n, trace.period
-    occ = list(trace.initial_occupancy)
-    boundaries = []
+def _occupancy_at_boundaries(trace: Trace, occupancy: Occupancy):
+    """Boundary times k*T up to the horizon, and per boundary the occupant of
+    each trajectory (-1 for none) once every switch and failure up to
+    k*T + 1e-9*T has applied."""
+    T = trace.period
+    times = []
     k = 0
-    idx = 0
-    events = trace.events
     t_b = 0.0
     while t_b <= trace.horizon + 1e-9:
-        while idx < len(events) and events[idx].time <= t_b + 1e-9 * T:
-            ev = events[idx]
-            if ev.kind == "failure":
-                occ[ev.trajs[0]] = None
-            elif ev.kind == "switch":
-                src, dst = ev.trajs
-                occ[src] = None
-                occ[dst] = ev.agents[0]
-            idx += 1
-        boundaries.append((t_b, tuple(occ)))
+        times.append(t_b)
         k += 1
         t_b = k * T
-    return boundaries
+    cut = np.array([t + 1e-9 * T for t in times])
+    # an interval holds boundary b when start <= cut[b] < end
+    held, b = expand_ranges(np.searchsorted(cut, occupancy.start),
+                            np.searchsorted(cut, occupancy.end) - 1)
+    states = np.full((len(times), trace.n), -1, dtype=np.int64)
+    states[b, occupancy.traj[held]] = occupancy.agent[held]
+    return times, states
 
 
-def prove_starvation(trace: Trace) -> list:
+def prove_starvation(trace: Trace, meets: dict | None = None,
+                     occupancy: Occupancy | None = None) -> list:
     """Agents proven to starve by state-cycle detection.
 
     Only valid for deterministic strategies ("alw", "dfs", rand at p in
     {0, 1}): once all failures have occurred, a repeated occupancy state at a
     period boundary closes a cycle; survivors with no meeting inside the
     cycle will never meet again.  Returns the list of proven-starving agents
-    (empty when no cycle is found or the strategy is randomized).
+    (empty when no cycle is found or the strategy is randomized).  meets and
+    occupancy are `meeting_times(trace)` and `occupancy_replay(trace)`,
+    computed here when not given.
     """
     kind = trace.strategy.split(":")[0]
     if kind == "rand" and trace.strategy not in ("rand:0.0", "rand:1.0"):
         return []
-    failures = [ev.time for ev in trace.events if ev.kind == "failure"]
-    t_stable = max(failures) if failures else 0.0
-    boundaries = _occupancy_at_boundaries(trace)
+    failures = trace.time[trace.kind == FAILURE]
+    t_stable = failures.max().item() if len(failures) else 0.0
+    occ = occupancy_replay(trace) if occupancy is None else occupancy
     seen = {}
-    cycle = None
-    for t_b, occ in boundaries:
+    t0 = None
+    for t_b, state in zip(*_occupancy_at_boundaries(trace, occ)):
         if t_b < t_stable:
             continue
-        if occ in seen:
-            cycle = (seen[occ], t_b)
+        key = state.tobytes()
+        if key in seen:
+            t0 = seen[key]    # the recurrent state's first visit
             break
-        seen[occ] = t_b
-    if cycle is None:
+        seen[key] = t_b
+    if t0 is None:
         return []
-    t0, t1 = cycle
-    meets = meeting_times(trace)
-    proven = []
-    for a in trace.survivors:
-        if not any(t0 <= t < t1 for t in meets[a]):
-            # no meeting in one full cycle of the recurrent state
-            if not any(t >= t0 for t in meets[a]):
-                proven.append(a)
-    return proven
+    meets = meeting_times(trace) if meets is None else meets
+    # No meeting at or after the cycle's start: none in one full cycle of the
+    # recurrent state, so none ever again.
+    return [a for a in trace.survivors if not (len(meets[a]) and meets[a].max() >= t0)]
 
 
 def report(trace: Trace) -> MetricsReport:
-    st, flagged = starvation_time(trace)
-    proven = prove_starvation(trace)
+    meets = meeting_times(trace)
+    occupancy = occupancy_replay(trace)
+    st, flagged = starvation_time(trace, meets)
+    proven = prove_starvation(trace, meets, occupancy)
     return MetricsReport(
         broadcast_time=broadcast_time(trace),
-        abandoned_time=abandoned_time(trace),
+        abandoned_time=abandoned_time(trace, occupancy),
         starvation_time=st,
         completed_tours=completed_tours(trace),
         starvation_proven=bool(proven),

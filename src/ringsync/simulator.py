@@ -5,12 +5,18 @@ occupant reaches each link position at a fixed epoch (mod T), and an agent
 that switches trajectories adopts the target's phase at the link.  Meetings,
 absent-neighbor detections, and switches therefore happen only at link
 epochs, which the engine processes exactly as a discrete event queue.
+
+A trace stores its events as one table of numpy columns (see `Trace`);
+`TraceEvent` is the row type that tests, demos and oracles read through
+`Trace.events` and `Trace.events_of`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import is_not
 
 import numpy as np
 
@@ -19,9 +25,18 @@ from .errors import InvalidInstanceError
 from .instance import Instance
 from .scheduler import Schedule, link_epochs, verify_schedule
 
-# Event sort priorities within one timestamp.
-_PRIORITY = {"failure": 0, "emit": 1, "enter-region": 2, "meeting": 3,
-             "switch": 4, "exit-region": 5, "tour-complete": 6}
+# Event kinds; a kind's code in the table is its index here, which is also
+# its sort priority among events at one timestamp.
+EVENT_KINDS = ("failure", "emit", "enter-region", "meeting", "switch",
+               "exit-region", "tour-complete")
+FAILURE, EMIT, ENTER_REGION, MEETING, SWITCH, EXIT_REGION, TOUR_COMPLETE = \
+    range(len(EVENT_KINDS))
+_PRIORITY = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+# Per kind code: how many agents and how many trajectories an event names.
+_ARITY = np.array([(1, 1), (1, 1), (2, 2), (2, 2), (1, 2), (2, 2), (1, 1)])
+# The second agent or trajectory id of an event that names only one.
+NO_ID = -1
+_NO_LOCATION = (math.nan, math.nan)
 
 
 @dataclass
@@ -80,6 +95,7 @@ class SimConfig:
 
 @dataclass
 class TraceEvent:
+    """One trace row, as tests, demos and oracles read it."""
     time: float
     kind: str
     agents: list = field(default_factory=list)
@@ -92,19 +108,148 @@ class TraceEvent:
                 tuple(self.agents), self.msg or "")
 
 
-@dataclass
+def _ids(shape=(0, 2)):
+    return np.full(shape, NO_ID, dtype=np.int64)
+
+
+@dataclass(eq=False)
 class Trace:
+    """A simulation's header and its event table, one row per event in trace order.
+
+    Columns, each indexed by row:
+      time      float64 event time;
+      kind      int8 code into EVENT_KINDS (also the priority at one instant);
+      agents    m x 2 int64 agent ids, NO_ID (-1) in the second column
+                when the event names one agent;
+      trajs     m x 2 int64 trajectory ids, padded the same way;
+      location  m x 2 float64 link positions, NaN where the event has none;
+      msg       object array: the message key of an emit, None otherwise.
+    `events` and `events_of` view rows as `TraceEvent` objects;
+    `from_events` and `from_columns` build a table from Python values.
+    """
     n: int
     period: float
     horizon: float
     strategy: str
     seed: int
     initial_occupancy: list          # per trajectory: agent id (identity at start)
-    events: list = field(default_factory=list)
     survivors: list = field(default_factory=list)
+    time: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    kind: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8))
+    agents: np.ndarray = field(default_factory=_ids)
+    trajs: np.ndarray = field(default_factory=_ids)
+    location: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
+    msg: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=object))
 
-    def events_of(self, kind: str):
-        return [e for e in self.events if e.kind == kind]
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def rows_of(self, *kinds: str) -> np.ndarray:
+        """Indices of the rows of the given kinds, in trace order."""
+        return np.flatnonzero(np.isin(self.kind, [_PRIORITY[k] for k in kinds]))
+
+    def _rows(self, idx) -> list[TraceEvent]:
+        cols = (self.time[idx].tolist(), self.kind[idx].tolist(),
+                self.agents[idx].tolist(), self.trajs[idx].tolist(),
+                self.location[idx].tolist(), self.msg[idx].tolist())
+        return [TraceEvent(time=t, kind=EVENT_KINDS[k], agents=a[:1] if a[1] == NO_ID else a,
+                           trajs=j[:1] if j[1] == NO_ID else j,
+                           location=None if math.isnan(loc[0]) else loc, msg=m)
+                for t, k, a, j, loc, m in zip(*cols)]
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """Every row as a TraceEvent (a copy: editing it leaves the table unchanged)."""
+        return self._rows(slice(None))
+
+    def events_of(self, kind: str) -> list[TraceEvent]:
+        return self._rows(self.rows_of(kind))
+
+    @classmethod
+    def from_events(cls, events, **header) -> Trace:
+        """Table of the given rows, in the given order."""
+        return cls.from_columns([e.time for e in events], [e.kind for e in events],
+                                [e.agents for e in events], [e.trajs for e in events],
+                                [e.location for e in events], [e.msg for e in events],
+                                **header)
+
+    @classmethod
+    def from_columns(cls, time, kind, agents, trajs, location, msg, **header) -> Trace:
+        """Table from per-event Python values, validated once per column.
+
+        kind holds names, agents and trajs lists of ids, location a list of
+        two numbers or None, msg a str or None.  Raises InvalidInstanceError
+        for an unknown kind, ids that are not 1-2 ints in 0..n-1 (as many as
+        the kind names), a non-finite time or location, or times out of order.
+        """
+        n, m = header["n"], len(time)
+        try:
+            codes = list(map(_PRIORITY.get, kind))
+        except TypeError:             # an unhashable kind
+            codes = [None]
+        if None in codes:
+            bad = next(k for k in kind if type(k) is not str or k not in _PRIORITY)
+            raise InvalidInstanceError(f"trace event kind {bad!r} is not one of {EVENT_KINDS}")
+        codes = np.array(codes, dtype=np.int8)
+        times = _finite_column(time, "time")
+        if np.any(times[1:] < times[:-1]):
+            raise InvalidInstanceError("trace events are not in time order")
+        present = np.fromiter(map(is_not, location, repeat(None)), dtype=bool, count=m)
+        pairs = [loc for loc in location if loc is not None]
+        if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
+            bad = next(p for p in pairs if type(p) not in (list, tuple) or len(p) != 2)
+            raise InvalidInstanceError(f"trace event location {bad!r} is not null "
+                                       "or two numbers")
+        locs = np.full((m, 2), math.nan)
+        locs[present] = _finite_column(list(chain.from_iterable(pairs)),
+                                       "location").reshape(-1, 2)
+        if not set(map(type, msg)) <= {str, type(None)}:
+            bad = next(x for x in msg if x is not None and type(x) is not str)
+            raise InvalidInstanceError(f"trace event msg {bad!r} is not a string or null")
+        return cls(**header, time=times, kind=codes,
+                   agents=_id_column(agents, n, _ARITY[codes, 0], "agents"),
+                   trajs=_id_column(trajs, n, _ARITY[codes, 1], "trajs"),
+                   location=locs, msg=np.array(msg, dtype=object))
+
+
+def _id_column(values, n: int, arity: np.ndarray, key: str) -> np.ndarray:
+    """m x 2 ids, NO_ID padded, from lists of ids whose lengths must equal arity."""
+    ok = set(map(type, values)) <= {list, tuple} and list(map(len, values)) == arity.tolist()
+    flat = list(chain.from_iterable(values)) if ok else []
+    ok = ok and set(map(type, flat)) <= {int}
+    try:
+        ids = np.array(flat if ok else [], dtype=np.int64)
+    except OverflowError:         # an int beyond int64, so not an id either
+        ok = False
+    if not ok or (ids.size and not 0 <= ids.min() <= ids.max() < n):
+        bad = next(v for v, k in zip(values, arity)
+                   if type(v) not in (list, tuple) or len(v) != k
+                   or any(type(a) is not int or not 0 <= a < n for a in v))
+        raise InvalidInstanceError(
+            f"trace event {key} {bad!r} is not a list of 1-2 ids in 0..{n - 1} "
+            "matching its kind")
+    starts = np.cumsum(arity) - arity
+    out = _ids((len(values), 2))
+    out[:, 0] = ids[starts]
+    two = arity == 2
+    out[two, 1] = ids[starts[two] + 1]
+    return out
+
+
+def _finite_column(values, key: str) -> np.ndarray:
+    """float64 column of JSON numbers, all finite."""
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise InvalidInstanceError(f"trace event {key} {bad!r} is not a number")
+    try:
+        col = np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise InvalidInstanceError(f"trace event {key} holds an integer beyond "
+                                   "the float range") from None
+    if not np.isfinite(col).all():
+        bad = values[int(np.flatnonzero(~np.isfinite(col))[0])]
+        raise InvalidInstanceError(f"trace event {key} {bad!r} is not finite")
+    return col
 
 
 def strategy_decide(strategy: Strategy, edge, rng, dfs_edges=None) -> bool:
@@ -128,7 +273,14 @@ def resolve_root(strategy: Strategy, instance: Instance | None) -> int:
 
 def run(instance: Instance, schedule: Schedule, config: SimConfig,
         graph: CommGraph | None = None) -> Trace:
-    """Simulate the scheduled team; returns a deterministic trace."""
+    """Simulate the scheduled team; returns a deterministic trace.
+
+    Failures, message emissions and link instants form one timeline ordered
+    by a lexsort.  Only the link instants need the Python loop, because a
+    switch depends on the current occupancy.  Events are appended to column
+    lists and put in trace order by one lexsort over time, priority, trajs,
+    agents and msg, which is exactly the order of `TraceEvent.sort_key`.
+    """
     g = graph if graph is not None else instance.graph()
     report = verify_schedule(g, schedule, tol=1e-6)
     if not report.all_synchronized:
@@ -150,66 +302,77 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     agent_traj = list(range(n))       # agent -> traj or None
     entry_time = [0.0] * n            # agent -> time it entered its current traj
     alive = [True] * n
-    events: list[TraceEvent] = []
+    # The event table as one list per column.  link is the number of the
+    # edge whose link positions are the row's location, -1 for none.
+    times, kinds, agent0, agent1, traj0, traj1, link, msgs = [], [], [], [], [], [], [], []
+
+    def add(t, kind, a0, a1, j0, j1, edge, msg):
+        times.append(t)
+        kinds.append(kind)
+        agent0.append(a0)
+        agent1.append(a1)
+        traj0.append(j0)
+        traj1.append(j1)
+        link.append(edge)
+        msgs.append(msg)
+
+    # Stays on a trajectory as (agent, traj, entered, left); their full
+    # periods become the tour-complete rows once the timeline is done.
+    stays = []
 
     def close_tours(agent, leave_time):
-        """Emit tour-complete events for full periods spent on the (left) trajectory."""
-        t0 = entry_time[agent]
-        traj = agent_traj[agent]
-        k = 1
-        while t0 + k * T <= min(leave_time, horizon) + 1e-9 * T:
-            events.append(TraceEvent(time=t0 + k * T, kind="tour-complete",
-                                     agents=[agent], trajs=[traj]))
-            k += 1
+        stays.append((agent, agent_traj[agent], entry_time[agent],
+                      min(leave_time, horizon)))
 
-    # Timeline construction: failures, emissions, and link epochs merged by time.
-    items = []
-    for agent, t in config.failures:
-        items.append((t, 0, ("failure", agent)))
+    # Timeline: (time, class, a, b) with class 0 = failure of agent a,
+    # 1 = emission seq b of agent a, 2 = link instant of edge number a.
+    fail_agents = [agent for agent, _ in config.failures]
+    fail_times = [t for _, t in config.failures]
     em_period = config.emission_period if config.emission_period is not None else T
     # Each agent emits once per emission period of [0, horizon / 2] at a seeded
     # random phase, modeling messages issued at arbitrary instants of the patrol.
-    seq = 0
-    while seq * em_period <= horizon / 2.0:
-        for agent in range(n):
-            t_emit = (seq + rng.random()) * em_period
-            if t_emit <= horizon:
-                items.append((t_emit, 1, ("emit", agent, seq)))
-        seq += 1
-    for e in sorted(epochs):
-        e0 = epochs[e]
-        k0 = 0 if e0 > 0 else 1      # link events strictly after t=0
-        k = k0
-        while e0 + k * T <= horizon:
-            items.append((e0 + k * T, 2, ("link", e)))
-            k += 1
-    items.sort(key=lambda it: (it[0], it[1], it[2]))
-
-    for t, _, item in items:
-        if item[0] == "failure":
-            agent = item[1]
-            if not alive[agent]:
+    rounds = 0
+    while rounds * em_period <= horizon / 2.0:
+        rounds += 1
+    emit_times = ((np.arange(rounds)[:, None] + rng.random((rounds, n)))
+                  * em_period).ravel()
+    emitted = np.flatnonzero(emit_times <= horizon)
+    edges = sorted(epochs)
+    e0 = np.array([epochs[e] for e in edges], dtype=np.float64)
+    link_edge, k = expand_ranges(np.where(e0 > 0, 0, 1),   # link events strictly after t=0
+                            np.floor((horizon - e0) / T).astype(np.int64) + 1)
+    link_times = e0[link_edge] + k * T
+    links = link_times <= horizon
+    link_edge, link_times = link_edge[links], link_times[links]
+    t_all = np.concatenate([np.array(fail_times, dtype=np.float64),
+                            emit_times[emitted], link_times])
+    cls = np.repeat([0, 1, 2], [len(fail_times), len(emitted), len(link_times)])
+    a_all = np.concatenate([np.array(fail_agents, dtype=np.int64),
+                            emitted % max(n, 1), link_edge])
+    b_all = np.concatenate([np.zeros(len(fail_times), dtype=np.int64),
+                            emitted // max(n, 1), np.zeros(len(link_times), np.int64)])
+    order = np.lexsort((b_all, a_all, cls, t_all))
+    for t, c, a, b in zip(t_all[order].tolist(), cls[order].tolist(),
+                          a_all[order].tolist(), b_all[order].tolist()):
+        if c == 0:
+            if not alive[a]:
                 continue
-            close_tours(agent, t)
-            traj = agent_traj[agent]
-            alive[agent] = False
+            close_tours(a, t)
+            traj = agent_traj[a]
+            alive[a] = False
             occupancy[traj] = None
-            agent_traj[agent] = None
-            events.append(TraceEvent(time=t, kind="failure", agents=[agent], trajs=[traj]))
-        elif item[0] == "emit":
-            _, agent, s = item
-            if alive[agent]:
-                events.append(TraceEvent(time=t, kind="emit", agents=[agent],
-                                         trajs=[agent_traj[agent]], msg=f"{agent}:{s}"))
+            agent_traj[a] = None
+            add(t, FAILURE, a, NO_ID, traj, NO_ID, -1, None)
+        elif c == 1:
+            if alive[a]:
+                add(t, EMIT, a, NO_ID, agent_traj[a], NO_ID, -1, f"{a}:{b}")
         else:
-            i, j = item[1]
+            i, j = edges[a]
             oi, oj = occupancy[i], occupancy[j]
             if oi is None and oj is None:
                 continue
-            loc = [g.phi(i, j), g.phi(j, i)]
             if oi is not None and oj is not None:
-                events.append(TraceEvent(time=t, kind="meeting",
-                                         agents=[oi, oj], trajs=[i, j], location=loc))
+                add(t, MEETING, oi, oj, i, j, a, None)
             else:
                 agent = oi if oi is not None else oj
                 src = i if oi is not None else j
@@ -221,42 +384,85 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
                     occupancy[dst] = agent
                     agent_traj[agent] = dst
                     entry_time[agent] = t
-                    events.append(TraceEvent(time=t, kind="switch", agents=[agent],
-                                             trajs=[src, dst], location=loc))
+                    add(t, SWITCH, agent, NO_ID, src, dst, a, None)
 
     for agent in range(n):
         if alive[agent]:
             close_tours(agent, horizon)
 
     if config.record_region_events and instance is not None and instance.mode == "circle":
-        events.extend(_region_events(instance, g, schedule,
-                                     [e for e in events if e.kind == "meeting"],
-                                     horizon))
+        meetings = [r for r, kind in enumerate(kinds) if kind == MEETING]
+        for r in meetings:
+            t, i, j = times[r], traj0[r], traj1[r]
+            half = _region_half_width(instance, schedule, i, j, t,
+                                      instance.comm_range, T)
+            if half is not None:
+                add(max(t - half, 0.0), ENTER_REGION, agent0[r], agent1[r], i, j, -1, None)
+                add(min(t + half, horizon), EXIT_REGION, agent0[r], agent1[r], i, j, -1,
+                    None)
 
-    events.sort(key=TraceEvent.sort_key)
+    # A tour completes at entered + k*T for every k >= 1 with
+    # entered + k*T <= left + 1e-9*T.
+    stay_cols = list(zip(*stays)) or [()] * 4
+    stay_agent, stay_traj = (np.array(col, dtype=np.int64) for col in stay_cols[:2])
+    entered, left = (np.array(col, dtype=np.float64) for col in stay_cols[2:])
+    limit = left + 1e-9 * T
+    stay, k = expand_ranges(np.ones(len(stays), dtype=np.int64),
+                       np.floor((limit - entered) / T).astype(np.int64) + 1)
+    tour_times = entered[stay] + k * T
+    done = tour_times <= limit[stay]
+    stay, tour_times = stay[done], tour_times[done]
+
+    tours = len(stay)
+
+    def column(values, tour_values, dtype):
+        return np.concatenate([np.array(values, dtype=dtype),
+                               np.asarray(tour_values, dtype=dtype)])
+
+    def ids(first, second, tour_ids):
+        return np.column_stack([column(first, tour_ids, np.int64),
+                                column(second, np.full(tours, NO_ID), np.int64)])
+
+    # Link positions per edge number, and NaN at index -1 for rows without.
+    link_loc = np.array([(g.phi(i, j), g.phi(j, i)) for i, j in edges] + [_NO_LOCATION],
+                        dtype=np.float64).reshape(-1, 2)
+    table = dict(time=column(times, tour_times, np.float64),
+                 kind=column(kinds, np.full(tours, TOUR_COMPLETE), np.int8),
+                 agents=ids(agent0, agent1, stay_agent[stay]),
+                 trajs=ids(traj0, traj1, stay_traj[stay]),
+                 location=link_loc[column(link, np.full(tours, -1), np.int64)],
+                 msg=column(msgs, np.full(tours, None), object))
+    order = _trace_order(table["time"], table["kind"], table["agents"], table["trajs"],
+                         table["msg"])
     return Trace(n=n, period=T, horizon=horizon, strategy=strategy.describe(),
                  seed=config.seed, initial_occupancy=list(range(n)),
-                 events=events, survivors=[a for a in range(n) if alive[a]])
+                 survivors=[a for a in range(n) if alive[a]],
+                 **{key: col[order] for key, col in table.items()})
 
 
-def _region_events(instance, g, schedule, meetings, horizon):
-    """Enter/exit communication-region events bracketing each meeting (circle mode)."""
-    out = []
-    r = instance.comm_range
-    T = schedule.period
-    for ev in meetings:
-        i, j = ev.trajs
-        half = _region_half_width(instance, g, schedule, i, j, ev.time, r, T)
-        if half is None:
-            continue
-        out.append(TraceEvent(time=max(ev.time - half, 0.0), kind="enter-region",
-                              agents=list(ev.agents), trajs=[i, j]))
-        out.append(TraceEvent(time=min(ev.time + half, horizon), kind="exit-region",
-                              agents=list(ev.agents), trajs=[i, j]))
-    return out
+def expand_ranges(first: np.ndarray, last: np.ndarray):
+    """(g, k) for every k in first[g]..last[g] of every group g, in group order."""
+    counts = np.maximum(last - first + 1, 0)
+    group = np.repeat(np.arange(len(counts)), counts)
+    k = np.arange(len(group)) - np.repeat(np.cumsum(counts) - counts, counts) + first[group]
+    return group, k
 
 
-def _region_half_width(instance, g, schedule, i, j, t_meet, r, T):
+def _trace_order(time, kind, agents, trajs, msg) -> np.ndarray:
+    """Stable row order of TraceEvent.sort_key.
+
+    NO_ID (-1) puts a one-element id tuple before every two-element one with
+    the same first entry, as tuple comparison does; msg ranks by string
+    order with None read as "".
+    """
+    keyed = msg.astype(bool)
+    msg_rank = np.zeros(len(msg), dtype=np.int64)
+    msg_rank[keyed] = np.unique(msg[keyed].astype(str), return_inverse=True)[1].reshape(-1) + 1
+    return np.lexsort((msg_rank, agents[:, 1], agents[:, 0],
+                       trajs[:, 1], trajs[:, 0], kind, time))
+
+
+def _region_half_width(instance, schedule, i, j, t_meet, r, T):
     """Bisect for the dwell half-width where inter-agent distance <= range."""
     ci, cj = instance.circles[i], instance.circles[j]
     w = 2.0 * math.pi / T
@@ -285,24 +491,55 @@ def _region_half_width(instance, g, schedule, i, j, t_meet, r, T):
     return lo
 
 
+@dataclass
+class Occupancy:
+    """Occupation intervals from one replay of a trace's switch and failure rows.
+
+    Interval k: `agent[k]` held `traj[k]` from `start[k]` to `end[k]`; `end`
+    is inf when the agent still holds the trajectory after the last row.  Per
+    trajectory, intervals are in time order.  `consistent` is False when some
+    row moves or fails an agent that does not hold the row's source
+    trajectory, or a switch lands on a trajectory another agent holds.
+    """
+    traj: np.ndarray
+    agent: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    consistent: bool
+
+
+def occupancy_replay(trace: Trace) -> Occupancy:
+    """Replay the switch and failure rows once, in trace order."""
+    current = {traj: (0.0, a) for traj, a in enumerate(trace.initial_occupancy)
+               if a is not None}
+    closed = []                       # (traj, agent, start, end)
+    consistent = True
+    rows = trace.rows_of("failure", "switch")
+    for t, kind, agent, (src, dst) in zip(trace.time[rows].tolist(),
+                                          trace.kind[rows].tolist(),
+                                          trace.agents[rows, 0].tolist(),
+                                          trace.trajs[rows].tolist()):
+        held = current.pop(src, None)
+        if held is not None:
+            closed.append((src, held[1], held[0], t))
+        if held is None or held[1] != agent:
+            consistent = False
+        if kind == SWITCH:
+            other = current.get(dst)
+            if other is not None:
+                consistent = False
+                closed.append((dst, other[1], other[0], t))
+            current[dst] = (t, agent)
+    closed += [(traj, a, start, math.inf) for traj, (start, a) in current.items()]
+    traj, agent, start, end = (np.array(col) for col in zip(*closed)) if closed else \
+        (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0))
+    order = np.argsort(traj, kind="stable")
+    return Occupancy(traj=traj[order], agent=agent[order], start=start[order],
+                     end=end[order], consistent=consistent)
+
+
 def occupancy_check(trace: Trace) -> bool:
-    """True iff no instant has two agents on one trajectory."""
-    occupancy = {t: a for t, a in enumerate(trace.initial_occupancy) if a is not None}
-    where = {a: t for t, a in occupancy.items()}
-    for ev in trace.events:
-        if ev.kind == "failure":
-            agent = ev.agents[0]
-            traj = where.pop(agent, None)
-            if traj is not None:
-                occupancy.pop(traj, None)
-        elif ev.kind == "switch":
-            agent = ev.agents[0]
-            src, dst = ev.trajs
-            if occupancy.get(dst) is not None and occupancy.get(dst) != agent:
-                return False
-            if occupancy.get(src) != agent:
-                return False
-            del occupancy[src]
-            occupancy[dst] = agent
-            where[agent] = dst
-    return True
+    """True iff every switch and failure moves the agent holding its source
+    trajectory, and no switch lands on a trajectory another agent holds, so
+    no instant has two agents on one trajectory."""
+    return occupancy_replay(trace).consistent

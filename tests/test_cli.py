@@ -244,6 +244,27 @@ def test_trace_agent_id_out_of_range_is_error(tmp_path, capsys, key, value):
     assert str(value[-1]) in err["message"]
 
 
+@pytest.mark.parametrize("kind,key,value", [
+    ("meeting", "agents", [0, 9]), ("meeting", "agents", [0, -1]),
+    ("tour-complete", "trajs", [9]), ("meeting", "kind", "meetx"),
+    ("emit", "time", float("nan")), ("meeting", "location", [float("inf"), 0.0]),
+    ("emit", "time", 1e9)])
+def test_trace_bad_event_is_error(tmp_path, capsys, kind, key, value):
+    # the last case puts the first emit after every other event
+    _, _, traces = pipeline(tmp_path, seeds="1")
+    path = traces / "trace-0.jsonl"
+    lines = path.read_text().splitlines()
+    row = next(k for k, line in enumerate(lines) if json.loads(line).get("kind") == kind)
+    doc = json.loads(lines[row])
+    doc[key] = value
+    lines[row] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert invoke("report", "-t", str(traces)) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInstanceError" and key in err["message"]
+
+
 @pytest.mark.parametrize("source,builds", [
     (("--grid", "3x3"), 1), (("--preset", "case-study"), 1), (("--random", "12"), 2)])
 def test_generate_builds_graph_once_in_command(tmp_path, monkeypatch, capsys,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import networkx as nx
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringsync as rs
-from ringsync.commgraph import (EXACT_MAXCUT_EDGE_LIMIT, CommGraph, EdgeData,
+from ringsync.commgraph import (EXACT_MAXCUT_NODE_LIMIT, CommGraph, EdgeData,
                                 bfs_forest, cycle_alternating_beta_sum,
                                 dfs_forest, edge_key)
 from ringsync.errors import DisconnectedGraphError, InvalidInstanceError
@@ -109,11 +110,24 @@ def test_max_bipartite_subgraph_matches_brute_force():
     rng = np.random.default_rng(11)
     for _ in range(10):
         g = _random_circle_graph(rng, int(rng.integers(4, 8)))
-        if len(g.edges) > EXACT_MAXCUT_EDGE_LIMIT:
-            continue
+        assert g.n <= EXACT_MAXCUT_NODE_LIMIT
         sub = rs.max_bipartite_subgraph(g)
         assert rs.is_bipartite(sub)
         assert len(sub.edges) == _brute_max_cut(g)
+
+
+def test_exact_max_cut_skips_bipartite_components():
+    # a triangle beside a 21-edge path: 25 nodes and 24 edges, but only the
+    # triangle needs a search; enumerating the path took 2^21 masks
+    def edge(i, j):
+        return EdgeData(beta=0.0, phi={i: 0.0, j: math.pi}, distance=0.4)
+    edges = {(0, 1): edge(0, 1), (1, 2): edge(1, 2), (0, 2): edge(0, 2)}
+    edges.update({(i, i + 1): edge(i, i + 1) for i in range(3, 24)})
+    g = CommGraph(n=25, edges=edges)
+    start = time.perf_counter()
+    sub = rs.max_bipartite_subgraph(g)
+    assert time.perf_counter() - start < 0.1
+    assert rs.is_bipartite(sub) and len(sub.edges) == 23
 
 
 def test_grid_cycle_residues(grid33_graph):

@@ -127,9 +127,9 @@ def synthetic_traces(draw):
                                      agents=[a, b], trajs=[a, b]))
     events.sort(key=TraceEvent.sort_key)
     survivors = draw(st.lists(agent, unique=True))
-    return Trace(n=n, period=1.0, horizon=5.0, strategy="alw", seed=0,
-                 initial_occupancy=list(range(n)), events=events,
-                 survivors=sorted(survivors))
+    return Trace.from_events(events, n=n, period=1.0, horizon=5.0, strategy="alw",
+                             seed=0, initial_occupancy=list(range(n)),
+                             survivors=sorted(survivors))
 
 
 @given(synthetic_traces())
@@ -147,8 +147,8 @@ def test_same_instant_order():
               TraceEvent(time=0.5, kind="emit", agents=[2], trajs=[2], msg="2:0"),
               TraceEvent(time=2.0, kind="meeting", agents=[0, 1], trajs=[0, 1])]
     events.sort(key=TraceEvent.sort_key)
-    trace = Trace(n=3, period=1.0, horizon=3.0, strategy="alw", seed=0,
-                  initial_occupancy=[0, 1, 2], events=events, survivors=[0, 1, 2])
+    trace = Trace.from_events(events, n=3, period=1.0, horizon=3.0, strategy="alw",
+                              seed=0, initial_occupancy=[0, 1, 2], survivors=[0, 1, 2])
     emits, arrival = arrival_times(trace)
     assert emits == {"2:0": 0.5, "1:0": 1.0}
     assert arrival.tolist() == [[2.0, 1.0], [1.0, 1.0], [0.5, 1.0]]

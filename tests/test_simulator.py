@@ -150,9 +150,9 @@ def test_occupancy_check_detects_corruption():
     inst, g, sched = grid_setup()
     tr = run(inst, sched, SimConfig(horizon=8.0, strategy=Strategy("alw"),
                                     failures=[(4, 0.0)]))
-    sw = tr.events_of("switch")
-    assert sw
-    sw[0].trajs = [sw[0].trajs[0], sw[0].trajs[0]]  # switch onto itself
+    assert occupancy_check(tr)
+    first = tr.rows_of("switch")[0]
+    tr.trajs[first, 1] = tr.trajs[first, 0]  # switch onto itself
     assert not occupancy_check(tr)
 
 

@@ -1,0 +1,171 @@
+"""The columnar trace table against row-based references.
+
+The references are the row-at-a-time code the table replaced: trace order by
+`TraceEvent.sort_key`, one `_dumps` call per event line, and metrics that
+walk `TraceEvent` rows.  On the simulations of `test_gossip.py` (grids and
+random layouts, every strategy, failures at link instants, region events),
+the table must give the same lines, survive a write and read column for
+column, and give the same report.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+
+import ringsync as rs
+from ringsync import cli
+from ringsync.simulator import Trace, occupancy_check
+from test_gossip import reference_arrivals, reference_broadcast_time, simulations
+
+HEADER_KEYS = ("n", "period", "horizon", "strategy", "seed", "initial_occupancy",
+               "survivors")
+
+
+def reference_lines(trace, events):
+    header = {"format_version": cli.TRACE_FORMAT_VERSION, "type": "header",
+              **{key: getattr(trace, key) for key in HEADER_KEYS}}
+    return [cli._dumps(header)] + [
+        cli._dumps({"type": "event", "time": e.time, "kind": e.kind, "agents": e.agents,
+                    "trajs": e.trajs, "location": e.location, "msg": e.msg})
+        for e in events]
+
+
+def reference_occupancy_check(trace, events):
+    occupancy = {t: a for t, a in enumerate(trace.initial_occupancy) if a is not None}
+    where = {a: t for t, a in occupancy.items()}
+    for ev in events:
+        if ev.kind == "failure":
+            traj = where.pop(ev.agents[0], None)
+            if traj is not None:
+                occupancy.pop(traj, None)
+        elif ev.kind == "switch":
+            agent = ev.agents[0]
+            src, dst = ev.trajs
+            if occupancy.get(dst) not in (None, agent) or occupancy.get(src) != agent:
+                return False
+            del occupancy[src]
+            occupancy[dst] = agent
+            where[agent] = dst
+    return True
+
+
+def reference_intervals(trace, events):
+    intervals = {t: [] for t in range(trace.n)}
+    current = {t: (0.0, a) for t, a in enumerate(trace.initial_occupancy) if a is not None}
+    for ev in events:
+        if ev.kind == "failure":
+            traj = ev.trajs[0]
+            if traj in current:
+                start, agent = current.pop(traj)
+                intervals[traj].append((start, ev.time, agent))
+        elif ev.kind == "switch":
+            src, dst = ev.trajs
+            if src in current:
+                start, agent = current.pop(src)
+                intervals[src].append((start, ev.time, agent))
+            current[dst] = (ev.time, ev.agents[0])
+    for traj, (start, agent) in current.items():
+        intervals[traj].append((start, trace.horizon, agent))
+    return intervals
+
+
+def reference_abandoned(trace, events):
+    worst = 0.0
+    for ivals in reference_intervals(trace, events).values():
+        t = gap = 0.0
+        for start, end, _ in ivals:
+            gap = max(gap, start - t)
+            t = max(t, end)
+        worst = max(worst, gap, trace.horizon - t)
+    return worst
+
+
+def reference_meeting_times(trace, events):
+    out = {a: [] for a in range(trace.n)}
+    for ev in events:
+        if ev.kind == "meeting":
+            for a in ev.agents:
+                out[a].append(ev.time)
+    return out
+
+
+def reference_starvation(trace, events):
+    meets = reference_meeting_times(trace, events)
+    worst = 0.0
+    flagged = []
+    for a in trace.survivors:
+        gap = prev = 0.0
+        for t in meets[a]:
+            gap = max(gap, t - prev)
+            prev = t
+        final = trace.horizon - prev
+        worst = max(worst, gap, final)
+        if not meets[a] or final >= trace.period:
+            flagged.append(a)
+    return worst, flagged
+
+
+def reference_proven(trace, events):
+    if trace.strategy.startswith("rand") and trace.strategy not in ("rand:0.0", "rand:1.0"):
+        return []
+    failures = [ev.time for ev in events if ev.kind == "failure"]
+    t_stable = max(failures) if failures else 0.0
+    occ = list(trace.initial_occupancy)
+    seen, t0, idx, k = {}, None, 0, 0
+    while k * trace.period <= trace.horizon + 1e-9:
+        t_b = k * trace.period
+        while idx < len(events) and events[idx].time <= t_b + 1e-9 * trace.period:
+            ev = events[idx]
+            if ev.kind == "failure":
+                occ[ev.trajs[0]] = None
+            elif ev.kind == "switch":
+                occ[ev.trajs[0]] = None
+                occ[ev.trajs[1]] = ev.agents[0]
+            idx += 1
+        if t_b >= t_stable:
+            if tuple(occ) in seen:
+                t0 = seen[tuple(occ)]
+                break
+            seen[tuple(occ)] = t_b
+        k += 1
+    if t0 is None:
+        return []
+    meets = reference_meeting_times(trace, events)
+    return [a for a in trace.survivors if not any(t >= t0 for t in meets[a])]
+
+
+def reference_report(trace, events):
+    st, flagged = reference_starvation(trace, events)
+    proven = reference_proven(trace, events)
+    tours = sum(1 for ev in events if ev.kind == "tour-complete")
+    return (reference_abandoned(trace, events), st,
+            tours / trace.n if trace.n else 0.0, bool(proven),
+            sorted(set(flagged) | set(proven)))
+
+
+def assert_same_table(a, b):
+    for key in HEADER_KEYS:
+        assert getattr(a, key) == getattr(b, key), key
+    assert a.time.dtype == b.time.dtype and np.array_equal(a.time, b.time)
+    assert a.kind.dtype == b.kind.dtype and np.array_equal(a.kind, b.kind)
+    assert np.array_equal(a.agents, b.agents) and np.array_equal(a.trajs, b.trajs)
+    assert np.array_equal(a.location, b.location, equal_nan=True)
+    assert a.msg.tolist() == b.msg.tolist()
+
+
+@given(simulations())
+@settings(max_examples=100, deadline=None)
+def test_table_matches_row_references(trace):
+    events = trace.events
+    keys = [e.sort_key() for e in events]
+    assert keys == sorted(keys)
+    lines = cli.trace_to_lines(trace)
+    assert lines == reference_lines(trace, events)
+    assert_same_table(cli.trace_from_lines(lines), trace)
+    header = {key: getattr(trace, key) for key in HEADER_KEYS}
+    assert_same_table(Trace.from_events(events, **header), trace)
+    assert occupancy_check(trace) == reference_occupancy_check(trace, events)
+    rep = rs.report(trace)
+    assert (rep.abandoned_time, rep.starvation_time, rep.completed_tours,
+            rep.starvation_proven, rep.potentially_starving) == \
+        reference_report(trace, events)
+    assert rep.broadcast_time == reference_broadcast_time(trace, reference_arrivals(trace))
