@@ -21,7 +21,6 @@ from .metrics import (MetricsReport, abandoned_time, aggregate, arrival_times,
                       broadcast_time, completed_tours, prove_starvation,
                       render_table, report, starvation_time)
 from .scheduler import (Schedule, SectionPlan, assign_section_times,
-                        check_cycle_opposite, check_cycle_same_direction,
                         schedule_general, schedule_opposite_directions,
                         schedule_same_direction, validate_section_plan,
                         verify_schedule)

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .commgraph import CommGraph, bfs_forest, cycle_basis, two_color
 from .errors import (ClosureViolationError, InfeasibleSectionTimesError,
-                     NotSynchronizableError, SectionSearchBudgetError)
+                     InvalidInstanceError, NotSynchronizableError,
+                     SectionSearchBudgetError)
 from .geometry import TWO_PI, norm_angle
 
 CCW = "CCW"
@@ -115,67 +117,42 @@ def schedule_opposite_directions(g: CommGraph, start_node: int = 0,
                      norm_angle(2.0 * g.beta(w, a) - starts[w] - math.pi))
     dirs = _color_dirs(d % 2 for d in f.depth)
     sched = Schedule(mode="opposite-directions", period=period, starts=starts, dirs=dirs)
-    report = verify_schedule(g, sched, tol=tol)
-    bad = [e for e, (ok, _) in report.edges.items() if not ok]
-    if bad:
-        raise ClosureViolationError(
-            f"cycle closure violated on edges {bad}", edge=bad[0])
-    return sched
+    return _verified(g, sched, tol)
+
+
+def _arrival_pair(g: CommGraph, s: Schedule, i: int, j: int) -> tuple:
+    """First arrivals of agents i and j at their link locations for edge (i, j)."""
+    if s.mode == "general":
+        return s.epochs[i][j], s.epochs[j][i]
+    return (arrival_time(s.starts[i], s.dirs[i], g.phi(i, j), s.period),
+            arrival_time(s.starts[j], s.dirs[j], g.phi(j, i), s.period))
 
 
 def verify_schedule(g: CommGraph, s: Schedule, tol: float = PHASE_TOL) -> SyncReport:
     """Check every edge: first arrivals at the two link positions coincide mod T."""
     report = SyncReport(period=s.period)
     for (i, j) in g.edge_list():
-        if s.mode == "general":
-            ti = s.epochs[i][j]
-            tj = s.epochs[j][i]
-        else:
-            ti = arrival_time(s.starts[i], s.dirs[i], g.phi(i, j), s.period)
-            tj = arrival_time(s.starts[j], s.dirs[j], g.phi(j, i), s.period)
+        ti, tj = _arrival_pair(g, s, i, j)
         diff = math.fmod(abs(ti - tj), s.period)
         err = min(diff, s.period - diff)
         report.edges[(i, j)] = (err <= tol * s.period, err)
     return report
 
 
+def _verified(g: CommGraph, s: Schedule, tol: float) -> Schedule:
+    """s, or ClosureViolationError on the edges verify_schedule rejects."""
+    report = verify_schedule(g, s, tol=tol)
+    bad = [e for e, (ok, _) in report.edges.items() if not ok]
+    if bad:
+        raise ClosureViolationError(
+            f"cycle closure violated on edges {bad}", edge=bad[0])
+    return s
+
+
 def link_epochs(g: CommGraph, s: Schedule) -> dict:
     """Per edge, the common link arrival epoch in [0, T) of both occupants."""
-    out = {}
-    for (i, j) in g.edge_list():
-        if s.mode == "general":
-            e = s.epochs[i][j]
-        else:
-            e = arrival_time(s.starts[i], s.dirs[i], g.phi(i, j), s.period)
-        out[(i, j)] = math.fmod(e, s.period)
-    return out
-
-
-def check_cycle_same_direction(times, period: float, tol: float = PHASE_TOL):
-    """Integer z with sum(t_i) = z*T, or None (same-direction cycle condition)."""
-    k = len(times)
-    total = float(sum(times))
-    z = round(total / period)
-    if 0 < z < k and abs(total - z * period) <= tol * period * k:
-        return z
-    return None
-
-
-def check_cycle_opposite(times, period: float, tol: float = PHASE_TOL):
-    """Integer z with t_1 + r_2 + t_3 + ... + r_2k = z*T, or None.
-
-    times are the inside-section times t_i; r_i = T - t_i.
-    """
-    k = len(times)
-    if k % 2 != 0:
-        raise ValueError(f"cycle length must be even, got {k}")
-    total = 0.0
-    for idx, t in enumerate(times):
-        total += t if idx % 2 == 0 else period - t
-    z = round(total / period)
-    if 0 < z < k and abs(total - z * period) <= tol * period * k:
-        return z
-    return None
+    return {(i, j): math.fmod(_arrival_pair(g, s, i, j)[0], s.period)
+            for (i, j) in g.edge_list()}
 
 
 # ---------------------------------------------------------------------------
@@ -197,43 +174,71 @@ class SectionPlan:
     section_lengths: dict | None = None
 
     def time_between(self, traj: int, from_nb: int, to_nb: int) -> float:
-        """Travel time on traj from the link with from_nb to the link with to_nb."""
-        order = self.link_order[traj]
-        times = self.times[traj]
-        if from_nb == to_nb:
-            return 0.0
-        k = order.index(from_nb)
-        total = 0.0
-        while True:
-            total += times[k]
-            k = (k + 1) % len(order)
-            if order[k] == to_nb:
-                return total
-            if total > len(order) * self.period:
-                raise ValueError(f"neighbor {to_nb} not on trajectory {traj}")
+        """Travel time on traj from the link with from_nb to the link with to_nb.
+
+        The section times _sections_between names, summed from 0.0 in travel
+        order (0.0 when from_nb == to_nb).  Raises InvalidInstanceError if
+        either neighbor has no link on traj.
+        """
+        secs = _sections_between(self.link_order.get(traj, []), from_nb, to_nb)
+        # plain left-to-right addition: sum() compensates float sums from 3.12
+        return functools.reduce(operator.add, (self.times[traj][k] for k in secs), 0.0)
+
+
+def _sections_between(link_order_i, from_nb, to_nb) -> list:
+    """Section indices one trajectory crosses, in travel order, from its link
+    with from_nb to its link with to_nb; link_order_i is its link order."""
+    for nb in (from_nb, to_nb):
+        if nb not in link_order_i:
+            raise InvalidInstanceError(
+                f"{nb} is not a neighbor on the trajectory with links {link_order_i}")
+    k, m = link_order_i.index(from_nb), len(link_order_i)
+    return [(k + step) % m for step in range((link_order_i.index(to_nb) - k) % m)]
+
+
+def _cycle_rows(order, cycles) -> np.ndarray:
+    """The cycle equations over the section times flattened in order's order.
+
+    Row r counts each section in cycle r's closure sum: every cycle node
+    contributes its sections from the link with the next cycle node to the
+    link with the previous one, and the sum must be z*T for an integer z.
+    """
+    offset, nvars = {}, 0
+    for i, nbs in order.items():
+        offset[i], nvars = nvars, nvars + len(nbs)
+    rows = np.zeros((len(cycles), nvars))
+    for r, cyc in enumerate(cycles):
+        for idx, node in enumerate(cyc):
+            for k in _sections_between(order.get(node, []),
+                                       cyc[(idx + 1) % len(cyc)], cyc[idx - 1]):
+                rows[r, offset[node] + k] += 1.0
+    return rows
 
 
 def validate_section_plan(plan: SectionPlan, cycles, tol: float = 1e-12):
     """Check period sums and the opposite-direction cycle equations.
 
-    Returns the list of feasible z values, one per cycle, or raises.
-    Tolerances are absolute in units of the period (tol * T).
+    The cycle sums are the rows of _cycle_rows, the equations the section-time
+    LP solves, applied to the plan's times.  Returns the list of feasible z
+    values, one per cycle, or raises InfeasibleSectionTimesError.  Raises
+    InvalidInstanceError if times and link_order differ in trajectories or
+    section counts, or if a cycle steps between trajectories the plan does
+    not link.  Tolerances are absolute in units of the period (tol * T).
     """
     T = plan.period
+    if plan.times.keys() != plan.link_order.keys() or any(
+            len(plan.times[i]) != len(nbs) for i, nbs in plan.link_order.items()):
+        raise InvalidInstanceError("section plan times do not match its link order")
     for traj, times in plan.times.items():
         if any(t <= 0 for t in times):
             raise InfeasibleSectionTimesError(f"non-positive section time on {traj}")
         if abs(sum(times) - T) > tol * T:
             raise InfeasibleSectionTimesError(
                 f"section times on {traj} sum to {sum(times)}, expected {T}")
+    x = np.array([t for i in plan.link_order for t in plan.times[i]])
     zs = []
-    for cyc in cycles:
+    for cyc, total in zip(cycles, (_cycle_rows(plan.link_order, cycles) @ x).tolist()):
         k = len(cyc)
-        total = 0.0
-        for idx, node in enumerate(cyc):
-            prev = cyc[(idx - 1) % k]
-            nxt = cyc[(idx + 1) % k]
-            total += plan.time_between(node, nxt, prev)
         z = round(total / T)
         if not (0 < z < k) or abs(total - z * T) > tol * T * k:
             raise InfeasibleSectionTimesError(
@@ -324,30 +329,14 @@ def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0,
         return SectionPlan(period=period, link_order=order, times=nominal,
                            section_lengths=sec_len)
 
-    # Flatten variables: one per (trajectory, section)
-    keys = [(i, k) for i in order for k in range(len(order[i]))]
-    var_index = {key: vi for vi, key in enumerate(keys)}
-    nvars = len(keys)
-    nom_vec = np.array([nominal[i][k] for i, k in keys])
-
-    A_period = np.zeros((len(order), nvars))
+    # One variable per section, flattened in link order: each trajectory's
+    # sections are contiguous, so its period row is one repeated unit column.
+    sizes = [len(order[i]) for i in order]
+    nom_vec = np.array([t for i in order for t in nominal[i]])
+    nvars = len(nom_vec)
+    A_period = np.repeat(np.eye(len(order)), sizes, axis=1)
     b_period = np.full(len(order), period)
-    for row, i in enumerate(order):
-        A_period[row, [var_index[(i, k)] for k in range(len(order[i]))]] = 1.0
-
-    cycle_rows = []
-    for cyc in cycles:
-        row = np.zeros(nvars)
-        for idx, node in enumerate(cyc):
-            # the sections on node from its link to the next cycle node to
-            # its link to the previous one
-            nbs, prev = order[node], cyc[idx - 1]
-            k = nbs.index(cyc[(idx + 1) % len(cyc)])
-            while nbs[k] != prev:
-                row[var_index[(node, k)]] += 1.0
-                k = (k + 1) % len(nbs)
-        cycle_rows.append(row)
-    A_all = np.vstack([A_period] + cycle_rows)
+    A_all = np.vstack([A_period, _cycle_rows(order, cycles)])
     nnz = np.count_nonzero(A_all, axis=1)
     nominal_closure = A_all[len(order):] @ nom_vec / period
 
@@ -448,8 +437,8 @@ def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0,
     A_eq, b_eq = equalities(zs)
     corr, *_ = np.linalg.lstsq(A_eq, A_eq @ x - b_eq, rcond=None)
     x = x - corr
-    times = {i: [float(x[var_index[(i, k)]]) for k in range(len(order[i]))]
-             for i in order}
+    parts = np.split(x, np.cumsum(sizes)[:-1])
+    times = {i: part.tolist() for i, part in zip(order, parts)}
     # Snap each trajectory's sum to exactly T against rounding in the sums
     for i in times:
         scale = period / math.fsum(times[i])
@@ -460,9 +449,11 @@ def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0,
 
 def schedule_general(g: CommGraph, plan: SectionPlan, start_node: int = 0,
                      s0: float = 0.0, tol: float = 1e-6) -> Schedule:
-    """Propagate link arrival epochs over a BFS forest; verify non-tree closure.
+    """Propagate link arrival epochs over a BFS forest; verify every edge.
 
-    Each forest root (start_node first) is anchored at arc length s0.
+    Each forest root (start_node first) is anchored at arc length s0.  Tree
+    edges close exactly, so only a non-tree edge can raise
+    ClosureViolationError.
     """
     dirs = _color_dirs(_bipartite_colors(g))
     T = plan.period
@@ -487,18 +478,9 @@ def schedule_general(g: CommGraph, plan: SectionPlan, start_node: int = 0,
             fill_from(a, plan.link_order[a][0],
                       _time_to_first_link(g, plan, a, s0, dirs[a]))
 
-    for (i, j) in g.edge_list():
-        if f.is_tree_edge(i, j):
-            continue
-        diff = math.fmod(abs(epochs[i][j] - epochs[j][i]), T)
-        err = min(diff, T - diff)
-        if err > tol * T:
-            raise ClosureViolationError(
-                f"edge ({i},{j}) closure error {err:.3e}", edge=(i, j))
-
     starts = [_start_position(g, plan, i, epochs[i], dirs[i]) for i in range(g.n)]
-    return Schedule(mode="general", period=T, starts=starts, dirs=dirs,
-                    epochs=epochs)
+    return _verified(g, Schedule(mode="general", period=T, starts=starts, dirs=dirs,
+                                 epochs=epochs), tol)
 
 
 def _time_to_first_link(g, plan, traj, s0, direction):

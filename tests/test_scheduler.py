@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringsync as rs
+from ringsync.commgraph import bfs_forest
 from ringsync.errors import ClosureViolationError, NotSynchronizableError
 from ringsync.geometry import Circle, Point2
 from ringsync.scheduler import CCW, CW, arrival_time
@@ -86,13 +87,6 @@ def test_opposite_directions_covers_disconnected_graph():
     assert rs.verify_schedule(g, s).all_synchronized
 
 
-def test_check_cycle_helpers():
-    T = 1.0
-    assert rs.check_cycle_same_direction([0.5, 0.5, 0.5, 0.5], T) == 2
-    assert rs.check_cycle_same_direction([0.5, 0.5, 0.51, 0.5], T) is None
-    assert rs.check_cycle_opposite([0.25, 0.25, 0.75, 0.75], T) == 2
-
-
 def test_infeasible_random_chord_is_dropped():
     # generic chord angles violate the alternating-angle condition, so the
     # synchronizable subgraph of fig10a is a spanning tree
@@ -163,8 +157,11 @@ def test_schedule_general_closure_error_on_bad_plan():
     times = plan.times[cyc_node]
     times[0] += 7.0
     times[1] -= 7.0
-    with pytest.raises(ClosureViolationError):
+    with pytest.raises(ClosureViolationError) as exc:
         rs.schedule_general(g, plan)
+    # tree edges close exactly, so the first bad edge is a non-tree edge
+    assert exc.value.edge in g.edge_list()
+    assert not bfs_forest(g, 0).is_tree_edge(*exc.value.edge)
 
 
 def test_section_plan_time_between():

@@ -12,7 +12,8 @@ from scipy.optimize import linprog
 import ringsync as rs
 import ringsync.scheduler as sch
 from conftest import CASE_STUDY_CYCLES, paper_section_plan, path_grid
-from ringsync.errors import InfeasibleSectionTimesError, SectionSearchBudgetError
+from ringsync.errors import (InfeasibleSectionTimesError, InvalidInstanceError,
+                             SectionSearchBudgetError)
 
 
 def test_period_sums_exact():
@@ -71,6 +72,37 @@ def test_validator_rejects_broken_cycle():
     with pytest.raises(InfeasibleSectionTimesError) as exc:
         rs.validate_section_plan(plan, CASE_STUDY_CYCLES)
     assert exc.value.cycles == [CASE_STUDY_CYCLES[0]]
+
+
+def test_cycle_off_the_trajectories_raises_typed_error():
+    # edge 4-0 is missing from the case study, so trajectory 0 has no link
+    # with 4: the cycle walk used to loop forever in assign_section_times
+    g = rs.preset("case-study").graph()
+    assert 4 not in g.neighbors(0)
+    with pytest.raises(InvalidInstanceError):
+        rs.assign_section_times(g, cycles=[[0, 5, 6, 4]])
+    plan = rs.assign_section_times(g, cycles=[])
+    with pytest.raises(InvalidInstanceError):
+        rs.validate_section_plan(plan, [[0, 5, 6, 4]])
+    with pytest.raises(InvalidInstanceError):
+        plan.time_between(0, 4, 5)
+    with pytest.raises(InvalidInstanceError):
+        plan.time_between(0, 5, 4)
+
+
+def test_validator_rejects_mismatched_plan_shape():
+    plan = paper_section_plan(1.0)
+    plan.times[3] = plan.times[3][:1]
+    with pytest.raises(InvalidInstanceError):
+        rs.validate_section_plan(plan, CASE_STUDY_CYCLES)
+    plan = paper_section_plan(1.0)
+    plan.times[9] = [1.0]
+    with pytest.raises(InvalidInstanceError):
+        rs.validate_section_plan(plan, CASE_STUDY_CYCLES)
+    plan = paper_section_plan(1.0)
+    del plan.times[6]
+    with pytest.raises(InvalidInstanceError):
+        rs.validate_section_plan(plan, CASE_STUDY_CYCLES)
 
 
 def test_period_scales_linearly():
@@ -227,6 +259,8 @@ def test_section_times_match_full_enumeration(inst, cycles, period):
     assert plan.times == expected.times
     assert plan.link_order == expected.link_order
     assert plan.section_lengths == expected.section_lengths
+    cycles = rs.cycle_basis(g) if cycles is None else cycles
+    assert len(rs.validate_section_plan(plan, cycles, tol=1e-9)) == len(cycles)
 
 
 def _counted_linprog(monkeypatch):
@@ -304,3 +338,55 @@ def test_solve_budget_raises_typed_error(monkeypatch):
     with pytest.raises(SectionSearchBudgetError, match="4 cycles .* 10 LP solves"):
         rs.assign_section_times(g, period=100.0)
     assert len(calls) == 10
+
+
+# ---------------------------------------------------------------------------
+# General-mode start positions
+
+def _co_located_links(g):
+    """Whether some trajectory has two links at the same arc length."""
+    for i in range(g.n):
+        phis = sorted(g.phi(i, j) for j in g.neighbors(i))
+        if any(b - a <= 1e-9 * g.lengths[i] for a, b in zip(phis, phis[1:])):
+            return True
+    return False
+
+
+def _first_arrivals(g, plan, sched, i):
+    """Neighbor -> first time agent i, leaving sched.starts[i] at the plan's
+    section speeds, reaches its link with that neighbor."""
+    order, L = plan.link_order[i], g.lengths[i]
+    s, m = sched.starts[i], len(order)
+    ahead = [math.fmod((g.phi(i, j) - s) if sched.dirs[i] == sch.CCW
+                       else (s - g.phi(i, j)), L) % L for j in order]
+    k0 = int(np.argmin(ahead))
+    # the start lies on the section that ends at the first link reached
+    sec = (k0 - 1) % m
+    t = ahead[k0] * plan.times[i][sec] / plan.section_lengths[i][sec]
+    out = {}
+    for step in range(m):
+        out[order[(k0 + step) % m]] = t
+        t += plan.times[i][(k0 + step) % m]
+    return out
+
+
+@pytest.mark.parametrize("inst", [
+    pytest.param(rs.preset("case-study"), id="case-study"),
+    pytest.param(path_grid(2, 2), id="grid-2x2"),
+    pytest.param(path_grid(3, 3), id="grid-3x3"),
+    pytest.param(path_grid(4, 4), id="grid-4x4"),
+] + [pytest.param(p.values[0], id=p.id) for p in _layouts_with_cycles(20)])
+def test_general_starts_reach_links_at_their_epochs(inst):
+    T = 100.0
+    g = rs.max_bipartite_subgraph(inst.graph())
+    try:
+        plan = rs.assign_section_times(g, period=T)
+    except InfeasibleSectionTimesError:
+        # the known co-located-links defect, and nothing else
+        assert _co_located_links(g)
+        return
+    sched = rs.schedule_general(g, plan)
+    for i in plan.link_order:
+        for j, t in _first_arrivals(g, plan, sched, i).items():
+            err = math.fmod(abs(t - sched.epochs[i][j]), T)
+            assert min(err, T - err) <= 1e-9 * T, (i, j)
