@@ -19,7 +19,7 @@ import numpy as np
 
 from . import generator
 from .commgraph import edge_key, max_bipartite_subgraph, max_synch_subgraph
-from .errors import InvalidInstanceError, RingsyncError
+from .errors import InvalidInstanceError, RingsyncError, check_positive
 from .geometry import Circle, ClosedPath, Point2
 from .instance import Instance
 from .metrics import TABLE_HEADER, aggregate, report as metrics_report
@@ -124,6 +124,7 @@ def schedule_from_json(doc: dict) -> tuple[Schedule, list, SectionPlan | None]:
         raise InvalidInstanceError(
             f"unsupported schedule format_version {doc.get('format_version')!r}")
     with _required_keys("schedule"):
+        check_positive("schedule period", doc["period"])
         epochs = None
         if "epochs" in doc:
             epochs = [{int(nb): t for nb, t in ep.items()} for ep in doc["epochs"]]
@@ -133,6 +134,7 @@ def schedule_from_json(doc: dict) -> tuple[Schedule, list, SectionPlan | None]:
         plan = None
         if doc.get("plan"):
             p = doc["plan"]
+            check_positive("section plan period", p["period"])
             plan = SectionPlan(
                 period=p["period"],
                 link_order={int(i): nbs for i, nbs in p["link_order"].items()},

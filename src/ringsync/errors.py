@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the input check they share."""
+
+import math
 
 
 class RingsyncError(Exception):
@@ -15,6 +17,16 @@ class OverlappingTrajectoriesError(RingsyncError):
 
 class InvalidInstanceError(RingsyncError):
     """Raised when an instance violates basic validity (overlap, disconnection, bad params)."""
+
+
+def check_positive(name: str, value) -> None:
+    """Raise InvalidInstanceError unless value is a finite number > 0."""
+    try:
+        ok = math.isfinite(value) and value > 0
+    except TypeError:          # not a number, e.g. None or a string from JSON
+        ok = False
+    if not ok:
+        raise InvalidInstanceError(f"{name} must be finite and positive, got {value!r}")
 
 
 class NotSynchronizableError(RingsyncError):

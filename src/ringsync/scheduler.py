@@ -9,16 +9,21 @@ simultaneously.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import operator
+import os
+import sys
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .commgraph import CommGraph, bfs_forest, cycle_basis, two_color
 from .errors import (ClosureViolationError, InfeasibleSectionTimesError,
                      InvalidInstanceError, NotSynchronizableError,
-                     SectionSearchBudgetError)
+                     SectionSearchBudgetError, check_positive)
 from .geometry import TWO_PI, norm_angle
 
 CCW = "CCW"
@@ -28,20 +33,89 @@ CW = "CW"
 PHASE_TOL = 1e-9
 
 # Slack of the interval cut (_interval_infeasible) per row nonzero, plus one.
-# It is absolute, as HiGHS's primal feasibility tolerance (default 1e-7) is,
-# and ten times that tolerance: HiGHS reports case-study LPs feasible whose
-# bound sums miss a row by up to 9.999e-8, which at T = 1 is far beyond a
-# slack of 1e-9 * T.
+# It is absolute, as the primal feasibility tolerance (default 1e-7) of the
+# HiGHS solve in linprog is, and ten times that tolerance: HiGHS reports
+# case-study LPs feasible whose bound sums miss a row by up to 9.999e-8, which
+# at T = 1 is far beyond a slack of 1e-9 * T.
 INTERVAL_SLACK = 1e-6
 
 # Most LP solves one assign_section_times call may run.
 SECTION_LP_BUDGET = 5000
 
+# The HiGHS bindings scipy bundles since 1.15; their canonical module name.
+_HIGHS_CORE = "scipy.optimize._highspy._core"
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on first use: only path mode solves LPs."""
-    from scipy.optimize import linprog as scipy_linprog
-    return scipy_linprog(*args, **kwargs)
+
+def _highs_core():
+    """scipy's HiGHS extension module, loaded without importing scipy.optimize.
+
+    It is registered under its canonical name before it runs, so a later
+    import of scipy.optimize reuses it: pybind11 refuses to register the
+    module's types a second time.
+    """
+    core = sys.modules.get(_HIGHS_CORE)
+    if core is None:
+        import scipy
+        spec = importlib.machinery.PathFinder.find_spec(
+            _HIGHS_CORE, [os.path.join(scipy.__path__[0], "optimize", "_highspy")])
+        if spec is None:
+            raise ImportError(f"path-mode scheduling needs scipy>=1.15, whose HiGHS "
+                              f"bindings it calls; scipy {scipy.__version__} lacks them")
+        core = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_CORE] = core
+        spec.loader.exec_module(core)
+    return core
+
+
+def linprog(c, A_eq, b_eq, bounds, method="highs"):
+    """Solve min c @ x subject to A_eq @ x == b_eq within bounds with HiGHS.
+
+    HiGHS is called directly, through scipy's bundled extension, on the
+    problem and with the options scipy.optimize.linprog(..., method="highs")
+    passes it: presolve on, dual simplex, no output, and a fresh solver per
+    call.  A solution is accepted by linprog's check too: the model status
+    is optimal, and x lies within its bounds and meets the equalities to
+    10 * sqrt(1e-9); NaN fails both comparisons.  method is kept for
+    linprog's call shape; "highs" is the only one.
+
+    Returns .status, 0 if the solution is accepted and 2 (linprog's code for
+    an infeasible problem) if not, and .x, HiGHS's solution when the model
+    status is optimal, else None.
+    """
+    core = _highs_core()
+    A_eq = np.asarray(A_eq, dtype=float)
+    b_eq = np.asarray(b_eq, dtype=float)
+    lower, upper = np.array(bounds, dtype=float).T
+    nrows, ncols = A_eq.shape
+    cols, rows = np.nonzero(A_eq.T)     # column-wise, rows ascending per column
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = ncols
+    lp.num_row_ = lp.a_matrix_.num_row_ = nrows
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate(
+        ([0], np.cumsum(np.bincount(cols, minlength=ncols)))).astype(np.int32)
+    lp.a_matrix_.index_ = rows.astype(np.int32)
+    lp.a_matrix_.value_ = A_eq[rows, cols]
+    lp.col_cost_ = np.asarray(c, dtype=float)
+    lp.col_lower_, lp.col_upper_ = lower, upper
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    options = core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
+    highs = core._Highs()
+    highs.passOptions(options)
+    error = core.HighsStatus.kError
+    if (highs.passModel(lp) == error or highs.run() == error
+            or highs.getModelStatus() != core.HighsModelStatus.kOptimal):
+        return SimpleNamespace(status=2, x=None)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    tol = 10 * math.sqrt(1e-9)
+    accepted = (np.all((x >= lower - tol) & (x <= upper + tol))
+                and np.all(np.abs(b_eq - np.array(solution.row_value)) <= tol))
+    return SimpleNamespace(status=0 if accepted else 2, x=x)
 
 
 @dataclass
@@ -93,6 +167,7 @@ def _color_dirs(colors) -> list:
 
 def schedule_same_direction(g: CommGraph, base: float = 0.0, period: float = 1.0) -> Schedule:
     """All agents CCW; the two color classes start antipodally (base, base+pi)."""
+    check_positive("period", period)
     starts = [norm_angle(base + math.pi) if c else norm_angle(base)
               for c in _bipartite_colors(g)]
     return Schedule(mode="same-direction", period=period,
@@ -108,6 +183,7 @@ def schedule_opposite_directions(g: CommGraph, start_node: int = 0,
     closure; the reflection identity makes either +-pi branch acceptable, so
     the check is that the verified phase error vanishes.
     """
+    check_positive("period", period)
     _bipartite_colors(g)
     f = bfs_forest(g, start_node)
     starts = [None] * g.n
@@ -315,6 +391,7 @@ def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0,
     get constant speed exactly.  min_fraction is the smallest admissible
     section time as a fraction of T.
     """
+    check_positive("period", period)
     colors = _bipartite_colors(g)
     if g.lengths is None:
         raise ValueError("assign_section_times requires trajectory lengths (path mode)")

@@ -21,7 +21,7 @@ from operator import is_not
 import numpy as np
 
 from .commgraph import CommGraph, dfs_forest, edge_key
-from .errors import InvalidInstanceError
+from .errors import InvalidInstanceError, check_positive
 from .instance import Instance
 from .scheduler import Schedule, link_epochs, verify_schedule
 
@@ -85,8 +85,9 @@ class SimConfig:
     record_region_events: bool = False
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise InvalidInstanceError("horizon must be positive")
+        check_positive("horizon", self.horizon)
+        if self.emission_period is not None:
+            check_positive("emission_period", self.emission_period)
         for agent, t in self.failures:
             if not (0.0 <= t <= self.horizon):
                 raise InvalidInstanceError(

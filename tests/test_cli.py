@@ -183,6 +183,55 @@ def test_simulate_fail_at_unknown_agent_is_error(tmp_path, capsys):
     assert err["error"] == "InvalidInstanceError" and "99" in err["message"]
 
 
+# Times that are not finite and > 0; each must fail with InvalidInstanceError.
+BAD_TIMES = ["0", "-1", "nan", "inf"]
+
+
+def _invalid_instance_error(capsys, name):
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInstanceError"
+    assert err["message"].startswith(f"{name} must be finite and positive")
+
+
+@pytest.mark.parametrize("value", BAD_TIMES)
+@pytest.mark.parametrize("layout,mode", [("--preset=case-study", "opposite"),
+                                         ("--grid=3x3", "opposite"),
+                                         ("--grid=3x3", "same")])
+def test_schedule_bad_period_is_error(tmp_path, capsys, layout, mode, value):
+    inst, sched = tmp_path / "i.json", tmp_path / "s.json"
+    invoke("generate", layout, "-o", str(inst))
+    capsys.readouterr()
+    assert invoke("schedule", "-i", str(inst), "--mode", mode, "--period", value,
+                  "-o", str(sched)) == 1
+    _invalid_instance_error(capsys, "period")
+    assert not sched.exists()
+
+
+@pytest.mark.parametrize("value", BAD_TIMES)
+@pytest.mark.parametrize("option", ["--horizon", "--emission-period"])
+def test_simulate_bad_time_is_error(tmp_path, capsys, option, value):
+    inst, sched, traces = tmp_path / "i.json", tmp_path / "s.json", tmp_path / "t"
+    invoke("generate", "--grid", "3x3", "-o", str(inst))
+    invoke("schedule", "-i", str(inst), "--period", "300", "-o", str(sched))
+    capsys.readouterr()
+    assert invoke("simulate", "-i", str(inst), "-s", str(sched), "--horizon", "600",
+                  option, value, "-o", str(traces)) == 1
+    _invalid_instance_error(capsys, option[2:].replace("-", "_"))
+    assert not (traces / "trace-0.jsonl").exists()
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), "100", None])
+@pytest.mark.parametrize("where", ["schedule", "section plan"])
+def test_schedule_file_bad_period_is_error(where, value):
+    g = rs.preset("case-study").graph()
+    plan = rs.assign_section_times(g, period=100.0)
+    doc = cli.schedule_to_json(rs.schedule_general(g, plan), sorted(g.edges),
+                               {"odd-cycle": [], "infeasible-cycle": []}, plan)
+    (doc if where == "schedule" else doc["plan"])["period"] = value
+    with pytest.raises(rs.InvalidInstanceError, match=f"^{where} period must be"):
+        cli.schedule_from_json(doc)
+
+
 def test_instance_missing_key_is_error(tmp_path, capsys):
     doc = cli.instance_to_json(rs.grid(2, 2))
     del doc["comm_range"]
@@ -314,6 +363,7 @@ SCIPY_PROBE = """
 import json, sys
 import ringsync.cli as cli
 loaded = {"import": "scipy" in sys.modules}
+optimize = {"import": "scipy.optimize" in sys.modules}
 steps = [
     ("generate", ["generate", "--grid", "3x3", "-o", "grid.json"]),
     ("schedule", ["schedule", "-i", "grid.json", "--period", "300", "-o", "s.json"]),
@@ -330,7 +380,8 @@ codes = {}
 for name, argv in steps:
     codes[name] = cli.main(argv)
     loaded[name] = "scipy" in sys.modules
-print(json.dumps({"loaded": loaded, "codes": codes}))
+    optimize[name] = "scipy.optimize" in sys.modules
+print(json.dumps({"loaded": loaded, "optimize": optimize, "codes": codes}))
 """
 
 
@@ -353,6 +404,68 @@ def test_scipy_loaded_only_by_path_schedule(tmp_path):
                              "simulate": False, "report": False,
                              "schedule-aligned": False, "generate-path": False,
                              "schedule-path": True}
+    # the section-time LPs load scipy's HiGHS extension alone
+    assert not any(doc["optimize"].values())
+
+
+IMPORT_ORDER_PROBE = """
+import json, sys
+import numpy as np
+import ringsync as rs
+import ringsync.scheduler as sch
+
+lp = dict(A_eq=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], b_eq=[1.0, 1.5],
+          bounds=[(0.1, 1.0)] * 3, method="highs")
+
+def ringsync_solve():
+    g = rs.max_bipartite_subgraph(rs.preset("case-study").graph())
+    rs.assign_section_times(g, period=100.0)
+    return sch.linprog(np.zeros(3), **lp)
+
+def scipy_solve():
+    from scipy.optimize import linprog
+    return linprog(np.zeros(3), **lp)
+
+steps = [ringsync_solve, scipy_solve]
+if sys.argv[1] == "scipy-first":
+    steps.reverse()
+res = {step.__name__: step() for step in steps}
+from scipy.optimize._highspy import _highs_wrapper
+core = sys.modules["scipy.optimize._highspy._core"]
+print(json.dumps({"same_core": sch._highs_core() is core and _highs_wrapper._h is core,
+                  "status": {k: int(r.status) for k, r in res.items()},
+                  "x": {k: r.x.tolist() for k, r in res.items()}}))
+"""
+
+
+@pytest.mark.parametrize("order", ["ringsync-first", "scipy-first"])
+def test_highs_core_shared_with_scipy_optimize(tmp_path, order):
+    # pybind11 registers the extension's types once per process, so a second
+    # load of the module, in either import order, would fail
+    src = os.path.dirname(os.path.dirname(rs.__file__))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_ORDER_PROBE, order], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, check=True)
+    doc = json.loads(proc.stdout)
+    assert doc["same_core"]
+    assert doc["status"] == {"ringsync_solve": 0, "scipy_solve": 0}
+    assert doc["x"]["ringsync_solve"] == doc["x"]["scipy_solve"]
+
+
+def test_scipy_without_highs_bindings_names_the_floor(tmp_path):
+    # a scipy older than 1.15 has no scipy/optimize/_highspy/_core extension
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text('__version__ = "1.14.1"\n')
+    src = os.path.dirname(os.path.dirname(rs.__file__))
+    inst = tmp_path / "i.json"
+    inst.write_text(cli._dumps(cli.instance_to_json(rs.preset("case-study"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringsync.cli", "schedule", "-i", str(inst),
+         "-o", str(tmp_path / "s.json")], cwd=tmp_path, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src])))
+    assert proc.returncode != 0
+    assert "ImportError: path-mode scheduling needs scipy>=1.15" in proc.stderr
+    assert "scipy 1.14.1 lacks them" in proc.stderr
 
 
 def test_schedule_over_solve_budget_is_error(tmp_path, capsys, monkeypatch):

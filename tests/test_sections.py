@@ -340,6 +340,60 @@ def test_solve_budget_raises_typed_error(monkeypatch):
     assert len(calls) == 10
 
 
+def _solver_oracle_cases():
+    layouts = [pytest.param(rs.preset("case-study"), id="case-study")] + [
+        pytest.param(path_grid(k, k), id=f"grid-{k}x{k}") for k in range(2, 6)] + [
+        pytest.param(p.values[0], id=p.id) for p in _layouts_with_cycles(20)]
+    return [pytest.param(*p.values, period, id=f"{p.id}-T{period:g}")
+            for p in layouts for period in (1.0, 100.0, 1e4)]
+
+
+@pytest.mark.parametrize("inst,period", _solver_oracle_cases())
+def test_solver_matches_scipy_linprog(monkeypatch, inst, period):
+    """Every LP the search issues gets the same decision and the same x from
+    the scheduler's direct HiGHS call as from scipy.optimize.linprog."""
+    solve, lps = sch.linprog, []
+
+    def capturing(*args, **kwargs):
+        lps.append((args, kwargs))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sch, "linprog", capturing)
+    g = rs.max_bipartite_subgraph(inst.graph())
+    try:
+        rs.assign_section_times(g, period=period)
+        assert lps      # each layout has a cycle, so a plan takes an LP
+    except InfeasibleSectionTimesError:
+        pass            # a failing search may end at the interval cut, with no LP
+    for args, kwargs in lps:
+        ours, ref = solve(*args, **kwargs), linprog(*args, **kwargs)
+        assert type(ours.status) is int
+        assert ours.x is None or isinstance(ours.x, np.ndarray)
+        assert (ours.status == 0) == (ref.status == 0)
+        assert (ours.x is None) == (ref.x is None)
+        assert ours.x is None or np.array_equal(ours.x, ref.x)
+
+
+def test_solver_matches_scipy_linprog_on_random_lps():
+    """Signed, badly scaled and partly empty matrices, feasible or not."""
+    rng = np.random.default_rng(5)
+    decisions = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 8))
+        A_eq = rng.uniform(-1, 1, (int(rng.integers(1, n)), n))
+        A_eq *= 10.0 ** rng.uniform(-6, 12, A_eq.shape) * (rng.random(A_eq.shape) < 0.7)
+        x0 = rng.uniform(0, 1, n) * 10.0 ** rng.uniform(-6, 6, n)
+        b_eq = A_eq @ x0 + (rng.normal(0, 1, len(A_eq)) if rng.random() < 0.3 else 0)
+        bounds = list(zip(np.zeros(n), x0 * rng.uniform(1, 3, n)))
+        ours = sch.linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+        ref = linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+        assert (ours.status == 0) == (ref.status == 0)
+        assert (ours.x is None) == (ref.x is None)
+        assert ours.x is None or np.array_equal(ours.x, ref.x)
+        decisions.add(ours.status == 0)
+    assert decisions == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # General-mode start positions
 
