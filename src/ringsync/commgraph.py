@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, InvalidInstanceError
+from .errors import (DisconnectedGraphError, InvalidInstanceError,
+                     NotSynchronizableError)
 from .geometry import (ANGLE_TOL, Circle, ClosedPath, center_distance,
                        line_angle, line_angle_points, link_positions,
                        min_distance)
@@ -254,6 +255,15 @@ def two_color(g: CommGraph):
     return [d % 2 for d in f.depth], None
 
 
+def _bipartite_colors(g: CommGraph) -> list:
+    """two_color's colors; raises NotSynchronizableError with the odd-cycle witness."""
+    colors, witness = two_color(g)
+    if colors is None:
+        raise NotSynchronizableError(
+            f"graph is not bipartite; odd cycle {witness}", witness=witness)
+    return colors
+
+
 def is_bipartite(g: CommGraph) -> bool:
     return two_color(g)[0] is not None
 
@@ -333,11 +343,11 @@ def cycle_alternating_beta_sum(cycle, g: CommGraph) -> float:
     return total
 
 
-def cycle_feasible_opposite(cycle, g: CommGraph, tol: float = ANGLE_TOL) -> bool:
+def cycle_feasible_opposite(cycle, g: CommGraph) -> bool:
     """Whether an even cycle admits opposite-direction synchronization.
 
     The test is that the alternating sum of the edge line angles is congruent
-    to 0 mod pi within tol.
+    to 0 mod pi within ANGLE_TOL.
     """
     if len(cycle) % 2 != 0:
         raise ValueError(f"cycle length must be even, got {len(cycle)}")
@@ -345,7 +355,7 @@ def cycle_feasible_opposite(cycle, g: CommGraph, tol: float = ANGLE_TOL) -> bool
         a, b = cycle[idx], cycle[(idx + 1) % len(cycle)]
         if not g.has_edge(a, b):
             raise ValueError(f"({a},{b}) is not an edge")
-    return cycle_residue(cycle, g) <= tol
+    return cycle_residue(cycle, g) <= ANGLE_TOL
 
 
 def cycle_residue(cycle, g: CommGraph) -> float:
@@ -388,18 +398,16 @@ def cycle_basis(g: CommGraph):
     return [cyc for _, cyc in _chord_cycles(g)]
 
 
-def max_synch_subgraph(g: CommGraph, tol: float = ANGLE_TOL) -> CommGraph:
+def max_synch_subgraph(g: CommGraph) -> CommGraph:
     """Keep the spanning tree and every chord whose fundamental cycle is feasible.
 
-    Requires a bipartite input.  Every simple cycle of the result passes
+    Requires a bipartite input; an odd cycle raises NotSynchronizableError
+    with its witness.  Every simple cycle of the result passes
     cycle_feasible_opposite (alternating beta sums add over symmetric
     differences).
     """
-    colors, witness = two_color(g)
-    if colors is None:
-        raise ValueError(f"graph is not bipartite (odd cycle {witness})")
-    dropped = {e for e, cyc in _chord_cycles(g)
-               if not cycle_feasible_opposite(cyc, g, tol=tol)}
+    _bipartite_colors(g)
+    dropped = {e for e, cyc in _chord_cycles(g) if not cycle_feasible_opposite(cyc, g)}
     return g.subgraph(e for e in g.edges if e not in dropped)
 
 

@@ -75,7 +75,7 @@ def random_connected(n: int, r: float = 0.5, seed: int = 0) -> Instance:
     return inst
 
 
-def _star(leaf_angles_deg, dist=2.4, r=0.5):
+def _star(leaf_angles_deg, dist=2.4):
     circles = [Circle(Point2(0.0, 0.0))]
     for a in leaf_angles_deg:
         t = math.radians(a)

@@ -20,17 +20,20 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .commgraph import CommGraph, bfs_forest, cycle_basis, two_color
+from .commgraph import CommGraph, _bipartite_colors, bfs_forest, cycle_basis
 from .errors import (ClosureViolationError, InfeasibleSectionTimesError,
-                     InvalidInstanceError, NotSynchronizableError,
-                     SectionSearchBudgetError, check_positive)
+                     InvalidInstanceError, SectionSearchBudgetError,
+                     check_positive)
 from .geometry import TWO_PI, norm_angle
 
 CCW = "CCW"
 CW = "CW"
 
-# Phase tolerance (fraction of the period) for synchronization checks.
+# Phase tolerance (fraction of the period) of verify_schedule.
 PHASE_TOL = 1e-9
+
+# Smallest admissible section time, as a fraction of the period.
+MIN_SECTION_FRACTION = 0.01
 
 # Slack of the interval cut (_interval_infeasible) per row nonzero, plus one.
 # It is absolute, as the primal feasibility tolerance (default 1e-7) of the
@@ -67,7 +70,7 @@ def _highs_core():
     return core
 
 
-def linprog(c, A_eq, b_eq, bounds, method="highs"):
+def linprog(c, A_eq, b_eq, bounds):
     """Solve min c @ x subject to A_eq @ x == b_eq within bounds with HiGHS.
 
     HiGHS is called directly, through scipy's bundled extension, on the
@@ -75,8 +78,8 @@ def linprog(c, A_eq, b_eq, bounds, method="highs"):
     passes it: presolve on, dual simplex, no output, and a fresh solver per
     call.  A solution is accepted by linprog's check too: the model status
     is optimal, and x lies within its bounds and meets the equalities to
-    10 * sqrt(1e-9); NaN fails both comparisons.  method is kept for
-    linprog's call shape; "highs" is the only one.
+    10 * sqrt(1e-9); NaN fails both comparisons.  The arguments are
+    scipy.optimize.linprog's, whose default method is HiGHS.
 
     Returns .status, 0 if the solution is accepted and 2 (linprog's code for
     an infeasible problem) if not, and .x, HiGHS's solution when the model
@@ -151,49 +154,39 @@ def arrival_time(alpha: float, direction: str, phi: float, period: float) -> flo
     return delta * period / TWO_PI
 
 
-def _bipartite_colors(g: CommGraph) -> list:
-    """two_color's colors; raises NotSynchronizableError with the odd-cycle witness."""
-    colors, witness = two_color(g)
-    if colors is None:
-        raise NotSynchronizableError(
-            f"graph is not bipartite; odd cycle {witness}", witness=witness)
-    return colors
-
-
 def _color_dirs(colors) -> list:
     """Color 0 flies CCW, color 1 CW."""
     return [CW if c else CCW for c in colors]
 
 
 def schedule_same_direction(g: CommGraph, base: float = 0.0, period: float = 1.0) -> Schedule:
-    """All agents CCW; the two color classes start antipodally (base, base+pi)."""
+    """All agents CCW; the two color classes start antipodally (base, base+pi).
+    Returned verified at PHASE_TOL, as every scheduler's schedule is."""
     check_positive("period", period)
     starts = [norm_angle(base + math.pi) if c else norm_angle(base)
               for c in _bipartite_colors(g)]
-    return Schedule(mode="same-direction", period=period,
-                    starts=starts, dirs=[CCW] * g.n)
+    return _verified(g, Schedule(mode="same-direction", period=period,
+                                 starts=starts, dirs=[CCW] * g.n))
 
 
-def schedule_opposite_directions(g: CommGraph, start_node: int = 0,
-                                 alpha0: float = 0.0, period: float = 1.0,
-                                 tol: float = PHASE_TOL) -> Schedule:
+def schedule_opposite_directions(g: CommGraph, period: float = 1.0) -> Schedule:
     """BFS propagation of start angles via alpha_a = 2*beta - alpha_w - pi.
 
-    Adjacent agents get opposite directions.  Non-tree edges are checked for
-    closure; the reflection identity makes either +-pi branch acceptable, so
-    the check is that the verified phase error vanishes.
+    Adjacent agents get opposite directions (two_color's colors), and every
+    root of the BFS forest from node 0 starts at angle 0.  The reflection
+    identity makes either +-pi branch acceptable at a non-tree edge, so the
+    schedule is returned verified at PHASE_TOL.
     """
     check_positive("period", period)
-    _bipartite_colors(g)
-    f = bfs_forest(g, start_node)
+    dirs = _color_dirs(_bipartite_colors(g))
+    f = bfs_forest(g, 0)
     starts = [None] * g.n
-    for a in f.order:  # every forest root is anchored at alpha0
+    for a in f.order:
         w = f.parent[a]
-        starts[a] = (norm_angle(alpha0) if w is None else
+        starts[a] = (0.0 if w is None else
                      norm_angle(2.0 * g.beta(w, a) - starts[w] - math.pi))
-    dirs = _color_dirs(d % 2 for d in f.depth)
-    sched = Schedule(mode="opposite-directions", period=period, starts=starts, dirs=dirs)
-    return _verified(g, sched, tol)
+    return _verified(g, Schedule(mode="opposite-directions", period=period,
+                                 starts=starts, dirs=dirs))
 
 
 def _arrival_pair(g: CommGraph, s: Schedule, i: int, j: int) -> tuple:
@@ -204,20 +197,20 @@ def _arrival_pair(g: CommGraph, s: Schedule, i: int, j: int) -> tuple:
             arrival_time(s.starts[j], s.dirs[j], g.phi(j, i), s.period))
 
 
-def verify_schedule(g: CommGraph, s: Schedule, tol: float = PHASE_TOL) -> SyncReport:
+def verify_schedule(g: CommGraph, s: Schedule) -> SyncReport:
     """Check every edge: first arrivals at the two link positions coincide mod T."""
     report = SyncReport(period=s.period)
     for (i, j) in g.edge_list():
         ti, tj = _arrival_pair(g, s, i, j)
         diff = math.fmod(abs(ti - tj), s.period)
         err = min(diff, s.period - diff)
-        report.edges[(i, j)] = (err <= tol * s.period, err)
+        report.edges[(i, j)] = (err <= PHASE_TOL * s.period, err)
     return report
 
 
-def _verified(g: CommGraph, s: Schedule, tol: float) -> Schedule:
+def _verified(g: CommGraph, s: Schedule) -> Schedule:
     """s, or ClosureViolationError on the edges verify_schedule rejects."""
-    report = verify_schedule(g, s, tol=tol)
+    report = verify_schedule(g, s)
     bad = [e for e, (ok, _) in report.edges.items() if not ok]
     if bad:
         raise ClosureViolationError(
@@ -372,8 +365,7 @@ def _interval_infeasible(row_min, row_max, b_eq, nnz) -> bool:
     return bool(np.any(row_min - b_eq > tol) or np.any(b_eq - row_max > tol))
 
 
-def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0,
-                         min_fraction: float = 0.01) -> SectionPlan:
+def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0) -> SectionPlan:
     """Assign section times satisfying the period and cycle constraints.
 
     The objective minimizes the maximum relative deviation of section speed
@@ -388,8 +380,8 @@ def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0,
     first z with the least bound, as full enumeration returns.  The worst
     case is still exponential in the number of cycles: past
     SECTION_LP_BUDGET LP solves, SectionSearchBudgetError is raised.  Trees
-    get constant speed exactly.  min_fraction is the smallest admissible
-    section time as a fraction of T.
+    get constant speed exactly.  No section time is below
+    MIN_SECTION_FRACTION * T.  cycles defaults to cycle_basis(g).
     """
     check_positive("period", period)
     colors = _bipartite_colors(g)
@@ -424,7 +416,7 @@ def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0,
 
     def bounds(lam):
         # speed dev <= lam  <=>  nominal/(1+lam) <= tau <= nominal/(1-lam)
-        return (np.maximum(nom_vec / (1.0 + lam), min_fraction * period),
+        return (np.maximum(nom_vec / (1.0 + lam), MIN_SECTION_FRACTION * period),
                 np.minimum(nom_vec / (1.0 - lam), period))
 
     @functools.lru_cache(maxsize=2)
@@ -458,7 +450,7 @@ def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0,
         solves += 1
         A_eq, b_eq = equalities(zs)
         res = linprog(np.zeros(nvars), A_eq=A_eq, b_eq=b_eq,
-                      bounds=list(zip(*bounds(lam))), method="highs")
+                      bounds=list(zip(*bounds(lam))))
         return res.x if res.status == 0 else None
 
     def children(zs):
@@ -524,13 +516,12 @@ def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0,
                        section_lengths=sec_len)
 
 
-def schedule_general(g: CommGraph, plan: SectionPlan, start_node: int = 0,
-                     s0: float = 0.0, tol: float = 1e-6) -> Schedule:
-    """Propagate link arrival epochs over a BFS forest; verify every edge.
+def schedule_general(g: CommGraph, plan: SectionPlan) -> Schedule:
+    """Propagate link arrival epochs over the BFS forest from node 0.
 
-    Each forest root (start_node first) is anchored at arc length s0.  Tree
-    edges close exactly, so only a non-tree edge can raise
-    ClosureViolationError.
+    Each forest root is colored 0, flies CCW from arc length 0, and reaches
+    its first link at the trajectory's mean speed.  Returned verified at
+    PHASE_TOL; tree edges close exactly, so only a non-tree edge can fail.
     """
     dirs = _color_dirs(_bipartite_colors(g))
     T = plan.period
@@ -545,34 +536,18 @@ def schedule_general(g: CommGraph, plan: SectionPlan, start_node: int = 0,
             t += plan.times[traj][(k + step - 1) % len(nbs)]
             epochs[traj][nbs[(k + step) % len(nbs)]] = math.fmod(t, T)
 
-    f = bfs_forest(g, start_node)
+    f = bfs_forest(g, 0)
     for a in f.order:
         w = f.parent[a]
         if w is not None:
             fill_from(a, w, epochs[w][a])
         elif g.neighbors(a):
-            # Anchor a root: time from s0 to its first link at plan speeds.
-            fill_from(a, plan.link_order[a][0],
-                      _time_to_first_link(g, plan, a, s0, dirs[a]))
+            first = plan.link_order[a][0]
+            fill_from(a, first, g.phi(a, first) * T / g.lengths[a])
 
     starts = [_start_position(g, plan, i, epochs[i], dirs[i]) for i in range(g.n)]
     return _verified(g, Schedule(mode="general", period=T, starts=starts, dirs=dirs,
-                                 epochs=epochs), tol)
-
-
-def _time_to_first_link(g, plan, traj, s0, direction):
-    """Travel time from arc length s0 to the first link in travel order."""
-    li = g.lengths[traj]
-    target = g.phi(traj, plan.link_order[traj][0])
-    if direction == CCW:
-        d = math.fmod(target - s0, li)
-    else:
-        d = math.fmod(s0 - target, li)
-    if d < 0:
-        d += li
-    # mean speed of the section containing s0 is a fair approximation for the
-    # anchor offset; exactness is irrelevant since only relative epochs matter
-    return d * plan.period / li
+                                 epochs=epochs))
 
 
 def _start_position(g, plan, traj, traj_epochs, direction):

@@ -64,14 +64,14 @@ def parse_strategy(text: str) -> Strategy:
     parts = text.split(":", 1)
     if parts[0] == "alw":
         return Strategy("alw")
-    if parts[0] == "rand":
-        p = float(parts[1]) if len(parts) > 1 else 0.5
-        return Strategy("rand", p=p)
-    if parts[0] == "dfs":
-        root = parts[1] if len(parts) > 1 else 0
-        if root != "topleft":
-            root = int(root)
-        return Strategy("dfs", root=root)
+    try:
+        if parts[0] == "rand":
+            return Strategy("rand", p=float(parts[1]) if len(parts) > 1 else 0.5)
+        if parts[0] == "dfs":
+            root = parts[1] if len(parts) > 1 else "0"
+            return Strategy("dfs", root=root if root == "topleft" else int(root))
+    except ValueError:
+        raise InvalidInstanceError(f"malformed strategy parameter in {text!r}") from None
     raise InvalidInstanceError(f"unknown strategy {text!r}")
 
 
@@ -281,23 +281,29 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     switch depends on the current occupancy.  Events are appended to column
     lists and put in trace order by one lexsort over time, priority, trajs,
     agents and msg, which is exactly the order of `TraceEvent.sort_key`.
+    A schedule that fails verify_schedule on graph (default: the instance's),
+    or a failure agent or dfs root that is no agent id, raises
+    InvalidInstanceError.
     """
     g = graph if graph is not None else instance.graph()
-    report = verify_schedule(g, schedule, tol=1e-6)
+    report = verify_schedule(g, schedule)
     if not report.all_synchronized:
         raise InvalidInstanceError("schedule is not synchronized; refusing to simulate")
     n = g.n
     for agent, _ in config.failures:
         if not 0 <= agent < n:
             raise InvalidInstanceError(f"failure agent {agent} outside 0..{n - 1}")
+    strategy = config.strategy
+    dfs_edges = None
+    if strategy.kind == "dfs":
+        root = resolve_root(strategy, instance)
+        if not 0 <= root < n:
+            raise InvalidInstanceError(f"dfs root {root} outside 0..{n - 1}")
+        dfs_edges = set(dfs_forest(g, root).tree_edges())
     T = schedule.period
     horizon = config.horizon
     epochs = link_epochs(g, schedule)
-    strategy = config.strategy
     rng = np.random.default_rng(config.seed)
-    dfs_edges = None
-    if strategy.kind == "dfs":
-        dfs_edges = set(dfs_forest(g, resolve_root(strategy, instance)).tree_edges())
 
     occupancy = list(range(n))        # traj -> agent id or None
     agent_traj = list(range(n))       # agent -> traj or None

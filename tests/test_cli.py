@@ -415,7 +415,7 @@ import ringsync as rs
 import ringsync.scheduler as sch
 
 lp = dict(A_eq=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], b_eq=[1.0, 1.5],
-          bounds=[(0.1, 1.0)] * 3, method="highs")
+          bounds=[(0.1, 1.0)] * 3)
 
 def ringsync_solve():
     g = rs.max_bipartite_subgraph(rs.preset("case-study").graph())
@@ -478,3 +478,92 @@ def test_schedule_over_solve_budget_is_error(tmp_path, capsys, monkeypatch):
     assert err["error"] == "SectionSearchBudgetError"
     assert "4 cycles" in err["message"] and "10 LP solves" in err["message"]
     assert not (tmp_path / "s.json").exists()
+
+
+def _grid_schedule(tmp_path, capsys):
+    """A 3x3 grid instance and its period-300 opposite-direction schedule."""
+    inst, sched = tmp_path / "i.json", tmp_path / "s.json"
+    assert invoke("generate", "--grid", "3x3", "-o", str(inst)) == 0
+    assert invoke("schedule", "-i", str(inst), "--period", "300", "-o", str(sched)) == 0
+    capsys.readouterr()
+    return inst, sched
+
+
+def _simulate_error(tmp_path, capsys, inst, sched, *extra):
+    """The JSON error line of a simulate run that must exit 1."""
+    assert invoke("simulate", "-i", str(inst), "-s", str(sched), "--horizon", "600",
+                  *extra, "-o", str(tmp_path / "t")) == 1
+    return json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("strategy", ["dfs:99", "dfs:-1"])
+def test_simulate_dfs_root_outside_agents_is_error(tmp_path, capsys, strategy):
+    inst, sched = _grid_schedule(tmp_path, capsys)
+    err = _simulate_error(tmp_path, capsys, inst, sched, "--strategy", strategy)
+    assert err["error"] == "InvalidInstanceError"
+    assert strategy[4:] in err["message"]
+
+
+@pytest.mark.parametrize("strategy", ["rand:abc", "dfs:x"])
+def test_simulate_malformed_strategy_is_error(tmp_path, capsys, strategy):
+    inst, sched = _grid_schedule(tmp_path, capsys)
+    err = _simulate_error(tmp_path, capsys, inst, sched, "--strategy", strategy)
+    assert err["error"] == "InvalidInstanceError" and strategy in err["message"]
+
+
+@pytest.mark.parametrize("count", ["10", "20", "-1"])
+def test_simulate_fail_more_than_the_agents_is_error(tmp_path, capsys, count):
+    inst, sched = _grid_schedule(tmp_path, capsys)
+    err = _simulate_error(tmp_path, capsys, inst, sched, "--fail", count)
+    assert err["error"] == "InvalidInstanceError" and count in err["message"]
+
+
+def test_simulate_fail_whites_without_whites_is_error(tmp_path, capsys):
+    inst, sched = _grid_schedule(tmp_path, capsys)
+    err = _simulate_error(tmp_path, capsys, inst, sched, "--fail-whites")
+    assert err == {"error": "InvalidInstanceError",
+                   "message": "instance has no white agent list"}
+
+
+def test_simulate_agent_failed_twice_fails_once(tmp_path, capsys):
+    inst, sched = _grid_schedule(tmp_path, capsys)
+    traces = tmp_path / "t"
+    assert invoke("simulate", "-i", str(inst), "-s", str(sched), "--horizon", "600",
+                  "--fail-at", "4:0,4:100", "-o", str(traces)) == 0
+    tr = cli.trace_from_lines((traces / "trace-0.jsonl").read_text().splitlines())
+    rows = tr.rows_of("failure")
+    assert tr.agents[rows, 0].tolist() == [4] and tr.time[rows].tolist() == [0.0]
+
+
+def test_simulate_refuses_schedule_off_by_1e_7_periods(tmp_path, capsys):
+    """simulate checks the schedule it reads at the schedulers' tolerance,
+    1e-9 of the period: one start moved by 1e-7 of a turn is refused."""
+    inst, sched = _grid_schedule(tmp_path, capsys)
+    doc = json.loads(sched.read_text())
+    doc["starts"][4] += 1e-7 * 2.0 * np.pi
+    sched.write_text(cli._dumps(doc))
+    err = _simulate_error(tmp_path, capsys, inst, sched)
+    assert err["error"] == "InvalidInstanceError" and "not synchronized" in err["message"]
+
+
+def test_schedule_file_bad_format_version_is_error(tmp_path, capsys):
+    inst, sched = _grid_schedule(tmp_path, capsys)
+    doc = json.loads(sched.read_text())
+    doc["format_version"] = 2
+    sched.write_text(cli._dumps(doc))
+    err = _simulate_error(tmp_path, capsys, inst, sched)
+    assert err == {"error": "InvalidInstanceError",
+                   "message": "unsupported schedule format_version 2"}
+
+
+def test_schedule_reports_infeasible_cycle_drops(tmp_path, capsys):
+    """Random circles keep chords whose fundamental cycles do not close;
+    the opposite-direction filter drops them and says why."""
+    inst, sched = tmp_path / "i.json", tmp_path / "s.json"
+    assert invoke("generate", "--random", "400", "-o", str(inst)) == 0
+    assert invoke("schedule", "-i", str(inst), "--period", "300", "-o", str(sched)) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"opposite-directions: 390 edges synchronized, 190 dropped "
+        f"(132 odd cycle, 58 infeasible cycle) -> {sched}")
+    dropped = json.loads(sched.read_text())["dropped_edges"]
+    assert (len(dropped["odd-cycle"]), len(dropped["infeasible-cycle"])) == (132, 58)

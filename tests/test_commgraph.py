@@ -11,7 +11,8 @@ import ringsync as rs
 from ringsync.commgraph import (EXACT_MAXCUT_NODE_LIMIT, CommGraph, EdgeData,
                                 bfs_forest, cycle_alternating_beta_sum,
                                 dfs_forest, edge_key)
-from ringsync.errors import DisconnectedGraphError, InvalidInstanceError
+from ringsync.errors import (DisconnectedGraphError, InvalidInstanceError,
+                             NotSynchronizableError)
 from ringsync.geometry import Circle, ClosedPath, Point2
 
 from conftest import path_grid
@@ -78,6 +79,26 @@ def test_max_bipartite_subgraph_triangle(triangle):
     sub = rs.max_bipartite_subgraph(triangle.graph())
     assert len(sub.edges) == 2
     assert rs.is_bipartite(sub)
+
+
+def test_max_synch_subgraph_rejects_odd_cycle(triangle):
+    with pytest.raises(NotSynchronizableError) as exc:
+        rs.max_synch_subgraph(triangle.graph())
+    assert sorted(exc.value.witness) == [0, 1, 2]
+
+
+def test_max_bipartite_subgraph_greedy_on_random_400():
+    """n=400 has a non-bipartite component beyond EXACT_MAXCUT_NODE_LIMIT,
+    so the local-move heuristic cuts it: a local optimum, where every node
+    has at least half of its edges cut."""
+    g = rs.random_connected(400, seed=0).graph()
+    sub = rs.max_bipartite_subgraph(g)
+    assert (len(g.edges), len(sub.edges)) == (580, 448)
+    colors, _ = rs.two_color(sub)
+    assert colors is not None
+    for u in range(g.n):
+        cut = sum(1 for v in g.neighbors(u) if colors[u] != colors[v])
+        assert 2 * cut >= len(g.neighbors(u))
 
 
 def _random_circle_graph(rng, n):
@@ -450,12 +471,12 @@ def test_path_graph_matches_all_pairs_on_rectangles(layout):
 
 
 def test_path_graph_prune_slack_scales_with_coordinates():
-    # min_distance rounds at the coordinates' magnitude: at 1e16 it reports
-    # 1.0 for a true gap of 2.0, so with range 1.5 the pair links, although
-    # the bounding boxes are 2.0 apart.
+    # At 1e16 the bounding boxes and the paths are both 2.0 apart: the pair
+    # links at range 2.0 and not at 1.5, as the all-pairs reference finds.
     a = ClosedPath(np.array([[-1e16, 0.0], [3.0, 0.0], [-1e16, 1.0]]))
     b = _rect(5.0, 0.0, 1.0, 1.0)
-    assert len(_assert_path_build_matches([a, b], [1.5, 1.5])) == 1
+    assert len(_assert_path_build_matches([a, b], [2.0, 2.0])) == 1
+    assert len(_assert_path_build_matches([a, b], [1.5, 1.5])) == 0
 
 
 def test_path_graph_skips_pairs_with_distant_bounding_boxes(monkeypatch):

@@ -123,6 +123,15 @@ def test_min_distance_brute_force_agreement():
         assert brute - d < 0.05  # sampling resolution bound
 
 
+def test_min_distance_clamps_to_the_endpoint_itself():
+    # At 1e16, a + 1.0 * (b - a) is not b: the clamped closest point on the
+    # triangle's edge must be its vertex (3, 0), 2.0 from the square.
+    a = ClosedPath(np.array([[-1e16, 0.0], [3.0, 0.0], [-1e16, 1.0]]))
+    b = unit_square(5.0, 0.0)
+    assert min_distance(a, b)[0] == 2.0
+    assert min_distance(b, a)[0] == 2.0
+
+
 def test_intersecting_paths_rejected():
     a = unit_square(0.0, 0.0)
     b = unit_square(0.5, 0.5)

@@ -74,6 +74,16 @@ def test_validator_rejects_broken_cycle():
     assert exc.value.cycles == [CASE_STUDY_CYCLES[0]]
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.01])
+def test_validator_rejects_non_positive_section_time(tau):
+    plan = paper_section_plan(1.0)
+    # the period sum is kept, so only the sign check can reject it
+    plan.times[2][1] += plan.times[2][0] - tau
+    plan.times[2][0] = tau
+    with pytest.raises(InfeasibleSectionTimesError, match="non-positive section time on 2"):
+        rs.validate_section_plan(plan, CASE_STUDY_CYCLES)
+
+
 def test_cycle_off_the_trajectories_raises_typed_error():
     # edge 4-0 is missing from the case study, so trajectory 0 has no link
     # with 4: the cycle walk used to loop forever in assign_section_times
@@ -315,7 +325,7 @@ def test_equal_bounds_go_to_the_lexicographically_first_z(monkeypatch):
     tied = {(4, 2), (3, 2)}
     leaves = []
 
-    def fake_linprog(c, A_eq, b_eq, bounds, method):
+    def fake_linprog(c, A_eq, b_eq, bounds):
         zs = tuple(int(round(b / T)) for b in b_eq[n_period:])
         lower, upper = np.array(bounds).T
         # (u - l) / (u + l) is lam for every section neither bound clips
@@ -385,7 +395,7 @@ def test_solver_matches_scipy_linprog_on_random_lps():
         x0 = rng.uniform(0, 1, n) * 10.0 ** rng.uniform(-6, 6, n)
         b_eq = A_eq @ x0 + (rng.normal(0, 1, len(A_eq)) if rng.random() < 0.3 else 0)
         bounds = list(zip(np.zeros(n), x0 * rng.uniform(1, 3, n)))
-        ours = sch.linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+        ours = sch.linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=bounds)
         ref = linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
         assert (ours.status == 0) == (ref.status == 0)
         assert (ours.x is None) == (ref.x is None)
