@@ -253,14 +253,31 @@ def _read_json(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # Subcommands
 
+def _parse(kind, text, what: str):
+    """kind(text); InvalidInstanceError naming the argument what if that fails."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidInstanceError(f"{what} {text!r} is not a valid {kind.__name__}") from None
+
+
+def _seed(value, what: str) -> int:
+    """value as a random seed: a non-negative int."""
+    seed = _parse(int, value, what)
+    if seed < 0:
+        raise InvalidInstanceError(f"{what} {seed} is negative")
+    return seed
+
+
 def cmd_generate(args) -> int:
     if args.grid:
         rows, _, cols = args.grid.partition("x")
-        inst = generator.grid(int(rows), int(cols),
+        inst = generator.grid(_parse(int, rows, "--grid rows"),
+                              _parse(int, cols, "--grid columns"),
                               spacing=args.spacing, r=args.range)
     elif args.random is not None:
         inst = generator.random_connected(args.random, r=args.range,
-                                          seed=args.seed)
+                                          seed=_seed(args.seed, "--seed"))
     else:
         inst = generator.preset(args.preset)
     g = generator.validate_instance(inst)
@@ -311,7 +328,8 @@ def _resolve_failures(args, inst: Instance, n: int) -> list:
         out = []
         for part in args.fail_at.split(","):
             agent, _, t = part.partition(":")
-            out.append((int(agent), float(t) if t else 0.0))
+            out.append((_parse(int, agent, "--fail-at agent"),
+                        _parse(float, t, "--fail-at time") if t else 0.0))
         return out
     if args.fail_whites:
         whites = inst.meta.get("whites")
@@ -321,7 +339,7 @@ def _resolve_failures(args, inst: Instance, n: int) -> list:
     if args.fail:
         if not 0 < args.fail <= n:
             raise InvalidInstanceError(f"cannot fail {args.fail} of {n} agents")
-        rng = np.random.default_rng(args.fail_seed)
+        rng = np.random.default_rng(_seed(args.fail_seed, "--fail-seed"))
         agents = rng.choice(n, size=args.fail, replace=False)
         return [(int(a), 0.0) for a in sorted(agents)]
     return []
@@ -335,8 +353,8 @@ def cmd_simulate(args) -> int:
     if strategy.kind == "dfs":
         strategy = Strategy("dfs", root=resolve_root(strategy, inst))
     failures = _resolve_failures(args, inst, g.n)
-    seeds = ([int(s) for s in args.seed_list.split(",")] if args.seed_list
-             else list(range(args.seeds)))
+    seeds = ([_seed(s, "--seed-list entry") for s in args.seed_list.split(",")]
+             if args.seed_list else list(range(args.seeds)))
     outdir = _out_path(args.output)
     os.makedirs(outdir, exist_ok=True)
     for seed in seeds:

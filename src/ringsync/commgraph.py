@@ -1,17 +1,19 @@
 """Communication graph construction and structure analysis.
 
 Nodes are trajectory indices.  Each edge carries the undirected line angle
-beta in [0, pi), the two link positions (angles in circle mode, arc lengths
-in path mode) and the link distance.
+beta in [0, pi) and the two link positions (angles in circle mode, arc
+lengths in path mode).  The link distance only decides whether an edge
+exists, so it is not kept.
 
 Every structural fact derives from one BFS (`bfs_forest`) or one DFS
-(`dfs_forest`).  Both start at the given root, then at each node not yet
-reached in ascending order, and visit neighbours in ascending order.  That
-order fixes the 2-colouring and its odd-cycle witness, the spanning forest,
-the components, the fundamental cycle basis, the chords the synchronization
-filter keeps, the reflection-propagation and epoch trees of the schedulers,
-and the `dfs` strategy tree.  Schedules, traces and summaries are compared
-byte for byte, so they depend on it: changing the order changes artifacts.
+(`dfs_forest`).  The BFS starts at node 0 and the DFS at its root; both then
+start at each node not yet reached in ascending order, and visit neighbours
+in ascending order.  That order fixes the 2-colouring and its odd-cycle
+witness, the spanning forest, the components, the fundamental cycle basis,
+the chords the synchronization filter keeps, the reflection-propagation and
+epoch trees of the schedulers, and the `dfs` strategy tree.  Schedules,
+traces and summaries are compared byte for byte, so they depend on it:
+changing the order changes artifacts.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ def edge_key(i: int, j: int) -> tuple[int, int]:
 class EdgeData:
     beta: float          # undirected line angle, [0, pi)
     phi: dict            # node -> link position on that node's trajectory
-    distance: float      # length of the communication link
 
 
 @dataclass
@@ -82,7 +83,7 @@ class CommGraph:
 
     def components(self) -> list[list[int]]:
         """Sorted node lists of the BFS forest's trees, ordered by least node."""
-        f = bfs_forest(self, 0)
+        f = bfs_forest(self)
         comps = []
         for v in f.order:
             if f.parent[v] is None:
@@ -109,22 +110,13 @@ class Forest(NamedTuple):
         return self.parent[i] == j or self.parent[j] == i
 
 
-def _starts(g: CommGraph, root: int):
-    """Traversal starts: root, then every node in ascending order."""
-    if not g.n:
-        return ()
-    if not 0 <= root < g.n:
-        raise ValueError(f"root {root} is not a node of a {g.n}-node graph")
-    return (root, *range(g.n))
-
-
-def bfs_forest(g: CommGraph, root: int) -> Forest:
-    """Breadth-first forest from root, then from each unreached node ascending."""
+def bfs_forest(g: CommGraph) -> Forest:
+    """Breadth-first forest from each unreached node in ascending order."""
     parent = [None] * g.n
     depth = [0] * g.n
     seen = [False] * g.n
     order, head = [], 0          # order[head:] is the BFS queue
-    for start in _starts(g, root):
+    for start in range(g.n):
         if seen[start]:
             continue
         seen[start] = True
@@ -142,12 +134,15 @@ def bfs_forest(g: CommGraph, root: int) -> Forest:
 
 
 def dfs_forest(g: CommGraph, root: int) -> Forest:
-    """Depth-first forest (preorder), iterative so long chains cannot overflow."""
+    """Depth-first forest (preorder) from root, then from each unreached node
+    ascending; iterative so long chains cannot overflow."""
+    if g.n and not 0 <= root < g.n:
+        raise ValueError(f"root {root} is not a node of a {g.n}-node graph")
     parent = [None] * g.n
     depth = [0] * g.n
     seen = [False] * g.n
     order = []
-    for start in _starts(g, root):
+    for start in (root, *range(g.n)) if g.n else ():
         if seen[start]:
             continue
         seen[start] = True
@@ -198,11 +193,8 @@ def build_circle_graph(circles: list[Circle], r: float) -> CommGraph:
                 raise InvalidInstanceError(f"circles {i} and {j} overlap")
             if d <= ci.radius + cj.radius + r:
                 phi_ij, phi_ji = link_positions(ci, cj)
-                edges[(i, j)] = EdgeData(
-                    beta=line_angle(ci, cj),
-                    phi={i: phi_ij, j: phi_ji},
-                    distance=d - ci.radius - cj.radius,
-                )
+                edges[(i, j)] = EdgeData(beta=line_angle(ci, cj),
+                                         phi={i: phi_ij, j: phi_ji})
     return CommGraph(n=n, edges=edges, mode="circle")
 
 
@@ -231,11 +223,8 @@ def build_path_graph(paths: list[ClosedPath], ranges: list[float]) -> CommGraph:
             if d <= min(ranges[i], ranges[j]):
                 pi = paths[i].position_at(si)
                 pj = paths[j].position_at(sj)
-                edges[(i, j)] = EdgeData(
-                    beta=line_angle_points(pi, pj),
-                    phi={i: si, j: sj},
-                    distance=d,
-                )
+                edges[(i, j)] = EdgeData(beta=line_angle_points(pi, pj),
+                                         phi={i: si, j: sj})
     return CommGraph(n=n, edges=edges, mode="path",
                      lengths=[p.length for p in paths])
 
@@ -247,7 +236,7 @@ def two_color(g: CommGraph):
     every component's least node on 0, or (None, witness) where witness is
     the odd cycle that the first same-parity edge in BFS order closes.
     """
-    f = bfs_forest(g, 0)
+    f = bfs_forest(g)
     for u in f.order:
         for v in g.neighbors(u):
             if f.depth[u] % 2 == f.depth[v] % 2:
@@ -279,7 +268,7 @@ def max_bipartite_subgraph(g: CommGraph) -> CommGraph:
 
     A bipartite component keeps all its edges without any search.
     """
-    f = bfs_forest(g, 0)
+    f = bfs_forest(g)
     # an edge joining equal BFS depth parities closes an odd cycle
     odd_nodes = {a for a, b in g.edges if f.depth[a] % 2 == f.depth[b] % 2}
     odd = [comp for comp in g.components() if not odd_nodes.isdisjoint(comp)]
@@ -367,9 +356,9 @@ def cycle_residue(cycle, g: CommGraph) -> float:
     return min(r, math.pi - r)
 
 
-def spanning_tree(g: CommGraph, root: int = 0):
+def spanning_tree(g: CommGraph):
     """BFS spanning tree (forest) edges in discovery order."""
-    return bfs_forest(g, root).tree_edges()
+    return bfs_forest(g).tree_edges()
 
 
 def fundamental_cycle(parent, depth, chord):
@@ -388,7 +377,7 @@ def fundamental_cycle(parent, depth, chord):
 
 def _chord_cycles(g: CommGraph):
     """(chord, fundamental cycle) per chord of the BFS forest from node 0, in edge order."""
-    f = bfs_forest(g, 0)
+    f = bfs_forest(g)
     return [(e, fundamental_cycle(f.parent, f.depth, e))
             for e in g.edge_list() if not f.is_tree_edge(*e)]
 

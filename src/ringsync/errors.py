@@ -40,9 +40,8 @@ class NotSynchronizableError(RingsyncError):
 class ClosureViolationError(RingsyncError):
     """Raised when propagating a schedule around a cycle fails to close."""
 
-    def __init__(self, message, cycle=None, edge=None):
+    def __init__(self, message, edge=None):
         super().__init__(message)
-        self.cycle = cycle
         self.edge = edge
 
 

@@ -45,9 +45,6 @@ class Point2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise DegenerateGeometryError(f"non-finite coordinates ({self.x}, {self.y})")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 @dataclass(frozen=True)
 class Circle:

@@ -159,12 +159,11 @@ def _color_dirs(colors) -> list:
     return [CW if c else CCW for c in colors]
 
 
-def schedule_same_direction(g: CommGraph, base: float = 0.0, period: float = 1.0) -> Schedule:
-    """All agents CCW; the two color classes start antipodally (base, base+pi).
+def schedule_same_direction(g: CommGraph, period: float = 1.0) -> Schedule:
+    """All agents CCW; color 0 starts at angle 0 and color 1 antipodally at pi.
     Returned verified at PHASE_TOL, as every scheduler's schedule is."""
     check_positive("period", period)
-    starts = [norm_angle(base + math.pi) if c else norm_angle(base)
-              for c in _bipartite_colors(g)]
+    starts = [math.pi if c else 0.0 for c in _bipartite_colors(g)]
     return _verified(g, Schedule(mode="same-direction", period=period,
                                  starts=starts, dirs=[CCW] * g.n))
 
@@ -179,7 +178,7 @@ def schedule_opposite_directions(g: CommGraph, period: float = 1.0) -> Schedule:
     """
     check_positive("period", period)
     dirs = _color_dirs(_bipartite_colors(g))
-    f = bfs_forest(g, 0)
+    f = bfs_forest(g)
     starts = [None] * g.n
     for a in f.order:
         w = f.parent[a]
@@ -284,7 +283,7 @@ def _cycle_rows(order, cycles) -> np.ndarray:
     return rows
 
 
-def validate_section_plan(plan: SectionPlan, cycles, tol: float = 1e-12):
+def validate_section_plan(plan: SectionPlan, cycles):
     """Check period sums and the opposite-direction cycle equations.
 
     The cycle sums are the rows of _cycle_rows, the equations the section-time
@@ -292,16 +291,17 @@ def validate_section_plan(plan: SectionPlan, cycles, tol: float = 1e-12):
     values, one per cycle, or raises InfeasibleSectionTimesError.  Raises
     InvalidInstanceError if times and link_order differ in trajectories or
     section counts, or if a cycle steps between trajectories the plan does
-    not link.  Tolerances are absolute in units of the period (tol * T).
+    not link.  Each sum may miss by 1e-12 * T (times k for a k-cycle).
     """
     T = plan.period
+    tol = 1e-12 * T
     if plan.times.keys() != plan.link_order.keys() or any(
             len(plan.times[i]) != len(nbs) for i, nbs in plan.link_order.items()):
         raise InvalidInstanceError("section plan times do not match its link order")
     for traj, times in plan.times.items():
         if any(t <= 0 for t in times):
             raise InfeasibleSectionTimesError(f"non-positive section time on {traj}")
-        if abs(sum(times) - T) > tol * T:
+        if abs(sum(times) - T) > tol:
             raise InfeasibleSectionTimesError(
                 f"section times on {traj} sum to {sum(times)}, expected {T}")
     x = np.array([t for i in plan.link_order for t in plan.times[i]])
@@ -309,7 +309,7 @@ def validate_section_plan(plan: SectionPlan, cycles, tol: float = 1e-12):
     for cyc, total in zip(cycles, (_cycle_rows(plan.link_order, cycles) @ x).tolist()):
         k = len(cyc)
         z = round(total / T)
-        if not (0 < z < k) or abs(total - z * T) > tol * T * k:
+        if not (0 < z < k) or abs(total - z * T) > tol * k:
             raise InfeasibleSectionTimesError(
                 f"cycle {cyc} sums to {total / T:.6f} T, not an admissible multiple",
                 cycles=[cyc])
@@ -365,7 +365,7 @@ def _interval_infeasible(row_min, row_max, b_eq, nnz) -> bool:
     return bool(np.any(row_min - b_eq > tol) or np.any(b_eq - row_max > tol))
 
 
-def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0) -> SectionPlan:
+def assign_section_times(g: CommGraph, period: float = 1.0) -> SectionPlan:
     """Assign section times satisfying the period and cycle constraints.
 
     The objective minimizes the maximum relative deviation of section speed
@@ -381,7 +381,8 @@ def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0) -> Sect
     case is still exponential in the number of cycles: past
     SECTION_LP_BUDGET LP solves, SectionSearchBudgetError is raised.  Trees
     get constant speed exactly.  No section time is below
-    MIN_SECTION_FRACTION * T.  cycles defaults to cycle_basis(g).
+    MIN_SECTION_FRACTION * T.  The cycles are cycle_basis(g), the
+    fundamental cycles of the BFS forest from node 0.
     """
     check_positive("period", period)
     colors = _bipartite_colors(g)
@@ -390,8 +391,7 @@ def assign_section_times(g: CommGraph, cycles=None, period: float = 1.0) -> Sect
     dirs = _color_dirs(colors)
     order = _travel_orders(g, dirs)
     sec_len = _section_lengths(g, order, dirs)
-    if cycles is None:
-        cycles = cycle_basis(g)
+    cycles = cycle_basis(g)
 
     nominal = {i: [L * period / g.lengths[i] for L in sec_len[i]] for i in order}
     if not cycles:
@@ -536,7 +536,7 @@ def schedule_general(g: CommGraph, plan: SectionPlan) -> Schedule:
             t += plan.times[traj][(k + step - 1) % len(nbs)]
             epochs[traj][nbs[(k + step) % len(nbs)]] = math.fmod(t, T)
 
-    f = bfs_forest(g, 0)
+    f = bfs_forest(g)
     for a in f.order:
         w = f.parent[a]
         if w is not None:

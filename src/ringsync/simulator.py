@@ -27,13 +27,11 @@ from .scheduler import Schedule, link_epochs, verify_schedule
 
 # Event kinds; a kind's code in the table is its index here, which is also
 # its sort priority among events at one timestamp.
-EVENT_KINDS = ("failure", "emit", "enter-region", "meeting", "switch",
-               "exit-region", "tour-complete")
-FAILURE, EMIT, ENTER_REGION, MEETING, SWITCH, EXIT_REGION, TOUR_COMPLETE = \
-    range(len(EVENT_KINDS))
+EVENT_KINDS = ("failure", "emit", "meeting", "switch", "tour-complete")
+FAILURE, EMIT, MEETING, SWITCH, TOUR_COMPLETE = range(len(EVENT_KINDS))
 _PRIORITY = {kind: code for code, kind in enumerate(EVENT_KINDS)}
 # Per kind code: how many agents and how many trajectories an event names.
-_ARITY = np.array([(1, 1), (1, 1), (2, 2), (2, 2), (1, 2), (2, 2), (1, 1)])
+_ARITY = np.array([(1, 1), (1, 1), (2, 2), (1, 2), (1, 1)])
 # The second agent or trajectory id of an event that names only one.
 NO_ID = -1
 _NO_LOCATION = (math.nan, math.nan)
@@ -82,7 +80,6 @@ class SimConfig:
     seed: int = 0
     failures: list = field(default_factory=list)   # (agent id, time)
     emission_period: float | None = None           # default: schedule period
-    record_region_events: bool = False
 
     def __post_init__(self):
         check_positive("horizon", self.horizon)
@@ -397,17 +394,6 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
         if alive[agent]:
             close_tours(agent, horizon)
 
-    if config.record_region_events and instance is not None and instance.mode == "circle":
-        meetings = [r for r, kind in enumerate(kinds) if kind == MEETING]
-        for r in meetings:
-            t, i, j = times[r], traj0[r], traj1[r]
-            half = _region_half_width(instance, schedule, i, j, t,
-                                      instance.comm_range, T)
-            if half is not None:
-                add(max(t - half, 0.0), ENTER_REGION, agent0[r], agent1[r], i, j, -1, None)
-                add(min(t + half, horizon), EXIT_REGION, agent0[r], agent1[r], i, j, -1,
-                    None)
-
     # A tour completes at entered + k*T for every k >= 1 with
     # entered + k*T <= left + 1e-9*T.
     stay_cols = list(zip(*stays)) or [()] * 4
@@ -467,35 +453,6 @@ def _trace_order(time, kind, agents, trajs, msg) -> np.ndarray:
     msg_rank[keyed] = np.unique(msg[keyed].astype(str), return_inverse=True)[1].reshape(-1) + 1
     return np.lexsort((msg_rank, agents[:, 1], agents[:, 0],
                        trajs[:, 1], trajs[:, 0], kind, time))
-
-
-def _region_half_width(instance, schedule, i, j, t_meet, r, T):
-    """Bisect for the dwell half-width where inter-agent distance <= range."""
-    ci, cj = instance.circles[i], instance.circles[j]
-    w = 2.0 * math.pi / T
-
-    def dist(dt):
-        t = t_meet + dt
-        ai = schedule.starts[i] + (w * t if schedule.dirs[i] == "CCW" else -w * t)
-        aj = schedule.starts[j] + (w * t if schedule.dirs[j] == "CCW" else -w * t)
-        xi = ci.center.x + ci.radius * math.cos(ai)
-        yi = ci.center.y + ci.radius * math.sin(ai)
-        xj = cj.center.x + cj.radius * math.cos(aj)
-        yj = cj.center.y + cj.radius * math.sin(aj)
-        return math.hypot(xj - xi, yj - yi)
-
-    if dist(0.0) > r:
-        return None
-    lo, hi = 0.0, T / 2.0
-    if dist(hi) <= r:
-        return hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if dist(mid) <= r:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 @dataclass

@@ -88,7 +88,7 @@ def test_criterion_3_grid_cycles(grid33_graph):
 
 def test_criterion_4_case_study_tau_table():
     plan = paper_section_plan(1.0)
-    zs = rs.validate_section_plan(plan, CASE_STUDY_CYCLES, tol=1e-12)
+    zs = rs.validate_section_plan(plan, CASE_STUDY_CYCLES)
     assert zs == [2, 2]
     _passline(4, "published section times satisfy both cycle equations, z=2,2")
 
@@ -171,8 +171,7 @@ def _random_bipartite_beta_graph(rng):
     for (i, j) in possible[:m]:
         beta = (float(rng.choice([0.0, math.pi / 2])) if axis_aligned
                 else float(rng.uniform(0.0, math.pi)))
-        edges[edge_key(i, j)] = EdgeData(beta=beta, phi={i: beta, j: beta},
-                                         distance=2.4)
+        edges[edge_key(i, j)] = EdgeData(beta=beta, phi={i: beta, j: beta})
     return CommGraph(n=n, edges=edges, mode="circle", lengths=None)
 
 

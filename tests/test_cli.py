@@ -297,9 +297,9 @@ def test_trace_agent_id_out_of_range_is_error(tmp_path, capsys, key, value):
     ("meeting", "agents", [0, 9]), ("meeting", "agents", [0, -1]),
     ("tour-complete", "trajs", [9]), ("meeting", "kind", "meetx"),
     ("emit", "time", float("nan")), ("meeting", "location", [float("inf"), 0.0]),
-    ("emit", "time", 1e9)])
+    ("emit", "time", 1e9), ("meeting", "kind", "enter-region")])
 def test_trace_bad_event_is_error(tmp_path, capsys, kind, key, value):
-    # the last case puts the first emit after every other event
+    # time 1e9 puts the first emit after every other event
     _, _, traces = pipeline(tmp_path, seeds="1")
     path = traces / "trace-0.jsonl"
     lines = path.read_text().splitlines()
@@ -315,10 +315,9 @@ def test_trace_bad_event_is_error(tmp_path, capsys, kind, key, value):
 
 
 @pytest.mark.parametrize("source,builds", [
-    (("--grid", "3x3"), 1), (("--preset", "case-study"), 1), (("--random", "12"), 2)])
+    (("--grid", "3x3"), 1), (("--preset", "case-study"), 1), (("--random", "12"), 1)])
 def test_generate_builds_graph_once_in_command(tmp_path, monkeypatch, capsys,
                                                source, builds):
-    # --random builds one more graph inside random_connected's own check
     calls = []
     real = rs.Instance.graph
     monkeypatch.setattr(rs.Instance, "graph", lambda self: calls.append(1) or real(self))
@@ -509,6 +508,29 @@ def test_simulate_malformed_strategy_is_error(tmp_path, capsys, strategy):
     inst, sched = _grid_schedule(tmp_path, capsys)
     err = _simulate_error(tmp_path, capsys, inst, sched, "--strategy", strategy)
     assert err["error"] == "InvalidInstanceError" and strategy in err["message"]
+
+
+MALFORMED_NUMBERS = [
+    (("simulate", "--fail-at", "x:0"), "--fail-at agent 'x' is not a valid int"),
+    (("simulate", "--fail-at", "3:abc"), "--fail-at time 'abc' is not a valid float"),
+    (("simulate", "--seed-list", "1,b"), "--seed-list entry 'b' is not a valid int"),
+    (("simulate", "--seed-list", "-1"), "--seed-list entry -1 is negative"),
+    (("simulate", "--fail", "2", "--fail-seed", "-1"), "--fail-seed -1 is negative"),
+    (("generate", "--grid", "3xq"), "--grid columns 'q' is not a valid int"),
+    (("generate", "--grid", "3"), "--grid columns '' is not a valid int"),
+    (("generate", "--random", "5", "--seed", "-1"), "--seed -1 is negative")]
+
+
+@pytest.mark.parametrize("args,message", MALFORMED_NUMBERS,
+                         ids=[" ".join(args) for args, _ in MALFORMED_NUMBERS])
+def test_malformed_number_argument_is_typed_error(tmp_path, capsys, args, message):
+    if args[0] == "simulate":
+        inst, sched = _grid_schedule(tmp_path, capsys)
+        err = _simulate_error(tmp_path, capsys, inst, sched, *args[1:])
+    else:
+        assert invoke(*args, "-o", str(tmp_path / "i.json")) == 1
+        err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "InvalidInstanceError", "message": message}
 
 
 @pytest.mark.parametrize("count", ["10", "20", "-1"])

@@ -141,7 +141,7 @@ def test_exact_max_cut_skips_bipartite_components():
     # a triangle beside a 21-edge path: 25 nodes and 24 edges, but only the
     # triangle needs a search; enumerating the path took 2^21 masks
     def edge(i, j):
-        return EdgeData(beta=0.0, phi={i: 0.0, j: math.pi}, distance=0.4)
+        return EdgeData(beta=0.0, phi={i: 0.0, j: math.pi})
     edges = {(0, 1): edge(0, 1), (1, 2): edge(1, 2), (0, 2): edge(0, 2)}
     edges.update({(i, i + 1): edge(i, i + 1) for i in range(3, 24)})
     g = CommGraph(n=25, edges=edges)
@@ -164,7 +164,7 @@ def test_spanning_tree_and_fundamental_cycles(grid33_graph):
     assert len(tree) == 8
     chords = [e for e in grid33_graph.edge_list() if edge_key(*e) not in set(tree)]
     assert len(chords) == 4
-    forest = bfs_forest(grid33_graph, 0)
+    forest = bfs_forest(grid33_graph)
     for chord in chords:
         cyc = rs.fundamental_cycle(forest.parent, forest.depth, chord)
         assert len(cyc) >= 3
@@ -248,7 +248,7 @@ def _random_traversal_graph(rng):
     """Seeded random graph on range(n); sparse ones are often disconnected."""
     n = int(rng.integers(1, 16))
     p = float(rng.uniform(0.05, 0.6))
-    edges = {(i, j): EdgeData(beta=0.0, phi={i: 0.0, j: 0.0}, distance=0.0)
+    edges = {(i, j): EdgeData(beta=0.0, phi={i: 0.0, j: 0.0})
              for i in range(n) for j in range(i + 1, n) if rng.random() < p}
     return CommGraph(n=n, edges=edges)
 
@@ -267,7 +267,7 @@ def test_traversal_order_matches_networkx():
         g = _random_traversal_graph(rng)
         G = _nx_mirror(g)   # edges inserted in sorted order: ascending adjacency
         root = int(rng.integers(g.n))
-        assert rs.spanning_tree(g, root) == _nx_forest_edges(G, root, nx.bfs_edges)
+        assert rs.spanning_tree(g) == _nx_forest_edges(G, 0, nx.bfs_edges)
         assert dfs_forest(g, root).tree_edges() == _nx_forest_edges(G, root, nx.dfs_edges)
         assert g.components() == sorted(sorted(c) for c in nx.connected_components(G))
         if g.is_connected():
@@ -290,10 +290,9 @@ def test_traversal_order_matches_networkx():
 
 
 def test_traversal_rejects_unknown_root(grid33_graph):
-    for walk in (bfs_forest, dfs_forest):
-        for root in (-1, 9):
-            with pytest.raises(ValueError):
-                walk(grid33_graph, root)
+    for root in (-1, 9):
+        with pytest.raises(ValueError):
+            dfs_forest(grid33_graph, root)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +310,7 @@ def _circle_graph_reference(circles, r):
         if d <= ci.radius + cj.radius + r:
             phi_ij, phi_ji = link_positions(ci, cj)
             edges[(i, j)] = EdgeData(beta=line_angle(ci, cj),
-                                     phi={i: phi_ij, j: phi_ji},
-                                     distance=d - ci.radius - cj.radius)
+                                     phi={i: phi_ij, j: phi_ji})
     return edges
 
 
@@ -326,7 +324,7 @@ def _path_graph_reference(paths, ranges):
             edges[(i, j)] = EdgeData(
                 beta=line_angle_points(paths[i].position_at(si),
                                        paths[j].position_at(sj)),
-                phi={i: si, j: sj}, distance=d)
+                phi={i: si, j: sj})
     return edges
 
 

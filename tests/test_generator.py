@@ -128,9 +128,16 @@ def _instance_bytes(make, n, r, seed):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _validated_random(n, r, seed):
+    """random_connected(n, r, seed), which must pass validate_instance:
+    connectivity is by construction, and validate_instance is its check."""
+    inst = rs.random_connected(n, r=r, seed=seed)
+    rs.validate_instance(inst)
+    return inst
+
+
 def _assert_matches_reference(n, r, seed):
-    new = _instance_bytes(lambda n, r, seed: rs.random_connected(n, r=r, seed=seed),
-                          n, r, seed)
+    new = _instance_bytes(_validated_random, n, r, seed)
     assert new == _instance_bytes(_random_connected_reference, n, r, seed)
 
 

@@ -98,8 +98,7 @@ def simulations(draw):
     config = SimConfig(horizon=horizon, strategy=strategy,
                        seed=draw(st.integers(0, 10_000)),
                        failures=[(agent, draw(fail_time)) for agent in failed],
-                       emission_period=draw(st.sampled_from([None, 0.4, 2.5])),
-                       record_region_events=True)
+                       emission_period=draw(st.sampled_from([None, 0.4, 2.5])))
     return run(inst, sched, config, graph=g)
 
 

@@ -132,20 +132,6 @@ def test_determinism_per_seed():
     assert as_tuples(a) != as_tuples(c)
 
 
-def test_region_events_bracket_meetings():
-    inst, g, sched = grid_setup(period=300.0)
-    tr = run(inst, sched, SimConfig(horizon=300.0, record_region_events=True))
-    enters = tr.events_of("enter-region")
-    exits = tr.events_of("exit-region")
-    meetings = tr.events_of("meeting")
-    assert len(enters) == len(meetings) and len(exits) == len(meetings)
-    by_edge = lambda evs: sorted((tuple(sorted(e.trajs)), e.time) for e in evs)
-    for (edge_in, t_in), (edge_m, t_m), (edge_out, t_out) in zip(
-            by_edge(enters), by_edge(meetings), by_edge(exits)):
-        assert edge_in == edge_m == edge_out
-        assert t_in <= t_m <= t_out
-
-
 def test_occupancy_check_detects_corruption():
     inst, g, sched = grid_setup()
     tr = run(inst, sched, SimConfig(horizon=8.0, strategy=Strategy("alw"),
@@ -187,8 +173,7 @@ def test_dfs_on_long_chain():
     # the chain has no geometry, so building it is O(n).
     from ringsync.commgraph import CommGraph, EdgeData
     n = 1500
-    g = CommGraph(n=n, edges={(i, i + 1): EdgeData(beta=0.0, phi={i: 0.0, i + 1: math.pi},
-                                                   distance=0.4)
+    g = CommGraph(n=n, edges={(i, i + 1): EdgeData(beta=0.0, phi={i: 0.0, i + 1: math.pi})
                               for i in range(n - 1)})
     assert rs.dfs_tree(g, 0) == [(i, i + 1) for i in range(n - 1)]
     sched = rs.schedule_opposite_directions(g, period=1.0)

@@ -3,7 +3,7 @@
 The references are the row-at-a-time code the table replaced: trace order by
 `TraceEvent.sort_key`, one `_dumps` call per event line, and metrics that
 walk `TraceEvent` rows.  On the simulations of `test_gossip.py` (grids and
-random layouts, every strategy, failures at link instants, region events),
+random layouts, every strategy, failures at link instants),
 the table must give the same lines, survive a write and read column for
 column, and give the same report.
 """
