@@ -2,7 +2,9 @@
 
 File formats are versioned JSON (instances, schedules, summaries) and
 line-delimited JSON for traces.  All randomness flows from explicit seeds,
-so a pipeline re-run with the same arguments is byte-identical.
+so a pipeline re-run with the same arguments is byte-identical.  Traces are
+written and read CHUNK_ROWS lines at a time, so `simulate` and `report` hold
+at most one chunk of lines, beside the trace table, in memory.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from itertools import islice
 
 import numpy as np
 
@@ -26,8 +29,8 @@ from .metrics import TABLE_HEADER, aggregate, report as metrics_report
 from .scheduler import (SectionPlan, Schedule, assign_section_times,
                         schedule_general, schedule_opposite_directions,
                         schedule_same_direction)
-from .simulator import (EVENT_KINDS, NO_ID, SimConfig, Strategy, Trace, parse_strategy,
-                        resolve_root, run)
+from .simulator import (CHUNK_ROWS, EVENT_KINDS, NO_ID, SimConfig, Strategy, Trace,
+                        parse_strategy, resolve_root, run)
 
 FORMAT_VERSION = 1
 TRACE_FORMAT_VERSION = 2   # 2: no per-delivery events; gossip is derived from meetings
@@ -61,8 +64,9 @@ def _required_keys(kind: str):
 
 @contextmanager
 def _gc_paused():
-    """Pause the cyclic garbage collector while a trace's acyclic containers
-    are built, so that its collections do not rescan them as they pile up."""
+    """Pause the cyclic garbage collector while a trace's event dicts and
+    lists are built; they hold no cycles, so its collections would only
+    rescan them."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -149,51 +153,74 @@ def schedule_from_json(doc: dict) -> tuple[Schedule, list, SectionPlan | None]:
 # strings by `_dumps`.
 _EVENT_LINE = ('{"agents":%s,"kind":%s,"location":%s,"msg":%s,"time":%s,'
                '"trajs":%s,"type":"event"}')
-_KIND_JSON = [_dumps(kind) for kind in EVENT_KINDS]
+_KIND_JSON = np.array([_dumps(kind) for kind in EVENT_KINDS], dtype=object)
+# The event keys, which are also the names of the table's columns.
 _EVENT_KEYS = ("time", "kind", "agents", "trajs", "location", "msg")
 
 
-def _format_distinct(keys: np.ndarray, rows: np.ndarray, fmt) -> list[str]:
-    """fmt(row) for each row, called once per distinct key.
+def _format_distinct(keys: np.ndarray, rows: np.ndarray, fmt, extra=()):
+    """(strings, index): fmt(row) once per distinct key, then the extra
+    strings, and per row the position of its string.
 
-    Link positions, link instants and id pairs repeat across a trace, so
-    this formats far fewer floats and lists than there are rows.
+    Link positions and id pairs repeat across a trace, and link instants
+    within a chunk of it, so this formats far fewer floats and lists than
+    there are rows.
     """
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    strings = np.array([fmt(row) for row in rows[first].tolist()], dtype=object)
-    return strings[inverse.reshape(-1)].tolist()
+    strings = [fmt(row) for row in rows[first].tolist()] + list(extra)
+    return np.array(strings, dtype=object), inverse.reshape(-1)
 
 
-def _id_lists(ids: np.ndarray) -> list[str]:
-    """JSON lists of the padded id pairs."""
+def _id_lists(ids: np.ndarray):
+    """JSON lists of the padded id pairs, as `_format_distinct` gives them."""
     return _format_distinct(ids[:, 0] * (ids.max(initial=0) + 2) + ids[:, 1], ids,
                             lambda a: f"[{a[0]}]" if a[1] == NO_ID else f"[{a[0]},{a[1]}]")
 
 
-def trace_to_lines(trace: Trace) -> list[str]:
-    """The trace file's lines: a header, then one line per event row.
+def _trace_line_chunks(trace: Trace):
+    """The trace file's lines, a list at a time: the header alone, then the
+    event lines of CHUNK_ROWS rows per list.
 
     Each event line is byte for byte the `_dumps` encoding of the row's
     {"type": "event", "time", "kind", "agents", "trajs", "location", "msg"}
     object, filled into one line template from fields formatted column by
-    column rather than by an encoder call per line.
+    column rather than by an encoder call per line.  Id pairs and link
+    positions are formatted once per trace, times once per chunk.
     """
-    header = {"format_version": TRACE_FORMAT_VERSION, "type": "header",
-              "n": trace.n, "period": trace.period, "horizon": trace.horizon,
-              "strategy": trace.strategy, "seed": trace.seed,
-              "initial_occupancy": trace.initial_occupancy,
-              "survivors": trace.survivors}
+    yield [_dumps({"format_version": TRACE_FORMAT_VERSION, "type": "header",
+                   "n": trace.n, "period": trace.period, "horizon": trace.horizon,
+                   "strategy": trace.strategy, "seed": trace.seed,
+                   "initial_occupancy": trace.initial_occupancy,
+                   "survivors": trace.survivors})]
     fr = float.__repr__
     present = ~np.isnan(trace.location[:, 0])
-    location = np.full(len(trace), "null", dtype=object)
     pairs = np.ascontiguousarray(trace.location[present])
-    location[present] = _format_distinct(pairs.view(np.complex128), pairs,
-                                         lambda xy: f"[{fr(xy[0])},{fr(xy[1])}]")
-    msg = ["null" if m is None else _dumps(m) for m in trace.msg.tolist()]
-    kind = [_KIND_JSON[k] for k in trace.kind.tolist()]
-    fields = zip(_id_lists(trace.agents), kind, location.tolist(), msg,
-                 _format_distinct(trace.time, trace.time, fr), _id_lists(trace.trajs))
-    return [_dumps(header)] + [_EVENT_LINE % row for row in fields]
+    locations, index = _format_distinct(pairs.view(np.complex128), pairs,
+                                        lambda xy: f"[{fr(xy[0])},{fr(xy[1])}]", ["null"])
+    location_index = np.full(len(trace), len(locations) - 1)
+    location_index[present] = index
+    columns = (_id_lists(trace.agents), (_KIND_JSON, trace.kind),
+               (locations, location_index), _id_lists(trace.trajs))
+    for start in range(0, len(trace), CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        agents, kind, location, trajs = (strings[index[rows]].tolist()
+                                         for strings, index in columns)
+        times, index = _format_distinct(trace.time[rows], trace.time[rows], fr)
+        msg = ["null" if m is None else _dumps(m) for m in trace.msg[rows].tolist()]
+        yield [_EVENT_LINE % row for row in zip(agents, kind, location, msg,
+                                                 times[index].tolist(), trajs)]
+
+
+def trace_to_lines(trace: Trace) -> list[str]:
+    """The trace file's lines: a header, then one line per event row."""
+    return [line for lines in _trace_line_chunks(trace) for line in lines]
+
+
+def _write_trace(path: str, trace: Trace) -> None:
+    """Write the trace file CHUNK_ROWS lines at a time."""
+    with open(path, "w", encoding="utf-8") as f:
+        for lines in _trace_line_chunks(trace):
+            f.write("\n".join(lines) + "\n")
 
 
 def _check_agent_ids(n, survivors, occupancy) -> None:
@@ -210,15 +237,32 @@ def _check_agent_ids(n, survivors, occupancy) -> None:
                 f"trace header {key} holds {bad[0]!r}, not an agent id in 0..{n - 1}")
 
 
-def trace_from_lines(lines) -> Trace:
-    """Parse a trace file's lines (blank lines skipped) into a trace table.
+def _events_table(body: list[str], header: dict) -> Trace:
+    """The table of event lines body, parsed by one `json.loads` over their
+    joined text and checked by `Trace.from_columns`."""
+    try:
+        events = json.loads("[" + ",".join(body) + "]")
+    except json.JSONDecodeError:
+        events = None
+    if events is None or len(events) != len(body) or not set(map(type, events)) <= {dict}:
+        raise InvalidInstanceError("each trace event line must hold one JSON object")
+    return Trace.from_columns(*([event[key] for event in events] for key in _EVENT_KEYS),
+                              **header)
 
-    The event lines go through one `json.loads` over their joined text, and
-    `Trace.from_columns` checks the columns: an unknown kind, bad agent or
-    trajectory ids, a non-finite time or location, or times out of order
-    raise InvalidInstanceError, as do a missing key and a bad header.
+
+def trace_from_lines(lines) -> Trace:
+    """Parse a trace file's lines, from a list or an open file, into a trace
+    table; blank lines are skipped.
+
+    The event lines are parsed CHUNK_ROWS at a time, and only each chunk's
+    numpy columns are kept, so memory beyond the table does not grow with
+    the trace.  An event line that is not one JSON object, an unknown kind,
+    bad agent or trajectory ids, a non-finite time or location, or times out
+    of order (within a chunk or across two) raise InvalidInstanceError, as
+    do a missing key and a bad header.
     """
-    head = json.loads(lines[0])
+    lines = iter(lines)
+    head = json.loads(next(lines, ""))
     if head.get("format_version") != TRACE_FORMAT_VERSION:
         raise InvalidInstanceError(
             f"unsupported trace format_version {head.get('format_version')!r}")
@@ -228,16 +272,17 @@ def trace_from_lines(lines) -> Trace:
                       initial_occupancy=head["initial_occupancy"],
                       survivors=head["survivors"])
         _check_agent_ids(header["n"], header["survivors"], header["initial_occupancy"])
-        body = [line for line in lines[1:] if line.strip()]
+        body = (line for line in lines if line.strip())
+        parts, end = [Trace(**header)], -math.inf
         with _gc_paused():
-            events = json.loads("[" + ",".join(body) + "]")
-            if len(events) != len(body) or not set(map(type, events)) <= {dict}:
-                raise InvalidInstanceError("each trace event line must hold one JSON object")
-            columns = [[event[key] for event in events] for key in _EVENT_KEYS]
-            del events
-            trace = Trace.from_columns(*columns, **header)
-            del columns
-    return trace
+            while chunk := list(islice(body, CHUNK_ROWS)):
+                part = _events_table(chunk, header)
+                if part.time[0] < end:
+                    raise InvalidInstanceError("trace events are not in time order")
+                end = part.time[-1]
+                parts.append(part)
+    return Trace(**header, **{key: np.concatenate([getattr(part, key) for part in parts])
+                              for key in _EVENT_KEYS})
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -353,18 +398,23 @@ def cmd_simulate(args) -> int:
     if strategy.kind == "dfs":
         strategy = Strategy("dfs", root=resolve_root(strategy, inst))
     failures = _resolve_failures(args, inst, g.n)
-    seeds = ([_seed(s, "--seed-list entry") for s in args.seed_list.split(",")]
-             if args.seed_list else list(range(args.seeds)))
+    if args.seed_list:
+        seeds = [_seed(s, "--seed-list entry") for s in args.seed_list.split(",")]
+        repeated = next((s for k, s in enumerate(seeds) if s in seeds[:k]), None)
+        if repeated is not None:
+            raise InvalidInstanceError(f"--seed-list repeats seed {repeated}")
+    elif args.seeds < 1:
+        raise InvalidInstanceError(f"--seeds {args.seeds} is not a positive count")
+    else:
+        seeds = list(range(args.seeds))
     outdir = _out_path(args.output)
     os.makedirs(outdir, exist_ok=True)
     for seed in seeds:
         config = SimConfig(horizon=args.horizon, strategy=strategy, seed=seed,
                            failures=failures,
                            emission_period=args.emission_period)
-        trace = run(inst, sched, config, graph=g)
-        with open(os.path.join(outdir, f"trace-{seed}.jsonl"), "w",
-                  encoding="utf-8") as f:
-            f.write("\n".join(trace_to_lines(trace)) + "\n")
+        _write_trace(os.path.join(outdir, f"trace-{seed}.jsonl"),
+                     run(inst, sched, config, graph=g))
     print(f"wrote {len(seeds)} trace(s) to {outdir}")
     return 0
 
@@ -377,7 +427,7 @@ def cmd_report(args) -> int:
     reports = []
     for name in files:
         with open(os.path.join(args.traces, name), encoding="utf-8") as f:
-            reports.append(metrics_report(trace_from_lines(f.readlines())))
+            reports.append(metrics_report(trace_from_lines(f)))
     agg = aggregate(reports)
     label = args.label or os.path.basename(os.path.normpath(args.traces))
     print(TABLE_HEADER)

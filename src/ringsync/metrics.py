@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 
 import numpy as np
 
-from .simulator import (EMIT, FAILURE, TOUR_COMPLETE, Occupancy, Trace,
+from .simulator import (CHUNK_ROWS, EMIT, FAILURE, TOUR_COMPLETE, Occupancy, Trace,
                         expand_ranges, occupancy_replay)
 
 INF = float("inf")
@@ -33,55 +35,116 @@ TABLE_HEADER = (f"{'':>12} | {'Max. ST(s)':>10} | {'Avg. CT':>8}"
                 f" | {'Max. AT(s)':>10} | {'Avg. BT(s)':>10}")
 
 
+def _set_bits(x: int) -> np.ndarray:
+    """Positions of the one bits of x, ascending."""
+    raw = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+
+
+def _gossip_scan(trace: Trace, groups: list):
+    """When each message last reached a member of each group of agents.
+
+    One earliest-arrival scan over the emits and meetings in trace order (the
+    temporal-graph reachability of Wu et al., "Path Problems in Temporal
+    Graphs", VLDB 2014): an emit gives its origin the message, and a meeting
+    gives each agent every message the other knows, at the meeting time.
+    Events at one instant apply in trace order: emits before meetings,
+    meetings in edge order.  Each agent's knowledge is a Python int whose bit
+    k is the k-th message, so one OR hands over every message at once, as in
+    the multi-source traversal of Then et al., "The More the Merrier", VLDB
+    2015.
+
+    No agent-by-message times are kept.  The members' newly learned bits wait
+    in a batch with their meeting times; once the batch holds as many entries
+    as there are members, the AND of each group's knowledge tells which
+    messages its last member learned inside the batch, and a pass back over
+    the batch finds when.
+
+    Returns (emits, latest): emits maps each message key to its emit time, in
+    trace order; latest[g, k] is the last time a member of group g learned or
+    emitted the k-th message of emits, inf if some member never knew it.
+    """
+    rows = trace.rows_of("emit", "meeting")
+    emit_rows = rows[trace.kind[rows] == EMIT]
+    emits = dict(zip(trace.msg[emit_rows].tolist(), trace.time[emit_rows].tolist()))
+    column = {key: k for k, key in enumerate(emits)}
+    group_of = {a: g for g, members in enumerate(groups) for a in members}
+    latest = np.full((len(groups), len(emits)), -INF)
+    known = [0] * trace.n             # per agent, bit k: it knows message k
+    known_by_all = [0] * len(groups)  # per group, as of the last resolve()
+    batch = []                        # (group, time, bits a member learned)
+
+    def resolve():
+        left = {}
+        for g, members in enumerate(groups):
+            now = reduce(and_, [known[a] for a in members])
+            if now != known_by_all[g]:
+                left[g] = now ^ known_by_all[g]
+                known_by_all[g] = now
+        for g, t, learned in reversed(batch):
+            hit = learned & left.get(g, 0)
+            if hit:
+                ks = _set_bits(hit)
+                latest[g, ks] = np.maximum(latest[g, ks], t)
+                left[g] ^= hit
+        batch.clear()
+
+    for start in range(0, len(rows), CHUNK_ROWS):
+        part = rows[start:start + CHUNK_ROWS]
+        for kind, t, a, b, msg in zip(trace.kind[part].tolist(), trace.time[part].tolist(),
+                                      trace.agents[part, 0].tolist(),
+                                      trace.agents[part, 1].tolist(), trace.msg[part].tolist()):
+            if kind == EMIT:
+                k = column[msg]
+                known[a] |= 1 << k
+                if a in group_of:
+                    g = group_of[a]
+                    latest[g, k] = max(latest[g, k], t)
+                continue
+            known_a, known_b = known[a], known[b]
+            if known_a == known_b:
+                continue
+            union = known[a] = known[b] = known_a | known_b
+            if a in group_of and union != known_a:
+                batch.append((group_of[a], t, union ^ known_a))
+            if b in group_of and union != known_b:
+                batch.append((group_of[b], t, union ^ known_b))
+            if len(batch) >= len(group_of):
+                resolve()
+    resolve()
+    everything = (1 << len(emits)) - 1
+    for g, known_g in enumerate(known_by_all):
+        latest[g, _set_bits(everything ^ known_g)] = INF
+    return emits, latest
+
+
 def arrival_times(trace: Trace):
     """First time each agent knows each message, from emits and meetings.
 
-    One earliest-arrival scan over the trace in time order (the temporal-graph
-    reachability of Wu et al., "Path Problems in Temporal Graphs", VLDB 2014):
-    an emit gives its origin the message, and a meeting gives each agent every
-    message the other knows, at the meeting time.  Events at one instant apply
-    in trace order: emits before meetings, meetings in edge order.
-
     Returns (emits, arrival): emits maps each message key to its emit time, in
     trace order; arrival[a, k] is when agent a first knew the k-th message of
-    emits, inf if it never did.
+    emits (the time of its last emit of that key, if it emitted one), inf if
+    it never did.  This is the scan of `broadcast_time` with each agent as
+    its own group, and the matrix holds n x messages floats.
     """
-    rows = trace.rows_of("emit", "meeting")
-    kinds = trace.kind[rows].tolist()
-    times = trace.time[rows].tolist()
-    msgs = trace.msg[rows].tolist()
-    emits = {msg: t for kind, msg, t in zip(kinds, msgs, times) if kind == EMIT}
-    column = {key: k for k, key in enumerate(emits)}
-    arrival = np.full((trace.n, len(emits)), INF)
-    informed = np.zeros(arrival.shape, dtype=bool)
-    arrival_of, informed_of = list(arrival), list(informed)   # per agent, a row view
-    for kind, t, (a, b), msg in zip(kinds, times, trace.agents[rows].tolist(), msgs):
-        if kind == EMIT:
-            k = column[msg]
-            informed[a, k] = True
-            arrival[a, k] = t
-        else:
-            known_a, known_b = informed_of[a], informed_of[b]
-            union = known_a | known_b
-            np.copyto(arrival_of[a], t, where=union > known_a)
-            np.copyto(arrival_of[b], t, where=union > known_b)
-            known_a[:] = union
-            known_b[:] = union
-    return emits, arrival
+    return _gossip_scan(trace, [[a] for a in range(trace.n)])
 
 
 def broadcast_time(trace: Trace) -> float:
     """Average time for a message to reach every surviving agent.
 
     Messages that never reach all survivors make the result infinite;
-    otherwise the average is over all messages, summed in emit order.
+    otherwise the average is over all messages, summed in emit order.  One
+    bit-parallel scan (`_gossip_scan`) gives each message's completion time,
+    when its last survivor learns it, in memory of order agents x messages
+    bits.
     """
     if not trace.survivors:
         return INF
-    emits, arrival = arrival_times(trace)
+    emits, latest = _gossip_scan(trace, [trace.survivors])
     if not emits:
         return INF
-    latest = arrival[trace.survivors].max(axis=0).tolist()
+    latest = latest[0].tolist()
     if INF in latest:
         return INF
     return sum(t - t0 for t, t0 in zip(latest, emits.values())) / len(emits)

@@ -35,6 +35,10 @@ _ARITY = np.array([(1, 1), (1, 1), (2, 2), (1, 2), (1, 1)])
 # The second agent or trajectory id of an event that names only one.
 NO_ID = -1
 _NO_LOCATION = (math.nan, math.nan)
+# Rows that the trace writer, the trace reader and the gossip scan hold as
+# Python values at a time, so that their memory beyond the table does not
+# grow with the trace.
+CHUNK_ROWS = 1024
 
 
 @dataclass

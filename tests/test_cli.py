@@ -533,6 +533,20 @@ def test_malformed_number_argument_is_typed_error(tmp_path, capsys, args, messag
     assert err == {"error": "InvalidInstanceError", "message": message}
 
 
+@pytest.mark.parametrize("args,message", [
+    (("--seeds", "0"), "--seeds 0 is not a positive count"),
+    (("--seeds", "-1"), "--seeds -1 is not a positive count"),
+    (("--seed-list", "1,1"), "--seed-list repeats seed 1"),
+    (("--seed-list", "3,1,2,1"), "--seed-list repeats seed 1")])
+def test_simulate_bad_seed_set_is_error_without_output(tmp_path, capsys, args, message):
+    """No seeds, or a seed twice (whose second trace would overwrite the
+    first), fails before the output directory is made."""
+    inst, sched = _grid_schedule(tmp_path, capsys)
+    err = _simulate_error(tmp_path, capsys, inst, sched, *args)
+    assert err == {"error": "InvalidInstanceError", "message": message}
+    assert not (tmp_path / "t").exists()
+
+
 @pytest.mark.parametrize("count", ["10", "20", "-1"])
 def test_simulate_fail_more_than_the_agents_is_error(tmp_path, capsys, count):
     inst, sched = _grid_schedule(tmp_path, capsys)

@@ -5,8 +5,11 @@ per-agent sets of known messages, where a meeting gives each agent the
 messages only the other knows and leaves both with the union.  Replayed over
 a trace's emit and meeting events in trace order, it must give exactly the
 first-knowledge times of `arrival_times` and the same `broadcast_time`.
+An emit of a key that was emitted before keeps the key's first column and
+takes the later emit time, in the oracle as in the scan.
 """
 
+import tracemalloc
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
@@ -58,8 +61,8 @@ def reference_broadcast_time(trace, received):
 def assert_matches_reference(trace):
     received = reference_arrivals(trace)
     emits, arrival = arrival_times(trace)
-    assert list(emits.items()) == [(ev.msg, ev.time) for ev in trace.events
-                                   if ev.kind == "emit"]
+    assert list(emits.items()) == list({ev.msg: ev.time for ev in trace.events
+                                        if ev.kind == "emit"}.items())
     assert arrival.shape == (trace.n, len(emits))
     for k, key in enumerate(emits):
         got = received[key]
@@ -110,7 +113,8 @@ def test_arrival_times_match_known_set_handoff(trace):
 
 @st.composite
 def synthetic_traces(draw):
-    """Emits and meetings on a few integer instants, so most events tie."""
+    """Emits and meetings on a few integer instants, so most events tie;
+    some emits repeat a key."""
     n = draw(st.integers(2, 5))
     agent = st.integers(0, n - 1)
     time = st.integers(0, 4).map(float)
@@ -118,8 +122,9 @@ def synthetic_traces(draw):
     for k in range(draw(st.integers(0, 25))):
         if draw(st.booleans()):
             origin = draw(agent)
+            key = draw(st.sampled_from([f"{origin}:{k}", "shared", "other"]))
             events.append(TraceEvent(time=draw(time), kind="emit", agents=[origin],
-                                     trajs=[origin], msg=f"{origin}:{k}"))
+                                     trajs=[origin], msg=key))
         else:
             a, b = sorted(draw(st.lists(agent, min_size=2, max_size=2, unique=True)))
             events.append(TraceEvent(time=draw(time), kind="meeting",
@@ -153,3 +158,51 @@ def test_same_instant_order():
     assert arrival.tolist() == [[2.0, 1.0], [1.0, 1.0], [0.5, 1.0]]
     assert broadcast_time(trace) == ((2.0 - 0.5) + (1.0 - 1.0)) / 2
     assert_matches_reference(trace)
+
+
+def test_repeated_emit_key():
+    # "k" is emitted by 0, then again by 1 and 2 after they learned it, and
+    # "x" by 2 and later by the non-survivor 3: each key keeps its first
+    # column and its last emit time, and an emit restarts the emitter's
+    # arrival time, even after every survivor knew the key.
+    events = [TraceEvent(time=0.5, kind="emit", agents=[0], trajs=[0], msg="k"),
+              TraceEvent(time=1.0, kind="meeting", agents=[0, 1], trajs=[0, 1]),
+              TraceEvent(time=1.5, kind="emit", agents=[2], trajs=[2], msg="x"),
+              TraceEvent(time=2.0, kind="emit", agents=[1], trajs=[1], msg="k"),
+              TraceEvent(time=2.5, kind="meeting", agents=[1, 2], trajs=[1, 2]),
+              TraceEvent(time=3.0, kind="emit", agents=[2], trajs=[2], msg="k"),
+              TraceEvent(time=3.5, kind="meeting", agents=[0, 1], trajs=[0, 1]),
+              TraceEvent(time=4.0, kind="emit", agents=[3], trajs=[3], msg="x")]
+    trace = Trace.from_events(events, n=4, period=1.0, horizon=5.0, strategy="alw",
+                              seed=0, initial_occupancy=[0, 1, 2, 3], survivors=[0, 1, 2])
+    emits, arrival = arrival_times(trace)
+    assert emits == {"k": 3.0, "x": 4.0} and list(emits) == ["k", "x"]
+    assert arrival.tolist() == [[0.5, 3.5], [2.0, 2.5], [3.0, 1.5], [INF, 4.0]]
+    assert broadcast_time(trace) == ((3.0 - 3.0) + (3.5 - 4.0)) / 2
+    assert_matches_reference(trace)
+
+
+def test_broadcast_time_memory_is_far_below_arrival_matrices():
+    # Hypercube gossip: 1024 agents each emit at t=0, and at t=r+1 every
+    # agent meets the one whose id differs in bit r.  After round r each
+    # agent knows 2**(r+1) messages, so every message reaches its last
+    # agent at t=10.  A float arrival matrix and a bool informed matrix
+    # would take 9 bytes per agent and message.
+    n, rounds = 1024, 10
+    events = [TraceEvent(time=0.0, kind="emit", agents=[a], trajs=[a], msg=f"{a}:0")
+              for a in range(n)]
+    for r in range(rounds):
+        events += [TraceEvent(time=r + 1.0, kind="meeting", agents=[a, a | 1 << r],
+                              trajs=[a, a | 1 << r])
+                   for a in range(n) if not a & 1 << r]
+    trace = Trace.from_events(events, n=n, period=1.0, horizon=11.0, strategy="alw",
+                              seed=0, initial_occupancy=list(range(n)),
+                              survivors=list(range(n)))
+    tracemalloc.start()
+    try:
+        bt = broadcast_time(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bt == 10.0
+    assert peak < 9 * n * n / 10, peak
