@@ -108,6 +108,9 @@ def simulations(draw):
 @given(simulations())
 @settings(max_examples=150, deadline=None)
 def test_arrival_times_match_known_set_handoff(trace):
+    # The simulator never emits a key twice.
+    keys = [ev.msg for ev in trace.events if ev.kind == "emit"]
+    assert len(set(keys)) == len(keys)
     assert_matches_reference(trace)
 
 
