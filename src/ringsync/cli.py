@@ -260,10 +260,14 @@ def trace_from_lines(lines) -> Trace:
     objects is held beside the columns.  An event line that is not one JSON
     object, an unknown kind, bad agent or trajectory ids, a non-finite time
     or location, or times out of order (within a chunk or across two) raise
-    InvalidInstanceError, as do a missing key and a bad header.
+    InvalidInstanceError, as do a missing key and a bad header: one that is
+    not a JSON object, bad agent ids, a period or horizon that is not finite
+    and positive, or a strategy `parse_strategy` rejects.
     """
     lines = iter(lines)
     head = json.loads(next(lines, ""))
+    if type(head) is not dict:
+        raise InvalidInstanceError("trace header line must hold one JSON object")
     if head.get("format_version") != TRACE_FORMAT_VERSION:
         raise InvalidInstanceError(
             f"unsupported trace format_version {head.get('format_version')!r}")
@@ -273,6 +277,9 @@ def trace_from_lines(lines) -> Trace:
                       initial_occupancy=head["initial_occupancy"],
                       survivors=head["survivors"])
         _check_agent_ids(header["n"], header["survivors"], header["initial_occupancy"])
+        check_positive("trace header period", header["period"])
+        check_positive("trace header horizon", header["horizon"])
+        parse_strategy(header["strategy"])
         body = (line for line in lines if line.strip())
         parts, end = [Trace(**header)], -math.inf
         with _gc_paused():

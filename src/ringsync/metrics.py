@@ -10,7 +10,7 @@ from operator import and_
 import numpy as np
 
 from .simulator import (CHUNK_ROWS, EMIT, FAILURE, TOUR_COMPLETE, Occupancy, Trace,
-                        expand_ranges, occupancy_replay)
+                        expand_ranges, occupancy_replay, parse_strategy)
 
 INF = float("inf")
 
@@ -254,8 +254,8 @@ def prove_starvation(trace: Trace, meets: dict | None = None,
     occupancy are `meeting_times(trace)` and `occupancy_replay(trace)`,
     computed here when not given.
     """
-    kind = trace.strategy.split(":")[0]
-    if kind == "rand" and trace.strategy not in ("rand:0.0", "rand:1.0"):
+    strategy = parse_strategy(trace.strategy)
+    if strategy.kind == "rand" and strategy.p not in (0, 1):
         return []
     failures = trace.time[trace.kind == FAILURE]
     t_stable = failures.max().item() if len(failures) else 0.0

@@ -8,15 +8,18 @@ epochs, which the engine processes exactly as a discrete event queue.
 
 A trace stores its events as one table of numpy columns (see `Trace`);
 `TraceEvent` is the row type that tests, demos and oracles read through
-`Trace.events` and `Trace.events_of`.
+`Trace.events` and `Trace.events_of`.  Which agent held which trajectory
+when is computed in one place, `occupancy_replay`: `run` takes its tour
+rows from it, and the metrics read abandoned time and starvation from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from operator import is_not
+from struct import Struct
 
 import numpy as np
 
@@ -34,7 +37,6 @@ _PRIORITY = {kind: code for code, kind in enumerate(EVENT_KINDS)}
 _ARITY = np.array([(1, 1), (1, 1), (2, 2), (1, 2), (1, 1)])
 # The second agent or trajectory id of an event that names only one.
 NO_ID = -1
-_NO_LOCATION = (math.nan, math.nan)
 # Rows that the trace writer, the trace reader and the gossip scan hold as
 # Python values at a time, so that their memory beyond the table does not
 # grow with the trace.
@@ -63,7 +65,7 @@ class Strategy:
 
 def parse_strategy(text: str) -> Strategy:
     """Parse 'alw', 'rand:<p>', or 'dfs:<root>|dfs:topleft'."""
-    parts = text.split(":", 1)
+    parts = text.split(":", 1) if type(text) is str else [None]
     if parts[0] == "alw":
         return Strategy("alw")
     try:
@@ -279,16 +281,17 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
 
     Failures, message emissions and link instants form one timeline ordered
     by a lexsort.  Only the link instants need the Python loop, because a
-    switch depends on the current occupancy.  Events are appended to column
-    lists and put in trace order by one lexsort over time, priority, trajs,
-    agents and msg, which is exactly the order of `TraceEvent.sort_key`.
-    A schedule that fails verify_schedule on graph (default: the instance's),
-    or a failure agent or dfs root that is no agent id, raises
-    InvalidInstanceError.
+    switch depends on the current occupancy.  The loop records each event
+    once, by its timeline index and ids, and times, link positions and
+    message keys are read from the timeline afterwards.  The tour-complete
+    rows are the full periods of the occupation intervals `occupancy_replay`
+    finds in those events.  `_trace_order` then puts all rows in the order of
+    `TraceEvent.sort_key`.  A schedule that fails verify_schedule on graph
+    (default: the instance's), or a failure agent or dfs root that is no
+    agent id, raises InvalidInstanceError.
     """
     g = graph if graph is not None else instance.graph()
-    report = verify_schedule(g, schedule)
-    if not report.all_synchronized:
+    if not verify_schedule(g, schedule).all_synchronized:
         raise InvalidInstanceError("schedule is not synchronized; refusing to simulate")
     n = g.n
     for agent, _ in config.failures:
@@ -305,32 +308,6 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     horizon = config.horizon
     epochs = link_epochs(g, schedule)
     rng = np.random.default_rng(config.seed)
-
-    occupancy = list(range(n))        # traj -> agent id or None
-    agent_traj = list(range(n))       # agent -> traj or None
-    entry_time = [0.0] * n            # agent -> time it entered its current traj
-    alive = [True] * n
-    # The event table as one list per column.  link is the number of the
-    # edge whose link positions are the row's location, -1 for none.
-    times, kinds, agent0, agent1, traj0, traj1, link, msgs = [], [], [], [], [], [], [], []
-
-    def add(t, kind, a0, a1, j0, j1, edge, msg):
-        times.append(t)
-        kinds.append(kind)
-        agent0.append(a0)
-        agent1.append(a1)
-        traj0.append(j0)
-        traj1.append(j1)
-        link.append(edge)
-        msgs.append(msg)
-
-    # Stays on a trajectory as (agent, traj, entered, left); their full
-    # periods become the tour-complete rows once the timeline is done.
-    stays = []
-
-    def close_tours(agent, leave_time):
-        stays.append((agent, agent_traj[agent], entry_time[agent],
-                      min(leave_time, horizon)))
 
     # Timeline: (time, class, a, b) with class 0 = failure of agent a,
     # 1 = emission seq b of agent a, 2 = link instant of edge number a.
@@ -360,81 +337,73 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     b_all = np.concatenate([np.zeros(len(fail_times), dtype=np.int64),
                             emitted // max(n, 1), np.zeros(len(link_times), np.int64)])
     order = np.lexsort((b_all, a_all, cls, t_all))
-    for t, c, a, b in zip(t_all[order].tolist(), cls[order].tolist(),
-                          a_all[order].tolist(), b_all[order].tolist()):
+    t_all, cls, a_all, b_all = (col[order] for col in (t_all, cls, a_all, b_all))
+
+    occupancy = list(range(n))        # traj -> agent id or None
+    agent_traj = list(range(n))       # agent -> traj, None once it failed
+    # One record per event, (timeline index, kind, agent, other agent, traj,
+    # other traj), packed as six int64 values.
+    records = bytearray()
+    record = Struct("6q").pack
+    for index, (c, a) in enumerate(zip(cls.tolist(), a_all.tolist())):
         if c == 0:
-            if not alive[a]:
-                continue
-            close_tours(a, t)
             traj = agent_traj[a]
-            alive[a] = False
-            occupancy[traj] = None
-            agent_traj[a] = None
-            add(t, FAILURE, a, NO_ID, traj, NO_ID, -1, None)
+            if traj is not None:
+                occupancy[traj] = agent_traj[a] = None
+                records += record(index, FAILURE, a, NO_ID, traj, NO_ID)
         elif c == 1:
-            if alive[a]:
-                add(t, EMIT, a, NO_ID, agent_traj[a], NO_ID, -1, f"{a}:{b}")
+            if agent_traj[a] is not None:
+                records += record(index, EMIT, a, NO_ID, agent_traj[a], NO_ID)
         else:
             i, j = edges[a]
             oi, oj = occupancy[i], occupancy[j]
             if oi is None and oj is None:
                 continue
             if oi is not None and oj is not None:
-                add(t, MEETING, oi, oj, i, j, a, None)
-            else:
-                agent = oi if oi is not None else oj
-                src = i if oi is not None else j
-                dst = j if oi is not None else i
-                if strategy_decide(strategy, (i, j), rng, dfs_edges):
-                    assert occupancy[dst] is None
-                    close_tours(agent, t)
-                    occupancy[src] = None
-                    occupancy[dst] = agent
-                    agent_traj[agent] = dst
-                    entry_time[agent] = t
-                    add(t, SWITCH, agent, NO_ID, src, dst, a, None)
+                records += record(index, MEETING, oi, oj, i, j)
+            elif strategy_decide(strategy, (i, j), rng, dfs_edges):
+                agent, src, dst = (oi, i, j) if oi is not None else (oj, j, i)
+                occupancy[src] = None
+                occupancy[dst] = agent
+                agent_traj[agent] = dst
+                records += record(index, SWITCH, agent, NO_ID, src, dst)
 
-    for agent in range(n):
-        if alive[agent]:
-            close_tours(agent, horizon)
+    rec = np.frombuffer(records, dtype=np.int64).reshape(-1, 6)
+    at, kind = rec[:, 0], rec[:, 1].astype(np.int8)
+    link = (kind == MEETING) | (kind == SWITCH)
+    link_loc = np.array([(g.phi(i, j), g.phi(j, i)) for i, j in edges]).reshape(-1, 2)
+    location = np.full((len(rec), 2), math.nan)
+    location[link] = link_loc[a_all[at[link]]]
+    emit = kind == EMIT
+    msg = np.full(len(rec), None, dtype=object)
+    msg[emit] = [f"{a}:{b}" for a, b in zip(a_all[at[emit]].tolist(), b_all[at[emit]].tolist())]
+    events = Trace(n=n, period=T, horizon=horizon, strategy=strategy.describe(),
+                   seed=config.seed, initial_occupancy=list(range(n)),
+                   survivors=[a for a in range(n) if agent_traj[a] is not None],
+                   time=t_all[at], kind=kind, agents=rec[:, 2:4], trajs=rec[:, 4:6],
+                   location=location, msg=msg)
 
-    # A tour completes at entered + k*T for every k >= 1 with
-    # entered + k*T <= left + 1e-9*T.
-    stay_cols = list(zip(*stays)) or [()] * 4
-    stay_agent, stay_traj = (np.array(col, dtype=np.int64) for col in stay_cols[:2])
-    entered, left = (np.array(col, dtype=np.float64) for col in stay_cols[2:])
-    limit = left + 1e-9 * T
-    stay, k = expand_ranges(np.ones(len(stays), dtype=np.int64),
-                       np.floor((limit - entered) / T).astype(np.int64) + 1)
-    tour_times = entered[stay] + k * T
+    # An occupation interval from start to end (the horizon if still open)
+    # completes a tour at start + k*T for every k >= 1 with start + k*T <=
+    # end + 1e-9*T.  The replay takes the events in timeline order, the order
+    # in which the switches happened.
+    occ = occupancy_replay(events)
+    limit = np.minimum(occ.end, horizon) + 1e-9 * T
+    stay, k = expand_ranges(np.ones(len(limit), dtype=np.int64),
+                            np.floor((limit - occ.start) / T).astype(np.int64) + 1)
+    tour_times = occ.start[stay] + k * T
     done = tour_times <= limit[stay]
     stay, tour_times = stay[done], tour_times[done]
-
-    tours = len(stay)
-
-    def column(values, tour_values, dtype):
-        return np.concatenate([np.array(values, dtype=dtype),
-                               np.asarray(tour_values, dtype=dtype)])
-
-    def ids(first, second, tour_ids):
-        return np.column_stack([column(first, tour_ids, np.int64),
-                                column(second, np.full(tours, NO_ID), np.int64)])
-
-    # Link positions per edge number, and NaN at index -1 for rows without.
-    link_loc = np.array([(g.phi(i, j), g.phi(j, i)) for i, j in edges] + [_NO_LOCATION],
-                        dtype=np.float64).reshape(-1, 2)
-    table = dict(time=column(times, tour_times, np.float64),
-                 kind=column(kinds, np.full(tours, TOUR_COMPLETE), np.int8),
-                 agents=ids(agent0, agent1, stay_agent[stay]),
-                 trajs=ids(traj0, traj1, stay_traj[stay]),
-                 location=link_loc[column(link, np.full(tours, -1), np.int64)],
-                 msg=column(msgs, np.full(tours, None), object))
+    no_id = np.full(len(stay), NO_ID)
+    tours = dict(time=tour_times, kind=np.full(len(stay), TOUR_COMPLETE, dtype=np.int8),
+                 agents=np.column_stack([occ.agent[stay], no_id]),
+                 trajs=np.column_stack([occ.traj[stay], no_id]),
+                 location=np.full((len(stay), 2), math.nan),
+                 msg=np.full(len(stay), None, dtype=object))
+    table = {key: np.concatenate([getattr(events, key), col]) for key, col in tours.items()}
     order = _trace_order(table["time"], table["kind"], table["agents"], table["trajs"],
                          table["msg"])
-    return Trace(n=n, period=T, horizon=horizon, strategy=strategy.describe(),
-                 seed=config.seed, initial_occupancy=list(range(n)),
-                 survivors=[a for a in range(n) if alive[a]],
-                 **{key: col[order] for key, col in table.items()})
+    return replace(events, **{key: col[order] for key, col in table.items()})
 
 
 def expand_ranges(first: np.ndarray, last: np.ndarray):

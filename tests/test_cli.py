@@ -10,6 +10,7 @@ import ringsync as rs
 import ringsync.scheduler as sch
 from conftest import path_grid
 from ringsync import cli
+from ringsync.errors import InvalidInstanceError
 
 
 def invoke(*argv):
@@ -312,6 +313,29 @@ def test_trace_bad_event_is_error(tmp_path, capsys, kind, key, value):
     assert invoke("report", "-t", str(traces)) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InvalidInstanceError" and key in err["message"]
+
+
+@pytest.mark.parametrize("head,word", [
+    ([1], "JSON object"), (3, "JSON object"),
+    ({"period": 0}, "period"), ({"period": -80}, "period"),
+    ({"period": float("inf")}, "period"), ({"horizon": "x"}, "horizon"),
+    ({"strategy": 5}, "strategy"), ({"strategy": "rand:x"}, "strategy")])
+def test_trace_bad_header_is_error(tmp_path, capsys, head, word):
+    _, _, traces = pipeline(tmp_path, seeds="1")
+    path = traces / "trace-0.jsonl"
+    lines = path.read_text().splitlines()
+    if isinstance(head, dict):
+        head = {**json.loads(lines[0]), **head}
+    lines[0] = json.dumps(head)
+    # Parsed directly first: report on a header that passes the parse may
+    # never return (a zero period steps its period boundaries by zero).
+    with pytest.raises(InvalidInstanceError, match=word):
+        cli.trace_from_lines(lines)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert invoke("report", "-t", str(traces)) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInstanceError" and word in err["message"]
 
 
 @pytest.mark.parametrize("source,builds", [

@@ -75,6 +75,15 @@ def test_starvation_not_claimed_for_nondeterministic_strategy():
     assert prove_starvation(tr) == []
 
 
+@pytest.mark.parametrize("name", ["fig9a", "fig11", "fig7-starve"])
+def test_rand_at_integer_one_proves_starvation(name):
+    # p=1 and p=1.0 always switch, so they run the same simulation; only
+    # the header differs ("rand:1" against "rand:1.0").
+    as_int, as_float = (run_preset(name, Strategy("rand", p=p)) for p in (1, 1.0))
+    assert (as_int.strategy, as_float.strategy) == ("rand:1", "rand:1.0")
+    assert prove_starvation(as_int) == prove_starvation(as_float) != []
+
+
 def test_rand_breaks_starvation():
     finite = 0
     for seed in range(10):

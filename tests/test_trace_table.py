@@ -105,7 +105,7 @@ def reference_starvation(trace, events):
 
 
 def reference_proven(trace, events):
-    if trace.strategy.startswith("rand") and trace.strategy not in ("rand:0.0", "rand:1.0"):
+    if trace.strategy.startswith("rand") and float(trace.strategy[5:]) not in (0.0, 1.0):
         return []
     failures = [ev.time for ev in events if ev.kind == "failure"]
     t_stable = max(failures) if failures else 0.0
