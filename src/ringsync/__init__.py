@@ -2,29 +2,47 @@
 
 Subpackages: geometry primitives, communication graphs, schedulers,
 deterministic simulation, instance generation, metrics, and a CLI.
+
+The names below load their submodule on first access (PEP 562), so that
+`import ringsync` and each CLI command load only the layers they use.
 """
 
-from .commgraph import (CommGraph, build_circle_graph, build_path_graph,
-                        cycle_basis, cycle_feasible_opposite, cycle_residue,
-                        dfs_tree, fundamental_cycle, is_bipartite,
-                        max_bipartite_subgraph, max_synch_subgraph,
-                        spanning_tree, two_color)
-from .errors import (ClosureViolationError, DisconnectedGraphError,
-                     GenerationFailureError, InfeasibleSectionTimesError,
-                     InvalidInstanceError, NotSynchronizableError,
-                     OverlappingTrajectoriesError, RingsyncError,
-                     SectionSearchBudgetError)
-from .generator import grid, preset, random_connected, validate_instance
-from .geometry import Circle, ClosedPath, Point2, link_positions, line_angle, min_distance
-from .instance import Instance
-from .metrics import (MetricsReport, abandoned_time, aggregate, arrival_times,
-                      broadcast_time, completed_tours, prove_starvation,
-                      render_table, report, starvation_time)
-from .scheduler import (Schedule, SectionPlan, assign_section_times,
-                        schedule_general, schedule_opposite_directions,
-                        schedule_same_direction, validate_section_plan,
-                        verify_schedule)
-from .simulator import (SimConfig, Strategy, Trace, TraceEvent, occupancy_check,
-                        parse_strategy, run, strategy_decide)
-
+_SUBMODULE_NAMES = {
+    "commgraph": ("CommGraph", "build_circle_graph", "build_path_graph", "cycle_basis",
+                  "cycle_feasible_opposite", "cycle_residue", "dfs_tree",
+                  "fundamental_cycle", "is_bipartite", "max_bipartite_subgraph",
+                  "max_synch_subgraph", "spanning_tree", "two_color"),
+    "errors": ("ClosureViolationError", "DisconnectedGraphError", "GenerationFailureError",
+               "InfeasibleSectionTimesError", "InvalidInstanceError",
+               "NotSynchronizableError", "OverlappingTrajectoriesError", "RingsyncError",
+               "SectionSearchBudgetError"),
+    "generator": ("grid", "preset", "random_connected", "validate_instance"),
+    "geometry": ("Circle", "ClosedPath", "Point2", "link_positions", "line_angle",
+                 "min_distance"),
+    "instance": ("Instance",),
+    "metrics": ("MetricsReport", "abandoned_time", "aggregate", "arrival_times",
+                "broadcast_time", "completed_tours", "prove_starvation", "render_table",
+                "report", "starvation_time"),
+    "scheduler": ("Schedule", "SectionPlan", "assign_section_times", "schedule_general",
+                  "schedule_opposite_directions", "schedule_same_direction",
+                  "validate_section_plan", "verify_schedule"),
+    "simulator": ("SimConfig", "run", "strategy_decide"),
+    "trace": ("Strategy", "Trace", "TraceEvent", "occupancy_check", "parse_strategy"),
+}
+_SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+__all__ = sorted(_SUBMODULE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, the import statement's own path, which `-X importtime`
+    # reports; importlib.import_module loads without a report.
+    module = __import__(f"{__name__}.{_SUBMODULE[name]}", fromlist=[name])
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SUBMODULE))

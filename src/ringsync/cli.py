@@ -5,6 +5,9 @@ line-delimited JSON for traces.  All randomness flows from explicit seeds,
 so a pipeline re-run with the same arguments is byte-identical.  Traces are
 written and read CHUNK_ROWS lines at a time, so `simulate` and `report` hold
 at most one chunk of lines, beside the trace table, in memory.
+
+Importing this module loads no layer of the package: each command, and
+each trace-file function, imports the layers it calls when it runs.
 """
 
 from __future__ import annotations
@@ -17,20 +20,43 @@ import os
 import sys
 from contextlib import contextmanager
 from itertools import islice
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import generator
-from .commgraph import edge_key, max_bipartite_subgraph, max_synch_subgraph
 from .errors import InvalidInstanceError, RingsyncError, check_positive
-from .geometry import Circle, ClosedPath, Point2
-from .instance import Instance
-from .metrics import TABLE_HEADER, aggregate, report as metrics_report
-from .scheduler import (SectionPlan, Schedule, assign_section_times,
-                        schedule_general, schedule_opposite_directions,
-                        schedule_same_direction)
-from .simulator import (CHUNK_ROWS, EVENT_KINDS, NO_ID, SimConfig, Strategy, Trace,
-                        parse_strategy, resolve_root, run)
+
+if TYPE_CHECKING:
+    from .instance import Instance
+    from .scheduler import Schedule, SectionPlan
+    from .trace import Trace
+
+# The layer entry points the commands call: name here -> (module, name there).
+# Each is imported on first access through __getattr__ (PEP 562), and the
+# commands call them through `_self`, this module, so that a wrapper set on
+# the module attribute is the one called.
+_LAYER_ENTRIES = {
+    "max_bipartite_subgraph": ("commgraph", "max_bipartite_subgraph"),
+    "max_synch_subgraph": ("commgraph", "max_synch_subgraph"),
+    "assign_section_times": ("scheduler", "assign_section_times"),
+    "schedule_general": ("scheduler", "schedule_general"),
+    "schedule_opposite_directions": ("scheduler", "schedule_opposite_directions"),
+    "schedule_same_direction": ("scheduler", "schedule_same_direction"),
+    "run": ("simulator", "run"),
+    "metrics_report": ("metrics", "report"),
+}
+_self = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_ENTRIES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _LAYER_ENTRIES[name]
+    # __import__ rather than importlib.import_module, as in the package root.
+    layer = __import__(f"{__package__}.{module}", fromlist=[attr])
+    value = globals()[name] = getattr(layer, attr)
+    return value
+
 
 FORMAT_VERSION = 1
 TRACE_FORMAT_VERSION = 2   # 2: no per-delivery events; gossip is derived from meetings
@@ -92,6 +118,8 @@ def instance_from_json(doc: dict) -> Instance:
     if doc.get("format_version") != FORMAT_VERSION:
         raise InvalidInstanceError(
             f"unsupported instance format_version {doc.get('format_version')!r}")
+    from .geometry import Circle, ClosedPath, Point2
+    from .instance import Instance
     with _required_keys("instance"):
         if doc["mode"] == "circle":
             circles = [Circle(Point2(x, y), radius) for x, y, radius in doc["circles"]]
@@ -127,6 +155,7 @@ def schedule_from_json(doc: dict) -> tuple[Schedule, list, SectionPlan | None]:
     if doc.get("format_version") != FORMAT_VERSION:
         raise InvalidInstanceError(
             f"unsupported schedule format_version {doc.get('format_version')!r}")
+    from .scheduler import Schedule, SectionPlan
     with _required_keys("schedule"):
         check_positive("schedule period", doc["period"])
         epochs = None
@@ -153,7 +182,6 @@ def schedule_from_json(doc: dict) -> tuple[Schedule, list, SectionPlan | None]:
 # strings by `_dumps`.
 _EVENT_LINE = ('{"agents":%s,"kind":%s,"location":%s,"msg":%s,"time":%s,'
                '"trajs":%s,"type":"event"}')
-_KIND_JSON = np.array([_dumps(kind) for kind in EVENT_KINDS], dtype=object)
 # The event keys, which are also the names of the table's columns.
 _EVENT_KEYS = ("time", "kind", "agents", "trajs", "location", "msg")
 
@@ -173,6 +201,7 @@ def _format_distinct(keys: np.ndarray, rows: np.ndarray, fmt):
 
 def _id_lists(ids: np.ndarray):
     """JSON lists of the padded id pairs, as `_format_distinct` gives them."""
+    from .trace import NO_ID
     return _format_distinct(ids[:, 0] * (ids.max(initial=0) + 2) + ids[:, 1], ids,
                             lambda a: f"[{a[0]}]" if a[1] == NO_ID else f"[{a[0]},{a[1]}]")
 
@@ -187,6 +216,7 @@ def _trace_line_chunks(trace: Trace):
     column rather than by an encoder call per line.  Id pairs and link
     positions are formatted once per trace, times once per chunk.
     """
+    from .trace import CHUNK_ROWS, EVENT_KINDS
     yield [_dumps({"format_version": TRACE_FORMAT_VERSION, "type": "header",
                    "n": trace.n, "period": trace.period, "horizon": trace.horizon,
                    "strategy": trace.strategy, "seed": trace.seed,
@@ -200,7 +230,8 @@ def _trace_line_chunks(trace: Trace):
     location_index = np.full(len(trace), len(locations))
     location_index[present] = index
     locations = np.append(locations, "null")
-    columns = (_id_lists(trace.agents), (_KIND_JSON, trace.kind),
+    kind_json = np.array([_dumps(kind) for kind in EVENT_KINDS], dtype=object)
+    columns = (_id_lists(trace.agents), (kind_json, trace.kind),
                (locations, location_index), _id_lists(trace.trajs))
     for start in range(0, len(trace), CHUNK_ROWS):
         rows = slice(start, start + CHUNK_ROWS)
@@ -241,6 +272,7 @@ def _check_agent_ids(n, survivors, occupancy) -> None:
 def _events_table(body: list[str], header: dict) -> Trace:
     """The table of event lines body, parsed by one `json.loads` over their
     joined text and checked by `Trace.from_columns`."""
+    from .trace import Trace
     try:
         events = json.loads("[" + ",".join(body) + "]")
     except json.JSONDecodeError:
@@ -264,6 +296,7 @@ def trace_from_lines(lines) -> Trace:
     not a JSON object, bad agent ids, a period or horizon that is not finite
     and positive, or a strategy `parse_strategy` rejects.
     """
+    from .trace import CHUNK_ROWS, Trace, parse_strategy
     lines = iter(lines)
     head = json.loads(next(lines, ""))
     if type(head) is not dict:
@@ -277,11 +310,9 @@ def trace_from_lines(lines) -> Trace:
                       initial_occupancy=head["initial_occupancy"],
                       survivors=head["survivors"])
         _check_agent_ids(header["n"], header["survivors"], header["initial_occupancy"])
-        check_positive("trace header period", header["period"])
-        check_positive("trace header horizon", header["horizon"])
+        parts, end = [Trace(**header)], -math.inf   # checks period and horizon
         parse_strategy(header["strategy"])
         body = (line for line in lines if line.strip())
-        parts, end = [Trace(**header)], -math.inf
         with _gc_paused():
             while chunk := list(islice(body, CHUNK_ROWS)):
                 part = _events_table(chunk, header)
@@ -323,6 +354,7 @@ def _seed(value, what: str) -> int:
 
 
 def cmd_generate(args) -> int:
+    from . import generator
     if args.grid:
         rows, _, cols = args.grid.partition("x")
         inst = generator.grid(_parse(int, rows, "--grid rows"),
@@ -344,21 +376,21 @@ def cmd_schedule(args) -> int:
     inst = instance_from_json(_read_json(args.instance))
     period = args.period if args.period is not None else inst.meta.get("period", 1.0)
     g = inst.graph()
-    gb = max_bipartite_subgraph(g)
+    gb = _self.max_bipartite_subgraph(g)
     odd_dropped = sorted(set(g.edges) - set(gb.edges))
     plan = None
     if inst.mode == "path":
-        plan = assign_section_times(gb, period=period)
-        sched = schedule_general(gb, plan)
+        plan = _self.assign_section_times(gb, period=period)
+        sched = _self.schedule_general(gb, plan)
         retained = sorted(gb.edges)
         dropped = {"odd-cycle": odd_dropped, "infeasible-cycle": []}
     else:
-        gs = max_synch_subgraph(gb) if args.mode != "same" else gb
+        gs = _self.max_synch_subgraph(gb) if args.mode != "same" else gb
         cycle_dropped = sorted(set(gb.edges) - set(gs.edges))
         if args.mode == "same":
-            sched = schedule_same_direction(gs, period=period)
+            sched = _self.schedule_same_direction(gs, period=period)
         else:
-            sched = schedule_opposite_directions(gs, period=period)
+            sched = _self.schedule_opposite_directions(gs, period=period)
         retained = sorted(gs.edges)
         dropped = {"odd-cycle": odd_dropped, "infeasible-cycle": cycle_dropped}
     _write_json(args.output, schedule_to_json(sched, retained, dropped, plan))
@@ -399,6 +431,8 @@ def _resolve_failures(args, inst: Instance, n: int) -> list:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import SimConfig, resolve_root
+    from .trace import Strategy, parse_strategy
     inst = instance_from_json(_read_json(args.instance))
     sched, retained, _ = schedule_from_json(_read_json(args.schedule))
     g = inst.graph().subgraph(retained)
@@ -422,12 +456,13 @@ def cmd_simulate(args) -> int:
                            failures=failures,
                            emission_period=args.emission_period)
         _write_trace(os.path.join(outdir, f"trace-{seed}.jsonl"),
-                     run(inst, sched, config, graph=g))
+                     _self.run(inst, sched, config, graph=g))
     print(f"wrote {len(seeds)} trace(s) to {outdir}")
     return 0
 
 
 def cmd_report(args) -> int:
+    from .metrics import TABLE_HEADER, aggregate
     files = sorted(f for f in os.listdir(args.traces)
                    if f.startswith("trace-") and f.endswith(".jsonl"))
     if not files:
@@ -435,7 +470,7 @@ def cmd_report(args) -> int:
     reports = []
     for name in files:
         with open(os.path.join(args.traces, name), encoding="utf-8") as f:
-            reports.append(metrics_report(trace_from_lines(f)))
+            reports.append(_self.metrics_report(trace_from_lines(f)))
     agg = aggregate(reports)
     label = args.label or os.path.basename(os.path.normpath(args.traces))
     print(TABLE_HEADER)
@@ -516,5 +551,15 @@ def main(argv=None) -> int:
         return 1
 
 
+def process_main() -> int:
+    """The process entry, `python -m ringsync.cli` and the `ringsync` script:
+    `main`, then `gc.freeze()`, so that the collection the interpreter runs
+    at exit skips every object still alive (a `report` then exits in 8 ms,
+    not 29).  `main` leaves the collector alone, for callers that go on."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

@@ -9,8 +9,8 @@ from operator import and_
 
 import numpy as np
 
-from .simulator import (CHUNK_ROWS, EMIT, FAILURE, TOUR_COMPLETE, Occupancy, Trace,
-                        expand_ranges, occupancy_replay, parse_strategy)
+from .trace import (CHUNK_ROWS, EMIT, FAILURE, TOUR_COMPLETE, Occupancy, Trace,
+                    expand_ranges, occupancy_replay, parse_strategy)
 
 INF = float("inf")
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -152,3 +155,33 @@ def test_dfs_completes_more_tours_than_rand_on_dense_block():
         horizon=4000.0, strategy=Strategy("rand", p=0.5), seed=s_,
         failures=failures))) for s_ in range(10)])
     assert dfs.completed_tours > rand.completed_tours
+
+
+BAD_HEADER_PROBE = """
+import ringsync as rs
+for period, horizon in [(0.0, 1.0), (-80.0, 1.0), (float("inf"), 1.0),
+                        (float("nan"), 1.0), (1.0, 0.0), (1.0, "x")]:
+    try:
+        rs.report(rs.Trace(n=1, period=period, horizon=horizon, strategy="alw", seed=0,
+                           initial_occupancy=[0], survivors=[0]))
+        print("accepted")
+    except rs.InvalidInstanceError as exc:
+        print(exc)
+"""
+
+
+def test_report_of_trace_with_bad_period_or_horizon_is_error(tmp_path):
+    # In a child process under a timeout: a zero period steps report's
+    # period boundaries by zero, so a Trace that accepts one never returns.
+    src = os.path.dirname(os.path.dirname(rs.__file__))
+    proc = subprocess.run([sys.executable, "-c", BAD_HEADER_PROBE], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "trace header period must be finite and positive, got 0.0",
+        "trace header period must be finite and positive, got -80.0",
+        "trace header period must be finite and positive, got inf",
+        "trace header period must be finite and positive, got nan",
+        "trace header horizon must be finite and positive, got 0.0",
+        "trace header horizon must be finite and positive, got 'x'"]
