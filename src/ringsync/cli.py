@@ -435,7 +435,12 @@ def cmd_simulate(args) -> int:
     from .trace import Strategy, parse_strategy
     inst = instance_from_json(_read_json(args.instance))
     sched, retained, _ = schedule_from_json(_read_json(args.schedule))
-    g = inst.graph().subgraph(retained)
+    g = inst.graph()
+    missing = next((e for e in retained if not g.has_edge(*e)), None)
+    if missing is not None:
+        raise InvalidInstanceError(
+            f"schedule retains edge {list(missing)}, which the instance lacks")
+    g = g.subgraph(retained)
     strategy = parse_strategy(args.strategy)
     if strategy.kind == "dfs":
         strategy = Strategy("dfs", root=resolve_root(strategy, inst))

@@ -10,10 +10,11 @@ Every structural fact derives from one BFS (`bfs_forest`) or one DFS
 start at each node not yet reached in ascending order, and visit neighbours
 in ascending order.  That order fixes the 2-colouring and its odd-cycle
 witness, the spanning forest, the components, the fundamental cycle basis,
-the chords the synchronization filter keeps, the reflection-propagation and
-epoch trees of the schedulers, and the `dfs` strategy tree.  Schedules,
-traces and summaries are compared byte for byte, so they depend on it:
-changing the order changes artifacts.
+the reflection-propagated start angles (`reflection_starts`), which decide
+the chords the synchronization filter keeps and are the opposite-direction
+starts, the general scheduler's epoch tree, and the `dfs` strategy tree.
+Schedules, traces and summaries are compared byte for byte, so they depend
+on it: changing the order changes artifacts.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (DisconnectedGraphError, InvalidInstanceError,
                      NotSynchronizableError)
 from .geometry import (ANGLE_TOL, Circle, ClosedPath, center_distance,
                        line_angle, line_angle_points, link_positions,
-                       min_distance)
+                       min_distance, norm_angle)
 
 
 def edge_key(i: int, j: int) -> tuple[int, int]:
@@ -349,8 +350,12 @@ def cycle_feasible_opposite(cycle, g: CommGraph) -> bool:
 
 def cycle_residue(cycle, g: CommGraph) -> float:
     """Distance of the alternating beta sum from the nearest multiple of pi."""
-    s = cycle_alternating_beta_sum(cycle, g)
-    r = math.fmod(s, math.pi)
+    return _pi_residue(cycle_alternating_beta_sum(cycle, g))
+
+
+def _pi_residue(x: float) -> float:
+    """Distance of x from the nearest multiple of pi."""
+    r = math.fmod(x, math.pi)
     if r < 0:
         r += math.pi
     return min(r, math.pi - r)
@@ -375,29 +380,43 @@ def fundamental_cycle(parent, depth, chord):
     return pu + pv[-2::-1]
 
 
-def _chord_cycles(g: CommGraph):
-    """(chord, fundamental cycle) per chord of the BFS forest from node 0, in edge order."""
+def cycle_basis(g: CommGraph):
+    """Fundamental cycles of the BFS forest from node 0, one per chord in edge order."""
     f = bfs_forest(g)
-    return [(e, fundamental_cycle(f.parent, f.depth, e))
+    return [fundamental_cycle(f.parent, f.depth, e)
             for e in g.edge_list() if not f.is_tree_edge(*e)]
 
 
-def cycle_basis(g: CommGraph):
-    """Fundamental cycles of the BFS spanning tree, one per chord."""
-    return [cyc for _, cyc in _chord_cycles(g)]
+def reflection_starts(g: CommGraph) -> list[float]:
+    """Start angle per node by BFS propagation of alpha_a = 2*beta - alpha_w - pi.
+
+    Every root of the BFS forest from node 0 starts at 0, and each other node
+    reflects its parent's angle across the line of their edge.
+    """
+    f = bfs_forest(g)
+    starts = [None] * g.n
+    for a in f.order:
+        w = f.parent[a]
+        starts[a] = (0.0 if w is None else
+                     norm_angle(2.0 * g.beta(w, a) - starts[w] - math.pi))
+    return starts
 
 
 def max_synch_subgraph(g: CommGraph) -> CommGraph:
     """Keep the spanning tree and every chord whose fundamental cycle is feasible.
 
-    Requires a bipartite input; an odd cycle raises NotSynchronizableError
-    with its witness.  Every simple cycle of the result passes
-    cycle_feasible_opposite (alternating beta sums add over symmetric
-    differences).
+    Over the reflection_starts alpha, the cycle a chord (u, v) closes has the
+    residue of (alpha_u + alpha_v + pi - 2*beta_uv)/2, O(1) per chord; tree
+    edges have residue 0 by construction.  Requires a bipartite input; an odd
+    cycle raises NotSynchronizableError with its witness.  Every simple cycle
+    of the result passes cycle_feasible_opposite (alternating beta sums add
+    over symmetric differences).
     """
     _bipartite_colors(g)
-    dropped = {e for e, cyc in _chord_cycles(g) if not cycle_feasible_opposite(cyc, g)}
-    return g.subgraph(e for e in g.edges if e not in dropped)
+    alpha = reflection_starts(g)
+    return g.subgraph(
+        (u, v) for (u, v), e in g.edges.items()
+        if _pi_residue((alpha[u] + alpha[v] + math.pi - 2.0 * e.beta) / 2.0) <= ANGLE_TOL)
 
 
 def dfs_tree(g: CommGraph, root: int):

@@ -48,8 +48,8 @@ def random_connected(n: int, r: float = 0.5, seed: int = 0) -> Instance:
     """
     if n < 1:
         raise InvalidInstanceError("need n >= 1")
-    if not r >= 0:
-        raise InvalidInstanceError(f"range {r} must be non-negative")
+    if not 0 <= r < math.inf:
+        raise InvalidInstanceError(f"range {r} must be finite and non-negative")
     if r == 0 and n > 1:
         raise GenerationFailureError(
             "range 0 leaves no center distance in (2, 2]: cannot place circle 1")

@@ -221,15 +221,23 @@ def completed_tours(trace: Trace) -> float:
     return tours / trace.n if trace.n else 0.0
 
 
-def _occupancy_at_boundaries(trace: Trace, occupancy: Occupancy):
+def _occupancy_at_boundaries(trace: Trace, occupancy: Occupancy, t_stable: float):
     """Boundary times k*T up to the horizon, and per boundary the occupant of
     each trajectory (-1 for none) once every switch and failure up to
-    k*T + 1e-9*T has applied."""
+    k*T + 1e-9*T has applied.
+
+    The walk stops 3 periods after the later of t_stable and the last
+    occupancy change: from there on the state is constant, so the boundaries
+    at or after t_stable already hold a repeated state.
+    """
     T = trace.period
+    changes = np.concatenate((occupancy.start, occupancy.end))
+    last = max(changes[np.isfinite(changes)].max(initial=0.0).item(), t_stable)
+    stop = min(trace.horizon + 1e-9, last + 3 * T)
     times = []
     k = 0
     t_b = 0.0
-    while t_b <= trace.horizon + 1e-9:
+    while t_b <= stop:
         times.append(t_b)
         k += 1
         t_b = k * T
@@ -262,7 +270,7 @@ def prove_starvation(trace: Trace, meets: dict | None = None,
     occ = occupancy_replay(trace) if occupancy is None else occupancy
     seen = {}
     t0 = None
-    for t_b, state in zip(*_occupancy_at_boundaries(trace, occ)):
+    for t_b, state in zip(*_occupancy_at_boundaries(trace, occ, t_stable)):
         if t_b < t_stable:
             continue
         key = state.tobytes()

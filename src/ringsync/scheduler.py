@@ -20,7 +20,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .commgraph import CommGraph, _bipartite_colors, bfs_forest, cycle_basis
+from .commgraph import (CommGraph, _bipartite_colors, bfs_forest, cycle_basis,
+                        reflection_starts)
 from .errors import (ClosureViolationError, InfeasibleSectionTimesError,
                      InvalidInstanceError, SectionSearchBudgetError,
                      check_positive)
@@ -169,7 +170,7 @@ def schedule_same_direction(g: CommGraph, period: float = 1.0) -> Schedule:
 
 
 def schedule_opposite_directions(g: CommGraph, period: float = 1.0) -> Schedule:
-    """BFS propagation of start angles via alpha_a = 2*beta - alpha_w - pi.
+    """Start angles by reflection_starts, alpha_a = 2*beta - alpha_w - pi over the BFS.
 
     Adjacent agents get opposite directions (two_color's colors), and every
     root of the BFS forest from node 0 starts at angle 0.  The reflection
@@ -178,14 +179,8 @@ def schedule_opposite_directions(g: CommGraph, period: float = 1.0) -> Schedule:
     """
     check_positive("period", period)
     dirs = _color_dirs(_bipartite_colors(g))
-    f = bfs_forest(g)
-    starts = [None] * g.n
-    for a in f.order:
-        w = f.parent[a]
-        starts[a] = (0.0 if w is None else
-                     norm_angle(2.0 * g.beta(w, a) - starts[w] - math.pi))
     return _verified(g, Schedule(mode="opposite-directions", period=period,
-                                 starts=starts, dirs=dirs))
+                                 starts=reflection_starts(g), dirs=dirs))
 
 
 def _arrival_pair(g: CommGraph, s: Schedule, i: int, j: int) -> tuple:

@@ -76,13 +76,22 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     rows are the full periods of the occupation intervals `occupancy_replay`
     finds in those events.  `_trace_order` then puts all rows in the order of
     `TraceEvent.sort_key`.  A schedule that fails verify_schedule on graph
-    (default: the instance's), or a failure agent or dfs root that is no
-    agent id, raises InvalidInstanceError.
+    (default: the instance's), has no start or direction per agent, or is in
+    general mode on a circle instance or a circle mode on a path instance,
+    or a failure agent or dfs root that is no agent id, raises
+    InvalidInstanceError.
     """
     g = graph if graph is not None else instance.graph()
+    n = g.n
+    if len(schedule.starts) != n or len(schedule.dirs) != n:
+        raise InvalidInstanceError(
+            f"schedule has {len(schedule.starts)} starts and {len(schedule.dirs)} "
+            f"directions for {n} agents")
+    if instance is not None and (schedule.mode == "general") != (instance.mode == "path"):
+        raise InvalidInstanceError(
+            f"{schedule.mode} schedule does not fit a {instance.mode} instance")
     if not verify_schedule(g, schedule).all_synchronized:
         raise InvalidInstanceError("schedule is not synchronized; refusing to simulate")
-    n = g.n
     for agent, _ in config.failures:
         if not 0 <= agent < n:
             raise InvalidInstanceError(f"failure agent {agent} outside 0..{n - 1}")

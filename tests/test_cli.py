@@ -542,7 +542,9 @@ MALFORMED_NUMBERS = [
     (("simulate", "--fail", "2", "--fail-seed", "-1"), "--fail-seed -1 is negative"),
     (("generate", "--grid", "3xq"), "--grid columns 'q' is not a valid int"),
     (("generate", "--grid", "3"), "--grid columns '' is not a valid int"),
-    (("generate", "--random", "5", "--seed", "-1"), "--seed -1 is negative")]
+    (("generate", "--random", "5", "--seed", "-1"), "--seed -1 is negative"),
+    (("generate", "--random", "5", "--range", "inf"),
+     "range inf must be finite and non-negative")]
 
 
 @pytest.mark.parametrize("args,message", MALFORMED_NUMBERS,
@@ -627,3 +629,60 @@ def test_schedule_reports_infeasible_cycle_drops(tmp_path, capsys):
         f"(132 odd cycle, 58 infeasible cycle) -> {sched}")
     dropped = json.loads(sched.read_text())["dropped_edges"]
     assert (len(dropped["odd-cycle"]), len(dropped["infeasible-cycle"])) == (132, 58)
+
+
+def test_simulate_general_schedule_on_grid_is_error(tmp_path, capsys):
+    """The case study's seven-agent section schedule retains edges a 3x3
+    circle grid lacks; simulate used to drop them and run the rest."""
+    inst, _ = _grid_schedule(tmp_path, capsys)
+    case, sched = tmp_path / "case.json", tmp_path / "case-sched.json"
+    assert invoke("generate", "--preset", "case-study", "-o", str(case)) == 0
+    assert invoke("schedule", "-i", str(case), "-o", str(sched)) == 0
+    capsys.readouterr()
+    err = _simulate_error(tmp_path, capsys, inst, sched)
+    assert err == {"error": "InvalidInstanceError",
+                   "message": "schedule retains edge [0, 5], which the instance lacks"}
+    assert not (tmp_path / "t").exists()
+
+
+def test_simulate_schedule_of_smaller_grid_is_error(tmp_path, capsys):
+    """A 3x3 grid schedule on a 4x4 grid: nine starts for sixteen agents,
+    and grid edge (0, 3) is no edge of the larger grid."""
+    small, sched = _grid_schedule(tmp_path, capsys)
+    inst = tmp_path / "big.json"
+    assert invoke("generate", "--grid", "4x4", "-o", str(inst)) == 0
+    capsys.readouterr()
+    err = _simulate_error(tmp_path, capsys, inst, sched)
+    assert err == {"error": "InvalidInstanceError",
+                   "message": "schedule retains edge [0, 3], which the instance lacks"}
+
+
+def test_simulate_circle_schedule_on_path_instance_is_error(tmp_path, capsys):
+    """A 3x3 path grid has the 3x3 circle grid's edges, so only the modes
+    tell the schedule does not fit."""
+    _, sched = _grid_schedule(tmp_path, capsys)
+    inst = tmp_path / "paths.json"
+    cli._write_json(str(inst), cli.instance_to_json(path_grid(3, 3)))
+    err = _simulate_error(tmp_path, capsys, inst, sched)
+    assert err == {"error": "InvalidInstanceError",
+                   "message": "opposite-directions schedule does not fit a path instance"}
+
+
+def test_report_of_header_only_trace_with_tiny_period_returns(tmp_path):
+    """A billion period boundaries and no events: the starvation walk stops
+    three periods after the last occupancy change instead of visiting each.
+    In a child process under a timeout, so a regression fails, not hangs."""
+    traces = tmp_path / "t"
+    traces.mkdir()
+    header = {"format_version": 2, "horizon": 1000.0, "initial_occupancy": [0, 1],
+              "n": 2, "period": 1e-6, "seed": 0, "strategy": "alw",
+              "survivors": [0, 1], "type": "header"}
+    (traces / "trace-0.jsonl").write_text(json.dumps(header) + "\n")
+    src = os.path.dirname(os.path.dirname(rs.__file__))
+    proc = subprocess.run([sys.executable, "-m", "ringsync.cli", "report", "-t", str(traces),
+                           "-o", str(tmp_path / "summary.json")],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "summary.json").read_text())["aggregate"]
+    assert summary["starvation_proven"] and summary["potentially_starving"] == [0, 1]

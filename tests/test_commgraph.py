@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 import ringsync as rs
 from ringsync.commgraph import (EXACT_MAXCUT_NODE_LIMIT, CommGraph, EdgeData,
                                 bfs_forest, cycle_alternating_beta_sum,
-                                dfs_forest, edge_key)
+                                dfs_forest, edge_key, reflection_starts)
 from ringsync.errors import (DisconnectedGraphError, InvalidInstanceError,
                              NotSynchronizableError)
 from ringsync.geometry import Circle, ClosedPath, Point2
 
 from conftest import path_grid
+from test_acceptance import _random_bipartite_beta_graph
 
 
 def test_circle_graph_threshold_inclusive():
@@ -488,3 +489,68 @@ def test_path_graph_skips_pairs_with_distant_bounding_boxes(monkeypatch):
     # of the 120 pairs, only the 24 grid neighbours have bounding boxes
     # within range 0.5 of each other (diagonal ones are about 0.57 apart)
     assert len(g.edges) == 24 and len(calls) == 24
+
+
+def _cycle_walk_filter(g):
+    """The chord filter as a walk: keep each BFS tree edge, and each chord
+    whose fundamental cycle passes cycle_feasible_opposite."""
+    f = bfs_forest(g)
+    return [e for e in g.edges if f.is_tree_edge(*e) or rs.cycle_feasible_opposite(
+        rs.fundamental_cycle(f.parent, f.depth, e), g)]
+
+
+def _assert_filter_matches_cycle_walk(g, geometric=True):
+    """max_synch_subgraph keeps exactly the cycle walk's edges of g's maximum
+    bipartite subgraph.  On a geometric g the scheduler's starts on the
+    result are also that subgraph's reflection starts, the potentials the
+    filter read.  Returns the number of chords dropped."""
+    gb = rs.max_bipartite_subgraph(g)
+    gs = rs.max_synch_subgraph(gb)
+    assert list(gs.edges) == _cycle_walk_filter(gb)
+    if geometric:
+        assert rs.schedule_opposite_directions(gs).starts == reflection_starts(gb)
+    return len(gb.edges) - len(gs.edges)
+
+
+@pytest.mark.parametrize("name", ["surveillance-3x3", "fig9a", "fig9b", "fig11",
+                                  "fig7-starve", "fig10a"])
+def test_chord_filter_matches_cycle_walk_on_presets(name):
+    _assert_filter_matches_cycle_walk(rs.preset(name).graph())
+
+
+@pytest.mark.parametrize("k", [10, 30, 100])
+def test_chord_filter_matches_cycle_walk_on_grids(k):
+    assert _assert_filter_matches_cycle_walk(rs.grid(k, k).graph()) == 0
+
+
+def test_chord_filter_matches_cycle_walk_on_random_400():
+    # the benchmark's random layout: 132 odd-cycle and 58 infeasible-cycle drops
+    g = rs.random_connected(400, seed=0).graph()
+    assert _assert_filter_matches_cycle_walk(g) == 58
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 80), seed=st.integers(0, 2**32 - 1),
+       r=st.one_of(st.sampled_from([0.5, 0.01, 2.0]), st.floats(0.001, 3.0)))
+def test_chord_filter_matches_cycle_walk_on_random_layouts(n, seed, r):
+    _assert_filter_matches_cycle_walk(rs.random_connected(n, r=r, seed=seed).graph())
+
+
+@settings(max_examples=150, deadline=None)
+@given(circle_layouts())
+def test_chord_filter_matches_cycle_walk_on_mixed_radii(layout):
+    try:
+        g = rs.build_circle_graph(*layout)
+    except InvalidInstanceError:
+        return                       # an overlapping layout has no graph
+    _assert_filter_matches_cycle_walk(g)
+
+
+def test_chord_filter_matches_cycle_walk_on_axis_aligned_betas():
+    # half of these graphs take every beta from {0, pi/2}, so each chord's
+    # residue is 0 or pi/2 up to rounding; their link positions are not
+    # geometric, so no schedule closes on them
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        _assert_filter_matches_cycle_walk(_random_bipartite_beta_graph(rng),
+                                          geometric=False)

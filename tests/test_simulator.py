@@ -9,6 +9,7 @@ from ringsync.errors import InvalidInstanceError
 from ringsync.metrics import arrival_times
 from ringsync.simulator import (SimConfig, Strategy, occupancy_check,
                                 parse_strategy, resolve_root, run)
+from conftest import path_grid
 from test_gossip import scheduled, simulations
 
 
@@ -255,3 +256,24 @@ def test_run_peak_memory_stays_near_its_table():
                 for key in ("time", "kind", "agents", "trajs", "location", "msg"))
     assert len(trace) == 81835
     assert peak < 2.5 * table
+
+
+def test_run_rejects_schedule_that_does_not_fit_the_instance():
+    inst = rs.grid(3, 3)
+    sched = rs.schedule_opposite_directions(inst.graph(), period=1.0)
+    config = SimConfig(horizon=2.0)
+    short = rs.Schedule(mode=sched.mode, period=1.0, starts=sched.starts[:-1],
+                        dirs=sched.dirs)
+    with pytest.raises(InvalidInstanceError, match="8 starts and 9 directions for 9"):
+        run(inst, short, config)
+    with pytest.raises(InvalidInstanceError, match="9 starts and 9 directions for 16"):
+        run(rs.grid(4, 4), sched, config)
+    general = rs.Schedule(mode="general", period=1.0, starts=sched.starts,
+                          dirs=sched.dirs, epochs=[{} for _ in range(9)])
+    with pytest.raises(InvalidInstanceError,
+                       match="general schedule does not fit a circle instance"):
+        run(inst, general, config)
+    paths = path_grid(3, 3)
+    with pytest.raises(InvalidInstanceError,
+                       match="opposite-directions schedule does not fit a path instance"):
+        run(paths, sched, config, graph=inst.graph())
