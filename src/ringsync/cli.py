@@ -6,8 +6,9 @@ so a pipeline re-run with the same arguments is byte-identical.  Traces are
 written and read CHUNK_ROWS lines at a time, so `simulate` and `report` hold
 at most one chunk of lines, beside the trace table, in memory.
 
-Importing this module loads no layer of the package: each command, and
-each trace-file function, imports the layers it calls when it runs.
+Importing this module loads neither numpy nor any layer of the package:
+each command, and each trace-file function, imports what it calls when it
+runs, so `report` never loads numpy.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from contextlib import contextmanager
 from itertools import islice
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import InvalidInstanceError, RingsyncError, check_positive
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .instance import Instance
     from .scheduler import Schedule, SectionPlan
     from .trace import Trace
@@ -126,6 +127,7 @@ def instance_from_json(doc: dict) -> Instance:
             return Instance(mode="circle", circles=circles,
                             comm_range=doc["comm_range"],
                             label=doc.get("label", ""), meta=doc.get("meta", {}))
+        import numpy as np
         paths = [ClosedPath(np.array(v)) for v in doc["paths"]]
         return Instance(mode="path", paths=paths, ranges=doc["ranges"],
                         label=doc.get("label", ""), meta=doc.get("meta", {}))
@@ -194,14 +196,23 @@ def _format_distinct(keys: np.ndarray, rows: np.ndarray, fmt):
     within a chunk of it, so this formats far fewer floats and lists than
     there are rows.
     """
+    import numpy as np
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     strings = np.array([fmt(row) for row in rows[first].tolist()], dtype=object)
     return strings, inverse.reshape(-1)
 
 
-def _id_lists(ids: np.ndarray):
-    """JSON lists of the padded id pairs, as `_format_distinct` gives them."""
+def _view(column):
+    """Zero-copy numpy view of a trace array column; its typecode is its dtype."""
+    import numpy as np
+    return np.frombuffer(column, dtype=column.typecode)
+
+
+def _id_lists(column):
+    """JSON lists of a pair column's padded id pairs, as `_format_distinct`
+    gives them."""
     from .trace import NO_ID
+    ids = _view(column).reshape(-1, 2)
     return _format_distinct(ids[:, 0] * (ids.max(initial=0) + 2) + ids[:, 1], ids,
                             lambda a: f"[{a[0]}]" if a[1] == NO_ID else f"[{a[0]},{a[1]}]")
 
@@ -214,8 +225,10 @@ def _trace_line_chunks(trace: Trace):
     {"type": "event", "time", "kind", "agents", "trajs", "location", "msg"}
     object, filled into one line template from fields formatted column by
     column rather than by an encoder call per line.  Id pairs and link
-    positions are formatted once per trace, times once per chunk.
+    positions are formatted once per trace, times once per chunk.  The
+    columns are read through `_view`.
     """
+    import numpy as np
     from .trace import CHUNK_ROWS, EVENT_KINDS
     yield [_dumps({"format_version": TRACE_FORMAT_VERSION, "type": "header",
                    "n": trace.n, "period": trace.period, "horizon": trace.horizon,
@@ -223,22 +236,24 @@ def _trace_line_chunks(trace: Trace):
                    "initial_occupancy": trace.initial_occupancy,
                    "survivors": trace.survivors})]
     fr = float.__repr__
-    present = ~np.isnan(trace.location[:, 0])
-    pairs = np.ascontiguousarray(trace.location[present])
+    time = _view(trace.time)
+    location = _view(trace.location).reshape(-1, 2)
+    present = ~np.isnan(location[:, 0])
+    pairs = np.ascontiguousarray(location[present])
     locations, index = _format_distinct(pairs.view(np.complex128), pairs,
                                         lambda xy: f"[{fr(xy[0])},{fr(xy[1])}]")
     location_index = np.full(len(trace), len(locations))
     location_index[present] = index
     locations = np.append(locations, "null")
     kind_json = np.array([_dumps(kind) for kind in EVENT_KINDS], dtype=object)
-    columns = (_id_lists(trace.agents), (kind_json, trace.kind),
+    columns = (_id_lists(trace.agents), (kind_json, _view(trace.kind)),
                (locations, location_index), _id_lists(trace.trajs))
     for start in range(0, len(trace), CHUNK_ROWS):
         rows = slice(start, start + CHUNK_ROWS)
         agents, kind, location, trajs = (strings[index[rows]].tolist()
                                          for strings, index in columns)
-        times, index = _format_distinct(trace.time[rows], trace.time[rows], fr)
-        msg = ["null" if m is None else _dumps(m) for m in trace.msg[rows].tolist()]
+        times, index = _format_distinct(time[rows], time[rows], fr)
+        msg = ["null" if m is None else _dumps(m) for m in trace.msg[rows]]
         yield [_EVENT_LINE % row for row in zip(agents, kind, location, msg,
                                                  times[index].tolist(), trajs)]
 
@@ -287,14 +302,15 @@ def trace_from_lines(lines) -> Trace:
     """Parse a trace file's lines, from a list or an open file, into a trace
     table; blank lines are skipped.
 
-    The event lines are parsed CHUNK_ROWS at a time, and only each chunk's
-    numpy columns are kept, so at most one chunk of lines and their parsed
-    objects is held beside the columns.  An event line that is not one JSON
-    object, an unknown kind, bad agent or trajectory ids, a non-finite time
-    or location, or times out of order (within a chunk or across two) raise
-    InvalidInstanceError, as do a missing key and a bad header: one that is
-    not a JSON object, bad agent ids, a period or horizon that is not finite
-    and positive, or a strategy `parse_strategy` rejects.
+    The event lines are parsed CHUNK_ROWS at a time, and each chunk's columns
+    are appended to the table's, so at most one chunk of lines and their
+    parsed objects is held beside the columns.  An event line that is not
+    one JSON object, an unknown kind, bad agent or trajectory ids, a
+    non-finite time or location, or times out of order (within a chunk or
+    across two) raise InvalidInstanceError, as do a missing key and a bad
+    header: one that is not a JSON object, bad agent ids, a period or
+    horizon that is not finite and positive, or a strategy `parse_strategy`
+    rejects.
     """
     from .trace import CHUNK_ROWS, Trace, parse_strategy
     lines = iter(lines)
@@ -310,18 +326,17 @@ def trace_from_lines(lines) -> Trace:
                       initial_occupancy=head["initial_occupancy"],
                       survivors=head["survivors"])
         _check_agent_ids(header["n"], header["survivors"], header["initial_occupancy"])
-        parts, end = [Trace(**header)], -math.inf   # checks period and horizon
+        trace = Trace(**header)       # checks period and horizon
         parse_strategy(header["strategy"])
-        body = (line for line in lines if line.strip())
+        body = filter(str.strip, lines)
         with _gc_paused():
             while chunk := list(islice(body, CHUNK_ROWS)):
                 part = _events_table(chunk, header)
-                if part.time[0] < end:
+                if len(trace) and part.time[0] < trace.time[-1]:
                     raise InvalidInstanceError("trace events are not in time order")
-                end = part.time[-1]
-                parts.append(part)
-    return Trace(**header, **{key: np.concatenate([getattr(part, key) for part in parts])
-                              for key in _EVENT_KEYS})
+                for key in _EVENT_KEYS:
+                    getattr(trace, key).extend(getattr(part, key))
+    return trace
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -424,6 +439,7 @@ def _resolve_failures(args, inst: Instance, n: int) -> list:
     if args.fail:
         if not 0 < args.fail <= n:
             raise InvalidInstanceError(f"cannot fail {args.fail} of {n} agents")
+        import numpy as np
         rng = np.random.default_rng(_seed(args.fail_seed, "--fail-seed"))
         agents = rng.choice(n, size=args.fail, replace=False)
         return [(int(a), 0.0) for a in sorted(agents)]

@@ -21,6 +21,8 @@ def grid(rows: int, cols: int, spacing: float = 2.4, r: float = 0.5) -> Instance
     """
     if rows < 1 or cols < 1:
         raise InvalidInstanceError("grid needs at least one row and column")
+    if not math.isfinite(r):
+        raise InvalidInstanceError(f"range {r} must be finite and non-negative")
     if not (spacing > 2.0):
         raise InvalidInstanceError(f"spacing {spacing} does not keep circles disjoint")
     if not (spacing <= 2.0 + r):

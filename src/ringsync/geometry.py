@@ -102,7 +102,7 @@ def _seg_seg_closest(p1, p2, q1, q2):
                             (q1, q2, p1, False), (q1, q2, p2, False)):
         ab = b - a
         ab2 = float(ab @ ab)
-        t = 0.0 if ab2 == 0.0 else float(np.clip((p - a) @ ab, 0.0, ab2) / ab2)
+        t = 0.0 if ab2 == 0.0 else min(max(float((p - a) @ ab), 0.0), ab2) / ab2
         # a clamped point is the endpoint itself: a + 1.0 * ab can miss b
         closest = a if t == 0.0 else b if t == 1.0 else a + t * ab
         d = float(np.hypot(*(p - closest)))

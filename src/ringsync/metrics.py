@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import math
+import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_
+from itertools import chain, compress, islice
+from operator import and_, sub
 
-import numpy as np
-
-from .trace import (CHUNK_ROWS, EMIT, FAILURE, TOUR_COMPLETE, Occupancy, Trace,
-                    expand_ranges, occupancy_replay, parse_strategy)
+from .trace import (EMIT, MEETING, TOUR_COMPLETE, Occupancy, Trace, occupancy_replay,
+                    parse_strategy)
 
 INF = float("inf")
 
@@ -35,10 +36,9 @@ TABLE_HEADER = (f"{'':>12} | {'Max. ST(s)':>10} | {'Avg. CT':>8}"
                 f" | {'Max. AT(s)':>10} | {'Avg. BT(s)':>10}")
 
 
-def _set_bits(x: int) -> np.ndarray:
+def _set_bits(x: int) -> list[int]:
     """Positions of the one bits of x, ascending."""
-    raw = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+    return [m.start() for m in re.finditer("1", f"{x:b}"[::-1])]
 
 
 def _gossip_scan(trace: Trace, groups: list):
@@ -61,15 +61,14 @@ def _gossip_scan(trace: Trace, groups: list):
     the batch finds when.
 
     Returns (emits, latest): emits maps each message key to its emit time, in
-    trace order; latest[g, k] is the last time a member of group g learned or
+    trace order; latest[g][k] is the last time a member of group g learned or
     emitted the k-th message of emits, inf if some member never knew it.
     """
-    rows = trace.rows_of("emit", "meeting")
-    emit_rows = rows[trace.kind[rows] == EMIT]
-    emits = dict(zip(trace.msg[emit_rows].tolist(), trace.time[emit_rows].tolist()))
+    emit_rows = trace.rows_of("emit")
+    emits = dict(zip([trace.msg[r] for r in emit_rows], [trace.time[r] for r in emit_rows]))
     column = {key: k for k, key in enumerate(emits)}
     group_of = {a: g for g, members in enumerate(groups) for a in members}
-    latest = np.full((len(groups), len(emits)), -INF)
+    latest = [[-INF] * len(emits) for _ in groups]
     known = [0] * trace.n             # per agent, bit k: it knows message k
     known_by_all = [0] * len(groups)  # per group, as of the last resolve()
     batch = []                        # (group, time, bits a member learned)
@@ -84,23 +83,17 @@ def _gossip_scan(trace: Trace, groups: list):
         for g, t, learned in reversed(batch):
             hit = learned & left.get(g, 0)
             if hit:
-                ks = _set_bits(hit)
-                latest[g, ks] = np.maximum(latest[g, ks], t)
+                row = latest[g]
+                for k in _set_bits(hit):
+                    if t > row[k]:
+                        row[k] = t
                 left[g] ^= hit
         batch.clear()
 
-    for start in range(0, len(rows), CHUNK_ROWS):
-        part = rows[start:start + CHUNK_ROWS]
-        for kind, t, a, b, msg in zip(trace.kind[part].tolist(), trace.time[part].tolist(),
-                                      trace.agents[part, 0].tolist(),
-                                      trace.agents[part, 1].tolist(), trace.msg[part].tolist()):
-            if kind == EMIT:
-                k = column[msg]
-                known[a] |= 1 << k
-                if a in group_of:
-                    g = group_of[a]
-                    latest[g, k] = max(latest[g, k], t)
-                continue
+    agents = trace.agents
+    for kind, t, a, b, msg in zip(trace.kind, trace.time, islice(agents, 0, None, 2),
+                                  islice(agents, 1, None, 2), trace.msg):
+        if kind == MEETING:
             known_a, known_b = known[a], known[b]
             if known_a == known_b:
                 continue
@@ -111,10 +104,18 @@ def _gossip_scan(trace: Trace, groups: list):
                 batch.append((group_of[b], t, union ^ known_b))
             if len(batch) >= len(group_of):
                 resolve()
+        elif kind == EMIT:
+            k = column[msg]
+            known[a] |= 1 << k
+            if a in group_of:
+                row = latest[group_of[a]]
+                if t > row[k]:
+                    row[k] = t
     resolve()
     everything = (1 << len(emits)) - 1
     for g, known_g in enumerate(known_by_all):
-        latest[g, _set_bits(everything ^ known_g)] = INF
+        for k in _set_bits(everything ^ known_g):
+            latest[g][k] = INF
     return emits, latest
 
 
@@ -122,10 +123,10 @@ def arrival_times(trace: Trace):
     """First time each agent knows each message, from emits and meetings.
 
     Returns (emits, arrival): emits maps each message key to its emit time, in
-    trace order; arrival[a, k] is when agent a first knew the k-th message of
+    trace order; arrival[a][k] is when agent a first knew the k-th message of
     emits (the time of its last emit of that key, if it emitted one), inf if
     it never did.  This is the scan of `broadcast_time` with each agent as
-    its own group, and the matrix holds n x messages floats.
+    its own group, and the n lists hold n x messages floats.
     """
     return _gossip_scan(trace, [[a] for a in range(trace.n)])
 
@@ -144,7 +145,7 @@ def broadcast_time(trace: Trace) -> float:
     emits, latest = _gossip_scan(trace, [trace.survivors])
     if not emits:
         return INF
-    latest = latest[0].tolist()
+    latest = latest[0]
     if INF in latest:
         return INF
     return sum(t - t0 for t, t0 in zip(latest, emits.values())) / len(emits)
@@ -157,10 +158,8 @@ def occupancy_intervals(trace: Trace, occupancy: Occupancy | None = None):
     """
     occ = occupancy_replay(trace) if occupancy is None else occupancy
     intervals = {t: [] for t in range(trace.n)}
-    ends = np.where(np.isinf(occ.end), trace.horizon, occ.end)
-    for traj, start, end, agent in zip(occ.traj.tolist(), occ.start.tolist(),
-                                       ends.tolist(), occ.agent.tolist()):
-        intervals[traj].append((start, end, agent))
+    for traj, start, end, agent in zip(occ.traj, occ.start, occ.end, occ.agent):
+        intervals[traj].append((start, trace.horizon if math.isinf(end) else end, agent))
     return intervals
 
 
@@ -179,12 +178,16 @@ def abandoned_time(trace: Trace, occupancy: Occupancy | None = None) -> float:
 
 
 def meeting_times(trace: Trace) -> dict:
-    """Per agent, the times of its meetings as an array in trace order."""
-    rows = trace.rows_of("meeting")
-    agents = trace.agents[rows].ravel()
-    order = np.argsort(agents, kind="stable")
-    bounds = np.cumsum(np.bincount(agents, minlength=trace.n))[:-1]
-    return dict(enumerate(np.split(np.repeat(trace.time[rows], 2)[order], bounds)))
+    """Per agent, the times of its meetings as a list in trace order."""
+    meets = [[] for _ in range(trace.n)]
+    rows = trace.mask_of("meeting")
+    agents = trace.agents
+    for t, a, b in zip(compress(trace.time, rows),
+                       compress(islice(agents, 0, None, 2), rows),
+                       compress(islice(agents, 1, None, 2), rows)):
+        meets[a].append(t)
+        meets[b].append(t)
+    return dict(enumerate(meets))
 
 
 def starvation_time(trace: Trace, meets: dict | None = None):
@@ -197,28 +200,21 @@ def starvation_time(trace: Trace, meets: dict | None = None):
     `meeting_times(trace)`, computed here when not given.
     """
     meets = meeting_times(trace) if meets is None else meets
-    per_agent = [meets[a] for a in trace.survivors]
-    counts = np.array([len(ts) for ts in per_agent], dtype=np.int64)
-    met = counts > 0
-    times = np.concatenate(per_agent) if per_agent else np.zeros(0)
-    first = (np.cumsum(counts) - counts)[met]
-    gaps = np.diff(times, prepend=0.0)
-    gaps[first] = times[first]        # t - 0.0 before the first meeting
-    longest = np.zeros(len(counts))
-    if len(first):
-        longest[met] = np.maximum(np.maximum.reduceat(gaps, first), 0.0)
-    final = np.full(len(counts), trace.horizon - 0.0)
-    final[met] = trace.horizon - times[first + counts[met] - 1]
-    worst = max(np.maximum(longest, final).max(initial=0.0).item(), 0.0)
-    flagged = [a for a, m, f in zip(trace.survivors, met.tolist(), final.tolist())
-               if not m or f >= trace.period]
+    worst = 0.0
+    flagged = []
+    for a in trace.survivors:
+        times = meets[a]
+        final = trace.horizon - (times[-1] if times else 0.0)
+        longest = max(map(sub, times, [0.0] + times), default=0.0)
+        worst = max(worst, longest, final)
+        if not times or final >= trace.period:
+            flagged.append(a)
     return worst, flagged
 
 
 def completed_tours(trace: Trace) -> float:
     """Average count of completed tours per trajectory."""
-    tours = int(np.count_nonzero(trace.kind == TOUR_COMPLETE))
-    return tours / trace.n if trace.n else 0.0
+    return trace.kind.count(TOUR_COMPLETE) / trace.n if trace.n else 0.0
 
 
 def _occupancy_at_boundaries(trace: Trace, occupancy: Occupancy, t_stable: float):
@@ -231,8 +227,8 @@ def _occupancy_at_boundaries(trace: Trace, occupancy: Occupancy, t_stable: float
     at or after t_stable already hold a repeated state.
     """
     T = trace.period
-    changes = np.concatenate((occupancy.start, occupancy.end))
-    last = max(changes[np.isfinite(changes)].max(initial=0.0).item(), t_stable)
+    changes = [t for t in chain(occupancy.start, occupancy.end) if math.isfinite(t)]
+    last = max([0.0, t_stable, *changes])
     stop = min(trace.horizon + 1e-9, last + 3 * T)
     times = []
     k = 0
@@ -241,12 +237,13 @@ def _occupancy_at_boundaries(trace: Trace, occupancy: Occupancy, t_stable: float
         times.append(t_b)
         k += 1
         t_b = k * T
-    cut = np.array([t + 1e-9 * T for t in times])
-    # an interval holds boundary b when start <= cut[b] < end
-    held, b = expand_ranges(np.searchsorted(cut, occupancy.start),
-                            np.searchsorted(cut, occupancy.end) - 1)
-    states = np.full((len(times), trace.n), -1, dtype=np.int64)
-    states[b, occupancy.traj[held]] = occupancy.agent[held]
+    cut = [t + 1e-9 * T for t in times]
+    states = [[-1] * trace.n for _ in times]
+    for traj, agent, start, end in zip(occupancy.traj, occupancy.agent, occupancy.start,
+                                       occupancy.end):
+        # the interval holds boundary b when start <= cut[b] < end
+        for b in range(bisect_left(cut, start), bisect_left(cut, end)):
+            states[b][traj] = agent
     return times, states
 
 
@@ -265,15 +262,14 @@ def prove_starvation(trace: Trace, meets: dict | None = None,
     strategy = parse_strategy(trace.strategy)
     if strategy.kind == "rand" and strategy.p not in (0, 1):
         return []
-    failures = trace.time[trace.kind == FAILURE]
-    t_stable = failures.max().item() if len(failures) else 0.0
+    t_stable = max((trace.time[r] for r in trace.rows_of("failure")), default=0.0)
     occ = occupancy_replay(trace) if occupancy is None else occupancy
     seen = {}
     t0 = None
     for t_b, state in zip(*_occupancy_at_boundaries(trace, occ, t_stable)):
         if t_b < t_stable:
             continue
-        key = state.tobytes()
+        key = tuple(state)
         if key in seen:
             t0 = seen[key]    # the recurrent state's first visit
             break
@@ -283,7 +279,7 @@ def prove_starvation(trace: Trace, meets: dict | None = None,
     meets = meeting_times(trace) if meets is None else meets
     # No meeting at or after the cycle's start: none in one full cycle of the
     # recurrent state, so none ever again.
-    return [a for a in trace.survivors if not (len(meets[a]) and meets[a].max() >= t0)]
+    return [a for a in trace.survivors if not (meets[a] and max(meets[a]) >= t0)]
 
 
 def report(trace: Trace) -> MetricsReport:

@@ -7,12 +7,14 @@ absent-neighbor detections, and switches therefore happen only at link
 epochs, which the engine processes exactly as a discrete event queue.
 
 `run` returns a `Trace`, the event table of `ringsync.trace`, whose names
-can also be imported from here.
+can also be imported from here.  It builds the table in numpy and hands it
+over as the standard-library columns `Trace` holds.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from struct import Struct
 
@@ -24,7 +26,7 @@ from .instance import Instance
 from .scheduler import Schedule, link_epochs, verify_schedule
 from .trace import (CHUNK_ROWS, EMIT, EVENT_KINDS, FAILURE, MEETING, NO_ID,
                     SWITCH, TOUR_COMPLETE, Occupancy, Strategy, Trace, TraceEvent,
-                    expand_ranges, occupancy_check, occupancy_replay, parse_strategy)
+                    occupancy_check, occupancy_replay, parse_strategy)
 
 
 @dataclass
@@ -144,15 +146,42 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     table = _event_columns(records, t_all, a_all, b_all, edges, g)
     del records, t_all, cls, a_all, b_all
 
-    tours = _tour_columns(occupancy_replay(Trace(**header, **table)), horizon, T)
+    # Only the switch and failure rows move agents between trajectories.
+    moves = np.flatnonzero((table["kind"] == FAILURE) | (table["kind"] == SWITCH))
+    tours = _tour_columns(occupancy_replay(_as_trace(header, dict(table), moves)), horizon, T)
     # Column by column, so that one column's copies at a time sit beside the table.
     for key in table:
         table[key] = np.concatenate([table[key], tours.pop(key)])
     order = _trace_order(table["time"], table["kind"], table["agents"], table["trajs"],
                          table["msg"])
-    for key in table:
-        table[key] = table[key][order]
-    return Trace(**header, **table)
+    return _as_trace(header, table, order)
+
+
+def _as_trace(header: dict, table: dict, rows: np.ndarray) -> Trace:
+    """A Trace of the given rows of the numpy columns in table, taken into
+    its arrays one column at a time; table is emptied on the way.  An array
+    column's typecode is also its numpy dtype."""
+    trace = Trace(**header)
+    for key in [key for key in table if key != "msg"]:
+        values = table.pop(key)
+        shape = (len(rows), *values.shape[1:])
+        typecode = getattr(trace, key).typecode
+        setattr(trace, key, array(typecode, [0]) * math.prod(shape))
+        # mode="clip" writes straight into out; the default buffers a copy
+        np.take(values, rows, axis=0, mode="clip",
+                out=np.frombuffer(getattr(trace, key), dtype=typecode).reshape(shape))
+    # Last, and without a name for the unordered keys, so that they are
+    # freed before the list is built.
+    trace.msg = table.pop("msg")[rows].tolist()
+    return trace
+
+
+def expand_ranges(first: np.ndarray, last: np.ndarray):
+    """(g, k) for every k in first[g]..last[g] of every group g, in group order."""
+    counts = np.maximum(last - first + 1, 0)
+    group = np.repeat(np.arange(len(counts)), counts)
+    k = np.arange(len(group)) - np.repeat(np.cumsum(counts) - counts, counts) + first[group]
+    return group, k
 
 
 def _timeline(config: SimConfig, epochs: dict, n: int, T: float, rng):
@@ -218,16 +247,17 @@ def _tour_columns(occ: Occupancy, horizon: float, T: float) -> dict:
     occ must come from the events in timeline order, the order in which the
     switches happened.
     """
-    limit = np.minimum(occ.end, horizon) + 1e-9 * T
+    start = np.array(occ.start, dtype=np.float64)
+    limit = np.minimum(np.array(occ.end, dtype=np.float64), horizon) + 1e-9 * T
     stay, k = expand_ranges(np.ones(len(limit), dtype=np.int64),
-                            np.floor((limit - occ.start) / T).astype(np.int64) + 1)
-    tour_times = occ.start[stay] + k * T
+                            np.floor((limit - start) / T).astype(np.int64) + 1)
+    tour_times = start[stay] + k * T
     done = tour_times <= limit[stay]
     stay, tour_times = stay[done], tour_times[done]
     no_id = np.full(len(stay), NO_ID)
     return dict(time=tour_times, kind=np.full(len(stay), TOUR_COMPLETE, dtype=np.int8),
-                agents=np.column_stack([occ.agent[stay], no_id]),
-                trajs=np.column_stack([occ.traj[stay], no_id]),
+                agents=np.column_stack([np.array(occ.agent, dtype=np.int64)[stay], no_id]),
+                trajs=np.column_stack([np.array(occ.traj, dtype=np.int64)[stay], no_id]),
                 location=np.full((len(stay), 2), math.nan),
                 msg=np.full(len(stay), None, dtype=object))
 

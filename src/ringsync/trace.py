@@ -1,22 +1,22 @@
 """The trace: a simulation's header and its event table.
 
-A trace stores its events as one table of numpy columns (see `Trace`);
-`TraceEvent` is the row type that tests, demos and oracles read through
-`Trace.events` and `Trace.events_of`.  Which agent held which trajectory
-when is computed in one place, `occupancy_replay`: the simulator takes its
-tour rows from it, and the metrics read abandoned time and starvation from
-it.  This module needs numpy only, so reading and measuring a trace loads no
-geometry, graph or scheduling code.
+A trace stores its events as one table of standard-library columns (see
+`Trace`); `TraceEvent` is the row type that tests, demos and oracles read
+through `Trace.events` and `Trace.events_of`.  Which agent held which
+trajectory when is computed in one place, `occupancy_replay`: the simulator
+takes its tour rows from it, and the metrics read abandoned time and
+starvation from it.  This module needs only the standard library, so reading
+and measuring a trace loads neither numpy nor any geometry, graph or
+scheduling code.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import is_not
-
-import numpy as np
+from itertools import chain, compress, count
+from operator import itemgetter
 
 from .errors import InvalidInstanceError, check_positive
 
@@ -26,12 +26,14 @@ EVENT_KINDS = ("failure", "emit", "meeting", "switch", "tour-complete")
 FAILURE, EMIT, MEETING, SWITCH, TOUR_COMPLETE = range(len(EVENT_KINDS))
 _PRIORITY = {kind: code for code, kind in enumerate(EVENT_KINDS)}
 # Per kind code: how many agents and how many trajectories an event names.
-_ARITY = np.array([(1, 1), (1, 1), (2, 2), (1, 2), (1, 1)])
+_AGENT_ARITY = (1, 1, 2, 1, 1)
+_TRAJ_ARITY = (1, 1, 2, 2, 1)
 # The second agent or trajectory id of an event that names only one.
 NO_ID = -1
-# Rows that the trace writer, the trace reader and the gossip scan hold as
-# Python values at a time, so that their memory beyond the table does not
-# grow with the trace.
+# The location of an event that has none.
+_NO_LOCATION = (math.nan, math.nan)
+# Rows that the trace writer and the trace reader hold as Python values at a
+# time, so that their memory beyond the table does not grow with the trace.
 CHUNK_ROWS = 1024
 
 
@@ -87,26 +89,26 @@ class TraceEvent:
                 tuple(self.agents), self.msg or "")
 
 
-def _ids(shape=(0, 2)):
-    return np.full(shape, NO_ID, dtype=np.int64)
-
-
 @dataclass(eq=False)
 class Trace:
     """A simulation's header and its event table, one row per event in trace order.
 
-    Columns, each indexed by row:
-      time      float64 event time;
-      kind      int8 code into EVENT_KINDS (also the priority at one instant);
-      agents    m x 2 int64 agent ids, NO_ID (-1) in the second column
-                when the event names one agent;
-      trajs     m x 2 int64 trajectory ids, padded the same way;
-      location  m x 2 float64 link positions, NaN where the event has none;
-      msg       object array: the message key of an emit, None otherwise.
-    `events` and `events_of` view rows as `TraceEvent` objects;
-    `from_events` and `from_columns` build a table from Python values.  A
-    period or horizon that is not finite and positive raises
-    InvalidInstanceError, since the metrics step through time by them.
+    Columns, each indexed by row; the pair columns hold row r's two entries
+    at 2r and 2r + 1:
+      time      array('d'): event time;
+      kind      array('b'): code into EVENT_KINDS (also the priority at one
+                instant);
+      agents    array('q'), pairs: agent ids, NO_ID (-1) second when the
+                event names one agent;
+      trajs     array('q'), pairs: trajectory ids, padded the same way;
+      location  array('d'), pairs: link positions, NaN where the event has
+                none;
+      msg       list: the message key of an emit, None otherwise.
+    The arrays export their buffers, so numpy code reads them through
+    zero-copy `np.frombuffer` views.  `events` and `events_of` view rows as
+    `TraceEvent` objects; `from_events` and `from_columns` build a table
+    from Python values.  A period or horizon that is not finite and positive
+    raises InvalidInstanceError, since the metrics step through time by them.
     """
     n: int
     period: float
@@ -115,12 +117,12 @@ class Trace:
     seed: int
     initial_occupancy: list          # per trajectory: agent id (identity at start)
     survivors: list = field(default_factory=list)
-    time: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    kind: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8))
-    agents: np.ndarray = field(default_factory=_ids)
-    trajs: np.ndarray = field(default_factory=_ids)
-    location: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
-    msg: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=object))
+    time: array = field(default_factory=lambda: array("d"))
+    kind: array = field(default_factory=lambda: array("b"))
+    agents: array = field(default_factory=lambda: array("q"))
+    trajs: array = field(default_factory=lambda: array("q"))
+    location: array = field(default_factory=lambda: array("d"))
+    msg: list = field(default_factory=list)
 
     def __post_init__(self):
         check_positive("trace header period", self.period)
@@ -129,23 +131,28 @@ class Trace:
     def __len__(self) -> int:
         return len(self.time)
 
-    def rows_of(self, *kinds: str) -> np.ndarray:
+    def rows_of(self, *kinds: str) -> list[int]:
         """Indices of the rows of the given kinds, in trace order."""
-        return np.flatnonzero(np.isin(self.kind, [_PRIORITY[k] for k in kinds]))
+        return list(compress(count(), self.mask_of(*kinds)))
 
-    def _rows(self, idx) -> list[TraceEvent]:
-        cols = (self.time[idx].tolist(), self.kind[idx].tolist(),
-                self.agents[idx].tolist(), self.trajs[idx].tolist(),
-                self.location[idx].tolist(), self.msg[idx].tolist())
-        return [TraceEvent(time=t, kind=EVENT_KINDS[k], agents=a[:1] if a[1] == NO_ID else a,
-                           trajs=j[:1] if j[1] == NO_ID else j,
-                           location=None if math.isnan(loc[0]) else loc, msg=m)
-                for t, k, a, j, loc, m in zip(*cols)]
+    def mask_of(self, *kinds: str) -> bytes:
+        """One byte per row, 1 where the row is of one of the given kinds, else 0."""
+        codes = {_PRIORITY[k] for k in kinds}
+        return self.kind.tobytes().translate(bytes(code in codes for code in range(256)))
+
+    def _rows(self, rows) -> list[TraceEvent]:
+        time, kind, agents, trajs, loc, msg = (self.time, self.kind, self.agents,
+                                               self.trajs, self.location, self.msg)
+        return [TraceEvent(time=time[r], kind=EVENT_KINDS[kind[r]],
+                           agents=_id_pair(agents, 2 * r), trajs=_id_pair(trajs, 2 * r),
+                           location=None if math.isnan(loc[2 * r]) else
+                           loc[2 * r:2 * r + 2].tolist(), msg=msg[r])
+                for r in rows]
 
     @property
     def events(self) -> list[TraceEvent]:
         """Every row as a TraceEvent (a copy: editing it leaves the table unchanged)."""
-        return self._rows(slice(None))
+        return self._rows(range(len(self)))
 
     def events_of(self, kind: str) -> list[TraceEvent]:
         return self._rows(self.rows_of(kind))
@@ -167,7 +174,7 @@ class Trace:
         for an unknown kind, ids that are not 1-2 ints in 0..n-1 (as many as
         the kind names), a non-finite time or location, or times out of order.
         """
-        n, m = header["n"], len(time)
+        n = header["n"]
         try:
             codes = list(map(_PRIORITY.get, kind))
         except TypeError:             # an unhashable kind
@@ -175,74 +182,65 @@ class Trace:
         if None in codes:
             bad = next(k for k in kind if type(k) is not str or k not in _PRIORITY)
             raise InvalidInstanceError(f"trace event kind {bad!r} is not one of {EVENT_KINDS}")
-        codes = np.array(codes, dtype=np.int8)
         times = _finite_column(time, "time")
-        if np.any(times[1:] < times[:-1]):
+        ordered = times.tolist()
+        if ordered != sorted(ordered):
             raise InvalidInstanceError("trace events are not in time order")
-        present = np.fromiter(map(is_not, location, repeat(None)), dtype=bool, count=m)
         pairs = [loc for loc in location if loc is not None]
         if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
             bad = next(p for p in pairs if type(p) not in (list, tuple) or len(p) != 2)
             raise InvalidInstanceError(f"trace event location {bad!r} is not null "
                                        "or two numbers")
-        locs = np.full((m, 2), math.nan)
-        locs[present] = _finite_column(list(chain.from_iterable(pairs)),
-                                       "location").reshape(-1, 2)
+        _finite_column(list(chain.from_iterable(pairs)), "location")
+        locs = array("d", list(chain.from_iterable(
+            [_NO_LOCATION if loc is None else loc for loc in location])))
         if not set(map(type, msg)) <= {str, type(None)}:
             bad = next(x for x in msg if x is not None and type(x) is not str)
             raise InvalidInstanceError(f"trace event msg {bad!r} is not a string or null")
-        return cls(**header, time=times, kind=codes,
-                   agents=_id_column(agents, n, _ARITY[codes, 0], "agents"),
-                   trajs=_id_column(trajs, n, _ARITY[codes, 1], "trajs"),
-                   location=locs, msg=np.array(msg, dtype=object))
+        return cls(**header, time=times, kind=array("b", codes),
+                   agents=_id_column(agents, n, [_AGENT_ARITY[c] for c in codes], "agents"),
+                   trajs=_id_column(trajs, n, [_TRAJ_ARITY[c] for c in codes], "trajs"),
+                   location=locs, msg=list(msg))
 
 
-def _id_column(values, n: int, arity: np.ndarray, key: str) -> np.ndarray:
-    """m x 2 ids, NO_ID padded, from lists of ids whose lengths must equal arity."""
-    ok = set(map(type, values)) <= {list, tuple} and list(map(len, values)) == arity.tolist()
+def _id_pair(ids: array, i: int) -> list:
+    """The ids of a pair column at i and i + 1, without the NO_ID padding."""
+    return ids[i:i + 1 if ids[i + 1] == NO_ID else i + 2].tolist()
+
+
+def _id_column(values, n: int, arity: list, key: str) -> array:
+    """Padded id pairs from lists of ids whose lengths must equal arity."""
+    ok = set(map(type, values)) <= {list, tuple} and list(map(len, values)) == arity
     flat = list(chain.from_iterable(values)) if ok else []
-    ok = ok and set(map(type, flat)) <= {int}
-    try:
-        ids = np.array(flat if ok else [], dtype=np.int64)
-    except OverflowError:         # an int beyond int64, so not an id either
-        ok = False
-    if not ok or (ids.size and not 0 <= ids.min() <= ids.max() < n):
+    if not (ok and set(map(type, flat)) <= {int}
+            and (not flat or 0 <= min(flat) and max(flat) < n)):
         bad = next(v for v, k in zip(values, arity)
                    if type(v) not in (list, tuple) or len(v) != k
                    or any(type(a) is not int or not 0 <= a < n for a in v))
         raise InvalidInstanceError(
             f"trace event {key} {bad!r} is not a list of 1-2 ids in 0..{n - 1} "
             "matching its kind")
-    starts = np.cumsum(arity) - arity
-    out = _ids((len(values), 2))
-    out[:, 0] = ids[starts]
-    two = arity == 2
-    out[two, 1] = ids[starts[two] + 1]
-    return out
+    ids = [NO_ID] * (2 * len(values))
+    ids[0::2] = [v[0] for v in values]
+    ids[1::2] = [v[1] if k == 2 else NO_ID for v, k in zip(values, arity)]
+    return array("q", ids)
 
 
-def _finite_column(values, key: str) -> np.ndarray:
+def _finite_column(values, key: str) -> array:
     """float64 column of JSON numbers, all finite."""
     if not set(map(type, values)) <= {int, float}:
         bad = next(v for v in values if type(v) not in (int, float))
         raise InvalidInstanceError(f"trace event {key} {bad!r} is not a number")
     try:
-        col = np.array(values, dtype=np.float64)
+        col = array("d", values)
     except OverflowError:
         raise InvalidInstanceError(f"trace event {key} holds an integer beyond "
                                    "the float range") from None
-    if not np.isfinite(col).all():
-        bad = values[int(np.flatnonzero(~np.isfinite(col))[0])]
+    # A finite sum needs finite terms; an infinite one may be an overflow.
+    if not math.isfinite(sum(col)) and not all(map(math.isfinite, col)):
+        bad = next(v for v, x in zip(values, col) if not math.isfinite(x))
         raise InvalidInstanceError(f"trace event {key} {bad!r} is not finite")
     return col
-
-
-def expand_ranges(first: np.ndarray, last: np.ndarray):
-    """(g, k) for every k in first[g]..last[g] of every group g, in group order."""
-    counts = np.maximum(last - first + 1, 0)
-    group = np.repeat(np.arange(len(counts)), counts)
-    k = np.arange(len(group)) - np.repeat(np.cumsum(counts) - counts, counts) + first[group]
-    return group, k
 
 
 @dataclass
@@ -255,10 +253,10 @@ class Occupancy:
     row moves or fails an agent that does not hold the row's source
     trajectory, or a switch lands on a trajectory another agent holds.
     """
-    traj: np.ndarray
-    agent: np.ndarray
-    start: np.ndarray
-    end: np.ndarray
+    traj: list
+    agent: list
+    start: list
+    end: list
     consistent: bool
 
 
@@ -268,28 +266,25 @@ def occupancy_replay(trace: Trace) -> Occupancy:
                if a is not None}
     closed = []                       # (traj, agent, start, end)
     consistent = True
-    rows = trace.rows_of("failure", "switch")
-    for t, kind, agent, (src, dst) in zip(trace.time[rows].tolist(),
-                                          trace.kind[rows].tolist(),
-                                          trace.agents[rows, 0].tolist(),
-                                          trace.trajs[rows].tolist()):
+    time, kind, agents, trajs = trace.time, trace.kind, trace.agents, trace.trajs
+    for r in trace.rows_of("failure", "switch"):
+        t, agent, src = time[r], agents[2 * r], trajs[2 * r]
         held = current.pop(src, None)
         if held is not None:
             closed.append((src, held[1], held[0], t))
         if held is None or held[1] != agent:
             consistent = False
-        if kind == SWITCH:
+        if kind[r] == SWITCH:
+            dst = trajs[2 * r + 1]
             other = current.get(dst)
             if other is not None:
                 consistent = False
                 closed.append((dst, other[1], other[0], t))
             current[dst] = (t, agent)
     closed += [(traj, a, start, math.inf) for traj, (start, a) in current.items()]
-    traj, agent, start, end = (np.array(col) for col in zip(*closed)) if closed else \
-        (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0))
-    order = np.argsort(traj, kind="stable")
-    return Occupancy(traj=traj[order], agent=agent[order], start=start[order],
-                     end=end[order], consistent=consistent)
+    closed.sort(key=itemgetter(0))    # stable: each trajectory's stays keep their order
+    traj, agent, start, end = map(list, zip(*closed)) if closed else ([], [], [], [])
+    return Occupancy(traj=traj, agent=agent, start=start, end=end, consistent=consistent)
 
 
 def occupancy_check(trace: Trace) -> bool:

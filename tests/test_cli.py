@@ -559,6 +559,16 @@ def test_malformed_number_argument_is_typed_error(tmp_path, capsys, args, messag
     assert err == {"error": "InvalidInstanceError", "message": message}
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_generate_grid_with_non_finite_range_is_error_without_output(tmp_path, capsys, value):
+    out = tmp_path / "i.json"
+    assert invoke("generate", "--grid", "2x2", "--range", value, "-o", str(out)) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "InvalidInstanceError",
+        "message": f"range {value} must be finite and non-negative"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args,message", [
     (("--seeds", "0"), "--seeds 0 is not a positive count"),
     (("--seeds", "-1"), "--seeds -1 is not a positive count"),
@@ -594,7 +604,7 @@ def test_simulate_agent_failed_twice_fails_once(tmp_path, capsys):
                   "--fail-at", "4:0,4:100", "-o", str(traces)) == 0
     tr = cli.trace_from_lines((traces / "trace-0.jsonl").read_text().splitlines())
     rows = tr.rows_of("failure")
-    assert tr.agents[rows, 0].tolist() == [4] and tr.time[rows].tolist() == [0.0]
+    assert [tr.agents[2 * r] for r in rows] == [4] and [tr.time[r] for r in rows] == [0.0]
 
 
 def test_simulate_refuses_schedule_off_by_1e_7_periods(tmp_path, capsys):

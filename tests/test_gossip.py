@@ -63,11 +63,11 @@ def assert_matches_reference(trace):
     emits, arrival = arrival_times(trace)
     assert list(emits.items()) == list({ev.msg: ev.time for ev in trace.events
                                         if ev.kind == "emit"}.items())
-    assert arrival.shape == (trace.n, len(emits))
+    assert len(arrival) == trace.n and {len(row) for row in arrival} <= {len(emits)}
     for k, key in enumerate(emits):
         got = received[key]
         for agent in range(trace.n):
-            assert arrival[agent, k] == got.get(agent, INF), (key, agent)
+            assert arrival[agent][k] == got.get(agent, INF), (key, agent)
     assert broadcast_time(trace) == reference_broadcast_time(trace, received)
 
 
@@ -158,7 +158,7 @@ def test_same_instant_order():
                               seed=0, initial_occupancy=[0, 1, 2], survivors=[0, 1, 2])
     emits, arrival = arrival_times(trace)
     assert emits == {"2:0": 0.5, "1:0": 1.0}
-    assert arrival.tolist() == [[2.0, 1.0], [1.0, 1.0], [0.5, 1.0]]
+    assert arrival == [[2.0, 1.0], [1.0, 1.0], [0.5, 1.0]]
     assert broadcast_time(trace) == ((2.0 - 0.5) + (1.0 - 1.0)) / 2
     assert_matches_reference(trace)
 
@@ -180,7 +180,7 @@ def test_repeated_emit_key():
                               seed=0, initial_occupancy=[0, 1, 2, 3], survivors=[0, 1, 2])
     emits, arrival = arrival_times(trace)
     assert emits == {"k": 3.0, "x": 4.0} and list(emits) == ["k", "x"]
-    assert arrival.tolist() == [[0.5, 3.5], [2.0, 2.5], [3.0, 1.5], [INF, 4.0]]
+    assert arrival == [[0.5, 3.5], [2.0, 2.5], [3.0, 1.5], [INF, 4.0]]
     assert broadcast_time(trace) == ((3.0 - 3.0) + (3.5 - 4.0)) / 2
     assert_matches_reference(trace)
 

@@ -97,8 +97,8 @@ def test_gossip_eccentricity_bound():
     inst, g, sched = grid_setup()
     tr = run(inst, sched, SimConfig(horizon=20.0))
     emits, arrival = arrival_times(tr)
-    latest = arrival.max(axis=0)
-    assert len(latest) == len(emits) > 0 and all(latest < math.inf)
+    latest = [max(column) for column in zip(*arrival)]
+    assert len(latest) == len(emits) > 0 and all(t < math.inf for t in latest)
     # grid diameter is 4 hops; one extra period covers the wait to first hop
     for t0, t in zip(emits.values(), latest):
         assert t - t0 <= (4 + 1) * 1.0 + 1e-9
@@ -188,7 +188,7 @@ def test_occupancy_check_detects_corruption():
                                     failures=[(4, 0.0)]))
     assert occupancy_check(tr)
     first = tr.rows_of("switch")[0]
-    tr.trajs[first, 1] = tr.trajs[first, 0]  # switch onto itself
+    tr.trajs[2 * first + 1] = tr.trajs[2 * first]  # switch onto itself
     assert not occupancy_check(tr)
 
 
@@ -252,8 +252,9 @@ def test_run_peak_memory_stays_near_its_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table = sum(getattr(trace, key).nbytes
-                for key in ("time", "kind", "agents", "trajs", "location", "msg"))
+    # The msg column counts one 8-byte reference per row.
+    table = sum(memoryview(getattr(trace, key)).nbytes
+                for key in ("time", "kind", "agents", "trajs", "location")) + 8 * len(trace.msg)
     assert len(trace) == 81835
     assert peak < 2.5 * table
 

@@ -28,12 +28,17 @@ def _run(argv, cwd):
     return proc
 
 
+def loaded_modules(argv, cwd) -> set:
+    """The modules a fresh `python -X importtime ARGV` imports."""
+    stderr = _run(["-X", "importtime", *argv], cwd).stderr
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 def loaded_layers(argv, cwd) -> set:
     """The ringsync layers a fresh `python -X importtime ARGV` imports."""
-    stderr = _run(["-X", "importtime", *argv], cwd).stderr
-    names = {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
-             if line.startswith("import time:")}
-    return {name.partition(".")[2] for name in names if name.startswith("ringsync.")}
+    return {name.partition(".")[2] for name in loaded_modules(argv, cwd)
+            if name.startswith("ringsync.")}
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +71,14 @@ def test_command_loads_only_its_layers(workdir, argv, unused):
     loaded = loaded_layers(["-m", "ringsync.cli", *argv], workdir)
     assert loaded <= LAYERS | {"errors"}
     assert not loaded & unused, sorted(loaded & unused)
+
+
+@pytest.mark.parametrize("argv", [["-m", "ringsync.cli", "report", "-t", "traces"],
+                                  ["-c", "import ringsync.cli"]])
+def test_report_and_cli_import_load_no_numpy(workdir, argv):
+    # The report step runs on the standard library alone.
+    loaded = {name.partition(".")[0] for name in loaded_modules(argv, workdir)}
+    assert not loaded & {"numpy", "scipy"}, sorted(loaded & {"numpy", "scipy"})
 
 
 def test_package_names_resolve():

@@ -8,7 +8,6 @@ the table must give the same lines, survive a write and read column for
 column, and give the same report.
 """
 
-import numpy as np
 from hypothesis import given, settings
 
 import ringsync as rs
@@ -145,11 +144,11 @@ def reference_report(trace, events):
 def assert_same_table(a, b):
     for key in HEADER_KEYS:
         assert getattr(a, key) == getattr(b, key), key
-    assert a.time.dtype == b.time.dtype and np.array_equal(a.time, b.time)
-    assert a.kind.dtype == b.kind.dtype and np.array_equal(a.kind, b.kind)
-    assert np.array_equal(a.agents, b.agents) and np.array_equal(a.trajs, b.trajs)
-    assert np.array_equal(a.location, b.location, equal_nan=True)
-    assert a.msg.tolist() == b.msg.tolist()
+    # Bytes, so that the NO_ID and NaN padding is compared too.
+    for key in ("time", "kind", "agents", "trajs", "location"):
+        col_a, col_b = getattr(a, key), getattr(b, key)
+        assert col_a.typecode == col_b.typecode and col_a.tobytes() == col_b.tobytes(), key
+    assert a.msg == b.msg
 
 
 @given(simulations())
@@ -169,3 +168,18 @@ def test_table_matches_row_references(trace):
             rep.starvation_proven, rep.potentially_starving) == \
         reference_report(trace, events)
     assert rep.broadcast_time == reference_broadcast_time(trace, reference_arrivals(trace))
+
+
+@given(simulations())
+@settings(max_examples=100, deadline=None)
+def test_read_table_and_report_equal_the_simulated(trace):
+    # The reader's table is the simulator's, column for column, padding included.
+    read = cli.trace_from_lines(cli.trace_to_lines(trace))
+    m = len(trace)
+    for table in (trace, read):
+        assert [(getattr(table, key).typecode, len(getattr(table, key)))
+                for key in ("time", "kind", "agents", "trajs", "location")] == \
+            [("d", m), ("b", m), ("q", 2 * m), ("q", 2 * m), ("d", 2 * m)]
+        assert type(table.msg) is list and len(table.msg) == m
+    assert_same_table(read, trace)
+    assert rs.report(read) == rs.report(trace)
