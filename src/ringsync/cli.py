@@ -270,72 +270,48 @@ def _write_trace(path: str, trace: Trace) -> None:
             f.write("\n".join(lines) + "\n")
 
 
-def _check_agent_ids(n, survivors, occupancy) -> None:
-    """Every survivor and non-null initial occupant must be an agent id in 0..n-1."""
-    if type(n) is not int or n < 0:
-        raise InvalidInstanceError(f"trace header n {n!r} is not an agent count")
-    if not (isinstance(survivors, list) and isinstance(occupancy, list)):
-        raise InvalidInstanceError("trace header survivors and initial_occupancy must be lists")
-    for key, ids in (("survivors", survivors),
-                     ("initial_occupancy", [a for a in occupancy if a is not None])):
-        bad = [a for a in ids if type(a) is not int or not 0 <= a < n]
-        if bad:
-            raise InvalidInstanceError(
-                f"trace header {key} holds {bad[0]!r}, not an agent id in 0..{n - 1}")
-
-
-def _events_table(body: list[str], header: dict) -> Trace:
-    """The table of event lines body, parsed by one `json.loads` over their
-    joined text and checked by `Trace.from_columns`."""
-    from .trace import Trace
+def _events_table(body: list[str]) -> list[list]:
+    """The columns of event lines body, in `_EVENT_KEYS` order, parsed by one
+    `json.loads` over their joined text."""
     try:
         events = json.loads("[" + ",".join(body) + "]")
     except json.JSONDecodeError:
         events = None
     if events is None or len(events) != len(body) or not set(map(type, events)) <= {dict}:
         raise InvalidInstanceError("each trace event line must hold one JSON object")
-    return Trace.from_columns(*([event[key] for event in events] for key in _EVENT_KEYS),
-                              **header)
+    return [[event[key] for event in events] for key in _EVENT_KEYS]
 
 
 def trace_from_lines(lines) -> Trace:
     """Parse a trace file's lines, from a list or an open file, into a trace
     table; blank lines are skipped.
 
-    The event lines are parsed CHUNK_ROWS at a time, and each chunk's columns
-    are appended to the table's, so at most one chunk of lines and their
-    parsed objects is held beside the columns.  An event line that is not
-    one JSON object, an unknown kind, bad agent or trajectory ids, a
-    non-finite time or location, or times out of order (within a chunk or
-    across two) raise InvalidInstanceError, as do a missing key and a bad
-    header: one that is not a JSON object, bad agent ids, a period or
-    horizon that is not finite and positive, or a strategy `parse_strategy`
-    rejects.
+    The event lines are parsed CHUNK_ROWS at a time, and `Trace.extend`
+    checks each chunk's columns and appends them, so at most one chunk of
+    lines and their parsed objects is held beside the table.  A line that is
+    not one JSON object, a missing key, a format_version other than 2 and
+    whatever `Trace` rejects raise InvalidInstanceError.
     """
-    from .trace import CHUNK_ROWS, Trace, parse_strategy
+    from .trace import CHUNK_ROWS, Trace
     lines = iter(lines)
-    head = json.loads(next(lines, ""))
+    try:
+        head = json.loads(next(lines, ""))
+    except json.JSONDecodeError:
+        head = None
     if type(head) is not dict:
         raise InvalidInstanceError("trace header line must hold one JSON object")
     if head.get("format_version") != TRACE_FORMAT_VERSION:
         raise InvalidInstanceError(
             f"unsupported trace format_version {head.get('format_version')!r}")
     with _required_keys("trace"):
-        header = dict(n=head["n"], period=head["period"], horizon=head["horizon"],
+        trace = Trace(n=head["n"], period=head["period"], horizon=head["horizon"],
                       strategy=head["strategy"], seed=head["seed"],
                       initial_occupancy=head["initial_occupancy"],
                       survivors=head["survivors"])
-        _check_agent_ids(header["n"], header["survivors"], header["initial_occupancy"])
-        trace = Trace(**header)       # checks period and horizon
-        parse_strategy(header["strategy"])
         body = filter(str.strip, lines)
         with _gc_paused():
             while chunk := list(islice(body, CHUNK_ROWS)):
-                part = _events_table(chunk, header)
-                if len(trace) and part.time[0] < trace.time[-1]:
-                    raise InvalidInstanceError("trace events are not in time order")
-                for key in _EVENT_KEYS:
-                    getattr(trace, key).extend(getattr(part, key))
+                trace.extend(*_events_table(chunk))
     return trace
 
 
@@ -447,8 +423,8 @@ def _resolve_failures(args, inst: Instance, n: int) -> list:
 
 
 def cmd_simulate(args) -> int:
-    from .simulator import SimConfig, resolve_root
-    from .trace import Strategy, parse_strategy
+    from .simulator import SimConfig
+    from .trace import parse_strategy
     inst = instance_from_json(_read_json(args.instance))
     sched, retained, _ = schedule_from_json(_read_json(args.schedule))
     g = inst.graph()
@@ -458,18 +434,16 @@ def cmd_simulate(args) -> int:
             f"schedule retains edge {list(missing)}, which the instance lacks")
     g = g.subgraph(retained)
     strategy = parse_strategy(args.strategy)
-    if strategy.kind == "dfs":
-        strategy = Strategy("dfs", root=resolve_root(strategy, inst))
     failures = _resolve_failures(args, inst, g.n)
     if args.seed_list:
         seeds = [_seed(s, "--seed-list entry") for s in args.seed_list.split(",")]
         repeated = next((s for k, s in enumerate(seeds) if s in seeds[:k]), None)
         if repeated is not None:
             raise InvalidInstanceError(f"--seed-list repeats seed {repeated}")
-    elif args.seeds < 1:
+    elif args.seeds is not None and args.seeds < 1:
         raise InvalidInstanceError(f"--seeds {args.seeds} is not a positive count")
     else:
-        seeds = list(range(args.seeds))
+        seeds = list(range(args.seeds or 1))
     outdir = _out_path(args.output)
     os.makedirs(outdir, exist_ok=True)
     for seed in seeds:
@@ -543,13 +517,19 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--horizon", type=float, required=True)
     m.add_argument("--strategy", default="alw",
                    help="alw | rand:<p> | dfs:<root> | dfs:topleft")
-    m.add_argument("--seeds", type=int, default=1, help="run seeds 0..N-1")
-    m.add_argument("--seed-list", default=None, help="explicit seeds, comma separated")
-    m.add_argument("--fail", type=int, default=0, help="fail this many random agents at t=0")
+    # The options of one group would override each other, so argparse rejects
+    # two of them.  Defaults are None: argparse lets an option through that
+    # is given its default value, and int("1") is the default 1 itself.
+    seeds = m.add_mutually_exclusive_group()
+    seeds.add_argument("--seeds", type=int, default=None, help="run seeds 0..N-1 (default 1)")
+    seeds.add_argument("--seed-list", default=None, help="explicit seeds, comma separated")
+    fail = m.add_mutually_exclusive_group()
+    fail.add_argument("--fail", type=int, default=None,
+                      help="fail this many random agents at t=0")
     m.add_argument("--fail-seed", type=int, default=0)
-    m.add_argument("--fail-at", default=None, help="explicit failures agent:time,...")
-    m.add_argument("--fail-whites", action="store_true",
-                   help="fail the instance's marked white agents at t=0")
+    fail.add_argument("--fail-at", default=None, help="explicit failures agent:time,...")
+    fail.add_argument("--fail-whites", action="store_true",
+                      help="fail the instance's marked white agents at t=0")
     m.add_argument("--emission-period", type=float, default=None)
     m.add_argument("-o", "--output", default="traces")
     m.set_defaults(func=cmd_simulate)

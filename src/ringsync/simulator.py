@@ -100,10 +100,11 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     strategy = config.strategy
     dfs_edges = None
     if strategy.kind == "dfs":
-        root = resolve_root(strategy, instance)
-        if not 0 <= root < n:
-            raise InvalidInstanceError(f"dfs root {root} outside 0..{n - 1}")
-        dfs_edges = set(dfs_forest(g, root).tree_edges())
+        # The header names the resolved root: dfs:topleft is written as dfs:<id>.
+        strategy = Strategy("dfs", root=resolve_root(strategy, instance))
+        if not 0 <= strategy.root < n:
+            raise InvalidInstanceError(f"dfs root {strategy.root} outside 0..{n - 1}")
+        dfs_edges = set(dfs_forest(g, strategy.root).tree_edges())
     T = schedule.period
     horizon = config.horizon
     epochs = link_epochs(g, schedule)

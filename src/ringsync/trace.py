@@ -106,9 +106,9 @@ class Trace:
       msg       list: the message key of an emit, None otherwise.
     The arrays export their buffers, so numpy code reads them through
     zero-copy `np.frombuffer` views.  `events` and `events_of` view rows as
-    `TraceEvent` objects; `from_events` and `from_columns` build a table
-    from Python values.  A period or horizon that is not finite and positive
-    raises InvalidInstanceError, since the metrics step through time by them.
+    `TraceEvent` objects.  The header is checked when a Trace is built, and
+    each row by `extend`, which `from_events`, `from_columns` and the trace
+    reader call; columns given to the constructor are not checked.
     """
     n: int
     period: float
@@ -125,8 +125,25 @@ class Trace:
     msg: list = field(default_factory=list)
 
     def __post_init__(self):
+        n, survivors, occupancy = self.n, self.survivors, self.initial_occupancy
+        if type(n) is not int or not 0 <= n <= 2**63:     # ids are int64
+            raise InvalidInstanceError(f"trace header n {n!r} is not an agent count")
+        if not (isinstance(survivors, list) and isinstance(occupancy, list)):
+            raise InvalidInstanceError("trace header survivors and initial_occupancy must be lists")
+        held = [a for a in occupancy if a is not None]
+        for key, ids in (("survivors", survivors), ("initial_occupancy", held)):
+            bad = [a for a in ids if type(a) is not int or not 0 <= a < n]
+            if bad:
+                raise InvalidInstanceError(
+                    f"trace header {key} holds {bad[0]!r}, not an agent id in 0..{n - 1}")
+        if len(occupancy) != n:
+            raise InvalidInstanceError(f"trace header initial_occupancy has {len(occupancy)} "
+                                       f"entries for {n} trajectories")
+        if len(set(held)) != len(held):
+            raise InvalidInstanceError("trace header initial_occupancy holds an agent twice")
         check_positive("trace header period", self.period)
         check_positive("trace header horizon", self.horizon)
+        parse_strategy(self.strategy)
 
     def __len__(self) -> int:
         return len(self.time)
@@ -167,14 +184,19 @@ class Trace:
 
     @classmethod
     def from_columns(cls, time, kind, agents, trajs, location, msg, **header) -> Trace:
-        """Table from per-event Python values, validated once per column.
+        """Table of the header and the rows `extend` takes."""
+        trace = cls(**header)
+        trace.extend(time, kind, agents, trajs, location, msg)
+        return trace
+
+    def extend(self, time, kind, agents, trajs, location, msg) -> None:
+        """Append rows from per-event Python values, validated once per column.
 
         kind holds names, agents and trajs lists of ids, location a list of
         two numbers or None, msg a str or None.  Raises InvalidInstanceError
         for an unknown kind, ids that are not 1-2 ints in 0..n-1 (as many as
         the kind names), a non-finite time or location, or times out of order.
         """
-        n = header["n"]
         try:
             codes = list(map(_PRIORITY.get, kind))
         except TypeError:             # an unhashable kind
@@ -197,10 +219,16 @@ class Trace:
         if not set(map(type, msg)) <= {str, type(None)}:
             bad = next(x for x in msg if x is not None and type(x) is not str)
             raise InvalidInstanceError(f"trace event msg {bad!r} is not a string or null")
-        return cls(**header, time=times, kind=array("b", codes),
-                   agents=_id_column(agents, n, [_AGENT_ARITY[c] for c in codes], "agents"),
-                   trajs=_id_column(trajs, n, [_TRAJ_ARITY[c] for c in codes], "trajs"),
-                   location=locs, msg=list(msg))
+        agent_ids = _id_column(agents, self.n, [_AGENT_ARITY[c] for c in codes], "agents")
+        traj_ids = _id_column(trajs, self.n, [_TRAJ_ARITY[c] for c in codes], "trajs")
+        if times and self.time and times[0] < self.time[-1]:
+            raise InvalidInstanceError("trace events are not in time order")
+        self.time += times
+        self.kind += array("b", codes)
+        self.agents += agent_ids
+        self.trajs += traj_ids
+        self.location += locs
+        self.msg += msg
 
 
 def _id_pair(ids: array, i: int) -> list:

@@ -45,6 +45,24 @@ def paper_section_plan(period: float = 1.0):
 CASE_STUDY_CYCLES = [[2, 7, 8, 5], [2, 5, 8, 6, 4, 3]]
 
 
+# Bad trace header fields, each with a word of the InvalidInstanceError it
+# raises; each merges into the header of a 3x3 grid trace.
+BAD_TRACE_HEADERS = [
+    ({"period": 0}, "period"), ({"period": -80}, "period"),
+    ({"period": float("inf")}, "period"), ({"horizon": "x"}, "horizon"),
+    ({"strategy": 5}, "strategy"), ({"strategy": "rand:x"}, "strategy"),
+    ({"n": -1}, "n -1 is not an agent count"),
+    ({"n": 2**70}, "is not an agent count"),
+    ({"n": 1, "initial_occupancy": [0], "survivors": [5]}, "survivors holds 5"),
+    ({"n": 2, "initial_occupancy": [0, 7], "survivors": [0, 1]}, "initial_occupancy holds 7"),
+    ({"n": 1, "initial_occupancy": [0, 0], "survivors": [0]},
+     "initial_occupancy has 2 entries for 1 trajectories"),
+    ({"initial_occupancy": [*range(9), None]},
+     "initial_occupancy has 10 entries for 9 trajectories"),
+    ({"n": 2, "initial_occupancy": [1, 1], "survivors": [0, 1]},
+     "initial_occupancy holds an agent twice")]
+
+
 def path_grid(rows: int, cols: int, staggered: bool = True):
     """Unit squares 0.4 apart with range 0.5, so only grid neighbours link.
 

@@ -8,7 +8,7 @@ import pytest
 
 import ringsync as rs
 import ringsync.scheduler as sch
-from conftest import path_grid
+from conftest import BAD_TRACE_HEADERS, path_grid
 from ringsync import cli
 from ringsync.errors import InvalidInstanceError
 
@@ -127,6 +127,9 @@ def test_simulate_fail_whites_and_dfs(tmp_path, capsys):
     assert invoke("simulate", "-i", str(inst), "-s", str(sched),
                   "--horizon", "4000", "--strategy", "dfs:topleft",
                   "--fail-whites", "-o", str(traces)) == 0
+    # the header names the root dfs:topleft resolved to, fig9a's agent 3
+    head = (traces / "trace-0.jsonl").read_text().split("\n", 1)[0]
+    assert json.loads(head)["strategy"] == "dfs:3"
     assert invoke("report", "-t", str(traces)) == 0
 
 
@@ -316,22 +319,25 @@ def test_trace_bad_event_is_error(tmp_path, capsys, kind, key, value):
 
 
 @pytest.mark.parametrize("head,word", [
-    ([1], "JSON object"), (3, "JSON object"),
-    ({"period": 0}, "period"), ({"period": -80}, "period"),
-    ({"period": float("inf")}, "period"), ({"horizon": "x"}, "horizon"),
-    ({"strategy": 5}, "strategy"), ({"strategy": "rand:x"}, "strategy")])
+    ([1], "JSON object"), (3, "JSON object"), *BAD_TRACE_HEADERS,
+    ("not json", "JSON object"), (None, "JSON object")])
 def test_trace_bad_header_is_error(tmp_path, capsys, head, word):
+    """A header line that is a JSON non-object, the text head or, for None,
+    an empty file; or the trace's header with the fields head."""
     _, _, traces = pipeline(tmp_path, seeds="1")
     path = traces / "trace-0.jsonl"
     lines = path.read_text().splitlines()
     if isinstance(head, dict):
         head = {**json.loads(lines[0]), **head}
-    lines[0] = json.dumps(head)
+    if head is None:
+        lines = []
+    else:
+        lines[0] = head if isinstance(head, str) else json.dumps(head)
     # Parsed directly first: report on a header that passes the parse may
     # never return (a zero period steps its period boundaries by zero).
     with pytest.raises(InvalidInstanceError, match=word):
         cli.trace_from_lines(lines)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(line + "\n" for line in lines))
     capsys.readouterr()
     assert invoke("report", "-t", str(traces)) == 1
     err = json.loads(capsys.readouterr().err)
@@ -580,6 +586,19 @@ def test_simulate_bad_seed_set_is_error_without_output(tmp_path, capsys, args, m
     inst, sched = _grid_schedule(tmp_path, capsys)
     err = _simulate_error(tmp_path, capsys, inst, sched, *args)
     assert err == {"error": "InvalidInstanceError", "message": message}
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("--fail", "3", "--fail-at", "0:0", "--seeds", "2", "--seed-list", "5"),
+    ("--fail", "0", "--fail-whites"), ("--fail-at", "0:0", "--fail-whites"),
+    ("--seeds", "1", "--seed-list", "5")])
+def test_simulate_options_that_override_each_other_are_usage_errors(tmp_path, capsys, args):
+    inst, sched = _grid_schedule(tmp_path, capsys)
+    with pytest.raises(SystemExit) as exc:
+        invoke("simulate", "-i", str(inst), "-s", str(sched), "--horizon", "600",
+               *args, "-o", str(tmp_path / "t"))
+    assert exc.value.code == 2 and "not allowed with argument" in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
 
 

@@ -209,9 +209,12 @@ def test_parse_strategy():
 
 
 def test_resolve_root_topleft():
-    inst = rs.grid(3, 3)
+    inst, _, sched = grid_setup()
     assert resolve_root(Strategy("dfs", root="topleft"), inst) == 0
     assert resolve_root(Strategy("dfs", root=5), inst) == 5
+    # run's header names the resolved root, as the CLI's traces do
+    tr = run(inst, sched, SimConfig(horizon=2.0, strategy=Strategy("dfs", root="topleft")))
+    assert tr.strategy == "dfs:0"
 
 
 def test_invalid_config_rejected():

@@ -8,11 +8,14 @@ the table must give the same lines, survive a write and read column for
 column, and give the same report.
 """
 
+import pytest
 from hypothesis import given, settings
 
 import ringsync as rs
 from ringsync import cli
+from ringsync.errors import InvalidInstanceError
 from ringsync.simulator import Trace, occupancy_check
+from conftest import BAD_TRACE_HEADERS
 from test_gossip import reference_arrivals, reference_broadcast_time, simulations
 
 HEADER_KEYS = ("n", "period", "horizon", "strategy", "seed", "initial_occupancy",
@@ -183,3 +186,13 @@ def test_read_table_and_report_equal_the_simulated(trace):
         assert type(table.msg) is list and len(table.msg) == m
     assert_same_table(read, trace)
     assert rs.report(read) == rs.report(trace)
+
+
+@pytest.mark.parametrize("fields,word", BAD_TRACE_HEADERS)
+def test_trace_built_with_bad_header_is_error(fields, word):
+    """A Trace built in the library rejects each header the trace reader
+    rejects, with the same message."""
+    header = dict(n=9, period=300.0, horizon=3000.0, strategy="alw", seed=0,
+                  initial_occupancy=list(range(9)), survivors=list(range(9)))
+    with pytest.raises(InvalidInstanceError, match=word):
+        Trace(**{**header, **fields})
