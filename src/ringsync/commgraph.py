@@ -20,10 +20,10 @@ on it: changing the order changes artifacts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import (DisconnectedGraphError, InvalidInstanceError,
                      NotSynchronizableError)
@@ -164,30 +164,64 @@ def dfs_forest(g: CommGraph, root: int) -> Forest:
     return Forest(order, parent, depth)
 
 
-# Relative slack on the numpy prefilters below.  They only pick candidate
-# pairs; each candidate is decided by the exact scalar code, so the slack must
-# cover the rounding gap between the two and may not hide a pair.
+# Relative slack on the prefilters below.  They only pick candidate pairs;
+# each candidate is decided by the exact scalar code, so the slack must cover
+# the rounding gap between the two and may not hide a pair.
 _PREFILTER_SLACK = 1e-9
+
+# Relative slack on the circle build's cell side, and the most cells across
+# the coordinate span.  A cell key is floor((x - min x) / side); with at most
+# 2**20 cells across, rounding moves a key difference by under 1e-9, far
+# inside the 1e-6 slack, so two circles the prefilter keeps always have keys
+# at most one apart and every key stays finite.
+_CELL_SLACK = 1e-6
+_MAX_CELLS = 2**20
+
+
+def _cell_blocks(xs: list, ys: list, reach: float) -> list:
+    """Per point, the ascending points of the 3x3 block of grid cells around
+    its own; the cell side is reach with slack, so every pair of points at
+    most reach apart shares a block (Hockney & Eastwood, "Computer Simulation
+    Using Particles", 1988)."""
+    if not xs:
+        return []
+    x0, y0 = min(xs), min(ys)
+    side = max(reach, max(max(xs) - x0, max(ys) - y0) / _MAX_CELLS) * (1.0 + _CELL_SLACK)
+    if not side < math.inf:         # r = inf, or a span past the float range
+        return [list(range(len(xs)))] * len(xs)
+    keys = [(math.floor((x - x0) / side), math.floor((y - y0) / side))
+            for x, y in zip(xs, ys)]
+    cells = {}
+    for k, key in enumerate(keys):
+        cells.setdefault(key, []).append(k)
+    blocks = {(cx, cy): sorted(chain.from_iterable(
+        cells.get((cx + dx, cy + dy), ()) for dx in (-1, 0, 1) for dy in (-1, 0, 1)))
+        for cx, cy in cells}
+    return [blocks[key] for key in keys]
 
 
 def build_circle_graph(circles: list[Circle], r: float) -> CommGraph:
     """Proximity graph of unit circles: edge iff center distance <= 2 + r.
 
-    One numpy distance row per circle picks the pairs that can overlap or
-    link (d <= ri + rj + max(r, 0), with slack); only those run the exact
-    test, in (i, j) order, so the first overlapping pair raises as before.
+    Candidates j > i come from i's block of grid cells whose side is the
+    largest reach, 2 * max radius + max(r, 0); a candidate is kept when its
+    math.hypot distance is within ri + rj + max(r, 0), with slack.  Only kept
+    pairs run the exact test, in (i, j) order, so the first overlapping pair
+    raises as the all-pairs loop would.
     """
-    n = len(circles)
-    xs = np.array([c.center.x for c in circles])
-    ys = np.array([c.center.y for c in circles])
-    radii = np.array([c.radius for c in circles])
+    xs = [c.center.x for c in circles]
+    ys = [c.center.y for c in circles]
+    radii = [c.radius for c in circles]
     reach = r if r > 0 else 0.0
+    blocks = _cell_blocks(xs, ys, 2.0 * max(radii, default=0.0) + reach)
     edges = {}
-    for i in range(n - 1):
-        near = np.hypot(xs[i + 1:] - xs[i], ys[i + 1:] - ys[i]) <= \
-            (radii[i] + radii[i + 1:] + reach) * (1.0 + _PREFILTER_SLACK)
-        ci = circles[i]
-        for j in (np.flatnonzero(near) + (i + 1)).tolist():
+    for i, ci in enumerate(circles):
+        xi, yi, ri = xs[i], ys[i], radii[i]
+        block = blocks[i]
+        for j in block[bisect_right(block, i):]:
+            if math.hypot(xs[j] - xi, ys[j] - yi) > \
+                    (ri + radii[j] + reach) * (1.0 + _PREFILTER_SLACK):
+                continue
             cj = circles[j]
             d = center_distance(ci, cj)
             if d <= ci.radius + cj.radius:
@@ -196,7 +230,7 @@ def build_circle_graph(circles: list[Circle], r: float) -> CommGraph:
                 phi_ij, phi_ji = link_positions(ci, cj)
                 edges[(i, j)] = EdgeData(beta=line_angle(ci, cj),
                                          phi={i: phi_ij, j: phi_ji})
-    return CommGraph(n=n, edges=edges, mode="circle")
+    return CommGraph(n=len(circles), edges=edges, mode="circle")
 
 
 def build_path_graph(paths: list[ClosedPath], ranges: list[float]) -> CommGraph:
@@ -208,6 +242,7 @@ def build_path_graph(paths: list[ClosedPath], ranges: list[float]) -> CommGraph:
     absolute slack scales with the coordinates, because `min_distance`
     rounds at their magnitude.
     """
+    import numpy as np
     n = len(paths)
     lo = np.array([p.vertices.min(axis=0) for p in paths]).reshape(n, 2)
     hi = np.array([p.vertices.max(axis=0) for p in paths]).reshape(n, 2)
@@ -287,6 +322,7 @@ def max_bipartite_subgraph(g: CommGraph) -> CommGraph:
 
 def _exact_max_cut(g: CommGraph, comp: list[int], sides: list) -> None:
     """Set sides on comp to its first maximum cut in mask order (comp[0] on side 0)."""
+    import numpy as np
     index = {node: k for k, node in enumerate(comp)}
     pairs = [(index[a], index[b]) for a, b in g.edges if a in index]
     best_count, best_mask = -1, 0

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .commgraph import CommGraph
 from .errors import GenerationFailureError, InvalidInstanceError
 from .geometry import Circle, ClosedPath, Point2
@@ -55,6 +53,7 @@ def random_connected(n: int, r: float = 0.5, seed: int = 0) -> Instance:
     if r == 0 and n > 1:
         raise GenerationFailureError(
             "range 0 leaves no center distance in (2, 2]: cannot place circle 1")
+    import numpy as np
     rng = np.random.default_rng(seed)
     centers = np.zeros((n, 2))
     for k in range(1, n):
@@ -163,7 +162,7 @@ def preset(name: str) -> Instance:
         # are 0.4 apart (within every range of 0.5); all other pairs are
         # farther than 0.5 apart.
         def rect(x0, x1, y0, y1):
-            return ClosedPath(np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]))
+            return ClosedPath([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
 
         paths = [
             rect(0.0, 1.0, 0.0, 4.0),      # 0: left column

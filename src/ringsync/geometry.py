@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateGeometryError, OverlappingTrajectoriesError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -95,6 +97,7 @@ def _seg_seg_closest(p1, p2, q1, q2):
     Returns (distance, t, u) where t and u are the arc-length offsets of the
     closest points from p1 and q1 respectively.
     """
+    import numpy as np
     # Candidate set: the four endpoint-to-segment projections.  For disjoint
     # segments the minimum is always attained at one of these.
     best = None
@@ -150,6 +153,7 @@ class ClosedPath:
     length: float = field(init=False)
 
     def __post_init__(self):
+        import numpy as np
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise DegenerateGeometryError("closed path needs at least 3 vertices of dim 2")
@@ -183,6 +187,7 @@ class ClosedPath:
 
     def position_at(self, s: float) -> Point2:
         """Point at arc length s from vertex 0 (s taken mod length)."""
+        import numpy as np
         s = math.fmod(s, self.length)
         if s < 0:
             s += self.length

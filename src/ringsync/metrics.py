@@ -10,6 +10,7 @@ from functools import reduce
 from itertools import chain, compress, islice
 from operator import and_, sub
 
+from .errors import InvalidInstanceError
 from .trace import (EMIT, MEETING, TOUR_COMPLETE, Occupancy, Trace, occupancy_replay,
                     parse_strategy)
 
@@ -283,6 +284,13 @@ def prove_starvation(trace: Trace, meets: dict | None = None,
 
 
 def report(trace: Trace) -> MetricsReport:
+    """The trace's measures; raises InvalidInstanceError unless its header's
+    survivors are exactly the agents that no failure row names."""
+    failed = {trace.agents[2 * r] for r in trace.rows_of("failure")}
+    if len(trace.survivors) + len(failed) != trace.n or not failed.isdisjoint(trace.survivors):
+        raise InvalidInstanceError(
+            f"trace header survivors are not the {trace.n - len(failed)} agents "
+            "without a failure row")
     meets = meeting_times(trace)
     occupancy = occupancy_replay(trace)
     st, flagged = starvation_time(trace, meets)

@@ -17,8 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .commgraph import (CommGraph, _bipartite_colors, bfs_forest, cycle_basis,
                         reflection_starts)
@@ -26,6 +25,9 @@ from .errors import (ClosureViolationError, InfeasibleSectionTimesError,
                      InvalidInstanceError, SectionSearchBudgetError,
                      check_positive)
 from .geometry import TWO_PI, norm_angle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CCW = "CCW"
 CW = "CW"
@@ -86,6 +88,7 @@ def linprog(c, A_eq, b_eq, bounds):
     an infeasible problem) if not, and .x, HiGHS's solution when the model
     status is optimal, else None.
     """
+    import numpy as np
     core = _highs_core()
     A_eq = np.asarray(A_eq, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float)
@@ -266,6 +269,7 @@ def _cycle_rows(order, cycles) -> np.ndarray:
     contributes its sections from the link with the next cycle node to the
     link with the previous one, and the sum must be z*T for an integer z.
     """
+    import numpy as np
     offset, nvars = {}, 0
     for i, nbs in order.items():
         offset[i], nvars = nvars, nvars + len(nbs)
@@ -288,6 +292,7 @@ def validate_section_plan(plan: SectionPlan, cycles):
     section counts, or if a cycle steps between trajectories the plan does
     not link.  Each sum may miss by 1e-12 * T (times k for a k-cycle).
     """
+    import numpy as np
     T = plan.period
     tol = 1e-12 * T
     if plan.times.keys() != plan.link_order.keys() or any(
@@ -355,9 +360,9 @@ def _interval_infeasible(row_min, row_max, b_eq, nnz) -> bool:
     """Whether some equality row cannot meet its right-hand side: the least
     value it can take within the bounds (row_min) exceeds it, or the greatest
     (row_max) falls short of it, by more than INTERVAL_SLACK times one plus
-    the row's nonzero count nnz."""
+    the row's nonzero count nnz; all four are numpy arrays."""
     tol = INTERVAL_SLACK * (1 + nnz)
-    return bool(np.any(row_min - b_eq > tol) or np.any(b_eq - row_max > tol))
+    return bool((row_min - b_eq > tol).any() or (b_eq - row_max > tol).any())
 
 
 def assign_section_times(g: CommGraph, period: float = 1.0) -> SectionPlan:
@@ -379,6 +384,7 @@ def assign_section_times(g: CommGraph, period: float = 1.0) -> SectionPlan:
     MIN_SECTION_FRACTION * T.  The cycles are cycle_basis(g), the
     fundamental cycles of the BFS forest from node 0.
     """
+    import numpy as np
     check_positive("period", period)
     colors = _bipartite_colors(g)
     if g.lengths is None:

@@ -139,8 +139,9 @@ class Trace:
         if len(occupancy) != n:
             raise InvalidInstanceError(f"trace header initial_occupancy has {len(occupancy)} "
                                        f"entries for {n} trajectories")
-        if len(set(held)) != len(held):
-            raise InvalidInstanceError("trace header initial_occupancy holds an agent twice")
+        for key, ids in (("survivors", survivors), ("initial_occupancy", held)):
+            if len(set(ids)) != len(ids):
+                raise InvalidInstanceError(f"trace header {key} holds an agent twice")
         check_positive("trace header period", self.period)
         check_positive("trace header horizon", self.horizon)
         parse_strategy(self.strategy)

@@ -60,7 +60,18 @@ BAD_TRACE_HEADERS = [
     ({"initial_occupancy": [*range(9), None]},
      "initial_occupancy has 10 entries for 9 trajectories"),
     ({"n": 2, "initial_occupancy": [1, 1], "survivors": [0, 1]},
-     "initial_occupancy holds an agent twice")]
+     "initial_occupancy holds an agent twice"),
+    ({"survivors": [0, *range(9)]}, "survivors holds an agent twice")]
+
+
+# Header survivors that contradict the failure rows of a 3x3 grid trace, each
+# with the --fail-at value its simulation ran with (None for no failure).
+# `report` rejects each: its metrics would be taken over the wrong agents.
+SURVIVOR_MISMATCHES = [
+    (None, []),                            # nobody fails, yet nobody survives
+    (None, [*range(8)]),                   # agent 8 neither fails nor survives
+    ("3:0", [*range(9)]),                  # agent 3 fails and survives
+    ("3:0", [0, 1, 2, 4, 5, 6, 7])]        # agent 3 fails; 8 neither fails nor survives
 
 
 def path_grid(rows: int, cols: int, staggered: bool = True):

@@ -8,7 +8,7 @@ import pytest
 
 import ringsync as rs
 import ringsync.scheduler as sch
-from conftest import BAD_TRACE_HEADERS, path_grid
+from conftest import BAD_TRACE_HEADERS, SURVIVOR_MISMATCHES, path_grid
 from ringsync import cli
 from ringsync.errors import InvalidInstanceError
 
@@ -342,6 +342,28 @@ def test_trace_bad_header_is_error(tmp_path, capsys, head, word):
     assert invoke("report", "-t", str(traces)) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InvalidInstanceError" and word in err["message"]
+
+
+@pytest.mark.parametrize("fail_at,survivors", SURVIVOR_MISMATCHES)
+def test_report_of_survivors_contradicting_failure_rows_is_error(tmp_path, capsys,
+                                                                 fail_at, survivors):
+    extra = () if fail_at is None else ("--fail-at", fail_at)
+    _, _, traces = pipeline(tmp_path, strategy="rand:0.5", seeds="1", extra=extra)
+    path = traces / "trace-0.jsonl"
+    lines = path.read_text().splitlines()
+    head = json.loads(lines[0])
+    assert head["survivors"] != survivors
+    lines[0] = json.dumps({**head, "survivors": survivors})
+    trace = cli.trace_from_lines(lines)
+    with pytest.raises(InvalidInstanceError, match="survivors are not the"):
+        rs.report(trace)
+    path.write_text("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    assert invoke("report", "-t", str(traces)) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "InvalidInstanceError",
+                   "message": "trace header survivors are not the "
+                              f"{8 if fail_at else 9} agents without a failure row"}
 
 
 @pytest.mark.parametrize("source,builds", [

@@ -410,6 +410,90 @@ def test_circle_graph_negative_range_still_rejects_overlap():
         "InvalidInstanceError: circles 0 and 2 overlap"
 
 
+def _grid_circles(rows, cols, x0=0.0, y0=0.0, spacing=2.4, radius=1.0):
+    return [Circle(Point2(x0 + c * spacing, y0 - k * spacing), radius)
+            for k in range(rows) for c in range(cols)]
+
+
+# (circles, r) layouts at the edges of the circle build's cell grid.
+_MIXED = [Circle(Point2(0.0, 0.0), 1.7), Circle(Point2(2.45, 0.0), 0.25),
+          Circle(Point2(0.0, -3.2), 1.0), Circle(Point2(2.45, -1.5), 0.5),
+          Circle(Point2(5.0, 5.0), 0.25), Circle(Point2(5.0, 7.2), 1.7)]
+CELL_GRID_LAYOUTS = {
+    "mixed-radii": (_MIXED, 0.5),
+    "mixed-radii-overlap": (_MIXED + [Circle(Point2(3.3, -1.5), 0.4)], 0.5),
+    "negative-coordinates": (_grid_circles(4, 5, x0=-1003.7, y0=-2.5e4), 0.5),
+    "negative-overlap": (_grid_circles(3, 3, x0=-50.0, y0=-50.0, spacing=1.99), 0.5),
+    "r-zero": (_grid_circles(4, 4, spacing=2.0 + 1e-12), 0.0),
+    "r-negative": (_grid_circles(4, 4, spacing=2.2), -0.3),
+    "r-negative-overlap": (_grid_circles(4, 4, spacing=1.9), -0.3),
+    "r-inf": (_grid_circles(3, 4, spacing=7.0), math.inf),
+    "far-clusters": (_grid_circles(3, 3) + _grid_circles(2, 3, x0=1e6, y0=-3e6)
+                     + _grid_circles(2, 2, x0=-4e9), 0.5),
+    "far-clusters-overlap": (_grid_circles(3, 3) + _grid_circles(2, 2, x0=7e8)
+                             + [Circle(Point2(7e8 + 1.0, -1.0))], 0.5),
+    "empty": ([], 0.5),
+    "one": ([Circle(Point2(-3.0, 8.0))], 0.5),
+    "tiny-radius-large-coordinate": ([Circle(Point2(1e10, 0.0), 1e-300),
+                                      Circle(Point2(1e10, 5.0), 1e-300)], 0.0),
+    "tiny-radius-far-apart": ([Circle(Point2(1e10, 0.0), 1e-300),
+                               Circle(Point2(-1e10, 0.0), 1e-300)], 0.0),
+    "tiny-radius-linked": ([Circle(Point2(1e10, 0.0), 1e-300),
+                            Circle(Point2(1e10, 1e-6), 1e-300)], 1e-6),
+    "span-past-float-range": ([Circle(Point2(-1.5e308, 0.0)), Circle(Point2(1.5e308, 0.0)),
+                               Circle(Point2(1.5e308, 2.4))], 0.5),
+}
+
+
+@pytest.mark.parametrize("name", CELL_GRID_LAYOUTS)
+def test_circle_graph_cell_grid_matches_all_pairs_loop(name):
+    circles, r = CELL_GRID_LAYOUTS[name]
+    expect = _assert_circle_build_matches(circles, r)
+    # each layout raises, has no edge (no pair is close, or r <= 0) or links
+    assert isinstance(expect, str) == name.endswith("overlap")
+    if name in ("empty", "one", "tiny-radius-large-coordinate", "tiny-radius-far-apart",
+                "r-zero", "r-negative"):
+        assert expect == []
+    elif not name.endswith("overlap"):
+        assert expect
+
+
+def test_cell_blocks_hold_only_neighbouring_cells():
+    """On the 30x30 grid every block is its 3x3 cells, at most 16 circles,
+    and holds every circle within reach."""
+    from ringsync.commgraph import _cell_blocks
+    circles = _grid_circles(30, 30)
+    xs = [c.center.x for c in circles]
+    ys = [c.center.y for c in circles]
+    blocks = _cell_blocks(xs, ys, 2.5)
+    assert max(map(len, blocks)) <= 16
+    assert all(block == sorted(block) for block in blocks)
+    for i, j in itertools.combinations(range(len(circles)), 2):
+        if math.hypot(xs[j] - xs[i], ys[j] - ys[i]) <= 2.5:
+            assert j in blocks[i] and i in blocks[j]
+
+
+@st.composite
+def scattered_circle_layouts(draw):
+    """Small clusters of circles far apart, at any scale of coordinates and radii."""
+    scale = draw(st.sampled_from([1e-9, 1.0, 1e3, 1e9]))
+    radius = draw(st.sampled_from([1e-300, 1e-6, 1.0, 40.0]))
+    r = draw(st.sampled_from([0.0, -1.0, 0.5 * radius, 3.0 * radius, math.inf]))
+    circles = []
+    for _ in range(draw(st.integers(0, 4))):
+        cx, cy = draw(st.floats(-1e3, 1e3)) * scale, draw(st.floats(-1e3, 1e3)) * scale
+        for _ in range(draw(st.integers(1, 4))):
+            circles.append(Circle(Point2(cx + draw(st.floats(-6.0, 6.0)) * radius,
+                                         cy + draw(st.floats(-6.0, 6.0)) * radius), radius))
+    return circles, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(scattered_circle_layouts())
+def test_circle_graph_matches_all_pairs_loop_at_any_scale(layout):
+    _assert_circle_build_matches(*layout)
+
+
 def _rect(x0, y0, w, h):
     return ClosedPath(np.array([[x0, y0], [x0 + w, y0], [x0 + w, y0 + h], [x0, y0 + h]]))
 

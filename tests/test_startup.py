@@ -43,12 +43,13 @@ def loaded_layers(argv, cwd) -> set:
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """A case-study instance, its schedule and one trace."""
+    """A case-study instance, its schedule and one trace; a 3x3 circle grid."""
     d = tmp_path_factory.mktemp("startup")
     for argv in (["generate", "--preset", "case-study", "-o", "inst.json"],
                  ["schedule", "-i", "inst.json", "-o", "sched.json"],
                  ["simulate", "-i", "inst.json", "-s", "sched.json", "--horizon", "2000",
-                  "-o", "traces"]):
+                  "-o", "traces"],
+                 ["generate", "--grid", "3x3", "-o", "circles.json"]):
         _run(["-m", "ringsync.cli", *argv], d)
     return d
 
@@ -73,10 +74,14 @@ def test_command_loads_only_its_layers(workdir, argv, unused):
     assert not loaded & unused, sorted(loaded & unused)
 
 
-@pytest.mark.parametrize("argv", [["-m", "ringsync.cli", "report", "-t", "traces"],
-                                  ["-c", "import ringsync.cli"]])
+@pytest.mark.parametrize("argv", [
+    ["-m", "ringsync.cli", "report", "-t", "traces"],
+    ["-c", "import ringsync.cli"],
+    ["-m", "ringsync.cli", "generate", "--grid", "3x3", "-o", "grid.json"],
+    ["-m", "ringsync.cli", "schedule", "-i", "circles.json", "-o", "circles-sched.json"]])
 def test_report_and_cli_import_load_no_numpy(workdir, argv):
-    # The report step runs on the standard library alone.
+    # The report step, and circle layouts and schedules, run on the standard
+    # library alone; path layouts, random layouts, simulate and the LP do not.
     loaded = {name.partition(".")[0] for name in loaded_modules(argv, workdir)}
     assert not loaded & {"numpy", "scipy"}, sorted(loaded & {"numpy", "scipy"})
 
