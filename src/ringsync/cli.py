@@ -26,8 +26,6 @@ from typing import TYPE_CHECKING
 from .errors import InvalidInstanceError, RingsyncError, check_positive
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .instance import Instance
     from .scheduler import Schedule, SectionPlan
     from .trace import Trace
@@ -87,20 +85,6 @@ def _required_keys(kind: str):
         yield
     except KeyError as exc:
         raise InvalidInstanceError(f"{kind} document lacks key {exc}") from None
-
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector while a trace's event dicts and
-    lists are built; they hold no cycles, so its collections would only
-    rescan them (about a tenth of the parse time of a 40x40 grid trace)."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -179,42 +163,43 @@ def schedule_from_json(doc: dict) -> tuple[Schedule, list, SectionPlan | None]:
     return sched, retained, plan
 
 
-# An event line holds the keys of `_dumps` in sorted order; each field is
-# formatted as the encoder would: ints by str, floats by float.__repr__ and
-# strings by `_dumps`.
-_EVENT_LINE = ('{"agents":%s,"kind":%s,"location":%s,"msg":%s,"time":%s,'
-               '"trajs":%s,"type":"event"}')
 # The event keys, which are also the names of the table's columns.
 _EVENT_KEYS = ("time", "kind", "agents", "trajs", "location", "msg")
+# Strings a `_Memo` holds at most.
+_MEMO_KEYS = 1 << 16
 
 
-def _format_distinct(keys: np.ndarray, rows: np.ndarray, fmt):
-    """(strings, index): fmt(row) once per distinct key, and per row the
-    position of its string.
+class _Memo(dict):
+    """fmt(key) per key, computed on the key's first lookup.  It forgets
+    everything when it holds `_MEMO_KEYS` keys, so that a trace whose rows
+    share no fields does not hold one string per row."""
 
-    Link positions and id pairs repeat across a trace, and link instants
-    within a chunk of it, so this formats far fewer floats and lists than
-    there are rows.
-    """
-    import numpy as np
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    strings = np.array([fmt(row) for row in rows[first].tolist()], dtype=object)
-    return strings, inverse.reshape(-1)
+    def __init__(self, fmt):
+        super().__init__()
+        self.fmt = fmt
 
-
-def _view(column):
-    """Zero-copy numpy view of a trace array column; its typecode is its dtype."""
-    import numpy as np
-    return np.frombuffer(column, dtype=column.typecode)
+    def __missing__(self, key):
+        if len(self) >= _MEMO_KEYS:
+            self.clear()
+        value = self[key] = self.fmt(key)
+        return value
 
 
-def _id_lists(column):
-    """JSON lists of a pair column's padded id pairs, as `_format_distinct`
-    gives them."""
-    from .trace import NO_ID
-    ids = _view(column).reshape(-1, 2)
-    return _format_distinct(ids[:, 0] * (ids.max(initial=0) + 2) + ids[:, 1], ids,
-                            lambda a: f"[{a[0]}]" if a[1] == NO_ID else f"[{a[0]},{a[1]}]")
+def _line_ends(key: tuple) -> tuple:
+    """The text of an event line before its msg and after its time, from
+    the row's `_trace_line_chunks` key.  A line holds the keys of `_dumps`
+    in sorted order, agents, kind, location, msg, time, trajs and type, each
+    formatted as the encoder would: ints by str, floats by float.__repr__
+    and strings by `_dumps`."""
+    from struct import unpack
+
+    from .trace import EVENT_KINDS, NO_ID
+    agent, agent2, traj, traj2, x, y, kind = unpack("<4q2dq", key[0])
+    agents = f"[{agent}]" if agent2 == NO_ID else f"[{agent},{agent2}]"
+    trajs = f"[{traj}]" if traj2 == NO_ID else f"[{traj},{traj2}]"
+    location = "null" if math.isnan(x) else f"[{x!r},{y!r}]"
+    return (f'{{"agents":{agents},"kind":{_dumps(EVENT_KINDS[kind])},"location":{location},'
+            '"msg":', f',"trajs":{trajs},"type":"event"}}')
 
 
 def _trace_line_chunks(trace: Trace):
@@ -223,39 +208,35 @@ def _trace_line_chunks(trace: Trace):
 
     Each event line is byte for byte the `_dumps` encoding of the row's
     {"type": "event", "time", "kind", "agents", "trajs", "location", "msg"}
-    object, filled into one line template from fields formatted column by
-    column rather than by an encoder call per line.  Id pairs and link
-    positions are formatted once per trace, times once per chunk.  The
-    columns are read through `_view`.
+    object, built from the text before its msg, the msg, the time and the
+    text after it.  Rows repeat their agents, trajs, location and kind, so
+    the two ends are formatted once per distinct key, those four fields as
+    the 56 raw bytes of seven int64 words (raw, so that a NaN location finds
+    its string), and times once per distinct value in a chunk.
     """
-    import numpy as np
-    from .trace import CHUNK_ROWS, EVENT_KINDS
+    from array import array
+    from struct import iter_unpack
+
+    from .trace import CHUNK_ROWS
     yield [_dumps({"format_version": TRACE_FORMAT_VERSION, "type": "header",
                    "n": trace.n, "period": trace.period, "horizon": trace.horizon,
                    "strategy": trace.strategy, "seed": trace.seed,
                    "initial_occupancy": trace.initial_occupancy,
                    "survivors": trace.survivors})]
-    fr = float.__repr__
-    time = _view(trace.time)
-    location = _view(trace.location).reshape(-1, 2)
-    present = ~np.isnan(location[:, 0])
-    pairs = np.ascontiguousarray(location[present])
-    locations, index = _format_distinct(pairs.view(np.complex128), pairs,
-                                        lambda xy: f"[{fr(xy[0])},{fr(xy[1])}]")
-    location_index = np.full(len(trace), len(locations))
-    location_index[present] = index
-    locations = np.append(locations, "null")
-    kind_json = np.array([_dumps(kind) for kind in EVENT_KINDS], dtype=object)
-    columns = (_id_lists(trace.agents), (kind_json, _view(trace.kind)),
-               (locations, location_index), _id_lists(trace.trajs))
+    ends = _Memo(_line_ends)
     for start in range(0, len(trace), CHUNK_ROWS):
         rows = slice(start, start + CHUNK_ROWS)
-        agents, kind, location, trajs = (strings[index[rows]].tolist()
-                                         for strings, index in columns)
-        times, index = _format_distinct(time[rows], time[rows], fr)
+        pairs = slice(2 * rows.start, 2 * rows.stop)
+        kind = trace.kind[rows]
+        words = array("q", bytes(56 * len(kind)))
+        for k, column in enumerate((trace.agents[pairs], trace.trajs[pairs],
+                                    array("q", trace.location[pairs].tobytes()))):
+            words[2 * k::7], words[2 * k + 1::7] = column[0::2], column[1::2]
+        words[6::7] = array("q", kind)
+        times = map(_Memo(float.__repr__).__getitem__, trace.time[rows])
         msg = ["null" if m is None else _dumps(m) for m in trace.msg[rows]]
-        yield [_EVENT_LINE % row for row in zip(agents, kind, location, msg,
-                                                 times[index].tolist(), trajs)]
+        yield [f'{head}{m},"time":{t}{tail}' for (head, tail), m, t in
+               zip(map(ends.__getitem__, iter_unpack("56s", words)), msg, times)]
 
 
 def trace_to_lines(trace: Trace) -> list[str]:
@@ -292,7 +273,7 @@ def trace_from_lines(lines) -> Trace:
     not one JSON object, a missing key, a format_version other than 2 and
     whatever `Trace` rejects raise InvalidInstanceError.
     """
-    from .trace import CHUNK_ROWS, Trace
+    from .trace import CHUNK_ROWS, Trace, gc_paused
     lines = iter(lines)
     try:
         head = json.loads(next(lines, ""))
@@ -309,7 +290,7 @@ def trace_from_lines(lines) -> Trace:
                       initial_occupancy=head["initial_occupancy"],
                       survivors=head["survivors"])
         body = filter(str.strip, lines)
-        with _gc_paused():
+        with gc_paused():
             while chunk := list(islice(body, CHUNK_ROWS)):
                 trace.extend(*_events_table(chunk))
     return trace
@@ -415,10 +396,9 @@ def _resolve_failures(args, inst: Instance, n: int) -> list:
     if args.fail:
         if not 0 < args.fail <= n:
             raise InvalidInstanceError(f"cannot fail {args.fail} of {n} agents")
-        import numpy as np
-        rng = np.random.default_rng(_seed(args.fail_seed, "--fail-seed"))
-        agents = rng.choice(n, size=args.fail, replace=False)
-        return [(int(a), 0.0) for a in sorted(agents)]
+        from .rng import Rng
+        agents = Rng(_seed(args.fail_seed, "--fail-seed")).choice(n, args.fail)
+        return [(a, 0.0) for a in agents]
     return []
 
 

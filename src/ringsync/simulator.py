@@ -7,26 +7,31 @@ absent-neighbor detections, and switches therefore happen only at link
 epochs, which the engine processes exactly as a discrete event queue.
 
 `run` returns a `Trace`, the event table of `ringsync.trace`, whose names
-can also be imported from here.  It builds the table in numpy and hands it
-over as the standard-library columns `Trace` holds.
+can also be imported from here.  It appends its rows, already in trace
+order, to the table's standard-library columns, and draws from
+`ringsync.rng`, the stream of numpy's `default_rng`, so this module needs
+no numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from struct import Struct
-
-import numpy as np
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import count
+from struct import pack
 
 from .commgraph import CommGraph, dfs_forest, edge_key
 from .errors import InvalidInstanceError, check_positive
 from .instance import Instance
+from .rng import Rng
 from .scheduler import Schedule, link_epochs, verify_schedule
 from .trace import (CHUNK_ROWS, EMIT, EVENT_KINDS, FAILURE, MEETING, NO_ID,
                     SWITCH, TOUR_COMPLETE, Occupancy, Strategy, Trace, TraceEvent,
-                    occupancy_check, occupancy_replay, parse_strategy)
+                    gc_paused, occupancy_check, occupancy_replay, parse_strategy)
 
 
 @dataclass
@@ -39,6 +44,8 @@ class SimConfig:
 
     def __post_init__(self):
         check_positive("horizon", self.horizon)
+        if type(self.seed) is not int or self.seed < 0:
+            raise InvalidInstanceError(f"seed {self.seed!r} is not a non-negative integer")
         if self.emission_period is not None:
             check_positive("emission_period", self.emission_period)
         for agent, t in self.failures:
@@ -70,18 +77,23 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
         graph: CommGraph | None = None) -> Trace:
     """Simulate the scheduled team; returns a deterministic trace.
 
-    Failures, message emissions and link instants form one timeline ordered
-    by a lexsort.  Only the link instants need the Python loop, because a
-    switch depends on the current occupancy.  The loop records each event
-    once, by its timeline index and ids, and times, link positions and
-    message keys are read from the timeline afterwards.  The tour-complete
-    rows are the full periods of the occupation intervals `occupancy_replay`
-    finds in those events.  `_trace_order` then puts all rows in the order of
-    `TraceEvent.sort_key`.  A schedule that fails verify_schedule on graph
-    (default: the instance's), has no start or direction per agent, or is in
-    general mode on a circle instance or a circle mode on a path instance,
-    or a failure agent or dfs root that is no agent id, raises
-    InvalidInstanceError.
+    Failures, message emissions and link instants form one timeline,
+    `_timeline`, of candidate rows: each as it would read if no agent had
+    moved, in trace order, which is also the order they are processed in.
+    Only a switch depends on the current occupancy, and none happens before
+    the first failure, so until then the candidates are the rows; after it
+    each candidate is processed in turn.  The rows of each chunk of the
+    timeline, with the tour-complete rows due before its last instant, are
+    then sorted by `TraceEvent.sort_key` (the tuples' own order) and
+    appended to the columns, so they fill in trace order.  Tours come from
+    a heap of the next full period of each cohort of occupation intervals.
+    An interval from start to end (the horizon if still open) completes a
+    tour at start + k*T for every k >= 1 with start + k*T <= end + 1e-9*T.
+    A schedule that fails verify_schedule on graph (default: the
+    instance's), has no start or direction per agent, or is in general mode
+    on a circle instance or a circle mode on a path instance, a failure
+    agent or dfs root that is no agent id, or a run of more than
+    sys.maxsize rows raises InvalidInstanceError.
     """
     g = graph if graph is not None else instance.graph()
     n = g.n
@@ -108,170 +120,213 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     T = schedule.period
     horizon = config.horizon
     epochs = link_epochs(g, schedule)
-    rng = np.random.default_rng(config.seed)
-
-    edges, t_all, cls, a_all, b_all = _timeline(config, epochs, n, T, rng)
+    # Per edge (i, j): its epoch, and the link positions on i and on j.
+    links = [(epochs[i, j], i, j, g.phi(i, j), g.phi(j, i)) for i, j in sorted(epochs)]
+    rng = Rng(config.seed)
+    timeline = _timeline(config, links, n, T, rng)
+    first_failure = min((t for _, t in config.failures), default=math.inf)
+    nan = math.nan
 
     occupancy = list(range(n))        # traj -> agent id or None
     agent_traj = list(range(n))       # agent -> traj, None once it failed
-    # One record per event, (timeline index, kind, agent, other agent, traj,
-    # other traj), packed as six int64 values.
-    records = bytearray()
-    record = Struct("6q").pack
-    for index, (c, a) in enumerate(zip(cls.tolist(), a_all.tolist())):
-        if c == 0:
-            traj = agent_traj[a]
-            if traj is not None:
-                occupancy[traj] = agent_traj[a] = None
-                records += record(index, FAILURE, a, NO_ID, traj, NO_ID)
-        elif c == 1:
-            if agent_traj[a] is not None:
-                records += record(index, EMIT, a, NO_ID, agent_traj[a], NO_ID)
-        else:
-            i, j = edges[a]
-            oi, oj = occupancy[i], occupancy[j]
-            if oi is None and oj is None:
-                continue
-            if oi is not None and oj is not None:
-                records += record(index, MEETING, oi, oj, i, j)
-            elif strategy_decide(strategy, (i, j), rng, dfs_edges):
-                agent, src, dst = (oi, i, j) if oi is not None else (oj, j, i)
-                occupancy[src] = None
-                occupancy[dst] = agent
-                agent_traj[agent] = dst
-                records += record(index, SWITCH, agent, NO_ID, src, dst)
+    # Occupation intervals complete their tours in cohorts, the intervals
+    # that began at one instant.  Cohort c began at begun[c]; its open
+    # intervals are the keys of members[c], each the tail of its tour rows
+    # (traj, NO_ID, agent, NO_ID, None, nan, nan); next_k[c] is its next tour
+    # not yet released, and waves a heap of (time of that tour, c, k).
+    # held[traj] is (cohort, tail) of the interval its occupant holds.
+    tol = 1e-9 * T
+    open_limit = horizon + tol
+    tails = [(traj, NO_ID, traj, NO_ID, None, nan, nan) for traj in range(n)]
+    held = [(0, tail) for tail in tails]
+    begun, members, next_k, waves = [0.0], [dict.fromkeys(tails)], [1], [(T, 0, 1)]
+    columns = dict(time=array("d"), kind=array("b"), agents=array("q"), trajs=array("q"),
+                   location=array("d"), msg=[])
+    # Rows as `_timeline` gives them: rows[:mark] are final and in trace
+    # order, the rest are sorted and cut when a chunk of the timeline is done.
+    rows, mark = [], 0
 
-    header = dict(n=n, period=T, horizon=horizon, strategy=strategy.describe(),
-                  seed=config.seed, initial_occupancy=list(range(n)),
-                  survivors=[a for a in range(n) if agent_traj[a] is not None])
-    table = _event_columns(records, t_all, a_all, b_all, edges, g)
-    del records, t_all, cls, a_all, b_all
+    def release(before: float) -> None:
+        """Append the tour rows of the open intervals before the time
+        `before` to rows, a cohort at a time."""
+        while waves and waves[0][0] < before:
+            tour, c, k = waves[0]
+            if tour <= open_limit and members[c]:
+                rows.extend(map((tour, TOUR_COMPLETE).__add__, members[c]))
+                next_k[c] = k + 1
+                heapreplace(waves, (begun[c] + (k + 1) * T, c, k + 1))
+            else:
+                heappop(waves)
+                members[c] = None     # no open interval left, or past the horizon
 
-    # Only the switch and failure rows move agents between trajectories.
-    moves = np.flatnonzero((table["kind"] == FAILURE) | (table["kind"] == SWITCH))
-    tours = _tour_columns(occupancy_replay(_as_trace(header, dict(table), moves)), horizon, T)
-    # Column by column, so that one column's copies at a time sit beside the table.
-    for key in table:
-        table[key] = np.concatenate([table[key], tours.pop(key)])
-    order = _trace_order(table["time"], table["kind"], table["agents"], table["trajs"],
-                         table["msg"])
-    return _as_trace(header, table, order)
+    def close(traj: int, t: float) -> None:
+        """End the interval of traj's occupant at t: append its tour rows
+        not yet released, up to t + 1e-9*T, and drop it from its cohort."""
+        c, tail = held[traj]
+        k = next_k[c]
+        while (tour := begun[c] + k * T) <= t + tol:
+            rows.append((tour, TOUR_COMPLETE) + tail)
+            k += 1
+        del members[c][tail]
+
+    with gc_paused():
+        for chunk in timeline:
+            if chunk[-1][0] < first_failure:
+                rows += chunk         # no failure yet: the candidates are the rows
+            else:
+                for row in chunk:
+                    t, kind, i, j, _, _, msg, x, y = row
+                    if kind == MEETING:
+                        oi, oj = occupancy[i], occupancy[j]
+                        if oi == i and oj == j:
+                            rows.append(row)
+                        elif oi is not None and oj is not None:
+                            rows.append((t, MEETING, i, j, oi, oj, None, x, y))
+                        elif oi != oj and strategy_decide(strategy, (i, j), rng, dfs_edges):
+                            # one occupant, whose neighbor's trajectory is vacant
+                            agent, src, dst = (oi, i, j) if oi is not None else (oj, j, i)
+                            close(src, t)
+                            occupancy[src] = None
+                            occupancy[dst] = agent
+                            agent_traj[agent] = dst
+                            if begun[-1] != t:
+                                heappush(waves, (t + T, len(begun), 1))
+                                begun.append(t)
+                                members.append({})
+                                next_k.append(1)
+                            tail = (dst, NO_ID, agent, NO_ID, None, nan, nan)
+                            members[-1][tail] = None
+                            held[dst] = (len(begun) - 1, tail)
+                            rows.append((t, SWITCH, src, dst, agent, NO_ID, None, x, y))
+                    else:                     # an emission or a failure of agent i
+                        traj = agent_traj[i]
+                        if traj == i:
+                            rows.append(row)
+                        elif traj is not None:
+                            rows.append((t, kind, traj, NO_ID, i, NO_ID, msg, nan, nan))
+                        if kind == FAILURE and traj is not None:
+                            close(traj, t)
+                            occupancy[traj] = agent_traj[i] = None
+            # The chunk's last instant may go on in the next chunk: its rows,
+            # and the tours from it on, wait to be sorted with it.
+            last = chunk[-1][0]
+            release(last)
+            rows[mark:] = sorted(rows[mark:])
+            mark = bisect_left(rows, (last,), mark)
+            if mark >= CHUNK_ROWS:
+                _append_rows(columns, rows[:mark])
+                del rows[:mark]
+                mark = 0
+        release(math.inf)
+        rows[mark:] = sorted(rows[mark:])
+        _append_rows(columns, rows)
+    return Trace(n=n, period=T, horizon=horizon, strategy=strategy.describe(),
+                 seed=config.seed, initial_occupancy=list(range(n)),
+                 survivors=[a for a in range(n) if agent_traj[a] is not None], **columns)
 
 
-def _as_trace(header: dict, table: dict, rows: np.ndarray) -> Trace:
-    """A Trace of the given rows of the numpy columns in table, taken into
-    its arrays one column at a time; table is emptied on the way.  An array
-    column's typecode is also its numpy dtype."""
-    trace = Trace(**header)
-    for key in [key for key in table if key != "msg"]:
-        values = table.pop(key)
-        shape = (len(rows), *values.shape[1:])
-        typecode = getattr(trace, key).typecode
-        setattr(trace, key, array(typecode, [0]) * math.prod(shape))
-        # mode="clip" writes straight into out; the default buffers a copy
-        np.take(values, rows, axis=0, mode="clip",
-                out=np.frombuffer(getattr(trace, key), dtype=typecode).reshape(shape))
-    # Last, and without a name for the unordered keys, so that they are
-    # freed before the list is built.
-    trace.msg = table.pop("msg")[rows].tolist()
-    return trace
+def _append_rows(columns: dict, rows: list) -> None:
+    """Append rows, tuples as `run` builds them, to the table columns.
+    struct packs a column several times faster than array() converts it."""
+    if not rows:
+        return
+    time, kind, traj, traj2, agent, agent2, msg, x, y = zip(*rows)
+    columns["time"].frombytes(pack(f"{len(rows)}d", *time))
+    columns["kind"].frombytes(bytes(kind))
+    for key, code, first, second in (("trajs", "q", traj, traj2), ("agents", "q", agent, agent2),
+                                     ("location", "d", x, y)):
+        pairs = [0] * (2 * len(rows))
+        pairs[0::2], pairs[1::2] = first, second
+        columns[key].frombytes(pack(f"{len(pairs)}{code}", *pairs))
+    columns["msg"] += msg
 
 
-def expand_ranges(first: np.ndarray, last: np.ndarray):
-    """(g, k) for every k in first[g]..last[g] of every group g, in group order."""
-    counts = np.maximum(last - first + 1, 0)
-    group = np.repeat(np.arange(len(counts)), counts)
-    k = np.arange(len(group)) - np.repeat(np.cumsum(counts) - counts, counts) + first[group]
-    return group, k
+def _timeline(config: SimConfig, links: list, n: int, T: float, rng):
+    """run's candidate rows, as `_append_rows` takes them, in trace order, a
+    sorted list at a time: each failure and emission as if agent a still
+    held trajectory a, and a meeting of i and j at every link instant of
+    each edge (i, j) of links, (epoch, i, j, x, y) tuples.
 
-
-def _timeline(config: SimConfig, epochs: dict, n: int, T: float, rng):
-    """(edges, time, class, a, b) of run's timeline, in processing order: class
-    0 = failure of agent a, 1 = emission seq b of agent a, 2 = link instant of
-    edges[a].  Its own function, so that its intermediate arrays are freed
-    before the event loop."""
+    Each agent emits once per emission period of [0, horizon / 2] at a
+    seeded random phase, modeling messages issued at arbitrary instants of
+    the patrol.  Every phase is drawn here, before the run's other draws;
+    a run of more than sys.maxsize rows raises InvalidInstanceError first.
+    """
     horizon = config.horizon
-    fail_agents = [agent for agent, _ in config.failures]
-    fail_times = [t for _, t in config.failures]
-    em_period = config.emission_period if config.emission_period is not None else T
-    # Each agent emits once per emission period of [0, horizon / 2] at a seeded
-    # random phase, modeling messages issued at arbitrary instants of the patrol.
-    rounds = 0
-    while rounds * em_period <= horizon / 2.0:
+    em = config.emission_period if config.emission_period is not None else T
+    half = horizon / 2.0
+    # Emission, link and tour rows, bounded in floats, so that a count past
+    # every integer type reads inf.
+    bound = n * (half / em + 1) + (len(links) + n) * (horizon / T + 2)
+    if not bound <= sys.maxsize:
+        raise InvalidInstanceError(
+            f"horizon {horizon} gives about {bound:.3g} trace rows, more than {sys.maxsize}")
+    # The emission rounds: the least r >= 1 with r * em > half, as the float
+    # products decide it.
+    rounds = int(half // em) + 1
+    while rounds > 1 and (rounds - 1) * em > half:
+        rounds -= 1
+    while rounds * em <= half:
         rounds += 1
-    emit_times = ((np.arange(rounds)[:, None] + rng.random((rounds, n)))
-                  * em_period).ravel()
-    emitted = np.flatnonzero(emit_times <= horizon)
-    edges = sorted(epochs)
-    e0 = np.array([epochs[e] for e in edges], dtype=np.float64)
-    link_edge, k = expand_ranges(np.where(e0 > 0, 0, 1),   # link events strictly after t=0
-                            np.floor((horizon - e0) / T).astype(np.int64) + 1)
-    link_times = e0[link_edge] + k * T
-    links = link_times <= horizon
-    link_edge, link_times = link_edge[links], link_times[links]
-    t_all = np.concatenate([np.array(fail_times, dtype=np.float64),
-                            emit_times[emitted], link_times])
-    cls = np.repeat([0, 1, 2], [len(fail_times), len(emitted), len(link_times)])
-    a_all = np.concatenate([np.array(fail_agents, dtype=np.int64),
-                            emitted % max(n, 1), link_edge])
-    b_all = np.concatenate([np.zeros(len(fail_times), dtype=np.int64),
-                            emitted // max(n, 1), np.zeros(len(link_times), np.int64)])
-    order = np.lexsort((b_all, a_all, cls, t_all))
-    return (edges, *(col[order] for col in (t_all, cls, a_all, b_all)))
+    phases = array("d", (rng.random() for _ in range(rounds * n)))
+    nan = math.nan
+
+    def emissions():
+        for k in range(rounds):
+            chunk = sorted([(t, EMIT, a, NO_ID, a, NO_ID, f"{a}:{k}", nan, nan)
+                            for a, u in enumerate(phases[k * n:(k + 1) * n])
+                            if (t := (k + u) * em) <= horizon])
+            if chunk:
+                yield chunk
+
+    def meetings():
+        # Link instants come strictly after t=0: at e0 + k*T from k = 0 if
+        # e0 > 0, else from k = 1.  Each group is in the order of (e0, i, j).
+        groups = [sorted(link for link in links if (link[0] > 0) != later)
+                  for later in (False, True)]
+        for j in count():
+            chunk = []
+            for k, group in enumerate(groups):
+                kT = (k + j) * T
+                if group and group[-1][0] + kT <= horizon:
+                    chunk += [(e0 + kT, MEETING, a, b, a, b, None, x, y)
+                              for e0, a, b, x, y in group]
+                else:
+                    chunk += [(t, MEETING, a, b, a, b, None, x, y) for e0, a, b, x, y in group
+                              if (t := e0 + kT) <= horizon]
+            if not chunk:
+                return
+            chunk.sort()
+            yield chunk
+
+    failures = sorted((float(t), FAILURE, int(a), NO_ID, int(a), NO_ID, None, nan, nan)
+                      for a, t in config.failures)
+    return _merge_sorted([iter([failures] if failures else []), emissions(), meetings()])
 
 
-def _event_columns(records: bytearray, t_all, a_all, b_all, edges, g: CommGraph) -> dict:
-    """The table columns of run's packed event records, in timeline order.
+def _merge_sorted(sources):
+    """The items of several sources of sorted lists, in one sorted order, a
+    list at a time.
 
-    Times, link positions and message keys are read from the timeline at
-    each record's index: a link instant's a is its edge number, and an
-    emission's (a, b) are its agent and sequence number.
+    The lists of one source must come in order of their first items, each
+    a lower bound of the items that follow it.  The least first item among
+    the sources' next lists then bounds every item not yet read, and every
+    item below it is final.  Only one list per source is read ahead.
     """
-    rec = np.frombuffer(records, dtype=np.int64).reshape(-1, 6)
-    at, kind = rec[:, 0], rec[:, 1].astype(np.int8)
-    link = (kind == MEETING) | (kind == SWITCH)
-    link_loc = np.array([(g.phi(i, j), g.phi(j, i)) for i, j in edges]).reshape(-1, 2)
-    location = np.full((len(rec), 2), math.nan)
-    location[link] = link_loc[a_all[at[link]]]
-    emit = kind == EMIT
-    msg = np.full(len(rec), None, dtype=object)
-    msg[emit] = [f"{a}:{b}" for a, b in zip(a_all[at[emit]].tolist(), b_all[at[emit]].tolist())]
-    return dict(time=t_all[at], kind=kind, agents=rec[:, 2:4], trajs=rec[:, 4:6],
-                location=location, msg=msg)
-
-
-def _tour_columns(occ: Occupancy, horizon: float, T: float) -> dict:
-    """The tour-complete rows of the occupation intervals occ, as table columns.
-
-    An interval from start to end (the horizon if still open) completes a
-    tour at start + k*T for every k >= 1 with start + k*T <= end + 1e-9*T.
-    occ must come from the events in timeline order, the order in which the
-    switches happened.
-    """
-    start = np.array(occ.start, dtype=np.float64)
-    limit = np.minimum(np.array(occ.end, dtype=np.float64), horizon) + 1e-9 * T
-    stay, k = expand_ranges(np.ones(len(limit), dtype=np.int64),
-                            np.floor((limit - start) / T).astype(np.int64) + 1)
-    tour_times = start[stay] + k * T
-    done = tour_times <= limit[stay]
-    stay, tour_times = stay[done], tour_times[done]
-    no_id = np.full(len(stay), NO_ID)
-    return dict(time=tour_times, kind=np.full(len(stay), TOUR_COMPLETE, dtype=np.int8),
-                agents=np.column_stack([np.array(occ.agent, dtype=np.int64)[stay], no_id]),
-                trajs=np.column_stack([np.array(occ.traj, dtype=np.int64)[stay], no_id]),
-                location=np.full((len(stay), 2), math.nan),
-                msg=np.full(len(stay), None, dtype=object))
-
-
-def _trace_order(time, kind, agents, trajs, msg) -> np.ndarray:
-    """Stable row order of TraceEvent.sort_key.
-
-    NO_ID (-1) puts a one-element id tuple before every two-element one with
-    the same first entry, as tuple comparison does; msg ranks by string
-    order with None read as "".
-    """
-    keyed = msg.astype(bool)
-    msg_rank = np.zeros(len(msg), dtype=np.int64)
-    msg_rank[keyed] = np.unique(msg[keyed].astype(str), return_inverse=True)[1].reshape(-1) + 1
-    return np.lexsort((msg_rank, agents[:, 1], agents[:, 0],
-                       trajs[:, 1], trajs[:, 0], kind, time))
+    heads = [(chunk[0], k, chunk, source) for k, source in enumerate(sources)
+             for chunk in [next(source, None)] if chunk]
+    heapify(heads)
+    pending = []
+    while heads:
+        _, k, chunk, source = heads[0]
+        following = next(source, None)
+        if following:
+            heapreplace(heads, (following[0], k, following, source))
+        else:
+            heappop(heads)
+        pending += chunk
+        pending.sort()
+        cut = bisect_left(pending, heads[0][0]) if heads else len(pending)
+        if cut:
+            yield pending[:cut]
+            del pending[:cut]

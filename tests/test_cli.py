@@ -224,6 +224,20 @@ def test_simulate_bad_time_is_error(tmp_path, capsys, option, value):
     assert not (traces / "trace-0.jsonl").exists()
 
 
+def test_simulate_horizon_past_any_row_count_is_error(tmp_path, capsys):
+    # 1e300 / 300 link instants per edge: an int64 count of them overflowed,
+    # and simulate wrote a trace with no meeting and no tour and exited 0.
+    inst, sched, traces = tmp_path / "i.json", tmp_path / "s.json", tmp_path / "t"
+    invoke("generate", "--grid", "10x10", "-o", str(inst))
+    invoke("schedule", "-i", str(inst), "--period", "300", "-o", str(sched))
+    capsys.readouterr()
+    assert invoke("simulate", "-i", str(inst), "-s", str(sched), "--horizon", "1e300",
+                  "--emission-period", "1e299", "-o", str(traces)) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInstanceError" and "trace rows" in err["message"]
+    assert not (traces / "trace-0.jsonl").exists()
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), "100", None])
 @pytest.mark.parametrize("where", ["schedule", "section plan"])
 def test_schedule_file_bad_period_is_error(where, value):

@@ -169,6 +169,16 @@ def test_tour_rows_of_a_bouncing_agent_match_stay_replay():
         assert tour_rows(trace) == reference_tours(trace), seed
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", True, False, None])
+def test_sim_config_seed_must_be_a_non_negative_int(seed):
+    with pytest.raises(InvalidInstanceError, match="seed"):
+        SimConfig(horizon=1.0, seed=seed)
+
+
+def test_sim_config_takes_any_non_negative_int_seed():
+    assert SimConfig(horizon=1.0, seed=2**70).seed == 2**70
+
+
 def test_determinism_per_seed():
     inst, g, sched = grid_setup()
     cfg = dict(horizon=10.0, strategy=Strategy("rand", p=0.5),
@@ -241,9 +251,8 @@ def test_dfs_on_long_chain():
 
 def test_run_peak_memory_stays_near_its_table():
     # 81,835 rows of a 10x10 grid at period 1 over 300 s, 15 agents failed.
-    # The event-only arrays are dropped before the tour rows are appended and
-    # each column is reordered alone, so run's peak is under 2.5 tables
-    # (1.8 here); copying every column at once reaches 4.4.
+    # run appends its rows to the columns in trace order, about a chunk at
+    # a time, so its peak is under 2.5 tables (1.3 here).
     inst = rs.grid(10, 10)
     g = rs.max_synch_subgraph(rs.max_bipartite_subgraph(inst.graph()))
     sched = rs.schedule_opposite_directions(g, period=1.0)

@@ -16,7 +16,7 @@ from ringsync import cli
 SRC = os.path.dirname(os.path.dirname(rs.__file__))
 TRACED_CLI = os.path.join(os.path.dirname(SRC), "perfbench", "traced_cli.py")
 LAYERS = {"commgraph", "geometry", "instance", "scheduler", "simulator", "generator",
-          "metrics", "trace"}
+          "metrics", "trace", "rng"}
 
 
 def _run(argv, cwd):
@@ -43,13 +43,15 @@ def loaded_layers(argv, cwd) -> set:
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """A case-study instance, its schedule and one trace; a 3x3 circle grid."""
+    """A case-study instance, its schedule and one trace; a 4x4 circle grid
+    and its schedule."""
     d = tmp_path_factory.mktemp("startup")
     for argv in (["generate", "--preset", "case-study", "-o", "inst.json"],
                  ["schedule", "-i", "inst.json", "-o", "sched.json"],
                  ["simulate", "-i", "inst.json", "-s", "sched.json", "--horizon", "2000",
                   "-o", "traces"],
-                 ["generate", "--grid", "3x3", "-o", "circles.json"]):
+                 ["generate", "--grid", "4x4", "-o", "circles.json"],
+                 ["schedule", "-i", "circles.json", "-o", "circles-sched.json"]):
         _run(["-m", "ringsync.cli", *argv], d)
     return d
 
@@ -60,13 +62,13 @@ def test_import_ringsync_loads_no_layer(tmp_path):
 
 @pytest.mark.parametrize("argv,unused", [
     (["report", "-t", "traces"],
-     {"commgraph", "geometry", "instance", "scheduler", "simulator", "generator"}),
+     {"commgraph", "geometry", "instance", "scheduler", "simulator", "generator", "rng"}),
     (["schedule", "-i", "inst.json", "-o", "s.json"],
-     {"simulator", "metrics", "generator", "trace"}),
+     {"simulator", "metrics", "generator", "trace", "rng"}),
     (["simulate", "-i", "inst.json", "-s", "sched.json", "--horizon", "500", "-o", "t"],
      {"metrics", "generator"}),
     (["generate", "--grid", "3x3", "-o", "g.json"],
-     {"scheduler", "simulator", "metrics", "trace"}),
+     {"scheduler", "simulator", "metrics", "trace", "rng"}),
 ])
 def test_command_loads_only_its_layers(workdir, argv, unused):
     loaded = loaded_layers(["-m", "ringsync.cli", *argv], workdir)
@@ -78,10 +80,15 @@ def test_command_loads_only_its_layers(workdir, argv, unused):
     ["-m", "ringsync.cli", "report", "-t", "traces"],
     ["-c", "import ringsync.cli"],
     ["-m", "ringsync.cli", "generate", "--grid", "3x3", "-o", "grid.json"],
-    ["-m", "ringsync.cli", "schedule", "-i", "circles.json", "-o", "circles-sched.json"]])
+    ["-m", "ringsync.cli", "schedule", "-i", "circles.json", "-o", "circles-sched.json"],
+    ["-m", "ringsync.cli", "simulate", "-i", "circles.json", "-s", "circles-sched.json",
+     "--horizon", "3000", "--strategy", "rand:0.5", "--fail", "10", "-o", "circle-traces"],
+    ["-m", "ringsync.cli", "simulate", "-i", "circles.json", "-s", "circles-sched.json",
+     "--horizon", "3000", "--strategy", "alw", "-o", "circle-traces-alw"]])
 def test_report_and_cli_import_load_no_numpy(workdir, argv):
-    # The report step, and circle layouts and schedules, run on the standard
-    # library alone; path layouts, random layouts, simulate and the LP do not.
+    # The report step, and circle layouts, schedules and simulations, run on
+    # the standard library alone; path layouts (ClosedPath), random layouts
+    # and the LP do not.
     loaded = {name.partition(".")[0] for name in loaded_modules(argv, workdir)}
     assert not loaded & {"numpy", "scipy"}, sorted(loaded & {"numpy", "scipy"})
 
