@@ -8,7 +8,8 @@ and restricting switches to a DFS tree trades liveness for throughput.
 """
 
 import ringsync as rs
-from ringsync.simulator import SimConfig, Strategy, resolve_root, run
+from ringsync.simulator import SimConfig, resolve_root, run
+from ringsync.trace import Strategy
 
 PRESETS = ["fig9a", "fig9b", "fig11", "fig7-starve"]
 SEEDS = range(10)

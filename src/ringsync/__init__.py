@@ -9,16 +9,14 @@ The names below load their submodule on first access (PEP 562), so that
 
 _SUBMODULE_NAMES = {
     "commgraph": ("CommGraph", "build_circle_graph", "build_path_graph", "cycle_basis",
-                  "cycle_feasible_opposite", "cycle_residue", "dfs_tree",
-                  "fundamental_cycle", "is_bipartite", "max_bipartite_subgraph",
-                  "max_synch_subgraph", "spanning_tree", "two_color"),
-    "errors": ("ClosureViolationError", "DisconnectedGraphError", "GenerationFailureError",
+                  "fundamental_cycle", "max_bipartite_subgraph", "max_synch_subgraph",
+                  "two_color"),
+    "errors": ("ClosureViolationError", "GenerationFailureError",
                "InfeasibleSectionTimesError", "InvalidInstanceError",
                "NotSynchronizableError", "OverlappingTrajectoriesError", "RingsyncError",
                "SectionSearchBudgetError"),
     "generator": ("grid", "preset", "random_connected", "validate_instance"),
-    "geometry": ("Circle", "ClosedPath", "Point2", "link_positions", "line_angle",
-                 "min_distance"),
+    "geometry": ("Circle", "ClosedPath", "Point2", "link_positions", "min_distance"),
     "instance": ("Instance",),
     "metrics": ("MetricsReport", "abandoned_time", "aggregate", "arrival_times",
                 "broadcast_time", "completed_tours", "prove_starvation", "render_table",
@@ -26,7 +24,7 @@ _SUBMODULE_NAMES = {
     "scheduler": ("Schedule", "SectionPlan", "assign_section_times", "schedule_general",
                   "schedule_opposite_directions", "schedule_same_direction",
                   "validate_section_plan", "verify_schedule"),
-    "simulator": ("SimConfig", "run", "strategy_decide"),
+    "simulator": ("SimConfig", "run"),
     "trace": ("Strategy", "Trace", "TraceEvent", "occupancy_check", "parse_strategy"),
 }
 _SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}

@@ -111,9 +111,8 @@ def instance_from_json(doc: dict) -> Instance:
             return Instance(mode="circle", circles=circles,
                             comm_range=doc["comm_range"],
                             label=doc.get("label", ""), meta=doc.get("meta", {}))
-        import numpy as np
-        paths = [ClosedPath(np.array(v)) for v in doc["paths"]]
-        return Instance(mode="path", paths=paths, ranges=doc["ranges"],
+        paths = [ClosedPath(v) for v in doc["paths"]]
+        return Instance(mode=doc["mode"], paths=paths, ranges=doc["ranges"],
                         label=doc.get("label", ""), meta=doc.get("meta", {}))
 
 
@@ -149,7 +148,12 @@ def schedule_from_json(doc: dict) -> tuple[Schedule, list, SectionPlan | None]:
             epochs = [{int(nb): t for nb, t in ep.items()} for ep in doc["epochs"]]
         sched = Schedule(mode=doc["mode"], period=doc["period"],
                          starts=doc["starts"], dirs=doc["dirs"], epochs=epochs)
-        retained = [tuple(e) for e in doc["retained_edges"]]
+        retained = doc["retained_edges"]
+        if type(retained) is not list or not all(
+                type(e) is list and len(e) == 2 and type(e[0]) is type(e[1]) is int
+                for e in retained):
+            raise InvalidInstanceError("schedule retained_edges must be pairs of agent ids")
+        retained = [tuple(e) for e in retained]
         plan = None
         if doc.get("plan"):
             p = doc["plan"]
@@ -212,7 +216,8 @@ def _trace_line_chunks(trace: Trace):
     text after it.  Rows repeat their agents, trajs, location and kind, so
     the two ends are formatted once per distinct key, those four fields as
     the 56 raw bytes of seven int64 words (raw, so that a NaN location finds
-    its string), and times once per distinct value in a chunk.
+    its string), and times once per distinct value in a chunk, keyed by the
+    float unless the chunk may hold -0.0 and 0.0, which are equal.
     """
     from array import array
     from struct import iter_unpack
@@ -233,7 +238,9 @@ def _trace_line_chunks(trace: Trace):
                                     array("q", trace.location[pairs].tobytes()))):
             words[2 * k::7], words[2 * k + 1::7] = column[0::2], column[1::2]
         words[6::7] = array("q", kind)
-        times = map(_Memo(float.__repr__).__getitem__, trace.time[rows])
+        time = trace.time[rows]    # in time order: only a chunk spanning 0 has -0.0 and 0.0
+        times = map(float.__repr__ if time[0] <= 0.0 <= time[-1] else
+                    _Memo(float.__repr__).__getitem__, time)
         msg = ["null" if m is None else _dumps(m) for m in trace.msg[rows]]
         yield [f'{head}{m},"time":{t}{tail}' for (head, tail), m, t in
                zip(map(ends.__getitem__, iter_unpack("56s", words)), msg, times)]
@@ -303,7 +310,10 @@ def _write_json(path: str, doc: dict) -> None:
 
 def _read_json(path: str) -> dict:
     with open(path, encoding="utf-8") as f:
-        return json.load(f)
+        doc = json.load(f)
+    if type(doc) is not dict:
+        raise InvalidInstanceError(f"{path} does not hold a JSON object")
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,9 @@ from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import (DisconnectedGraphError, InvalidInstanceError,
-                     NotSynchronizableError)
-from .geometry import (ANGLE_TOL, Circle, ClosedPath, center_distance,
-                       line_angle, line_angle_points, link_positions,
-                       min_distance, norm_angle)
+from .errors import InvalidInstanceError, NotSynchronizableError
+from .geometry import (ANGLE_TOL, Circle, ClosedPath, line_angle_points, link_positions,
+                       min_distance, norm_angle, norm_line_angle)
 
 
 def edge_key(i: int, j: int) -> tuple[int, int]:
@@ -84,16 +82,7 @@ class CommGraph:
 
     def components(self) -> list[list[int]]:
         """Sorted node lists of the BFS forest's trees, ordered by least node."""
-        f = bfs_forest(self)
-        comps = []
-        for v in f.order:
-            if f.parent[v] is None:
-                comps.append([])
-            comps[-1].append(v)
-        return [sorted(c) for c in comps]
-
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return bfs_forest(self).components()
 
 
 class Forest(NamedTuple):
@@ -109,6 +98,15 @@ class Forest(NamedTuple):
 
     def is_tree_edge(self, i: int, j: int) -> bool:
         return self.parent[i] == j or self.parent[j] == i
+
+    def components(self) -> list[list[int]]:
+        """Sorted node lists of the trees, in the order of their roots."""
+        comps = []
+        for v in self.order:
+            if self.parent[v] is None:
+                comps.append([])
+            comps[-1].append(v)
+        return [sorted(c) for c in comps]
 
 
 def bfs_forest(g: CommGraph) -> Forest:
@@ -164,16 +162,16 @@ def dfs_forest(g: CommGraph, root: int) -> Forest:
     return Forest(order, parent, depth)
 
 
-# Relative slack on the prefilters below.  They only pick candidate pairs;
-# each candidate is decided by the exact scalar code, so the slack must cover
-# the rounding gap between the two and may not hide a pair.
+# Relative slack on the path build's prefilter.  It only picks candidate
+# pairs; each candidate is decided by the exact scalar code, so the slack
+# must cover the rounding gap between the two and may not hide a pair.
 _PREFILTER_SLACK = 1e-9
 
 # Relative slack on the circle build's cell side, and the most cells across
 # the coordinate span.  A cell key is floor((x - min x) / side); with at most
 # 2**20 cells across, rounding moves a key difference by under 1e-9, far
-# inside the 1e-6 slack, so two circles the prefilter keeps always have keys
-# at most one apart and every key stays finite.
+# inside the 1e-6 slack, so two circles at most the reach apart always have
+# keys at most one apart and every key stays finite.
 _CELL_SLACK = 1e-6
 _MAX_CELLS = 2**20
 
@@ -204,31 +202,25 @@ def build_circle_graph(circles: list[Circle], r: float) -> CommGraph:
     """Proximity graph of unit circles: edge iff center distance <= 2 + r.
 
     Candidates j > i come from i's block of grid cells whose side is the
-    largest reach, 2 * max radius + max(r, 0); a candidate is kept when its
-    math.hypot distance is within ri + rj + max(r, 0), with slack.  Only kept
-    pairs run the exact test, in (i, j) order, so the first overlapping pair
-    raises as the all-pairs loop would.
+    largest reach, 2 * max radius + max(r, 0).  Each candidate's math.hypot
+    center distance decides it, in (i, j) order, so the first overlapping
+    pair raises as the all-pairs loop would.
     """
     xs = [c.center.x for c in circles]
     ys = [c.center.y for c in circles]
     radii = [c.radius for c in circles]
-    reach = r if r > 0 else 0.0
-    blocks = _cell_blocks(xs, ys, 2.0 * max(radii, default=0.0) + reach)
+    blocks = _cell_blocks(xs, ys, 2.0 * max(radii, default=0.0) + (r if r > 0 else 0.0))
     edges = {}
     for i, ci in enumerate(circles):
         xi, yi, ri = xs[i], ys[i], radii[i]
         block = blocks[i]
         for j in block[bisect_right(block, i):]:
-            if math.hypot(xs[j] - xi, ys[j] - yi) > \
-                    (ri + radii[j] + reach) * (1.0 + _PREFILTER_SLACK):
-                continue
-            cj = circles[j]
-            d = center_distance(ci, cj)
-            if d <= ci.radius + cj.radius:
+            d = math.hypot(xs[j] - xi, ys[j] - yi)
+            if d <= ri + radii[j]:
                 raise InvalidInstanceError(f"circles {i} and {j} overlap")
-            if d <= ci.radius + cj.radius + r:
-                phi_ij, phi_ji = link_positions(ci, cj)
-                edges[(i, j)] = EdgeData(beta=line_angle(ci, cj),
+            if d <= ri + radii[j] + r:
+                phi_ij, phi_ji = link_positions(ci, circles[j])
+                edges[(i, j)] = EdgeData(beta=line_angle_points(ci.center, circles[j].center),
                                          phi={i: phi_ij, j: phi_ji})
     return CommGraph(n=len(circles), edges=edges, mode="circle")
 
@@ -289,10 +281,6 @@ def _bipartite_colors(g: CommGraph) -> list:
     return colors
 
 
-def is_bipartite(g: CommGraph) -> bool:
-    return two_color(g)[0] is not None
-
-
 # Exhaustive max-cut search enumerates the 2^(m-1) side assignments of an
 # m-node non-bipartite component.  It runs while no such component has more
 # than this many nodes; beyond, the local-move heuristic runs instead.
@@ -307,7 +295,7 @@ def max_bipartite_subgraph(g: CommGraph) -> CommGraph:
     f = bfs_forest(g)
     # an edge joining equal BFS depth parities closes an odd cycle
     odd_nodes = {a for a, b in g.edges if f.depth[a] % 2 == f.depth[b] % 2}
-    odd = [comp for comp in g.components() if not odd_nodes.isdisjoint(comp)]
+    odd = [comp for comp in f.components() if not odd_nodes.isdisjoint(comp)]
     if not odd:
         return g
     if max(map(len, odd)) <= EXACT_MAXCUT_NODE_LIMIT:
@@ -358,48 +346,10 @@ def _greedy_max_cut(g: CommGraph):
     return sides
 
 
-def cycle_alternating_beta_sum(cycle, g: CommGraph) -> float:
-    """Alternating sum beta(c0,c1) - beta(c1,c2) + ... - beta(c_last,c0)."""
-    total = 0.0
-    k = len(cycle)
-    for idx in range(k):
-        a, b = cycle[idx], cycle[(idx + 1) % k]
-        term = g.beta(a, b)
-        total += term if idx % 2 == 0 else -term
-    return total
-
-
-def cycle_feasible_opposite(cycle, g: CommGraph) -> bool:
-    """Whether an even cycle admits opposite-direction synchronization.
-
-    The test is that the alternating sum of the edge line angles is congruent
-    to 0 mod pi within ANGLE_TOL.
-    """
-    if len(cycle) % 2 != 0:
-        raise ValueError(f"cycle length must be even, got {len(cycle)}")
-    for idx in range(len(cycle)):
-        a, b = cycle[idx], cycle[(idx + 1) % len(cycle)]
-        if not g.has_edge(a, b):
-            raise ValueError(f"({a},{b}) is not an edge")
-    return cycle_residue(cycle, g) <= ANGLE_TOL
-
-
-def cycle_residue(cycle, g: CommGraph) -> float:
-    """Distance of the alternating beta sum from the nearest multiple of pi."""
-    return _pi_residue(cycle_alternating_beta_sum(cycle, g))
-
-
 def _pi_residue(x: float) -> float:
     """Distance of x from the nearest multiple of pi."""
-    r = math.fmod(x, math.pi)
-    if r < 0:
-        r += math.pi
+    r = norm_line_angle(x)
     return min(r, math.pi - r)
-
-
-def spanning_tree(g: CommGraph):
-    """BFS spanning tree (forest) edges in discovery order."""
-    return bfs_forest(g).tree_edges()
 
 
 def fundamental_cycle(parent, depth, chord):
@@ -445,20 +395,11 @@ def max_synch_subgraph(g: CommGraph) -> CommGraph:
     residue of (alpha_u + alpha_v + pi - 2*beta_uv)/2, O(1) per chord; tree
     edges have residue 0 by construction.  Requires a bipartite input; an odd
     cycle raises NotSynchronizableError with its witness.  Every simple cycle
-    of the result passes cycle_feasible_opposite (alternating beta sums add
-    over symmetric differences).
+    of the result has an alternating beta sum within ANGLE_TOL of a multiple
+    of pi (alternating beta sums add over symmetric differences).
     """
     _bipartite_colors(g)
     alpha = reflection_starts(g)
     return g.subgraph(
         (u, v) for (u, v), e in g.edges.items()
         if _pi_residue((alpha[u] + alpha[v] + math.pi - 2.0 * e.beta) / 2.0) <= ANGLE_TOL)
-
-
-def dfs_tree(g: CommGraph, root: int):
-    """DFS tree edges from root in discovery order; requires a connected graph."""
-    comps = g.components()
-    if len(comps) > 1:
-        raise DisconnectedGraphError(
-            f"graph is disconnected ({len(comps)} components)", components=comps)
-    return dfs_forest(g, root).tree_edges()

@@ -60,10 +60,3 @@ class SectionSearchBudgetError(RingsyncError):
 class GenerationFailureError(RingsyncError):
     """Raised when random instance generation exhausts its retry budget."""
 
-
-class DisconnectedGraphError(RingsyncError):
-    """Raised by operations requiring a connected graph; carries the components."""
-
-    def __init__(self, message, components=None):
-        super().__init__(message)
-        self.components = components

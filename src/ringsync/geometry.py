@@ -23,19 +23,19 @@ ANGLE_TOL = 1e-9
 
 
 def norm_angle(a: float) -> float:
-    """Normalize an angle to [0, 2*pi)."""
+    """Normalize an angle to [0, 2*pi); NaN stays NaN."""
     a = math.fmod(a, TWO_PI)
     if a < 0:
         a += TWO_PI
-    return a if a < TWO_PI else 0.0
+    return 0.0 if a == TWO_PI else a
 
 
 def norm_line_angle(a: float) -> float:
-    """Reduce a direction angle mod pi to [0, pi)."""
+    """Reduce a direction angle mod pi to [0, pi); NaN stays NaN."""
     a = math.fmod(a, math.pi)
     if a < 0:
         a += math.pi
-    return a if a < math.pi else 0.0
+    return 0.0 if a == math.pi else a
 
 
 @dataclass(frozen=True)
@@ -54,17 +54,13 @@ class Circle:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not (self.radius > 0):
+        if not (isinstance(self.radius, (int, float)) and self.radius > 0):
             raise DegenerateGeometryError(f"circle radius must be positive, got {self.radius}")
 
     def point_at(self, angle: float) -> Point2:
         """Point on the circle at the given angle from the positive x axis."""
         return Point2(self.center.x + self.radius * math.cos(angle),
                       self.center.y + self.radius * math.sin(angle))
-
-
-def center_distance(ci: Circle, cj: Circle) -> float:
-    return math.hypot(cj.center.x - ci.center.x, cj.center.y - ci.center.y)
 
 
 def link_positions(ci: Circle, cj: Circle) -> tuple[float, float]:
@@ -80,15 +76,6 @@ def link_positions(ci: Circle, cj: Circle) -> tuple[float, float]:
     phi_ij = norm_angle(math.atan2(dy, dx))
     phi_ji = norm_angle(phi_ij + math.pi)
     return phi_ij, phi_ji
-
-
-def line_angle(ci: Circle, cj: Circle) -> float:
-    """Undirected angle in [0, pi) of the line through both centers."""
-    dx = cj.center.x - ci.center.x
-    dy = cj.center.y - ci.center.y
-    if dx == 0.0 and dy == 0.0:
-        raise DegenerateGeometryError("coincident circle centers")
-    return norm_line_angle(math.atan2(dy, dx))
 
 
 def _seg_seg_closest(p1, p2, q1, q2):

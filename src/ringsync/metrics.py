@@ -152,30 +152,16 @@ def broadcast_time(trace: Trace) -> float:
     return sum(t - t0 for t, t0 in zip(latest, emits.values())) / len(emits)
 
 
-def occupancy_intervals(trace: Trace, occupancy: Occupancy | None = None):
-    """Per trajectory, list of (start, end, agent) occupation intervals.
-
-    An interval still open at the end of the trace ends at the horizon.
-    """
-    occ = occupancy_replay(trace) if occupancy is None else occupancy
-    intervals = {t: [] for t in range(trace.n)}
-    for traj, start, end, agent in zip(occ.traj, occ.start, occ.end, occ.agent):
-        intervals[traj].append((start, trace.horizon if math.isinf(end) else end, agent))
-    return intervals
-
-
 def abandoned_time(trace: Trace, occupancy: Occupancy | None = None) -> float:
-    """Max over trajectories of the longest unattended interval."""
+    """Max over trajectories of the longest unattended interval; an
+    occupation interval still open after the last row ends at the horizon."""
+    occ = occupancy_replay(trace) if occupancy is None else occupancy
+    reached = [0.0] * trace.n         # per trajectory: the latest end so far
     worst = 0.0
-    for traj, ivals in occupancy_intervals(trace, occupancy).items():
-        t = 0.0
-        gap = 0.0
-        for start, end, _ in ivals:
-            gap = max(gap, start - t)
-            t = max(t, end)
-        gap = max(gap, trace.horizon - t)
-        worst = max(worst, gap)
-    return worst
+    for traj, start, end in zip(occ.traj, occ.start, occ.end):
+        worst = max(worst, start - reached[traj])
+        reached[traj] = max(reached[traj], trace.horizon if math.isinf(end) else end)
+    return max([worst, *(trace.horizon - t for t in reached)])
 
 
 def meeting_times(trace: Trace) -> dict:

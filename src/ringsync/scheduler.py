@@ -134,6 +134,16 @@ class Schedule:
     # general mode only: per trajectory, neighbor -> link arrival epoch in [0, T)
     epochs: list | None = None
 
+    def __post_init__(self):
+        if self.mode not in ("same-direction", "opposite-directions", "general"):
+            raise InvalidInstanceError(f"unknown schedule mode {self.mode!r}")
+        for d in self.dirs:
+            if d not in (CCW, CW):
+                raise InvalidInstanceError(f"schedule direction {d!r} is not CCW or CW")
+        for a in self.starts:
+            if not (isinstance(a, (int, float)) and math.isfinite(a)):
+                raise InvalidInstanceError(f"schedule start {a!r} is not a finite number")
+
 
 @dataclass
 class SyncReport:

@@ -6,11 +6,10 @@ that switches trajectories adopts the target's phase at the link.  Meetings,
 absent-neighbor detections, and switches therefore happen only at link
 epochs, which the engine processes exactly as a discrete event queue.
 
-`run` returns a `Trace`, the event table of `ringsync.trace`, whose names
-can also be imported from here.  It appends its rows, already in trace
-order, to the table's standard-library columns, and draws from
-`ringsync.rng`, the stream of numpy's `default_rng`, so this module needs
-no numpy.
+`run` returns a `Trace`, the event table of `ringsync.trace`.  It appends
+its rows, already in trace order, to the table's standard-library columns,
+and draws from `ringsync.rng`, the stream of numpy's `default_rng`, so this
+module needs no numpy.
 """
 
 from __future__ import annotations
@@ -24,14 +23,13 @@ from heapq import heapify, heappop, heappush, heapreplace
 from itertools import count
 from struct import pack
 
-from .commgraph import CommGraph, dfs_forest, edge_key
+from .commgraph import CommGraph, dfs_forest
 from .errors import InvalidInstanceError, check_positive
 from .instance import Instance
 from .rng import Rng
 from .scheduler import Schedule, link_epochs, verify_schedule
-from .trace import (CHUNK_ROWS, EMIT, EVENT_KINDS, FAILURE, MEETING, NO_ID,
-                    SWITCH, TOUR_COMPLETE, Occupancy, Strategy, Trace, TraceEvent,
-                    gc_paused, occupancy_check, occupancy_replay, parse_strategy)
+from .trace import (CHUNK_ROWS, EMIT, FAILURE, MEETING, NO_ID, SWITCH, TOUR_COMPLETE,
+                    Strategy, Trace, gc_paused)
 
 
 @dataclass
@@ -52,15 +50,6 @@ class SimConfig:
             if not (0.0 <= t <= self.horizon):
                 raise InvalidInstanceError(
                     f"failure time {t} for agent {agent} outside [0, horizon]")
-
-
-def strategy_decide(strategy: Strategy, edge, rng, dfs_edges=None) -> bool:
-    """True to switch across this edge when the expected neighbor is absent."""
-    if strategy.kind == "alw":
-        return True
-    if strategy.kind == "rand":
-        return bool(rng.random() < strategy.p)
-    return edge_key(*edge) in dfs_edges
 
 
 def resolve_root(strategy: Strategy, instance: Instance | None) -> int:
@@ -182,8 +171,11 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
                             rows.append(row)
                         elif oi is not None and oj is not None:
                             rows.append((t, MEETING, i, j, oi, oj, None, x, y))
-                        elif oi != oj and strategy_decide(strategy, (i, j), rng, dfs_edges):
-                            # one occupant, whose neighbor's trajectory is vacant
+                        elif oi != oj and (strategy.kind == "alw" or (
+                                rng.random() < strategy.p if strategy.kind == "rand"
+                                else (i, j) in dfs_edges)):
+                            # one occupant, whose neighbor's trajectory is vacant,
+                            # and the strategy switches it across the edge
                             agent, src, dst = (oi, i, j) if oi is not None else (oj, j, i)
                             close(src, t)
                             occupancy[src] = None

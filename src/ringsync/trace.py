@@ -121,11 +121,10 @@ class Trace:
       location  array('d'), pairs: link positions, NaN where the event has
                 none;
       msg       list: the message key of an emit, None otherwise.
-    The arrays export their buffers, so numpy code reads them through
-    zero-copy `np.frombuffer` views.  `events` and `events_of` view rows as
-    `TraceEvent` objects.  The header is checked when a Trace is built, and
-    each row by `extend`, which `from_events`, `from_columns` and the trace
-    reader call; columns given to the constructor are not checked.
+    `events` and `events_of` view rows as `TraceEvent` objects.  The header
+    is checked when a Trace is built, and each row by `extend`, which
+    `from_events` and the trace reader call; columns given to the
+    constructor are not checked.
     """
     n: int
     period: float
@@ -194,17 +193,11 @@ class Trace:
 
     @classmethod
     def from_events(cls, events, **header) -> Trace:
-        """Table of the given rows, in the given order."""
-        return cls.from_columns([e.time for e in events], [e.kind for e in events],
-                                [e.agents for e in events], [e.trajs for e in events],
-                                [e.location for e in events], [e.msg for e in events],
-                                **header)
-
-    @classmethod
-    def from_columns(cls, time, kind, agents, trajs, location, msg, **header) -> Trace:
-        """Table of the header and the rows `extend` takes."""
+        """Table of the header and the given rows, in the given order."""
         trace = cls(**header)
-        trace.extend(time, kind, agents, trajs, location, msg)
+        trace.extend([e.time for e in events], [e.kind for e in events],
+                     [e.agents for e in events], [e.trajs for e in events],
+                     [e.location for e in events], [e.msg for e in events])
         return trace
 
     def extend(self, time, kind, agents, trajs, location, msg) -> None:

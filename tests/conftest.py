@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import ringsync as rs
@@ -91,3 +93,34 @@ def path_grid(rows: int, cols: int, staggered: bool = True):
                 [[x0, y0], [x0 + 1.0, y0], [x0 + 1.0, y0 + 1.0], [x0, y0 + 1.0]])))
     return Instance(mode="path", paths=paths, ranges=[0.5] * len(paths),
                     label=f"path-grid-{rows}x{cols}")
+
+
+# Cycle-closure oracles: the alternating beta sum of a cycle, walked edge by
+# edge.  The library decides each chord in O(1) from the reflection starts
+# (`commgraph.max_synch_subgraph`); these judge it.
+
+def cycle_alternating_beta_sum(cycle, g) -> float:
+    """Alternating sum beta(c0,c1) - beta(c1,c2) + ... - beta(c_last,c0)."""
+    total = 0.0
+    k = len(cycle)
+    for idx in range(k):
+        term = g.beta(cycle[idx], cycle[(idx + 1) % k])
+        total += term if idx % 2 == 0 else -term
+    return total
+
+
+def cycle_residue(cycle, g) -> float:
+    """Distance of the alternating beta sum from the nearest multiple of pi."""
+    r = math.fmod(cycle_alternating_beta_sum(cycle, g), math.pi)
+    if r < 0:
+        r += math.pi
+    return min(r, math.pi - r)
+
+
+def cycle_feasible_opposite(cycle, g) -> bool:
+    """Whether an even cycle of g admits opposite-direction synchronization:
+    its alternating beta sum is 0 mod pi within ANGLE_TOL."""
+    from ringsync.geometry import ANGLE_TOL
+    assert len(cycle) % 2 == 0, f"cycle length must be even, got {len(cycle)}"
+    assert all(g.has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    return cycle_residue(cycle, g) <= ANGLE_TOL

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 import ringsync as rs
-from conftest import CASE_STUDY_CYCLES, paper_section_plan
+from conftest import (CASE_STUDY_CYCLES, cycle_feasible_opposite, cycle_residue,
+                      paper_section_plan)
 from ringsync import cli
 from ringsync.commgraph import CommGraph, EdgeData, edge_key
 from ringsync.errors import NotSynchronizableError
 from ringsync.geometry import Circle, Point2
-from ringsync.simulator import SimConfig, Strategy, occupancy_check, run
+from ringsync.simulator import SimConfig, run
+from ringsync.trace import Strategy, occupancy_check
 
 TRACES = []  # every trace produced below; re-checked by the occupancy criterion
 
@@ -76,8 +78,8 @@ def test_criterion_3_grid_cycles(grid33_graph):
     squares = [[r * 3 + c, r * 3 + c + 1, (r + 1) * 3 + c + 1, (r + 1) * 3 + c]
                for r in range(2) for c in range(2)]
     for cyc in squares:
-        assert rs.cycle_residue(cyc, grid33_graph) < 1e-9
-        assert rs.cycle_feasible_opposite(cyc, grid33_graph)
+        assert cycle_residue(cyc, grid33_graph) < 1e-9
+        assert cycle_feasible_opposite(cyc, grid33_graph)
     sched = rs.schedule_opposite_directions(grid33_graph, period=1.0)
     rep = rs.verify_schedule(grid33_graph, sched)
     assert rep.all_synchronized and rep.max_phase_error < 1e-9
@@ -184,7 +186,7 @@ def test_criterion_8_cycle_basis_sufficiency():
         for cyc in nx.simple_cycles(G):
             if len(cyc) < 3:
                 continue
-            assert rs.cycle_feasible_opposite(cyc, gs), \
+            assert cycle_feasible_opposite(cyc, gs), \
                 f"brute-force oracle found infeasible cycle {cyc}"
     _passline(8, "100/100 graphs: filtered subgraph has no infeasible simple cycle")
 

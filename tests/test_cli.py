@@ -751,3 +751,86 @@ def test_report_of_header_only_trace_with_tiny_period_returns(tmp_path):
     assert proc.returncode == 0, proc.stderr
     summary = json.loads((tmp_path / "summary.json").read_text())["aggregate"]
     assert summary["starvation_proven"] and summary["potentially_starving"] == [0, 1]
+
+
+def _two_squares():
+    return rs.Instance(mode="path", ranges=[0.5, 0.5], paths=[
+        rs.ClosedPath([[x, 0.0], [x + 1.0, 0.0], [x + 1.0, 1.0], [x, 1.0]]) for x in (0.0, 1.4)])
+
+
+def _set(key, value, path=False):
+    """An instance document of a 2x2 grid, or of two squares if path, with
+    doc[key] = value; key may be a (key, index) pair into a list."""
+    def make():
+        doc = cli.instance_to_json(_two_squares() if path else rs.grid(2, 2))
+        if isinstance(key, tuple):
+            doc[key[0]][key[1]] = value
+        else:
+            doc[key] = value
+        return doc
+    return make
+
+
+# Instance documents that `generate` never writes, each with a word of the
+# InvalidInstanceError that `schedule` exits with.
+BAD_INSTANCES = {
+    "comm-range-null": (_set("comm_range", None), "range None"),
+    "comm-range-string": (_set("comm_range", "0.5"), "range '0.5'"),
+    "comm-range-nan": (_set("comm_range", float("nan")), "range nan"),
+    "comm-range-negative": (_set("comm_range", -0.5), "range -0.5"),
+    "comm-range-inf": (_set("comm_range", float("inf")), "range inf"),
+    "radius-string": (_set(("circles", 0), [0.0, 0.0, "1.0"]), "radius must be positive"),
+    "meta-list": (_set("meta", []), "meta [] is not an object"),
+    "mode-unknown": (_set("mode", "polygon", path=True), "unknown instance mode 'polygon'"),
+    "top-level-list": (lambda: [cli.instance_to_json(rs.grid(2, 2))],
+                       "does not hold a JSON object"),
+    "three-ranges-two-paths": (_set("ranges", [0.5, 0.5, 0.5], path=True), "one per path"),
+    "ranges-null": (_set("ranges", None, path=True), "one per path"),
+    "range-nan": (_set(("ranges", 1), float("nan"), path=True), "range nan"),
+    "range-negative": (_set(("ranges", 0), -0.1, path=True), "range -0.1"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INSTANCES)
+def test_schedule_of_bad_instance_is_error(tmp_path, capsys, name):
+    make, word = BAD_INSTANCES[name]
+    inst = tmp_path / "i.json"
+    inst.write_text(cli._dumps(make()))
+    assert invoke("schedule", "-i", str(inst), "-o", str(tmp_path / "s.json")) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] in ("InvalidInstanceError", "DegenerateGeometryError")
+    assert word in err["message"]
+    assert not (tmp_path / "s.json").exists()
+    if name != "top-level-list":   # the library reader takes a parsed object
+        with pytest.raises(rs.RingsyncError, match=word.replace("[", r"\[")):
+            cli.instance_from_json(make())
+
+
+# Schedule document edits that no scheduler writes, each with a word of the
+# InvalidInstanceError that `simulate` exits with.
+BAD_SCHEDULES = {
+    "start-nan": (lambda d: d["starts"].__setitem__(0, float("nan")), "start nan"),
+    "start-inf": (lambda d: d["starts"].__setitem__(3, float("inf")), "start inf"),
+    "start-string": (lambda d: d["starts"].__setitem__(0, "0"), "start '0'"),
+    "mode-unknown": (lambda d: d.__setitem__("mode", "sideways"), "mode 'sideways'"),
+    "dir-unknown": (lambda d: d["dirs"].__setitem__(1, "up"), "direction 'up'"),
+    "edge-one-id": (lambda d: d.__setitem__("retained_edges", [[0]]), "retained_edges"),
+    "edge-float-id": (lambda d: d["retained_edges"].__setitem__(0, [0, 1.0]),
+                      "retained_edges"),
+    "edges-null": (lambda d: d.__setitem__("retained_edges", None), "retained_edges"),
+}
+
+
+@pytest.mark.parametrize("name", [*BAD_SCHEDULES, "top-level-list"])
+def test_simulate_of_bad_schedule_is_error(tmp_path, capsys, name):
+    inst, sched = _grid_schedule(tmp_path, capsys)
+    doc = json.loads(sched.read_text())
+    if name == "top-level-list":
+        doc, word = [doc], "does not hold a JSON object"
+    else:
+        edit, word = BAD_SCHEDULES[name]
+        edit(doc)
+    sched.write_text(cli._dumps(doc))
+    err = _simulate_error(tmp_path, capsys, inst, sched)
+    assert err["error"] == "InvalidInstanceError" and word in err["message"]
+    assert not (tmp_path / "t").exists()

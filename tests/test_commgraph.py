@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import ringsync as rs
 from ringsync.commgraph import (EXACT_MAXCUT_NODE_LIMIT, CommGraph, EdgeData,
-                                bfs_forest, cycle_alternating_beta_sum,
-                                dfs_forest, edge_key, reflection_starts)
-from ringsync.errors import (DisconnectedGraphError, InvalidInstanceError,
-                             NotSynchronizableError)
+                                bfs_forest, dfs_forest, edge_key, reflection_starts)
+from ringsync.errors import InvalidInstanceError, NotSynchronizableError
 from ringsync.geometry import Circle, ClosedPath, Point2
 
-from conftest import path_grid
+from conftest import (cycle_alternating_beta_sum, cycle_feasible_opposite, cycle_residue,
+                      path_grid)
 from test_acceptance import _random_bipartite_beta_graph
 
 
@@ -71,15 +70,19 @@ def test_two_color_triangle_witness(triangle):
         assert g.has_edge(a, b)
 
 
+def is_bipartite(g):
+    return rs.two_color(g)[0] is not None
+
+
 def test_is_bipartite(grid33_graph, triangle):
-    assert rs.is_bipartite(grid33_graph)
-    assert not rs.is_bipartite(triangle.graph())
+    assert is_bipartite(grid33_graph)
+    assert not is_bipartite(triangle.graph())
 
 
 def test_max_bipartite_subgraph_triangle(triangle):
     sub = rs.max_bipartite_subgraph(triangle.graph())
     assert len(sub.edges) == 2
-    assert rs.is_bipartite(sub)
+    assert is_bipartite(sub)
 
 
 def test_max_synch_subgraph_rejects_odd_cycle(triangle):
@@ -134,7 +137,7 @@ def test_max_bipartite_subgraph_matches_brute_force():
         g = _random_circle_graph(rng, int(rng.integers(4, 8)))
         assert g.n <= EXACT_MAXCUT_NODE_LIMIT
         sub = rs.max_bipartite_subgraph(g)
-        assert rs.is_bipartite(sub)
+        assert is_bipartite(sub)
         assert len(sub.edges) == _brute_max_cut(g)
 
 
@@ -149,23 +152,23 @@ def test_exact_max_cut_skips_bipartite_components():
     start = time.perf_counter()
     sub = rs.max_bipartite_subgraph(g)
     assert time.perf_counter() - start < 0.1
-    assert rs.is_bipartite(sub) and len(sub.edges) == 23
+    assert is_bipartite(sub) and len(sub.edges) == 23
 
 
 def test_grid_cycle_residues(grid33_graph):
     basis = rs.cycle_basis(grid33_graph)
     assert len(basis) == 12 - 9 + 1
     for cyc in basis:
-        assert rs.cycle_residue(cyc, grid33_graph) < 1e-9
-        assert rs.cycle_feasible_opposite(cyc, grid33_graph)
+        assert cycle_residue(cyc, grid33_graph) < 1e-9
+        assert cycle_feasible_opposite(cyc, grid33_graph)
 
 
 def test_spanning_tree_and_fundamental_cycles(grid33_graph):
-    tree = rs.spanning_tree(grid33_graph)
+    forest = bfs_forest(grid33_graph)
+    tree = forest.tree_edges()
     assert len(tree) == 8
     chords = [e for e in grid33_graph.edge_list() if edge_key(*e) not in set(tree)]
     assert len(chords) == 4
-    forest = bfs_forest(grid33_graph)
     for chord in chords:
         cyc = rs.fundamental_cycle(forest.parent, forest.depth, chord)
         assert len(cyc) >= 3
@@ -192,7 +195,7 @@ def test_max_synch_subgraph_no_infeasible_cycles_remain():
         gb = rs.max_bipartite_subgraph(g)
         gs = rs.max_synch_subgraph(gb)
         for cyc in _all_simple_cycles(gs):
-            assert rs.cycle_feasible_opposite(cyc, gs), \
+            assert cycle_feasible_opposite(cyc, gs), \
                 f"infeasible cycle {cyc} survived filtering"
 
 
@@ -216,12 +219,12 @@ def test_alternating_beta_sum_additivity():
 def test_dfs_tree_path_is_path():
     g = rs.build_circle_graph(
         [Circle(Point2(2.4 * i, 0.0)) for i in range(4)], 0.5)
-    edges = rs.dfs_tree(g, 3)
-    assert sorted(edges) == [(0, 1), (1, 2), (2, 3)]
+    edges = dfs_forest(g, 3).tree_edges()
+    assert edges == [(2, 3), (1, 2), (0, 1)]
 
 
 def test_dfs_tree_grid_topleft_hamiltonian(grid33_graph):
-    edges = rs.dfs_tree(grid33_graph, 0)
+    edges = dfs_forest(grid33_graph, 0).tree_edges()
     assert len(edges) == 8
     deg = {}
     for (a, b) in edges:
@@ -231,15 +234,8 @@ def test_dfs_tree_grid_topleft_hamiltonian(grid33_graph):
     assert max(deg.values()) == 2  # a Hamiltonian path of the grid
 
 
-def test_dfs_tree_disconnected_raises():
-    c = [Circle(Point2(0, 0)), Circle(Point2(10, 0))]
-    g = rs.build_circle_graph(c, 0.5)
-    with pytest.raises(DisconnectedGraphError):
-        rs.dfs_tree(g, 0)
-
-
 def test_components_and_subgraph(grid33_graph):
-    assert grid33_graph.is_connected()
+    assert len(grid33_graph.components()) == 1
     sub = grid33_graph.subgraph([edge_key(0, 1)])
     comps = sub.components()
     assert sorted(len(c) for c in comps) == [1] * 7 + [2]
@@ -268,15 +264,11 @@ def test_traversal_order_matches_networkx():
         g = _random_traversal_graph(rng)
         G = _nx_mirror(g)   # edges inserted in sorted order: ascending adjacency
         root = int(rng.integers(g.n))
-        assert rs.spanning_tree(g) == _nx_forest_edges(G, 0, nx.bfs_edges)
+        assert bfs_forest(g).tree_edges() == _nx_forest_edges(G, 0, nx.bfs_edges)
         assert dfs_forest(g, root).tree_edges() == _nx_forest_edges(G, root, nx.dfs_edges)
         assert g.components() == sorted(sorted(c) for c in nx.connected_components(G))
-        if g.is_connected():
-            assert rs.dfs_tree(g, root) == [edge_key(*e) for e in nx.dfs_edges(G, root)]
-        else:
-            disconnected += 1
-            with pytest.raises(DisconnectedGraphError):
-                rs.dfs_tree(g, root)
+        assert sorted(dfs_forest(g, root).components()) == g.components()
+        disconnected += len(g.components()) > 1
         colors, witness = rs.two_color(g)
         if nx.is_bipartite(G):
             assert witness is None
@@ -301,16 +293,16 @@ def test_traversal_rejects_unknown_root(grid33_graph):
 
 def _circle_graph_reference(circles, r):
     """All-pairs circle build: the exact test on every pair in (i, j) order."""
-    from ringsync.geometry import center_distance, line_angle, link_positions
+    from ringsync.geometry import line_angle_points, link_positions
     edges = {}
     for i, j in itertools.combinations(range(len(circles)), 2):
         ci, cj = circles[i], circles[j]
-        d = center_distance(ci, cj)
+        d = math.hypot(cj.center.x - ci.center.x, cj.center.y - ci.center.y)
         if d <= ci.radius + cj.radius:
             raise InvalidInstanceError(f"circles {i} and {j} overlap")
         if d <= ci.radius + cj.radius + r:
             phi_ij, phi_ji = link_positions(ci, cj)
-            edges[(i, j)] = EdgeData(beta=line_angle(ci, cj),
+            edges[(i, j)] = EdgeData(beta=line_angle_points(ci.center, cj.center),
                                      phi={i: phi_ij, j: phi_ji})
     return edges
 
@@ -389,8 +381,8 @@ def test_circle_graph_matches_all_pairs_on_generated_layouts(grid33):
 
 def test_circle_graph_keeps_pairs_numpy_rounds_past_threshold():
     # np.hypot and math.hypot differ in the last bit on some inputs.  Pairs
-    # whose exact distance is at the threshold but whose numpy distance is
-    # one ulp beyond it must still link: the prefilter's slack keeps them.
+    # whose math.hypot distance is at the threshold but whose numpy distance
+    # is one ulp beyond it must still link: the build decides on math.hypot.
     c0 = Circle(Point2(0.0, 0.0))
     found = 0
     for k in range(20000):
@@ -427,6 +419,7 @@ CELL_GRID_LAYOUTS = {
     "r-zero": (_grid_circles(4, 4, spacing=2.0 + 1e-12), 0.0),
     "r-negative": (_grid_circles(4, 4, spacing=2.2), -0.3),
     "r-negative-overlap": (_grid_circles(4, 4, spacing=1.9), -0.3),
+    "r-nan": (_grid_circles(4, 4, spacing=2.2), math.nan),
     "r-inf": (_grid_circles(3, 4, spacing=7.0), math.inf),
     "far-clusters": (_grid_circles(3, 3) + _grid_circles(2, 3, x0=1e6, y0=-3e6)
                      + _grid_circles(2, 2, x0=-4e9), 0.5),
@@ -452,7 +445,7 @@ def test_circle_graph_cell_grid_matches_all_pairs_loop(name):
     # each layout raises, has no edge (no pair is close, or r <= 0) or links
     assert isinstance(expect, str) == name.endswith("overlap")
     if name in ("empty", "one", "tiny-radius-large-coordinate", "tiny-radius-far-apart",
-                "r-zero", "r-negative"):
+                "r-zero", "r-negative", "r-nan"):
         assert expect == []
     elif not name.endswith("overlap"):
         assert expect
@@ -579,7 +572,7 @@ def _cycle_walk_filter(g):
     """The chord filter as a walk: keep each BFS tree edge, and each chord
     whose fundamental cycle passes cycle_feasible_opposite."""
     f = bfs_forest(g)
-    return [e for e in g.edges if f.is_tree_edge(*e) or rs.cycle_feasible_opposite(
+    return [e for e in g.edges if f.is_tree_edge(*e) or cycle_feasible_opposite(
         rs.fundamental_cycle(f.parent, f.depth, e), g)]
 
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ringsync.errors import OverlappingTrajectoriesError
-from ringsync.geometry import (Circle, ClosedPath, Point2, line_angle,
-                               line_angle_points, link_positions, min_distance,
-                               norm_angle, norm_line_angle)
+from ringsync.geometry import (Circle, ClosedPath, Point2, line_angle_points,
+                               link_positions, min_distance, norm_angle, norm_line_angle)
 
 TWO_PI = 2.0 * math.pi
 
@@ -25,6 +24,11 @@ def test_norm_line_angle_range(a):
     assert 0.0 <= x < math.pi
     assert abs(norm_line_angle(a + math.pi) - x) < 1e-9 or \
         abs(abs(norm_line_angle(a + math.pi) - x) - math.pi) < 1e-9
+
+
+def test_norm_angles_keep_nan():
+    # a NaN start angle must not read as angle 0
+    assert math.isnan(norm_angle(math.nan)) and math.isnan(norm_line_angle(math.nan))
 
 
 def test_link_positions_collinear():
@@ -47,11 +51,10 @@ def test_link_positions_antipodal(dx, dy):
 
 
 def test_line_angle_symmetric_and_bounded():
-    ci = Circle(Point2(0.0, 0.0))
-    cj = Circle(Point2(2.2, 2.2))
-    b = line_angle(ci, cj)
+    p, q = Point2(0.0, 0.0), Point2(2.2, 2.2)
+    b = line_angle_points(p, q)
     assert 0.0 <= b < math.pi
-    assert line_angle(cj, ci) == pytest.approx(b, abs=1e-12)
+    assert line_angle_points(q, p) == pytest.approx(b, abs=1e-12)
     assert b == pytest.approx(math.pi / 4.0, abs=1e-12)
 
 

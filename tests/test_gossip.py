@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 import ringsync as rs
 from ringsync.metrics import INF, arrival_times, broadcast_time
 from ringsync.scheduler import link_epochs
-from ringsync.simulator import SimConfig, Strategy, Trace, TraceEvent, run
+from ringsync.simulator import SimConfig, run
+from ringsync.trace import Strategy, Trace, TraceEvent
 
 
 def reference_arrivals(trace):

@@ -6,9 +6,9 @@ import sys
 import pytest
 
 import ringsync as rs
-from ringsync.metrics import (INF, TABLE_HEADER, meeting_times,
-                              occupancy_intervals, prove_starvation)
-from ringsync.simulator import SimConfig, Strategy, run
+from ringsync.metrics import INF, TABLE_HEADER, meeting_times, prove_starvation
+from ringsync.simulator import SimConfig, run
+from ringsync.trace import Strategy, occupancy_replay
 
 
 def run_preset(name, strategy, seed=0, fail_whites=True):
@@ -60,9 +60,10 @@ def test_abandoned_after_total_loss():
     tr = run(inst, sched, SimConfig(horizon=4000.0, strategy=Strategy("alw"),
                                     failures=failures))
     assert rs.abandoned_time(tr) >= 2000.0
-    ivals = occupancy_intervals(tr)
-    for traj in inst.meta["p_trajs"]:
-        assert all(end <= 2000.0 + 1e-9 for _, end, _a in ivals[traj])
+    occ = occupancy_replay(tr)
+    for traj, end in zip(occ.traj, occ.end):
+        if traj in inst.meta["p_trajs"]:
+            assert end <= 2000.0 + 1e-9
 
 
 def test_starvation_proven_for_alw():

@@ -95,7 +95,7 @@ def test_infeasible_random_chord_is_dropped():
 def test_tree_plan_constant_speed():
     inst = rs.preset("case-study")
     g = inst.graph()
-    tree = g.subgraph(rs.spanning_tree(g))
+    tree = g.subgraph(bfs_forest(g).tree_edges())
     plan = rs.assign_section_times(tree, period=100.0)
     for i, times in plan.times.items():
         L = tree.lengths[i]

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 import ringsync as rs
 from ringsync.errors import InvalidInstanceError
 from ringsync.metrics import arrival_times
-from ringsync.simulator import (SimConfig, Strategy, occupancy_check,
-                                parse_strategy, resolve_root, run)
+from ringsync.commgraph import dfs_forest
+from ringsync.simulator import SimConfig, resolve_root, run
+from ringsync.trace import Strategy, occupancy_check, parse_strategy
 from conftest import path_grid
 from test_gossip import scheduled, simulations
 
@@ -68,7 +69,7 @@ def test_rand_zero_never_switches_rand_one_matches_alw():
 
 def test_dfs_switches_only_on_tree_edges():
     inst, g, sched = grid_setup()
-    tree = set(rs.dfs_tree(g, 0))
+    tree = set(dfs_forest(g, 0).tree_edges())
     tr = run(inst, sched, SimConfig(horizon=20.0, strategy=Strategy("dfs", root=0),
                                     failures=[(4, 0.0), (1, 0.0)]))
     for e in tr.events_of("switch"):
@@ -241,7 +242,7 @@ def test_dfs_on_long_chain():
     n = 1500
     g = CommGraph(n=n, edges={(i, i + 1): EdgeData(beta=0.0, phi={i: 0.0, i + 1: math.pi})
                               for i in range(n - 1)})
-    assert rs.dfs_tree(g, 0) == [(i, i + 1) for i in range(n - 1)]
+    assert dfs_forest(g, 0).tree_edges() == [(i, i + 1) for i in range(n - 1)]
     sched = rs.schedule_opposite_directions(g, period=1.0)
     tr = run(None, sched, SimConfig(horizon=2.0, strategy=Strategy("dfs", root=n - 1),
                                     failures=[(0, 0.0)]), graph=g)

@@ -12,7 +12,8 @@ import pytest
 import ringsync as rs
 from ringsync import cli
 from ringsync.errors import InvalidInstanceError
-from ringsync.simulator import CHUNK_ROWS, SimConfig, Strategy, run
+from ringsync.simulator import SimConfig, run
+from ringsync.trace import CHUNK_ROWS, Strategy
 from test_trace_table import assert_same_table
 
 

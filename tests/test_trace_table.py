@@ -14,7 +14,8 @@ from hypothesis import given, settings
 import ringsync as rs
 from ringsync import cli
 from ringsync.errors import InvalidInstanceError
-from ringsync.simulator import Trace, occupancy_check
+from ringsync.simulator import SimConfig, run
+from ringsync.trace import Trace, TraceEvent, occupancy_check
 from conftest import BAD_TRACE_HEADERS
 from test_gossip import reference_arrivals, reference_broadcast_time, simulations
 
@@ -186,6 +187,29 @@ def test_read_table_and_report_equal_the_simulated(trace):
         assert type(table.msg) is list and len(table.msg) == m
     assert_same_table(read, trace)
     assert rs.report(read) == rs.report(trace)
+
+
+def signed_zero_table(build: str) -> Trace:
+    """A table whose first chunk holds a -0.0 and a 0.0 time, in both orders."""
+    if build == "run":
+        inst = rs.grid(2, 2)
+        sched = rs.schedule_opposite_directions(inst.graph(), period=10.0)
+        return run(inst, sched, SimConfig(horizon=20.0, failures=[(1, -0.0), (2, 0.0)]))
+    return Trace.from_events(
+        [TraceEvent(0.0, "failure", [0], [0]), TraceEvent(-0.0, "failure", [1], [1]),
+         TraceEvent(0.0, "emit", [2], [2], msg="2:0"), TraceEvent(1.5, "emit", [2], [2],
+                                                                  msg="2:1")],
+        n=3, period=1.0, horizon=2.0, strategy="alw", seed=0,
+        initial_occupancy=[0, 1, 2], survivors=[2])
+
+
+@pytest.mark.parametrize("build", ["run", "from_events"])
+def test_signed_zero_times_are_written_with_their_sign(build):
+    # -0.0 == 0.0, so a memo of time strings keyed by the float wrote the
+    # first zero's sign for both
+    trace = signed_zero_table(build)
+    assert {repr(t) for t in trace.time} >= {"-0.0", "0.0"}
+    assert cli.trace_to_lines(trace) == reference_lines(trace, trace.events)
 
 
 @pytest.mark.parametrize("fields,word", BAD_TRACE_HEADERS)
