@@ -107,7 +107,11 @@ def instance_from_json(doc: dict) -> Instance:
     from .instance import Instance
     with _required_keys("instance"):
         if doc["mode"] == "circle":
-            circles = [Circle(Point2(x, y), radius) for x, y, radius in doc["circles"]]
+            rows = doc["circles"]
+            if type(rows) is not list or not all(
+                    type(row) is list and len(row) == 3 for row in rows):
+                raise InvalidInstanceError("instance circles must be [x, y, radius] lists")
+            circles = [Circle(Point2(x, y), radius) for x, y, radius in rows]
             return Instance(mode="circle", circles=circles,
                             comm_range=doc["comm_range"],
                             label=doc.get("label", ""), meta=doc.get("meta", {}))
@@ -189,21 +193,25 @@ class _Memo(dict):
         return value
 
 
-def _line_ends(key: tuple) -> tuple:
-    """The text of an event line before its msg and after its time, from
-    the row's `_trace_line_chunks` key.  A line holds the keys of `_dumps`
-    in sorted order, agents, kind, location, msg, time, trajs and type, each
-    formatted as the encoder would: ints by str, floats by float.__repr__
-    and strings by `_dumps`."""
+def _line_ends():
+    """fmt(key): the text of an event line before its msg and after its
+    time, from the row's `_trace_line_chunks` key.  A line holds the keys of
+    `_dumps` in sorted order, agents, kind, location, msg, time, trajs and
+    type, each formatted as the encoder would: ints by str, floats by
+    float.__repr__ and strings by `_dumps`."""
     from struct import unpack
 
     from .trace import EVENT_KINDS, NO_ID
-    agent, agent2, traj, traj2, x, y, kind = unpack("<4q2dq", key[0])
-    agents = f"[{agent}]" if agent2 == NO_ID else f"[{agent},{agent2}]"
-    trajs = f"[{traj}]" if traj2 == NO_ID else f"[{traj},{traj2}]"
-    location = "null" if math.isnan(x) else f"[{x!r},{y!r}]"
-    return (f'{{"agents":{agents},"kind":{_dumps(EVENT_KINDS[kind])},"location":{location},'
-            '"msg":', f',"trajs":{trajs},"type":"event"}}')
+    kinds = [_dumps(kind) for kind in EVENT_KINDS]
+
+    def fmt(key: tuple) -> tuple:
+        agent, agent2, traj, traj2, x, y, kind = unpack("<4q2dq", key[0])
+        agents = f"[{agent}]" if agent2 == NO_ID else f"[{agent},{agent2}]"
+        trajs = f"[{traj}]" if traj2 == NO_ID else f"[{traj},{traj2}]"
+        location = "null" if math.isnan(x) else f"[{x!r},{y!r}]"
+        return (f'{{"agents":{agents},"kind":{kinds[kind]},"location":{location},'
+                '"msg":', f',"trajs":{trajs},"type":"event"}}')
+    return fmt
 
 
 def _trace_line_chunks(trace: Trace):
@@ -228,7 +236,7 @@ def _trace_line_chunks(trace: Trace):
                    "strategy": trace.strategy, "seed": trace.seed,
                    "initial_occupancy": trace.initial_occupancy,
                    "survivors": trace.survivors})]
-    ends = _Memo(_line_ends)
+    ends = _Memo(_line_ends())
     for start in range(0, len(trace), CHUNK_ROWS):
         rows = slice(start, start + CHUNK_ROWS)
         pairs = slice(2 * rows.start, 2 * rows.stop)

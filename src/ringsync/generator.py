@@ -32,6 +32,37 @@ def grid(rows: int, cols: int, spacing: float = 2.4, r: float = 0.5) -> Instance
                     meta={"rows": rows, "cols": cols, "spacing": spacing})
 
 
+# Placement cells: side 2 with relative slack, so two centers at most 2
+# apart always have cell keys at most one apart (Hockney & Eastwood,
+# "Computer Simulation Using Particles", 1988).  Within _CELL_LIMIT of the
+# origin the rounding of x / side moves a key by under 1e-7, inside the
+# slack; a center farther out, or not finite, is kept in a list of far
+# centers that every candidate is tested against, and a candidate that far
+# out is tested against every center.
+_CELL_SIDE = 2.0 * (1.0 + 1e-6)
+_CELL_LIMIT = 2.0**30
+# math.hypot and np.hypot differ in the last bit on about 0.6% of inputs, so
+# a distance within this of 2.0 is decided by np.hypot: every placement is
+# then the one numpy's vectorized test made, and instance files keep their
+# bytes with or without numpy loaded.
+_HYPOT_TIE = 1e-12
+
+
+def _clear(x: float, y: float, xs: list, ys: list, block) -> bool:
+    """Whether np.hypot puts (x, y) more than 2.0 from every center of block."""
+    for j in block:
+        dx, dy = x - xs[j], y - ys[j]
+        d = math.hypot(dx, dy)
+        if d > 2.0 + _HYPOT_TIE:
+            continue
+        if not d >= 2.0 - _HYPOT_TIE:        # overlapping, or NaN
+            return False
+        import numpy as np
+        if not float(np.hypot(dx, dy)) > 2.0:
+            return False
+    return True
+
+
 def random_connected(n: int, r: float = 0.5, seed: int = 0) -> Instance:
     """Incrementally grown random layout of n disjoint, connected unit circles.
 
@@ -42,9 +73,12 @@ def random_connected(n: int, r: float = 0.5, seed: int = 0) -> Instance:
     therefore connected by construction and no graph is built here;
     `validate_instance` is the check, for the rare rounding of a drawn
     distance or a candidate's coordinates past 2 + r.
-    Each placement attempt tests the candidate against the k centers placed
-    so far with one vectorized numpy distance test, O(k) work in a single
-    call, so a layout costs O(n^2) arithmetic but only O(attempts) numpy calls.
+    The draws are those of `numpy.random.default_rng(seed)`, made by
+    `ringsync.rng.Rng` in the same order.  Each placed center is listed under
+    every cell of the 3x3 block around its own cell of side about 2, so an
+    attempt is tested, by `_clear`, only against the one list of its own
+    cell: a layout costs O(attempts) work, not O(n^2), and loads no numpy
+    unless a distance ties 2.0 to within `_HYPOT_TIE`.
     """
     if n < 1:
         raise InvalidInstanceError("need n >= 1")
@@ -53,25 +87,42 @@ def random_connected(n: int, r: float = 0.5, seed: int = 0) -> Instance:
     if r == 0 and n > 1:
         raise GenerationFailureError(
             "range 0 leaves no center distance in (2, 2]: cannot place circle 1")
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    centers = np.zeros((n, 2))
+    from itertools import chain
+
+    from .rng import Rng
+    rng = Rng(seed)
+    xs, ys = [0.0], [0.0]
+    blocks = {(cx, cy): [0] for cx in (-1, 0, 1) for cy in (-1, 0, 1)}
+    far = []
     for k in range(1, n):
-        placed = centers[:k]
-        for attempt in range(_PLACEMENT_RETRY_CAP):
-            anchor = centers[int(rng.integers(k))]
+        for _attempt in range(_PLACEMENT_RETRY_CAP):
+            anchor = rng.integers(k)
             theta = rng.uniform(0.0, 2.0 * math.pi)
             d = rng.uniform(2.0, 2.0 + r)
             if d <= 2.0:
                 continue
-            cand = anchor + d * np.array([math.cos(theta), math.sin(theta)])
-            if np.all(np.hypot(cand[0] - placed[:, 0], cand[1] - placed[:, 1]) > 2.0):
-                centers[k] = cand
+            x = xs[anchor] + d * math.cos(theta)
+            y = ys[anchor] + d * math.sin(theta)
+            near = abs(x) <= _CELL_LIMIT and abs(y) <= _CELL_LIMIT
+            if near:
+                cx, cy = math.floor(x / _CELL_SIDE), math.floor(y / _CELL_SIDE)
+                block = chain(far, blocks.get((cx, cy), ()))
+            else:
+                block = range(k)
+            if _clear(x, y, xs, ys, block):
                 break
         else:
             raise GenerationFailureError(
                 f"could not place circle {k} after {_PLACEMENT_RETRY_CAP} tries")
-    circles = [Circle(Point2(x, y)) for x, y in centers.tolist()]
+        xs.append(x)
+        ys.append(y)
+        if not near:
+            far.append(k)
+            continue
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                blocks.setdefault((cx + dx, cy + dy), []).append(k)
+    circles = [Circle(Point2(x, y)) for x, y in zip(xs, ys)]
     return Instance(mode="circle", circles=circles, comm_range=r,
                     label=f"random-{n}-seed{seed}", meta={"seed": seed})
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateGeometryError, OverlappingTrajectoriesError
+from .errors import DegenerateGeometryError, InvalidInstanceError, OverlappingTrajectoriesError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,7 +44,12 @@ class Point2:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+        try:
+            finite = math.isfinite(self.x) and math.isfinite(self.y)
+        except TypeError:          # not a number, e.g. a string from JSON
+            raise InvalidInstanceError(
+                f"coordinates ({self.x!r}, {self.y!r}) are not numbers") from None
+        if not finite:
             raise DegenerateGeometryError(f"non-finite coordinates ({self.x}, {self.y})")
 
 

@@ -4,9 +4,11 @@
 Space-Efficient Statistically Good Algorithms for Random Number
 Generation", HMC-CS-2014-0905): a 128-bit LCG whose XSL-RR output is the
 64-bit draw, seeded from `SeedSequence`'s hash of the seed's 32-bit words.
-`Rng.random` and `Rng.choice` draw exactly what numpy's `Generator.random`
-and `Generator.choice(n, k, replace=False)` draw, so the simulator and the
-CLI give the same traces and failure sets with or without numpy.
+`Rng.random`, `Rng.uniform`, `Rng.integers` and `Rng.choice` draw exactly
+what numpy's `Generator.random`, `Generator.uniform(low, high)`,
+`Generator.integers(k)` and `Generator.choice(n, k, replace=False)` draw,
+so the generator, the simulator and the CLI give the same random layouts,
+traces and failure sets with or without numpy.
 """
 
 from __future__ import annotations
@@ -81,6 +83,11 @@ class Rng:
         """One uniform float in [0, 1): the top 53 bits of a 64-bit draw."""
         return (self._next64() >> 11) * 2.0**-53
 
+    def uniform(self, low: float, high: float) -> float:
+        """One uniform float in [low, high): low plus the float span
+        high - low times `random()`, as numpy scales it."""
+        return low + (high - low) * self.random()
+
     def _bounded(self, high: int) -> int:
         """Uniform int in [0, high], high < 2**32, by Lemire's rejection of
         32-bit draws (numpy's buffered_bounded_lemire_uint32)."""
@@ -95,6 +102,14 @@ class Rng:
             while m & _M32 < threshold:
                 m = self._next32() * span
         return m >> 32
+
+    def integers(self, k: int) -> int:
+        """One uniform int in 0..k-1 (1 <= k <= 2**32), drawn as numpy's
+        scalar `integers(k)` draws it: by `_bounded`, from the same 32-bit
+        half draws as `choice`."""
+        if not 1 <= k <= 2**32:
+            raise ValueError(f"integers({k}) needs 1 <= k <= 2**32")
+        return self._bounded(k - 1)
 
     def choice(self, n: int, k: int) -> list:
         """The sorted set of `choice(n, k, replace=False)`: k distinct ints in

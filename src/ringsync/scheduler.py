@@ -137,6 +137,8 @@ class Schedule:
     def __post_init__(self):
         if self.mode not in ("same-direction", "opposite-directions", "general"):
             raise InvalidInstanceError(f"unknown schedule mode {self.mode!r}")
+        if not all(isinstance(seq, (list, tuple)) for seq in (self.starts, self.dirs)):
+            raise InvalidInstanceError("schedule starts and dirs must be lists")
         for d in self.dirs:
             if d not in (CCW, CW):
                 raise InvalidInstanceError(f"schedule direction {d!r} is not CCW or CW")

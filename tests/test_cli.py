@@ -260,6 +260,37 @@ def test_instance_missing_key_is_error(tmp_path, capsys):
     assert err["error"] == "InvalidInstanceError" and "comm_range" in err["message"]
 
 
+# (file, key, index, value): doc[key][index] = value, or doc[key] = value
+# when index is None.
+MALFORMED_DOCS = [("instance", "circles", 0, [0, "a", 1.0]),
+                  ("instance", "circles", None, None), ("instance", "circles", 0, None),
+                  ("schedule", "starts", None, None), ("schedule", "dirs", None, None)]
+
+
+@pytest.mark.parametrize("kind,key,index,value", MALFORMED_DOCS,
+                         ids=["string-coordinate", "null-circles", "null-circle",
+                              "null-starts", "null-dirs"])
+def test_malformed_instance_or_schedule_is_error(tmp_path, capsys, kind, key, index, value):
+    inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+    assert invoke("generate", "--grid", "3x3", "-o", str(inst)) == 0
+    assert invoke("schedule", "-i", str(inst), "-o", str(sched)) == 0
+    bad = inst if kind == "instance" else sched
+    doc = json.loads(bad.read_text())
+    if index is None:
+        doc[key] = value
+    else:
+        doc[key][index] = value
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = (["schedule", "-i", str(inst), "-o", str(tmp_path / "s.json")]
+            if kind == "instance" else
+            ["simulate", "-i", str(inst), "-s", str(sched), "--horizon", "10",
+             "-o", str(tmp_path / "t")])
+    assert invoke(*argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInstanceError"
+
+
 def test_schedule_disconnected_path_layout(tmp_path, capsys):
     # two separate pairs of unit squares: each component gets its own anchor
     squares = [rs.ClosedPath(np.array([[x, 0.0], [x + 1.0, 0.0], [x + 1.0, 1.0], [x, 1.0]]))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringsync as rs
-from ringsync.errors import GenerationFailureError, InvalidInstanceError
+import ringsync.rng
+from ringsync.errors import GenerationFailureError, InvalidInstanceError, RingsyncError
+from ringsync.generator import _clear
 
 
 def test_grid_counts():
@@ -124,7 +127,7 @@ def _instance_bytes(make, n, r, seed):
     from ringsync.cli import _dumps, instance_to_json
     try:
         return _dumps(instance_to_json(make(n, r, seed)))
-    except (GenerationFailureError, ValueError) as exc:
+    except (RingsyncError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -152,6 +155,7 @@ def _no_rng(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("random_connected drew from an RNG")
     monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(ringsync.rng, "Rng", refuse)
 
 
 @pytest.mark.parametrize("n", [1, 5])
@@ -171,3 +175,53 @@ def test_random_connected_zero_range(monkeypatch):
 
 def test_random_connected_n400_matches_per_center_loop():
     _assert_matches_reference(400, 0.5, 0)
+
+
+# Ranges that put centers past the placement cells' _CELL_LIMIT, the last
+# past the float range (a non-finite coordinate, which Point2 rejects).
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("n,r,seed", [(30, 1e9, 1), (20, 1e300, 3), (10, 1.7e308, 0)])
+def test_random_connected_far_centers_match_per_center_loop(n, r, seed):
+    _assert_matches_reference(n, r, seed)
+
+
+# sha256 of the instance JSON that numpy's vectorized np.hypot placement test
+# wrote for these (n, r, seed): the cell-grid placement must write the same.
+LARGE_LAYOUT_DIGESTS = {
+    (2000, 0.5, 0): "69b5f862e6fa21b067e20c915e8ffad2ed54dffd1604a2106404f7a3fe9fd520",
+    (2000, 0.1, 5): "83b164f5d5e2e795feab2cd2d19429639181c6e6feac4f89cb12f285147dc4b7",
+}
+
+
+@pytest.mark.parametrize("n,r,seed", sorted(LARGE_LAYOUT_DIGESTS))
+def test_random_connected_n2000_matches_numpy_placement(n, r, seed):
+    text = _instance_bytes(_validated_random, n, r, seed)
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_LAYOUT_DIGESTS[(n, r, seed)]
+
+
+def _near_two_offsets():
+    """Offsets (dx, dy) within three ulps of dx of distance 2.0, on 600 rays."""
+    for k in range(600):
+        theta = 2.0 * math.pi * k / 600
+        dx, dy = 2.0 * math.cos(theta), 2.0 * math.sin(theta)
+        for _ in range(3):
+            dx = math.nextafter(dx, -math.inf)
+        for _ in range(7):
+            yield dx, dy
+            dx = math.nextafter(dx, math.inf)
+
+
+def test_placement_ties_are_decided_by_np_hypot():
+    offsets = list(_near_two_offsets())
+    decisions = [_clear(dx, dy, [0.0], [0.0], [0]) for dx, dy in offsets]
+    assert decisions == [bool(np.hypot(dx, dy) > 2.0) for dx, dy in offsets]
+    # math.hypot alone would decide some of these the other way
+    assert any(decisions[k] != (math.hypot(dx, dy) > 2.0)
+               for k, (dx, dy) in enumerate(offsets))
+
+
+@pytest.mark.parametrize("dx,dy,clear", [
+    (3.0, 0.0, True), (2.0 + 1e-9, 0.0, True), (2.0, 0.0, False), (1.0, 1.0, False),
+    (float("nan"), 0.0, False), (float("inf"), float("nan"), True)])
+def test_placement_decision_examples(dx, dy, clear):
+    assert _clear(dx, dy, [0.0], [0.0], [0]) is clear

@@ -1,6 +1,8 @@
 """`ringsync.rng.Rng` against numpy's `default_rng`, draw for draw: the
-simulator's emission phases and rand switches and the CLI's `--fail` set
-must not change when numpy is not loaded."""
+simulator's emission phases and rand switches, the CLI's `--fail` set and
+the random layouts must not change when numpy is not loaded."""
+
+import math
 
 import numpy as np
 import pytest
@@ -50,3 +52,49 @@ def test_choice_matches_numpy(seed, n, k):
 def test_choice_rejects_impossible_sizes(n, k):
     with pytest.raises(ValueError):
         Rng(0).choice(n, k)
+
+
+# k = 2**32 - 1 and 2**32 take numpy's two full-word branches.
+INTEGER_BOUNDS = [1, 2, 7, 2**32 - 1, 2**32]
+
+
+def assert_same_integers(seed: int, ks: list) -> None:
+    """integers(k) for each k, each followed by a random() and, on every
+    other k, a second integers(k) that takes the buffered 32-bit half."""
+    ours, theirs = Rng(seed), np.random.default_rng(seed)
+    for step, k in enumerate(ks):
+        draws = 2 if step % 2 else 1
+        assert [ours.integers(k) for _ in range(draws)] == \
+            [int(theirs.integers(k)) for _ in range(draws)]
+        assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("k", INTEGER_BOUNDS)
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
+def test_integers_matches_numpy(seed, k):
+    assert_same_integers(seed, [k] * 40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**80),
+       ks=st.lists(st.one_of(st.integers(1, 2**32), st.sampled_from(INTEGER_BOUNDS)),
+                   max_size=12))
+def test_integers_matches_numpy_on_any_seed(seed, ks):
+    assert_same_integers(seed, ks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**80), r=st.floats(0.0, 1e300))
+def test_placement_draws_match_numpy(seed, r):
+    # random_connected's order of draws: an anchor, a ray angle, a distance
+    ours, theirs = Rng(seed), np.random.default_rng(seed)
+    for k in range(1, 30):
+        assert ours.integers(k) == int(theirs.integers(k))
+        assert ours.uniform(0.0, 2.0 * math.pi) == theirs.uniform(0.0, 2.0 * math.pi)
+        assert ours.uniform(2.0, 2.0 + r) == theirs.uniform(2.0, 2.0 + r)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2**32 + 1])
+def test_integers_rejects_bounds_past_one_word(k):
+    with pytest.raises(ValueError):
+        Rng(0).integers(k)

@@ -80,15 +80,17 @@ def test_command_loads_only_its_layers(workdir, argv, unused):
     ["-m", "ringsync.cli", "report", "-t", "traces"],
     ["-c", "import ringsync.cli"],
     ["-m", "ringsync.cli", "generate", "--grid", "3x3", "-o", "grid.json"],
+    ["-m", "ringsync.cli", "generate", "--random", "50", "-o", "random.json"],
+    ["-m", "ringsync.cli", "generate", "--preset", "fig10a", "-o", "fig10a.json"],
     ["-m", "ringsync.cli", "schedule", "-i", "circles.json", "-o", "circles-sched.json"],
     ["-m", "ringsync.cli", "simulate", "-i", "circles.json", "-s", "circles-sched.json",
      "--horizon", "3000", "--strategy", "rand:0.5", "--fail", "10", "-o", "circle-traces"],
     ["-m", "ringsync.cli", "simulate", "-i", "circles.json", "-s", "circles-sched.json",
      "--horizon", "3000", "--strategy", "alw", "-o", "circle-traces-alw"]])
 def test_report_and_cli_import_load_no_numpy(workdir, argv):
-    # The report step, and circle layouts, schedules and simulations, run on
-    # the standard library alone; path layouts (ClosedPath), random layouts
-    # and the LP do not.
+    # The report step, and circle layouts (grids, random layouts and the
+    # random fig10a preset), schedules and simulations, run on the standard
+    # library alone; path layouts (ClosedPath) and the LP do not.
     loaded = {name.partition(".")[0] for name in loaded_modules(argv, workdir)}
     assert not loaded & {"numpy", "scipy"}, sorted(loaded & {"numpy", "scipy"})
 
