@@ -371,18 +371,17 @@ def cmd_schedule(args) -> int:
     plan = None
     if inst.mode == "path":
         plan = _self.assign_section_times(gb, period=period)
-        sched = _self.schedule_general(gb, plan)
-        retained = sorted(gb.edges)
-        dropped = {"odd-cycle": odd_dropped, "infeasible-cycle": []}
+        gs = gb
+        sched = _self.schedule_general(gs, plan)
     else:
         gs = _self.max_synch_subgraph(gb) if args.mode != "same" else gb
-        cycle_dropped = sorted(set(gb.edges) - set(gs.edges))
         if args.mode == "same":
             sched = _self.schedule_same_direction(gs, period=period)
         else:
             sched = _self.schedule_opposite_directions(gs, period=period)
-        retained = sorted(gs.edges)
-        dropped = {"odd-cycle": odd_dropped, "infeasible-cycle": cycle_dropped}
+    retained = sorted(gs.edges)
+    dropped = {"odd-cycle": odd_dropped,
+               "infeasible-cycle": sorted(set(gb.edges) - set(gs.edges))}
     _write_json(args.output, schedule_to_json(sched, retained, dropped, plan))
     n_drop = len(odd_dropped) + len(dropped["infeasible-cycle"])
     reasons = []
@@ -393,7 +392,7 @@ def cmd_schedule(args) -> int:
     note = f" ({', '.join(reasons)})" if reasons else ""
     print(f"{sched.mode}: {len(retained)} edges synchronized, "
           f"{n_drop} dropped{note} -> {args.output}")
-    if len(retained) == g.n - 1:
+    if len(retained) == g.n - 1 and len(gs.components()) == 1:
         print("retained subgraph is a tree")
     return 0
 

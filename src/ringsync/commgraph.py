@@ -5,14 +5,15 @@ beta in [0, pi) and the two link positions (angles in circle mode, arc
 lengths in path mode).  The link distance only decides whether an edge
 exists, so it is not kept.
 
-Every structural fact derives from one BFS (`bfs_forest`) or one DFS
-(`dfs_forest`).  The BFS starts at node 0 and the DFS at its root; both then
-start at each node not yet reached in ascending order, and visit neighbours
-in ascending order.  That order fixes the 2-colouring and its odd-cycle
-witness, the spanning forest, the components, the fundamental cycle basis,
-the reflection-propagated start angles (`reflection_starts`), which decide
-the chords the synchronization filter keeps and are the opposite-direction
-starts, the general scheduler's epoch tree, and the `dfs` strategy tree.
+Every structural fact derives from one BFS (`CommGraph.forest`, built once
+per graph and cached) or one DFS (`dfs_forest`).  The BFS starts at node 0
+and the DFS at its root; both then start at each node not yet reached in
+ascending order, and visit neighbours in ascending order.  That order fixes
+the 2-colouring and its odd-cycle witness, the spanning forest, the
+components, the fundamental cycle basis, the reflection-propagated start
+angles (`reflection_starts`), which decide the chords the synchronization
+filter keeps and are the opposite-direction starts, the general scheduler's
+epoch tree, and the `dfs` strategy tree.
 Schedules, traces and summaries are compared byte for byte, so they depend
 on it: changing the order changes artifacts.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -46,8 +48,8 @@ class CommGraph:
     edges: dict = field(default_factory=dict)  # (i, j) i<j -> EdgeData
     mode: str = "circle"                       # "circle" | "path"
     lengths: list | None = None                # trajectory lengths (path mode)
-    # per node: neighbours in ascending order; edges is never mutated after
-    # construction (subgraph builds a new graph)
+    # per node: neighbours in ascending order; it and the cached forest are facts
+    # of edges, which is never mutated after construction (subgraph builds anew)
     _adj: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -80,9 +82,32 @@ class CommGraph:
         keep = {edge_key(*e) for e in keep_edges}
         return replace(self, edges={k: v for k, v in self.edges.items() if k in keep})
 
+    @cached_property
+    def forest(self) -> "Forest":
+        """Breadth-first forest from each unreached node in ascending order."""
+        parent = [None] * self.n
+        depth = [0] * self.n
+        seen = [False] * self.n
+        order, head = [], 0          # order[head:] is the BFS queue
+        for start in range(self.n):
+            if seen[start]:
+                continue
+            seen[start] = True
+            order.append(start)
+            while head < len(order):
+                u = order[head]
+                head += 1
+                for v in self._adj[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        parent[v] = u
+                        depth[v] = depth[u] + 1
+                        order.append(v)
+        return Forest(order, parent, depth)
+
     def components(self) -> list[list[int]]:
         """Sorted node lists of the BFS forest's trees, ordered by least node."""
-        return bfs_forest(self).components()
+        return self.forest.components()
 
 
 class Forest(NamedTuple):
@@ -96,9 +121,6 @@ class Forest(NamedTuple):
         return [edge_key(self.parent[v], v) for v in self.order
                 if self.parent[v] is not None]
 
-    def is_tree_edge(self, i: int, j: int) -> bool:
-        return self.parent[i] == j or self.parent[j] == i
-
     def components(self) -> list[list[int]]:
         """Sorted node lists of the trees, in the order of their roots."""
         comps = []
@@ -107,29 +129,6 @@ class Forest(NamedTuple):
                 comps.append([])
             comps[-1].append(v)
         return [sorted(c) for c in comps]
-
-
-def bfs_forest(g: CommGraph) -> Forest:
-    """Breadth-first forest from each unreached node in ascending order."""
-    parent = [None] * g.n
-    depth = [0] * g.n
-    seen = [False] * g.n
-    order, head = [], 0          # order[head:] is the BFS queue
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        order.append(start)
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for v in g.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    depth[v] = depth[u] + 1
-                    order.append(v)
-    return Forest(order, parent, depth)
 
 
 def dfs_forest(g: CommGraph, root: int) -> Forest:
@@ -264,7 +263,7 @@ def two_color(g: CommGraph):
     every component's least node on 0, or (None, witness) where witness is
     the odd cycle that the first same-parity edge in BFS order closes.
     """
-    f = bfs_forest(g)
+    f = g.forest
     for u in f.order:
         for v in g.neighbors(u):
             if f.depth[u] % 2 == f.depth[v] % 2:
@@ -288,31 +287,31 @@ EXACT_MAXCUT_NODE_LIMIT = 24
 
 
 def max_bipartite_subgraph(g: CommGraph) -> CommGraph:
-    """Edge-maximum bipartite subgraph (exact for small odd components, greedy beyond).
+    """Edge-maximum bipartite subgraph, decided per component of the BFS forest.
 
-    A bipartite component keeps all its edges without any search.
+    A bipartite component keeps its BFS depth parity and all its edges.  An
+    odd component of at most EXACT_MAXCUT_NODE_LIMIT nodes gets its exact
+    maximum cut; a larger one a local optimum of the greedy moves.
     """
-    f = bfs_forest(g)
-    # an edge joining equal BFS depth parities closes an odd cycle
-    odd_nodes = {a for a, b in g.edges if f.depth[a] % 2 == f.depth[b] % 2}
-    odd = [comp for comp in f.components() if not odd_nodes.isdisjoint(comp)]
-    if not odd:
-        return g
-    if max(map(len, odd)) <= EXACT_MAXCUT_NODE_LIMIT:
-        sides = [d % 2 for d in f.depth]
-        for comp in odd:
+    f = g.forest
+    sides = [d % 2 for d in f.depth]
+    for comp in f.components():
+        # an edge joining equal BFS depth parities closes an odd cycle
+        if all(sides[u] != sides[v] for u in comp for v in g.neighbors(u)):
+            continue
+        if len(comp) <= EXACT_MAXCUT_NODE_LIMIT:
             _exact_max_cut(g, comp, sides)
-    else:
-        sides = _greedy_max_cut(g)
+        else:
+            _greedy_max_cut(g, comp, sides)
     keep = [e for e in g.edges if sides[e[0]] != sides[e[1]]]
-    return g.subgraph(keep)
+    return g if len(keep) == len(g.edges) else g.subgraph(keep)
 
 
 def _exact_max_cut(g: CommGraph, comp: list[int], sides: list) -> None:
     """Set sides on comp to its first maximum cut in mask order (comp[0] on side 0)."""
     import numpy as np
     index = {node: k for k, node in enumerate(comp)}
-    pairs = [(index[a], index[b]) for a, b in g.edges if a in index]
+    pairs = [(index[a], index[b]) for a in comp for b in g.neighbors(a) if a < b]
     best_count, best_mask = -1, 0
     total = 1 << (len(comp) - 1)
     chunk = 1 << 16
@@ -331,19 +330,20 @@ def _exact_max_cut(g: CommGraph, comp: list[int], sides: list) -> None:
         sides[node] = (best_mask >> index[node]) & 1
 
 
-def _greedy_max_cut(g: CommGraph):
-    """Local search: move any node whose own side holds a strict majority of its edges."""
-    sides = [i & 1 for i in range(g.n)]
+def _greedy_max_cut(g: CommGraph, comp: list[int], sides: list) -> None:
+    """Set sides on comp to a local optimum: from sides u & 1, move any node,
+    ascending, whose own side holds a strict majority of its edges."""
+    for u in comp:
+        sides[u] = u & 1
     improved = True
     while improved:
         improved = False
-        for u in range(g.n):
+        for u in comp:
             nbs = g.neighbors(u)
             same = sum(1 for v in nbs if sides[v] == sides[u])
             if same > len(nbs) - same:
                 sides[u] = 1 - sides[u]
                 improved = True
-    return sides
 
 
 def _pi_residue(x: float) -> float:
@@ -368,9 +368,9 @@ def fundamental_cycle(parent, depth, chord):
 
 def cycle_basis(g: CommGraph):
     """Fundamental cycles of the BFS forest from node 0, one per chord in edge order."""
-    f = bfs_forest(g)
-    return [fundamental_cycle(f.parent, f.depth, e)
-            for e in g.edge_list() if not f.is_tree_edge(*e)]
+    f = g.forest
+    return [fundamental_cycle(f.parent, f.depth, (u, v)) for u, v in g.edge_list()
+            if f.parent[u] != v and f.parent[v] != u]
 
 
 def reflection_starts(g: CommGraph) -> list[float]:
@@ -379,7 +379,7 @@ def reflection_starts(g: CommGraph) -> list[float]:
     Every root of the BFS forest from node 0 starts at 0, and each other node
     reflects its parent's angle across the line of their edge.
     """
-    f = bfs_forest(g)
+    f = g.forest
     starts = [None] * g.n
     for a in f.order:
         w = f.parent[a]

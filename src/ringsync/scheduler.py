@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .commgraph import (CommGraph, _bipartite_colors, bfs_forest, cycle_basis,
-                        reflection_starts)
+from .commgraph import CommGraph, _bipartite_colors, cycle_basis, reflection_starts
 from .errors import (ClosureViolationError, InfeasibleSectionTimesError,
                      InvalidInstanceError, SectionSearchBudgetError,
                      check_positive)
@@ -170,9 +169,9 @@ def arrival_time(alpha: float, direction: str, phi: float, period: float) -> flo
     return delta * period / TWO_PI
 
 
-def _color_dirs(colors) -> list:
-    """Color 0 flies CCW, color 1 CW."""
-    return [CW if c else CCW for c in colors]
+def _directions(g: CommGraph) -> list:
+    """Color 0 flies CCW, color 1 CW; raises NotSynchronizableError off a bipartite g."""
+    return [CW if c else CCW for c in _bipartite_colors(g)]
 
 
 def schedule_same_direction(g: CommGraph, period: float = 1.0) -> Schedule:
@@ -193,7 +192,7 @@ def schedule_opposite_directions(g: CommGraph, period: float = 1.0) -> Schedule:
     schedule is returned verified at PHASE_TOL.
     """
     check_positive("period", period)
-    dirs = _color_dirs(_bipartite_colors(g))
+    dirs = _directions(g)
     return _verified(g, Schedule(mode="opposite-directions", period=period,
                                  starts=reflection_starts(g), dirs=dirs))
 
@@ -398,10 +397,10 @@ def assign_section_times(g: CommGraph, period: float = 1.0) -> SectionPlan:
     """
     import numpy as np
     check_positive("period", period)
-    colors = _bipartite_colors(g)
     if g.lengths is None:
-        raise ValueError("assign_section_times requires trajectory lengths (path mode)")
-    dirs = _color_dirs(colors)
+        raise InvalidInstanceError(
+            "assign_section_times requires trajectory lengths (path mode)")
+    dirs = _directions(g)
     order = _travel_orders(g, dirs)
     sec_len = _section_lengths(g, order, dirs)
     cycles = cycle_basis(g)
@@ -536,7 +535,7 @@ def schedule_general(g: CommGraph, plan: SectionPlan) -> Schedule:
     its first link at the trajectory's mean speed.  Returned verified at
     PHASE_TOL; tree edges close exactly, so only a non-tree edge can fail.
     """
-    dirs = _color_dirs(_bipartite_colors(g))
+    dirs = _directions(g)
     T = plan.period
     epochs = [dict() for _ in range(g.n)]
 
@@ -549,7 +548,7 @@ def schedule_general(g: CommGraph, plan: SectionPlan) -> Schedule:
             t += plan.times[traj][(k + step - 1) % len(nbs)]
             epochs[traj][nbs[(k + step) % len(nbs)]] = math.fmod(t, T)
 
-    f = bfs_forest(g)
+    f = g.forest
     for a in f.order:
         w = f.parent[a]
         if w is not None:

@@ -27,6 +27,24 @@ def triangle():
                     comm_range=0.5, label="triangle")
 
 
+@pytest.fixture(scope="session")
+def two_rings():
+    """A hexagon of unit circles, indexed 0, 2, 3, 1, 4, 5 around its ring,
+    beside a ring of 25 (nodes 6 to 30).  Neighbours on a ring are 2.2
+    apart and range 0.5 links only them: 31 links, one bipartite component
+    and one odd, so a maximum bipartite subgraph keeps 30."""
+    from ringsync import Circle, Instance, Point2
+    centers = {}
+    for labels, x0 in (([0, 2, 3, 1, 4, 5], 0.0), (range(6, 31), 30.0)):
+        m = len(labels)
+        radius = 1.1 / math.sin(math.pi / m)
+        for k, label in enumerate(labels):
+            theta = 2.0 * math.pi * k / m
+            centers[label] = Point2(x0 + radius * math.cos(theta), radius * math.sin(theta))
+    return Instance(mode="circle", circles=[Circle(centers[i]) for i in range(31)],
+                    comm_range=0.5, label="two-rings")
+
+
 def paper_section_plan(period: float = 1.0):
     """The published seven-trajectory section-time assignment (nodes 2..8)."""
     from ringsync import SectionPlan

@@ -9,7 +9,7 @@ import pytest
 import ringsync as rs
 import ringsync.scheduler as sch
 from conftest import BAD_TRACE_HEADERS, SURVIVOR_MISMATCHES, path_grid
-from ringsync import cli
+from ringsync import cli, commgraph
 from ringsync.errors import InvalidInstanceError
 
 
@@ -71,6 +71,32 @@ def test_schedule_tree_note(tmp_path, capsys):
     invoke("generate", "--preset", "fig9a", "-o", str(inst_file))
     invoke("schedule", "-i", str(inst_file), "-o", str(sched_file))
     assert "tree" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["opposite", "same"])
+def test_schedule_two_rings_is_no_tree(tmp_path, capsys, two_rings, mode):
+    # 30 links on 31 nodes, but in two components, one holding a 6-cycle
+    inst_file, sched_file = tmp_path / "rings.json", tmp_path / "s.json"
+    inst_file.write_text(cli._dumps(cli.instance_to_json(two_rings)))
+    assert invoke("schedule", "-i", str(inst_file), "--mode", mode,
+                  "-o", str(sched_file)) == 0
+    out = capsys.readouterr().out
+    assert "30 edges synchronized, 1 dropped (1 odd cycle)" in out
+    assert "tree" not in out
+
+
+@pytest.mark.parametrize("layout,forests", [(["--grid", "10x10"], 2),
+                                            (["--preset", "case-study"], 1),
+                                            (["--random", "400"], 3)])
+def test_schedule_builds_each_forest_once(tmp_path, monkeypatch, layout, forests):
+    # one per graph: the instance's, the bipartite filter's when it drops a
+    # link, and the chord filter's
+    inst_file = tmp_path / "inst.json"
+    assert invoke("generate", *layout, "-o", str(inst_file)) == 0
+    built, real = [], commgraph.Forest
+    monkeypatch.setattr(commgraph, "Forest", lambda *a: built.append(a) or real(*a))
+    assert invoke("schedule", "-i", str(inst_file), "-o", str(tmp_path / "s.json")) == 0
+    assert len(built) == forests
 
 
 def pipeline(tmp_path, *, strategy="alw", seeds="2", extra=()):

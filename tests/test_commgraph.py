@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringsync as rs
-from ringsync.commgraph import (EXACT_MAXCUT_NODE_LIMIT, CommGraph, EdgeData,
-                                bfs_forest, dfs_forest, edge_key, reflection_starts)
+from ringsync.commgraph import (EXACT_MAXCUT_NODE_LIMIT, CommGraph, EdgeData, dfs_forest,
+                                edge_key, reflection_starts)
 from ringsync.errors import InvalidInstanceError, NotSynchronizableError
 from ringsync.geometry import Circle, ClosedPath, Point2
 
@@ -155,6 +155,45 @@ def test_exact_max_cut_skips_bipartite_components():
     assert is_bipartite(sub) and len(sub.edges) == 23
 
 
+def test_max_cut_leaves_bipartite_component_beside_large_odd_one(two_rings):
+    # the 25-ring is an odd component past EXACT_MAXCUT_NODE_LIMIT, so it
+    # gets the local moves; the hexagon beside it keeps all its links
+    g = two_rings.graph()
+    sub = rs.max_bipartite_subgraph(g)
+    assert (len(g.edges), len(sub.edges)) == (31, 30)
+    assert sum(1 for _, b in sub.edges if b < 6) == 6
+    assert is_bipartite(sub)
+
+
+def _beside_odd_ring(g, m=25):
+    """g with an m-cycle on the m nodes after its own."""
+    ring = [edge_key(g.n + k, g.n + (k + 1) % m) for k in range(m)]
+    return CommGraph(n=g.n + m, edges={**g.edges, **{
+        (i, j): EdgeData(beta=0.0, phi={i: 0.0, j: 0.0}) for i, j in ring}})
+
+
+def test_small_odd_components_stay_exact_beside_large_one():
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 8:
+        g = _random_circle_graph(rng, int(rng.integers(4, 9)))
+        if is_bipartite(g):
+            continue
+        sub = rs.max_bipartite_subgraph(_beside_odd_ring(g))
+        assert sum(1 for _, b in sub.edges if b < g.n) == _brute_max_cut(g)
+        assert sum(1 for a, _ in sub.edges if a >= g.n) == 24
+        checked += 1
+
+
+def test_forest_is_cached_per_graph(grid33_graph):
+    f = grid33_graph.forest
+    assert grid33_graph.forest is f
+    sub = grid33_graph.subgraph(f.tree_edges()[:4])
+    assert sub.forest is not f
+    assert sub.forest.tree_edges() == f.tree_edges()[:4]
+    assert len(sub.components()) == 5
+
+
 def test_grid_cycle_residues(grid33_graph):
     basis = rs.cycle_basis(grid33_graph)
     assert len(basis) == 12 - 9 + 1
@@ -164,7 +203,7 @@ def test_grid_cycle_residues(grid33_graph):
 
 
 def test_spanning_tree_and_fundamental_cycles(grid33_graph):
-    forest = bfs_forest(grid33_graph)
+    forest = grid33_graph.forest
     tree = forest.tree_edges()
     assert len(tree) == 8
     chords = [e for e in grid33_graph.edge_list() if edge_key(*e) not in set(tree)]
@@ -264,7 +303,7 @@ def test_traversal_order_matches_networkx():
         g = _random_traversal_graph(rng)
         G = _nx_mirror(g)   # edges inserted in sorted order: ascending adjacency
         root = int(rng.integers(g.n))
-        assert bfs_forest(g).tree_edges() == _nx_forest_edges(G, 0, nx.bfs_edges)
+        assert g.forest.tree_edges() == _nx_forest_edges(G, 0, nx.bfs_edges)
         assert dfs_forest(g, root).tree_edges() == _nx_forest_edges(G, root, nx.dfs_edges)
         assert g.components() == sorted(sorted(c) for c in nx.connected_components(G))
         assert sorted(dfs_forest(g, root).components()) == g.components()
@@ -571,8 +610,9 @@ def test_path_graph_skips_pairs_with_distant_bounding_boxes(monkeypatch):
 def _cycle_walk_filter(g):
     """The chord filter as a walk: keep each BFS tree edge, and each chord
     whose fundamental cycle passes cycle_feasible_opposite."""
-    f = bfs_forest(g)
-    return [e for e in g.edges if f.is_tree_edge(*e) or cycle_feasible_opposite(
+    f = g.forest
+    tree = set(f.tree_edges())
+    return [e for e in g.edges if e in tree or cycle_feasible_opposite(
         rs.fundamental_cycle(f.parent, f.depth, e), g)]
 
 

@@ -3,8 +3,7 @@ import math
 import pytest
 
 import ringsync as rs
-from ringsync.commgraph import bfs_forest
-from ringsync.errors import ClosureViolationError, NotSynchronizableError
+from ringsync.errors import ClosureViolationError, InvalidInstanceError, NotSynchronizableError
 from ringsync.geometry import Circle, Point2
 from ringsync.scheduler import CCW, CW, arrival_time
 
@@ -92,10 +91,16 @@ def test_infeasible_random_chord_is_dropped():
 
 # --- section plans and the general scheduler ---------------------------------
 
+def test_section_times_need_trajectory_lengths(grid33_graph):
+    # a circle graph has no trajectory lengths: a typed input error
+    with pytest.raises(InvalidInstanceError, match="trajectory lengths"):
+        rs.assign_section_times(grid33_graph, period=1.0)
+
+
 def test_tree_plan_constant_speed():
     inst = rs.preset("case-study")
     g = inst.graph()
-    tree = g.subgraph(bfs_forest(g).tree_edges())
+    tree = g.subgraph(g.forest.tree_edges())
     plan = rs.assign_section_times(tree, period=100.0)
     for i, times in plan.times.items():
         L = tree.lengths[i]
@@ -152,7 +157,7 @@ def test_schedule_general_closure_error_on_bad_plan():
         rs.schedule_general(g, plan)
     # tree edges close exactly, so the first bad edge is a non-tree edge
     assert exc.value.edge in g.edge_list()
-    assert not bfs_forest(g).is_tree_edge(*exc.value.edge)
+    assert exc.value.edge not in g.forest.tree_edges()
 
 
 def test_section_plan_time_between():

@@ -130,7 +130,7 @@ def enumerated_section_times(g, period=1.0, min_fraction=0.01):
     itertools.product order is solved in full, with no pruning.  Every LP
     that HiGHS calls feasible must also pass the library's interval cut.
     """
-    dirs = sch._color_dirs(sch._bipartite_colors(g))
+    dirs = sch._directions(g)
     order = sch._travel_orders(g, dirs)
     sec_len = sch._section_lengths(g, order, dirs)
     cycles = rs.cycle_basis(g)

@@ -44,14 +44,15 @@ def loaded_layers(argv, cwd) -> set:
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """A case-study instance, its schedule and one trace; a 4x4 circle grid
-    and its schedule."""
+    and its schedule; a random 60-circle layout, which has odd cycles."""
     d = tmp_path_factory.mktemp("startup")
     for argv in (["generate", "--preset", "case-study", "-o", "inst.json"],
                  ["schedule", "-i", "inst.json", "-o", "sched.json"],
                  ["simulate", "-i", "inst.json", "-s", "sched.json", "--horizon", "2000",
                   "-o", "traces"],
                  ["generate", "--grid", "4x4", "-o", "circles.json"],
-                 ["schedule", "-i", "circles.json", "-o", "circles-sched.json"]):
+                 ["schedule", "-i", "circles.json", "-o", "circles-sched.json"],
+                 ["generate", "--random", "60", "-o", "random60.json"]):
         _run(["-m", "ringsync.cli", *argv], d)
     return d
 
@@ -83,6 +84,7 @@ def test_command_loads_only_its_layers(workdir, argv, unused):
     ["-m", "ringsync.cli", "generate", "--random", "50", "-o", "random.json"],
     ["-m", "ringsync.cli", "generate", "--preset", "fig10a", "-o", "fig10a.json"],
     ["-m", "ringsync.cli", "schedule", "-i", "circles.json", "-o", "circles-sched.json"],
+    ["-m", "ringsync.cli", "schedule", "-i", "random60.json", "-o", "random60-sched.json"],
     ["-m", "ringsync.cli", "simulate", "-i", "circles.json", "-s", "circles-sched.json",
      "--horizon", "3000", "--strategy", "rand:0.5", "--fail", "10", "-o", "circle-traces"],
     ["-m", "ringsync.cli", "simulate", "-i", "circles.json", "-s", "circles-sched.json",
@@ -90,7 +92,8 @@ def test_command_loads_only_its_layers(workdir, argv, unused):
 def test_report_and_cli_import_load_no_numpy(workdir, argv):
     # The report step, and circle layouts (grids, random layouts and the
     # random fig10a preset), schedules and simulations, run on the standard
-    # library alone; path layouts (ClosedPath) and the LP do not.
+    # library alone, the greedy max cut of a random layout's large odd
+    # component too; path layouts (ClosedPath) and the LP do not.
     loaded = {name.partition(".")[0] for name in loaded_modules(argv, workdir)}
     assert not loaded & {"numpy", "scipy"}, sorted(loaded & {"numpy", "scipy"})
 
