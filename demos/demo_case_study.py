@@ -34,7 +34,8 @@ def main():
           f"max phase error = {rep.max_phase_error:.2e} s")
 
     trace = run(inst, sched, SimConfig(horizon=PERIOD))
-    met = sorted({tuple(sorted(e.trajs)) for e in trace.events_of("meeting")})
+    met = sorted({tuple(sorted(trace.trajs[2 * r:2 * r + 2]))
+                  for r in trace.rows_of("meeting")})
     print(f"one simulated period: meetings on {len(met)}/{len(g.edges)} links: {met}")
 
 

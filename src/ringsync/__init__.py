@@ -18,14 +18,14 @@ _SUBMODULE_NAMES = {
     "generator": ("grid", "preset", "random_connected", "validate_instance"),
     "geometry": ("Circle", "ClosedPath", "Point2", "link_positions", "min_distance"),
     "instance": ("Instance",),
-    "metrics": ("MetricsReport", "abandoned_time", "aggregate", "arrival_times",
-                "broadcast_time", "completed_tours", "prove_starvation", "render_table",
-                "report", "starvation_time"),
+    "metrics": ("MetricsReport", "abandoned_time", "aggregate", "broadcast_time",
+                "completed_tours", "prove_starvation", "render_table", "report",
+                "starvation_time"),
     "scheduler": ("Schedule", "SectionPlan", "assign_section_times", "schedule_general",
                   "schedule_opposite_directions", "schedule_same_direction",
                   "validate_section_plan", "verify_schedule"),
     "simulator": ("SimConfig", "run"),
-    "trace": ("Strategy", "Trace", "TraceEvent", "occupancy_check", "parse_strategy"),
+    "trace": ("Strategy", "Trace", "occupancy_replay", "parse_strategy"),
 }
 _SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
 __all__ = sorted(_SUBMODULE)

@@ -115,7 +115,13 @@ def instance_from_json(doc: dict) -> Instance:
             return Instance(mode="circle", circles=circles,
                             comm_range=doc["comm_range"],
                             label=doc.get("label", ""), meta=doc.get("meta", {}))
-        paths = [ClosedPath(v) for v in doc["paths"]]
+        paths = doc["paths"]
+        if type(paths) is not list or not all(
+                type(path) is list and all(type(v) is list and len(v) == 2
+                                           and {type(v[0]), type(v[1])} <= {int, float}
+                                           for v in path) for path in paths):
+            raise InvalidInstanceError("instance paths must be lists of [x, y] vertices")
+        paths = [ClosedPath(v) for v in paths]
         return Instance(mode=doc["mode"], paths=paths, ranges=doc["ranges"],
                         label=doc.get("label", ""), meta=doc.get("meta", {}))
 
@@ -147,9 +153,11 @@ def schedule_from_json(doc: dict) -> tuple[Schedule, list, SectionPlan | None]:
     from .scheduler import Schedule, SectionPlan
     with _required_keys("schedule"):
         check_positive("schedule period", doc["period"])
-        epochs = None
-        if "epochs" in doc:
-            epochs = [{int(nb): t for nb, t in ep.items()} for ep in doc["epochs"]]
+        epochs = doc.get("epochs")
+        if epochs is not None:
+            if type(epochs) is not list:
+                raise InvalidInstanceError("schedule epochs must be a list")
+            epochs = [_by_agent(ep, "schedule epochs entry") for ep in epochs]
         sched = Schedule(mode=doc["mode"], period=doc["period"],
                          starts=doc["starts"], dirs=doc["dirs"], epochs=epochs)
         retained = doc["retained_edges"]
@@ -161,14 +169,24 @@ def schedule_from_json(doc: dict) -> tuple[Schedule, list, SectionPlan | None]:
         plan = None
         if doc.get("plan"):
             p = doc["plan"]
+            if type(p) is not dict:
+                raise InvalidInstanceError("schedule plan must be an object")
             check_positive("section plan period", p["period"])
             plan = SectionPlan(
                 period=p["period"],
-                link_order={int(i): nbs for i, nbs in p["link_order"].items()},
-                times={int(i): ts for i, ts in p["times"].items()},
+                link_order=_by_agent(p["link_order"], "section plan link_order"),
+                times=_by_agent(p["times"], "section plan times"),
                 section_lengths=None if p["section_lengths"] is None else
-                {int(i): ls for i, ls in p["section_lengths"].items()})
+                _by_agent(p["section_lengths"], "section plan section_lengths"))
     return sched, retained, plan
+
+
+def _by_agent(doc, what: str) -> dict:
+    """A JSON object keyed by agent ids, with int keys."""
+    try:
+        return {int(key): value for key, value in doc.items()}
+    except (AttributeError, ValueError):
+        raise InvalidInstanceError(f"{what} is not an object keyed by agent ids") from None
 
 
 # The event keys, which are also the names of the table's columns.

@@ -42,8 +42,8 @@ def _set_bits(x: int) -> list[int]:
     return [m.start() for m in re.finditer("1", f"{x:b}"[::-1])]
 
 
-def _gossip_scan(trace: Trace, groups: list):
-    """When each message last reached a member of each group of agents.
+def _gossip_scan(trace: Trace, members: list):
+    """When each message last reached one of the given agents.
 
     One earliest-arrival scan over the emits and meetings in trace order (the
     temporal-graph reachability of Wu et al., "Path Problems in Temporal
@@ -57,38 +57,38 @@ def _gossip_scan(trace: Trace, groups: list):
 
     No agent-by-message times are kept.  The members' newly learned bits wait
     in a batch with their meeting times; once the batch holds as many entries
-    as there are members, the AND of each group's knowledge tells which
-    messages its last member learned inside the batch, and a pass back over
+    as there are members, the AND of the members' knowledge tells which
+    messages the last of them learned inside the batch, and a pass back over
     the batch finds when.
 
     Returns (emits, latest): emits maps each message key to its emit time, in
-    trace order; latest[g][k] is the last time a member of group g learned or
-    emitted the k-th message of emits, inf if some member never knew it.
+    trace order; latest[k] is the last time a member learned or emitted the
+    k-th message of emits, inf if some member never knew it.  members must
+    not be empty.
     """
     emit_rows = trace.rows_of("emit")
     emits = dict(zip([trace.msg[r] for r in emit_rows], [trace.time[r] for r in emit_rows]))
     column = {key: k for k, key in enumerate(emits)}
-    group_of = {a: g for g, members in enumerate(groups) for a in members}
-    latest = [[-INF] * len(emits) for _ in groups]
+    member = set(members)
+    latest = [-INF] * len(emits)
     known = [0] * trace.n             # per agent, bit k: it knows message k
-    known_by_all = [0] * len(groups)  # per group, as of the last resolve()
-    batch = []                        # (group, time, bits a member learned)
+    known_by_all = 0                  # the members' AND, as of the last resolve()
+    batch = []                        # (time, bits a member learned)
 
     def resolve():
-        left = {}
-        for g, members in enumerate(groups):
-            now = reduce(and_, [known[a] for a in members])
-            if now != known_by_all[g]:
-                left[g] = now ^ known_by_all[g]
-                known_by_all[g] = now
-        for g, t, learned in reversed(batch):
-            hit = learned & left.get(g, 0)
+        nonlocal known_by_all
+        now = reduce(and_, [known[a] for a in member])
+        left = now ^ known_by_all
+        known_by_all = now
+        for t, learned in reversed(batch):
+            if not left:
+                break
+            hit = learned & left
             if hit:
-                row = latest[g]
                 for k in _set_bits(hit):
-                    if t > row[k]:
-                        row[k] = t
-                left[g] ^= hit
+                    if t > latest[k]:
+                        latest[k] = t
+                left ^= hit
         batch.clear()
 
     agents = trace.agents
@@ -99,37 +99,21 @@ def _gossip_scan(trace: Trace, groups: list):
             if known_a == known_b:
                 continue
             union = known[a] = known[b] = known_a | known_b
-            if a in group_of and union != known_a:
-                batch.append((group_of[a], t, union ^ known_a))
-            if b in group_of and union != known_b:
-                batch.append((group_of[b], t, union ^ known_b))
-            if len(batch) >= len(group_of):
+            if a in member and union != known_a:
+                batch.append((t, union ^ known_a))
+            if b in member and union != known_b:
+                batch.append((t, union ^ known_b))
+            if len(batch) >= len(member):
                 resolve()
         elif kind == EMIT:
             k = column[msg]
             known[a] |= 1 << k
-            if a in group_of:
-                row = latest[group_of[a]]
-                if t > row[k]:
-                    row[k] = t
+            if a in member and t > latest[k]:
+                latest[k] = t
     resolve()
-    everything = (1 << len(emits)) - 1
-    for g, known_g in enumerate(known_by_all):
-        for k in _set_bits(everything ^ known_g):
-            latest[g][k] = INF
+    for k in _set_bits(((1 << len(emits)) - 1) ^ known_by_all):
+        latest[k] = INF
     return emits, latest
-
-
-def arrival_times(trace: Trace):
-    """First time each agent knows each message, from emits and meetings.
-
-    Returns (emits, arrival): emits maps each message key to its emit time, in
-    trace order; arrival[a][k] is when agent a first knew the k-th message of
-    emits (the time of its last emit of that key, if it emitted one), inf if
-    it never did.  This is the scan of `broadcast_time` with each agent as
-    its own group, and the n lists hold n x messages floats.
-    """
-    return _gossip_scan(trace, [[a] for a in range(trace.n)])
 
 
 def broadcast_time(trace: Trace) -> float:
@@ -143,10 +127,9 @@ def broadcast_time(trace: Trace) -> float:
     """
     if not trace.survivors:
         return INF
-    emits, latest = _gossip_scan(trace, [trace.survivors])
+    emits, latest = _gossip_scan(trace, trace.survivors)
     if not emits:
         return INF
-    latest = latest[0]
     if INF in latest:
         return INF
     return sum(t - t0 for t, t0 in zip(latest, emits.values())) / len(emits)

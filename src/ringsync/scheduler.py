@@ -12,7 +12,6 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -144,6 +143,14 @@ class Schedule:
         for a in self.starts:
             if not (isinstance(a, (int, float)) and math.isfinite(a)):
                 raise InvalidInstanceError(f"schedule start {a!r} is not a finite number")
+        if self.mode == "general" and not (
+                isinstance(self.epochs, list) and len(self.epochs) == len(self.starts)
+                and all(type(ep) is dict and all(
+                    type(nb) is int and isinstance(t, (int, float)) and math.isfinite(t)
+                    for nb, t in ep.items()) for ep in self.epochs)):
+            raise InvalidInstanceError(
+                "general schedule epochs must be one map of neighbour ids to finite "
+                f"times for each of its {len(self.starts)} starts")
 
 
 @dataclass
@@ -198,9 +205,14 @@ def schedule_opposite_directions(g: CommGraph, period: float = 1.0) -> Schedule:
 
 
 def _arrival_pair(g: CommGraph, s: Schedule, i: int, j: int) -> tuple:
-    """First arrivals of agents i and j at their link locations for edge (i, j)."""
+    """First arrivals of agents i and j at their link locations for edge (i, j);
+    InvalidInstanceError if a general schedule lacks either epoch."""
     if s.mode == "general":
-        return s.epochs[i][j], s.epochs[j][i]
+        try:
+            return s.epochs[i][j], s.epochs[j][i]
+        except KeyError:
+            raise InvalidInstanceError(
+                f"general schedule has no epoch for link ({i}, {j})") from None
     return (arrival_time(s.starts[i], s.dirs[i], g.phi(i, j), s.period),
             arrival_time(s.starts[j], s.dirs[j], g.phi(j, i), s.period))
 
@@ -249,17 +261,6 @@ class SectionPlan:
     link_order: dict      # traj -> list of neighbor ids
     times: dict           # traj -> list of section times
     section_lengths: dict | None = None
-
-    def time_between(self, traj: int, from_nb: int, to_nb: int) -> float:
-        """Travel time on traj from the link with from_nb to the link with to_nb.
-
-        The section times _sections_between names, summed from 0.0 in travel
-        order (0.0 when from_nb == to_nb).  Raises InvalidInstanceError if
-        either neighbor has no link on traj.
-        """
-        secs = _sections_between(self.link_order.get(traj, []), from_nb, to_nb)
-        # plain left-to-right addition: sum() compensates float sums from 3.12
-        return functools.reduce(operator.add, (self.times[traj][k] for k in secs), 0.0)
 
 
 def _sections_between(link_order_i, from_nb, to_nb) -> list:

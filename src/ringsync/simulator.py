@@ -73,14 +73,16 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     the first failure, so until then the candidates are the rows; after it
     each candidate is processed in turn.  The rows of each chunk of the
     timeline, with the tour-complete rows due before its last instant, are
-    then sorted by `TraceEvent.sort_key` (the tuples' own order) and
-    appended to the columns, so they fill in trace order.  Tours come from
-    a heap of the next full period of each cohort of occupation intervals.
+    then sorted as (time, kind code, trajectory pair, agent pair, msg,
+    location) tuples and appended to the columns, so they fill in trace
+    order.  Tours come from a heap of the next full period of each cohort
+    of occupation intervals.
     An interval from start to end (the horizon if still open) completes a
     tour at start + k*T for every k >= 1 with start + k*T <= end + 1e-9*T.
     A schedule that fails verify_schedule on graph (default: the
-    instance's), has no start or direction per agent, or is in general mode
-    on a circle instance or a circle mode on a path instance, a failure
+    instance's), lacks the general-mode epoch of a link, has no start or
+    direction per agent, or is in general mode on a circle instance or a
+    circle mode on a path instance, a failure
     agent or dfs root that is no agent id, or a run of more than
     sys.maxsize rows raises InvalidInstanceError.
     """

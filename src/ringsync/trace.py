@@ -1,11 +1,11 @@
 """The trace: a simulation's header and its event table.
 
 A trace stores its events as one table of standard-library columns (see
-`Trace`); `TraceEvent` is the row type that tests, demos and oracles read
-through `Trace.events` and `Trace.events_of`.  Which agent held which
-trajectory when is read back from a trace in one place, `occupancy_replay`,
-from which the metrics take abandoned time and starvation; the simulator,
-which makes the moves, releases each occupation's tour rows as it goes.
+`Trace`); the trace file's event object, one JSON line per row, is the only
+other form a row takes.  Which agent held which trajectory when is read back
+from a trace in one place, `occupancy_replay`, from which the metrics take
+abandoned time and starvation; the simulator, which makes the moves,
+releases each occupation's tour rows as it goes.
 This module needs only the standard library, so reading and measuring a
 trace loads neither numpy nor any geometry, graph or scheduling code.
 """
@@ -91,21 +91,6 @@ def parse_strategy(text: str) -> Strategy:
     raise InvalidInstanceError(f"unknown strategy {text!r}")
 
 
-@dataclass
-class TraceEvent:
-    """One trace row, as tests, demos and oracles read it."""
-    time: float
-    kind: str
-    agents: list = field(default_factory=list)
-    trajs: list = field(default_factory=list)
-    location: list | None = None
-    msg: str | None = None
-
-    def sort_key(self):
-        return (self.time, _PRIORITY[self.kind], tuple(self.trajs),
-                tuple(self.agents), self.msg or "")
-
-
 @dataclass(eq=False)
 class Trace:
     """A simulation's header and its event table, one row per event in trace order.
@@ -121,10 +106,9 @@ class Trace:
       location  array('d'), pairs: link positions, NaN where the event has
                 none;
       msg       list: the message key of an emit, None otherwise.
-    `events` and `events_of` view rows as `TraceEvent` objects.  The header
-    is checked when a Trace is built, and each row by `extend`, which
-    `from_events` and the trace reader call; columns given to the
-    constructor are not checked.
+    The header is checked when a Trace is built, and each row by `extend`,
+    which the trace reader calls; columns given to the constructor are not
+    checked.
     """
     n: int
     period: float
@@ -174,32 +158,6 @@ class Trace:
         codes = {_PRIORITY[k] for k in kinds}
         return self.kind.tobytes().translate(bytes(code in codes for code in range(256)))
 
-    def _rows(self, rows) -> list[TraceEvent]:
-        time, kind, agents, trajs, loc, msg = (self.time, self.kind, self.agents,
-                                               self.trajs, self.location, self.msg)
-        return [TraceEvent(time=time[r], kind=EVENT_KINDS[kind[r]],
-                           agents=_id_pair(agents, 2 * r), trajs=_id_pair(trajs, 2 * r),
-                           location=None if math.isnan(loc[2 * r]) else
-                           loc[2 * r:2 * r + 2].tolist(), msg=msg[r])
-                for r in rows]
-
-    @property
-    def events(self) -> list[TraceEvent]:
-        """Every row as a TraceEvent (a copy: editing it leaves the table unchanged)."""
-        return self._rows(range(len(self)))
-
-    def events_of(self, kind: str) -> list[TraceEvent]:
-        return self._rows(self.rows_of(kind))
-
-    @classmethod
-    def from_events(cls, events, **header) -> Trace:
-        """Table of the header and the given rows, in the given order."""
-        trace = cls(**header)
-        trace.extend([e.time for e in events], [e.kind for e in events],
-                     [e.agents for e in events], [e.trajs for e in events],
-                     [e.location for e in events], [e.msg for e in events])
-        return trace
-
     def extend(self, time, kind, agents, trajs, location, msg) -> None:
         """Append rows from per-event Python values, validated once per column.
 
@@ -240,11 +198,6 @@ class Trace:
         self.trajs += traj_ids
         self.location += locs
         self.msg += msg
-
-
-def _id_pair(ids: array, i: int) -> list:
-    """The ids of a pair column at i and i + 1, without the NO_ID padding."""
-    return ids[i:i + 1 if ids[i + 1] == NO_ID else i + 2].tolist()
 
 
 def _id_column(values, n: int, arity: list, key: str) -> array:
@@ -325,9 +278,3 @@ def occupancy_replay(trace: Trace) -> Occupancy:
     traj, agent, start, end = map(list, zip(*closed)) if closed else ([], [], [], [])
     return Occupancy(traj=traj, agent=agent, start=start, end=end, consistent=consistent)
 
-
-def occupancy_check(trace: Trace) -> bool:
-    """True iff every switch and failure moves the agent holding its source
-    trajectory, and no switch lands on a trajectory another agent holds, so
-    no instant has two agents on one trajectory."""
-    return occupancy_replay(trace).consistent

@@ -3,6 +3,42 @@ import math
 import pytest
 
 import ringsync as rs
+from ringsync.cli import _EVENT_KEYS
+from ringsync.trace import EVENT_KINDS, NO_ID, Trace
+
+
+def trace_rows(trace, *kinds):
+    """The trace's rows of the given kinds (all when none is given), in trace
+    order, as the trace file's event objects: dicts with `cli._EVENT_KEYS`,
+    read field by field from the columns, without the trace writer."""
+    def ids(column, r):
+        return column[2 * r:2 * r + (1 if column[2 * r + 1] == NO_ID else 2)].tolist()
+    loc = trace.location
+    return [{"time": trace.time[r], "kind": EVENT_KINDS[trace.kind[r]],
+             "agents": ids(trace.agents, r), "trajs": ids(trace.trajs, r),
+             "location": None if math.isnan(loc[2 * r]) else [loc[2 * r], loc[2 * r + 1]],
+             "msg": trace.msg[r]}
+            for r in (trace.rows_of(*kinds) if kinds else range(len(trace)))]
+
+
+def trace_of(events, **header):
+    """A trace of the header and the event objects, in the given order,
+    built through `Trace.extend`."""
+    trace = Trace(**header)
+    trace.extend(*([e[key] for e in events] for key in _EVENT_KEYS))
+    return trace
+
+
+def event(time, kind, agents, msg=None):
+    """An event object without a location whose trajectories are its agents'."""
+    return {"time": time, "kind": kind, "agents": agents, "trajs": agents,
+            "location": None, "msg": msg}
+
+
+def trace_order(e):
+    """The sort key of trace order: time, kind priority, trajectories,
+    agents and msg."""
+    return (e["time"], EVENT_KINDS.index(e["kind"]), e["trajs"], e["agents"], e["msg"] or "")
 
 
 @pytest.fixture(scope="session")
@@ -60,6 +96,14 @@ def paper_section_plan(period: float = 1.0):
                5: [0.34 * T, 0.66 * T],
                6: [0.64 * T, 0.36 * T],
                7: [0.34 * T, 0.66 * T]})
+
+
+def section_time_between(plan, traj: int, from_nb: int, to_nb: int) -> float:
+    """Travel time on traj from its link with from_nb to its link with to_nb:
+    the plan's times of the sections `_sections_between` names."""
+    from ringsync.scheduler import _sections_between
+    return sum(plan.times[traj][k]
+               for k in _sections_between(plan.link_order[traj], from_nb, to_nb))
 
 
 CASE_STUDY_CYCLES = [[2, 7, 8, 5], [2, 5, 8, 6, 4, 3]]

@@ -12,13 +12,13 @@ import pytest
 
 import ringsync as rs
 from conftest import (CASE_STUDY_CYCLES, cycle_feasible_opposite, cycle_residue,
-                      paper_section_plan)
+                      paper_section_plan, trace_rows)
 from ringsync import cli
 from ringsync.commgraph import CommGraph, EdgeData, edge_key
 from ringsync.errors import NotSynchronizableError
 from ringsync.geometry import Circle, Point2
 from ringsync.simulator import SimConfig, run
-from ringsync.trace import Strategy, occupancy_check
+from ringsync.trace import Strategy, occupancy_replay
 
 TRACES = []  # every trace produced below; re-checked by the occupancy criterion
 
@@ -47,8 +47,9 @@ def test_criterion_1_scheduler_soundness():
         assert rep.max_phase_error < 1e-9 * 1.0
         tr = run(inst, sched, SimConfig(horizon=10.0), graph=g)
         per_edge = {}
-        for e in tr.events_of("meeting"):
-            per_edge[tuple(sorted(e.trajs))] = per_edge.get(tuple(sorted(e.trajs)), 0) + 1
+        for e in trace_rows(tr, "meeting"):
+            edge = tuple(sorted(e["trajs"]))
+            per_edge[edge] = per_edge.get(edge, 0) + 1
         assert set(per_edge) == set(g.edges)
         assert all(v == 10 for v in per_edge.values())
         TRACES.append(tr)
@@ -153,7 +154,7 @@ def test_criterion_6_starvation(name):
 def test_criterion_7_occupancy_invariant():
     assert TRACES, "earlier criteria must run first"
     for tr in TRACES:
-        assert occupancy_check(tr)
+        assert occupancy_replay(tr).consistent
     _passline(7, f"occupancy invariant holds on all {len(TRACES)} traces")
 
 

@@ -286,26 +286,49 @@ def test_instance_missing_key_is_error(tmp_path, capsys):
     assert err["error"] == "InvalidInstanceError" and "comm_range" in err["message"]
 
 
-# (file, key, index, value): doc[key][index] = value, or doc[key] = value
-# when index is None.
-MALFORMED_DOCS = [("instance", "circles", 0, [0, "a", 1.0]),
-                  ("instance", "circles", None, None), ("instance", "circles", 0, None),
-                  ("schedule", "starts", None, None), ("schedule", "dirs", None, None)]
+# (layout, file, path, value): the layout's instance or schedule document
+# gets doc[path[0]]...[path[-1]] = value, or loses that entry when value is
+# DELETE.  Case-study agent 0 links with 1, 3 and 5.
+DELETE = object()
+MALFORMED_DOCS = [
+    ("grid", "instance", ("circles", 0), [0, "a", 1.0]),
+    ("grid", "instance", ("circles",), None), ("grid", "instance", ("circles", 0), None),
+    ("grid", "schedule", ("starts",), None), ("grid", "schedule", ("dirs",), None),
+    ("case-study", "instance", ("paths",), 5),
+    ("case-study", "instance", ("paths", 0, 0), ["a", 0]),
+    ("case-study", "instance", ("paths", 0, 1), [1.0]),
+    ("case-study", "schedule", ("epochs",), 5),
+    ("case-study", "schedule", ("epochs",), DELETE),
+    ("case-study", "schedule", ("epochs", -1), DELETE),
+    ("case-study", "schedule", ("epochs", 0, "1"), "a"),
+    ("case-study", "schedule", ("epochs", 0, "x"), 1.0),
+    ("case-study", "schedule", ("epochs", 0, "1"), DELETE),
+    ("case-study", "schedule", ("plan", "link_order"), 5)]
+LAYOUTS = {"grid": ("--grid", "3x3"), "case-study": ("--preset", "case-study")}
 
 
-@pytest.mark.parametrize("kind,key,index,value", MALFORMED_DOCS,
+@pytest.mark.parametrize("layout,kind,path,value", MALFORMED_DOCS,
                          ids=["string-coordinate", "null-circles", "null-circle",
-                              "null-starts", "null-dirs"])
-def test_malformed_instance_or_schedule_is_error(tmp_path, capsys, kind, key, index, value):
+                              "null-starts", "null-dirs", "paths-not-a-list",
+                              "string-vertex", "ragged-vertex", "epochs-not-a-list",
+                              "no-epochs", "too-few-epochs", "string-epoch",
+                              "string-epoch-key", "missing-neighbour-epoch",
+                              "link-order-not-an-object"])
+def test_malformed_instance_or_schedule_is_error(tmp_path, capsys, layout, kind, path,
+                                                 value):
     inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
-    assert invoke("generate", "--grid", "3x3", "-o", str(inst)) == 0
+    assert invoke("generate", *LAYOUTS[layout], "-o", str(inst)) == 0
     assert invoke("schedule", "-i", str(inst), "-o", str(sched)) == 0
     bad = inst if kind == "instance" else sched
     doc = json.loads(bad.read_text())
-    if index is None:
-        doc[key] = value
+    *keys, last = path
+    target = doc
+    for key in keys:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
     else:
-        doc[key][index] = value
+        target[last] = value
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
     argv = (["schedule", "-i", str(inst), "-o", str(tmp_path / "s.json")]

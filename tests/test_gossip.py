@@ -4,9 +4,11 @@ The oracle is the hand-off loop the simulator used to run at every meeting:
 per-agent sets of known messages, where a meeting gives each agent the
 messages only the other knows and leaves both with the union.  Replayed over
 a trace's emit and meeting events in trace order, it must give exactly the
-first-knowledge times of `arrival_times` and the same `broadcast_time`.
-An emit of a key that was emitted before keeps the key's first column and
-takes the later emit time, in the oracle as in the scan.
+completion times of the library's gossip scan, `metrics._gossip_scan`, for
+every message and every member list tried (each agent alone, which gives its
+first-knowledge times, the survivors and all agents), and the same
+`broadcast_time`.  An emit of a key that was emitted before keeps the key's
+first column and takes the later emit time, in the oracle as in the scan.
 """
 
 import tracemalloc
@@ -15,27 +17,28 @@ from functools import lru_cache
 from hypothesis import given, settings, strategies as st
 
 import ringsync as rs
-from ringsync.metrics import INF, arrival_times, broadcast_time
+from conftest import event, trace_of, trace_order, trace_rows
+from ringsync.metrics import INF, _gossip_scan, broadcast_time
 from ringsync.scheduler import link_epochs
 from ringsync.simulator import SimConfig, run
-from ringsync.trace import Strategy, Trace, TraceEvent
+from ringsync.trace import Strategy
 
 
 def reference_arrivals(trace):
     """Per message key, {agent: first time it knew the message}, by known sets."""
     known = [set() for _ in range(trace.n)]
     received = {}
-    for ev in trace.events:
-        if ev.kind == "emit":
-            agent = ev.agents[0]
-            known[agent].add(ev.msg)
-            received.setdefault(ev.msg, {})[agent] = ev.time
-        elif ev.kind == "meeting":
-            a, b = ev.agents
+    for ev in trace_rows(trace, "emit", "meeting"):
+        if ev["kind"] == "emit":
+            agent = ev["agents"][0]
+            known[agent].add(ev["msg"])
+            received.setdefault(ev["msg"], {})[agent] = ev["time"]
+        else:
+            a, b = ev["agents"]
             for msg in known[a] - known[b]:
-                received[msg][b] = ev.time
+                received[msg][b] = ev["time"]
             for msg in known[b] - known[a]:
-                received[msg][a] = ev.time
+                received[msg][a] = ev["time"]
             union = known[a] | known[b]
             known[a] = set(union)
             known[b] = set(union)
@@ -47,7 +50,7 @@ def reference_broadcast_time(trace, received):
     survivors = set(trace.survivors)
     if not survivors:
         return INF
-    emit = {ev.msg: ev.time for ev in trace.events if ev.kind == "emit"}
+    emit = {ev["msg"]: ev["time"] for ev in trace_rows(trace, "emit")}
     if not emit:
         return INF
     times = []
@@ -61,14 +64,13 @@ def reference_broadcast_time(trace, received):
 
 def assert_matches_reference(trace):
     received = reference_arrivals(trace)
-    emits, arrival = arrival_times(trace)
-    assert list(emits.items()) == list({ev.msg: ev.time for ev in trace.events
-                                        if ev.kind == "emit"}.items())
-    assert len(arrival) == trace.n and {len(row) for row in arrival} <= {len(emits)}
-    for k, key in enumerate(emits):
-        got = received[key]
-        for agent in range(trace.n):
-            assert arrival[agent][k] == got.get(agent, INF), (key, agent)
+    emit = {ev["msg"]: ev["time"] for ev in trace_rows(trace, "emit")}
+    groups = [[a] for a in range(trace.n)] + [trace.survivors, list(range(trace.n))]
+    for members in filter(None, groups):
+        emits, latest = _gossip_scan(trace, members)
+        assert list(emits.items()) == list(emit.items())
+        assert latest == [max(received[key].get(a, INF) for a in members)
+                          for key in emits], members
     assert broadcast_time(trace) == reference_broadcast_time(trace, received)
 
 
@@ -110,7 +112,7 @@ def simulations(draw):
 @settings(max_examples=150, deadline=None)
 def test_arrival_times_match_known_set_handoff(trace):
     # The simulator never emits a key twice.
-    keys = [ev.msg for ev in trace.events if ev.kind == "emit"]
+    keys = [ev["msg"] for ev in trace_rows(trace, "emit")]
     assert len(set(keys)) == len(keys)
     assert_matches_reference(trace)
 
@@ -127,17 +129,14 @@ def synthetic_traces(draw):
         if draw(st.booleans()):
             origin = draw(agent)
             key = draw(st.sampled_from([f"{origin}:{k}", "shared", "other"]))
-            events.append(TraceEvent(time=draw(time), kind="emit", agents=[origin],
-                                     trajs=[origin], msg=key))
+            events.append(event(draw(time), "emit", [origin], msg=key))
         else:
             a, b = sorted(draw(st.lists(agent, min_size=2, max_size=2, unique=True)))
-            events.append(TraceEvent(time=draw(time), kind="meeting",
-                                     agents=[a, b], trajs=[a, b]))
-    events.sort(key=TraceEvent.sort_key)
+            events.append(event(draw(time), "meeting", [a, b]))
+    events.sort(key=trace_order)
     survivors = draw(st.lists(agent, unique=True))
-    return Trace.from_events(events, n=n, period=1.0, horizon=5.0, strategy="alw",
-                             seed=0, initial_occupancy=list(range(n)),
-                             survivors=sorted(survivors))
+    return trace_of(events, n=n, period=1.0, horizon=5.0, strategy="alw", seed=0,
+                    initial_occupancy=list(range(n)), survivors=sorted(survivors))
 
 
 @given(synthetic_traces())
@@ -149,16 +148,14 @@ def test_arrival_times_match_reference_on_ties(trace):
 def test_same_instant_order():
     # At t=1: agent 1 emits, then links (0,1) and (1,2) meet in edge order.
     # Agent 0 learns agent 2's message only at t=2, through agent 1.
-    events = [TraceEvent(time=1.0, kind="meeting", agents=[1, 2], trajs=[1, 2]),
-              TraceEvent(time=1.0, kind="meeting", agents=[0, 1], trajs=[0, 1]),
-              TraceEvent(time=1.0, kind="emit", agents=[1], trajs=[1], msg="1:0"),
-              TraceEvent(time=0.5, kind="emit", agents=[2], trajs=[2], msg="2:0"),
-              TraceEvent(time=2.0, kind="meeting", agents=[0, 1], trajs=[0, 1])]
-    events.sort(key=TraceEvent.sort_key)
-    trace = Trace.from_events(events, n=3, period=1.0, horizon=3.0, strategy="alw",
-                              seed=0, initial_occupancy=[0, 1, 2], survivors=[0, 1, 2])
-    emits, arrival = arrival_times(trace)
-    assert emits == {"2:0": 0.5, "1:0": 1.0}
+    events = [event(1.0, "meeting", [1, 2]), event(1.0, "meeting", [0, 1]),
+              event(1.0, "emit", [1], msg="1:0"), event(0.5, "emit", [2], msg="2:0"),
+              event(2.0, "meeting", [0, 1])]
+    events.sort(key=trace_order)
+    trace = trace_of(events, n=3, period=1.0, horizon=3.0, strategy="alw", seed=0,
+                     initial_occupancy=[0, 1, 2], survivors=[0, 1, 2])
+    assert _gossip_scan(trace, [0, 1, 2]) == ({"2:0": 0.5, "1:0": 1.0}, [2.0, 1.0])
+    arrival = [_gossip_scan(trace, [a])[1] for a in range(3)]     # each agent alone
     assert arrival == [[2.0, 1.0], [1.0, 1.0], [0.5, 1.0]]
     assert broadcast_time(trace) == ((2.0 - 0.5) + (1.0 - 1.0)) / 2
     assert_matches_reference(trace)
@@ -169,18 +166,16 @@ def test_repeated_emit_key():
     # "x" by 2 and later by the non-survivor 3: each key keeps its first
     # column and its last emit time, and an emit restarts the emitter's
     # arrival time, even after every survivor knew the key.
-    events = [TraceEvent(time=0.5, kind="emit", agents=[0], trajs=[0], msg="k"),
-              TraceEvent(time=1.0, kind="meeting", agents=[0, 1], trajs=[0, 1]),
-              TraceEvent(time=1.5, kind="emit", agents=[2], trajs=[2], msg="x"),
-              TraceEvent(time=2.0, kind="emit", agents=[1], trajs=[1], msg="k"),
-              TraceEvent(time=2.5, kind="meeting", agents=[1, 2], trajs=[1, 2]),
-              TraceEvent(time=3.0, kind="emit", agents=[2], trajs=[2], msg="k"),
-              TraceEvent(time=3.5, kind="meeting", agents=[0, 1], trajs=[0, 1]),
-              TraceEvent(time=4.0, kind="emit", agents=[3], trajs=[3], msg="x")]
-    trace = Trace.from_events(events, n=4, period=1.0, horizon=5.0, strategy="alw",
-                              seed=0, initial_occupancy=[0, 1, 2, 3], survivors=[0, 1, 2])
-    emits, arrival = arrival_times(trace)
+    events = [event(0.5, "emit", [0], msg="k"), event(1.0, "meeting", [0, 1]),
+              event(1.5, "emit", [2], msg="x"), event(2.0, "emit", [1], msg="k"),
+              event(2.5, "meeting", [1, 2]), event(3.0, "emit", [2], msg="k"),
+              event(3.5, "meeting", [0, 1]), event(4.0, "emit", [3], msg="x")]
+    trace = trace_of(events, n=4, period=1.0, horizon=5.0, strategy="alw", seed=0,
+                     initial_occupancy=[0, 1, 2, 3], survivors=[0, 1, 2])
+    emits, latest = _gossip_scan(trace, [0, 1, 2])
     assert emits == {"k": 3.0, "x": 4.0} and list(emits) == ["k", "x"]
+    assert latest == [3.0, 3.5]
+    arrival = [_gossip_scan(trace, [a])[1] for a in range(4)]     # each agent alone
     assert arrival == [[0.5, 3.5], [2.0, 2.5], [3.0, 1.5], [INF, 4.0]]
     assert broadcast_time(trace) == ((3.0 - 3.0) + (3.5 - 4.0)) / 2
     assert_matches_reference(trace)
@@ -193,15 +188,12 @@ def test_broadcast_time_memory_is_far_below_arrival_matrices():
     # agent at t=10.  A float arrival matrix and a bool informed matrix
     # would take 9 bytes per agent and message.
     n, rounds = 1024, 10
-    events = [TraceEvent(time=0.0, kind="emit", agents=[a], trajs=[a], msg=f"{a}:0")
-              for a in range(n)]
+    events = [event(0.0, "emit", [a], msg=f"{a}:0") for a in range(n)]
     for r in range(rounds):
-        events += [TraceEvent(time=r + 1.0, kind="meeting", agents=[a, a | 1 << r],
-                              trajs=[a, a | 1 << r])
+        events += [event(r + 1.0, "meeting", [a, a | 1 << r])
                    for a in range(n) if not a & 1 << r]
-    trace = Trace.from_events(events, n=n, period=1.0, horizon=11.0, strategy="alw",
-                              seed=0, initial_occupancy=list(range(n)),
-                              survivors=list(range(n)))
+    trace = trace_of(events, n=n, period=1.0, horizon=11.0, strategy="alw", seed=0,
+                     initial_occupancy=list(range(n)), survivors=list(range(n)))
     tracemalloc.start()
     try:
         bt = broadcast_time(trace)

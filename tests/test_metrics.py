@@ -134,7 +134,7 @@ def test_render_table_columns():
 def test_meeting_times_match_events():
     tr = grid_trace(horizon=3.0)
     mt = meeting_times(tr)
-    assert sum(len(v) for v in mt.values()) == 2 * len(tr.events_of("meeting"))
+    assert sum(len(v) for v in mt.values()) == 2 * len(tr.rows_of("meeting"))
 
 
 def test_dfs_completes_more_tours_than_rand_on_dense_block():

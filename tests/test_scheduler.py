@@ -161,9 +161,9 @@ def test_schedule_general_closure_error_on_bad_plan():
 
 
 def test_section_plan_time_between():
-    from conftest import paper_section_plan
+    from conftest import paper_section_plan, section_time_between
     plan = paper_section_plan(1.0)
-    assert plan.time_between(2, 7, 5) == pytest.approx(0.40)
-    assert plan.time_between(2, 5, 7) == pytest.approx(0.60)
-    assert plan.time_between(2, 7, 7) == 0.0
-    assert plan.time_between(5, 8, 2) == pytest.approx(0.34)
+    assert section_time_between(plan, 2, 7, 5) == pytest.approx(0.40)
+    assert section_time_between(plan, 2, 5, 7) == pytest.approx(0.60)
+    assert section_time_between(plan, 2, 7, 7) == 0.0
+    assert section_time_between(plan, 5, 8, 2) == pytest.approx(0.34)

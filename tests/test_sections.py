@@ -11,7 +11,8 @@ from scipy.optimize import linprog
 
 import ringsync as rs
 import ringsync.scheduler as sch
-from conftest import CASE_STUDY_CYCLES, paper_section_plan, path_grid
+from conftest import (CASE_STUDY_CYCLES, paper_section_plan, path_grid,
+                      section_time_between as between)
 from ringsync.errors import (InfeasibleSectionTimesError, InvalidInstanceError,
                              SectionSearchBudgetError)
 
@@ -33,13 +34,13 @@ def test_cycle_sums_exact_values():
     T = 1.0
     plan = paper_section_plan(T)
     # 4-cycle: t2(7->5) + t7(8->2) + t8(5->7) + t5(2->8)
-    s1 = (plan.time_between(2, 7, 5) + plan.time_between(7, 8, 2)
-          + plan.time_between(8, 5, 7) + plan.time_between(5, 2, 8))
+    s1 = (between(plan, 2, 7, 5) + between(plan, 7, 8, 2)
+          + between(plan, 8, 5, 7) + between(plan, 5, 2, 8))
     assert abs(s1 - 2.0 * T) <= 1e-12 * T
     # 6-cycle: t2(5->3) + t5(8->2) + t8(6->5) + t6(4->8) + t4(3->6) + t3(2->4)
-    s2 = (plan.time_between(2, 5, 3) + plan.time_between(5, 8, 2)
-          + plan.time_between(8, 6, 5) + plan.time_between(6, 4, 8)
-          + plan.time_between(4, 3, 6) + plan.time_between(3, 2, 4))
+    s2 = (between(plan, 2, 5, 3) + between(plan, 5, 8, 2)
+          + between(plan, 8, 6, 5) + between(plan, 6, 4, 8)
+          + between(plan, 4, 3, 6) + between(plan, 3, 2, 4))
     assert abs(s2 - 2.0 * T) <= 1e-12 * T
 
 
@@ -47,12 +48,12 @@ def test_complement_equations():
     # the reverse-direction sums must close with (k - z) periods
     T = 1.0
     plan = paper_section_plan(T)
-    s1c = (plan.time_between(2, 5, 7) + plan.time_between(7, 2, 8)
-           + plan.time_between(8, 7, 5) + plan.time_between(5, 8, 2))
+    s1c = (between(plan, 2, 5, 7) + between(plan, 7, 2, 8)
+           + between(plan, 8, 7, 5) + between(plan, 5, 8, 2))
     assert abs(s1c - (4 - 2) * T) <= 1e-12 * T
-    s2c = (plan.time_between(2, 3, 5) + plan.time_between(5, 2, 8)
-           + plan.time_between(8, 5, 6) + plan.time_between(6, 8, 4)
-           + plan.time_between(4, 6, 3) + plan.time_between(3, 4, 2))
+    s2c = (between(plan, 2, 3, 5) + between(plan, 5, 2, 8)
+           + between(plan, 8, 5, 6) + between(plan, 6, 8, 4)
+           + between(plan, 4, 6, 3) + between(plan, 3, 4, 2))
     assert abs(s2c - (6 - 2) * T) <= 1e-12 * T
 
 
@@ -94,9 +95,9 @@ def test_cycle_off_the_trajectories_raises_typed_error():
     with pytest.raises(InvalidInstanceError):
         rs.validate_section_plan(plan, [[0, 5, 6, 4]])
     with pytest.raises(InvalidInstanceError):
-        plan.time_between(0, 4, 5)
+        between(plan, 0, 4, 5)
     with pytest.raises(InvalidInstanceError):
-        plan.time_between(0, 5, 4)
+        between(plan, 0, 5, 4)
 
 
 def test_validator_rejects_mismatched_plan_shape():

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 
 import ringsync as rs
 from ringsync.errors import InvalidInstanceError
-from ringsync.metrics import arrival_times
+from ringsync.metrics import _gossip_scan
 from ringsync.commgraph import dfs_forest
 from ringsync.simulator import SimConfig, resolve_root, run
-from ringsync.trace import Strategy, occupancy_check, parse_strategy
-from conftest import path_grid
+from ringsync.trace import Strategy, occupancy_replay, parse_strategy
+from conftest import path_grid, trace_rows
 from test_gossip import scheduled, simulations
 
 
@@ -24,11 +24,11 @@ def grid_setup(period=1.0):
 def test_meetings_once_per_edge_per_period():
     inst, g, sched = grid_setup()
     tr = run(inst, sched, SimConfig(horizon=10.0))
-    meetings = tr.events_of("meeting")
+    meetings = trace_rows(tr, "meeting")
     assert len(meetings) == len(g.edges) * 10
     per_edge = {}
     for e in meetings:
-        per_edge.setdefault(tuple(sorted(e.trajs)), []).append(e.time)
+        per_edge.setdefault(tuple(sorted(e["trajs"])), []).append(e["time"])
     for edge, times in per_edge.items():
         assert len(times) == 10
         gaps = [b - a for a, b in zip(times, times[1:])]
@@ -38,9 +38,9 @@ def test_meetings_once_per_edge_per_period():
 def test_trace_time_ordered_and_occupancy_holds():
     inst, g, sched = grid_setup()
     tr = run(inst, sched, SimConfig(horizon=5.0, failures=[(4, 2.0)]))
-    times = [e.time for e in tr.events]
+    times = list(tr.time)
     assert times == sorted(times)
-    assert occupancy_check(tr)
+    assert occupancy_replay(tr).consistent
     assert tr.survivors == [a for a in range(9) if a != 4]
 
 
@@ -48,8 +48,8 @@ def test_failure_stops_participation():
     inst, g, sched = grid_setup()
     tr = run(inst, sched, SimConfig(horizon=5.0, strategy=Strategy("rand", p=0.0),
                                     failures=[(0, 1.5)]))
-    assert not [e for e in tr.events if 0 in e.agents and e.time > 1.5
-                and e.kind not in ("failure",)]
+    assert not [e for e in trace_rows(tr) if 0 in e["agents"] and e["time"] > 1.5
+                and e["kind"] not in ("failure",)]
 
 
 def test_rand_zero_never_switches_rand_one_matches_alw():
@@ -57,13 +57,13 @@ def test_rand_zero_never_switches_rand_one_matches_alw():
     base = SimConfig(horizon=8.0, strategy=Strategy("rand", p=0.0),
                      failures=[(4, 0.0)])
     tr0 = run(inst, sched, base)
-    assert not tr0.events_of("switch")
+    assert not tr0.rows_of("switch")
     tr1 = run(inst, sched, SimConfig(horizon=8.0, strategy=Strategy("rand", p=1.0),
                                      failures=[(4, 0.0)]))
     tra = run(inst, sched, SimConfig(horizon=8.0, strategy=Strategy("alw"),
                                      failures=[(4, 0.0)]))
-    key = lambda tr: [(e.time, e.kind, e.agents, e.trajs)
-                      for e in tr.events if e.kind in ("switch", "meeting")]
+    key = lambda tr: [(e["time"], e["kind"], e["agents"], e["trajs"])
+                      for e in trace_rows(tr, "switch", "meeting")]
     assert key(tr1) == key(tra)
 
 
@@ -72,9 +72,9 @@ def test_dfs_switches_only_on_tree_edges():
     tree = set(dfs_forest(g, 0).tree_edges())
     tr = run(inst, sched, SimConfig(horizon=20.0, strategy=Strategy("dfs", root=0),
                                     failures=[(4, 0.0), (1, 0.0)]))
-    for e in tr.events_of("switch"):
-        assert tuple(sorted(e.trajs)) in tree
-    assert occupancy_check(tr)
+    for e in trace_rows(tr, "switch"):
+        assert tuple(sorted(e["trajs"])) in tree
+    assert occupancy_replay(tr).consistent
 
 
 def test_switch_adopts_target_and_counts_tours():
@@ -87,18 +87,17 @@ def test_switch_adopts_target_and_counts_tours():
     sched = rs.schedule_opposite_directions(g, period=1.0)
     tr = run(inst, sched, SimConfig(horizon=6.0, strategy=Strategy("alw"),
                                     failures=[(1, 0.0)]))
-    switches = tr.events_of("switch")
-    assert switches and occupancy_check(tr)
+    switches = trace_rows(tr, "switch")
+    assert switches and occupancy_replay(tr).consistent
     # agent 0 bounces between the two trajectories every period
-    trajs = [e.trajs[1] for e in switches]
+    trajs = [e["trajs"][1] for e in switches]
     assert trajs == [1, 0] * (len(trajs) // 2) + ([1] if len(trajs) % 2 else [])
 
 
 def test_gossip_eccentricity_bound():
     inst, g, sched = grid_setup()
     tr = run(inst, sched, SimConfig(horizon=20.0))
-    emits, arrival = arrival_times(tr)
-    latest = [max(column) for column in zip(*arrival)]
+    emits, latest = _gossip_scan(tr, list(range(tr.n)))
     assert len(latest) == len(emits) > 0 and all(t < math.inf for t in latest)
     # grid diameter is 4 hops; one extra period covers the wait to first hop
     for t0, t in zip(emits.values(), latest):
@@ -108,11 +107,11 @@ def test_gossip_eccentricity_bound():
 def test_emission_window_and_rate():
     inst, g, sched = grid_setup()
     tr = run(inst, sched, SimConfig(horizon=10.0))
-    emits = tr.events_of("emit")
-    assert all(e.time <= 6.0 for e in emits)   # window [0, horizon/2] per round
+    emits = trace_rows(tr, "emit")
+    assert all(e["time"] <= 6.0 for e in emits)   # window [0, horizon/2] per round
     per_agent = {}
     for e in emits:
-        per_agent[e.agents[0]] = per_agent.get(e.agents[0], 0) + 1
+        per_agent[e["agents"][0]] = per_agent.get(e["agents"][0], 0) + 1
     assert set(per_agent.values()) == {6}      # rounds 0..5 at period 1
 
 
@@ -120,8 +119,8 @@ def test_tour_complete_counts():
     inst, g, sched = grid_setup()
     tr = run(inst, sched, SimConfig(horizon=10.0))
     per_agent = {}
-    for e in tr.events_of("tour-complete"):
-        per_agent[e.agents[0]] = per_agent.get(e.agents[0], 0) + 1
+    for e in trace_rows(tr, "tour-complete"):
+        per_agent[e["agents"][0]] = per_agent.get(e["agents"][0], 0) + 1
     assert set(per_agent.values()) == {10}
 
 
@@ -133,13 +132,12 @@ def reference_tours(trace):
     T = trace.period
     holds = {a: (a, 0.0) for a in range(trace.n)}     # agent -> (traj, entered)
     stays = []
-    for ev in trace.events:
-        if ev.kind in ("failure", "switch"):
-            agent = ev.agents[0]
-            traj, entered = holds.pop(agent)
-            stays.append((agent, traj, entered, ev.time))
-            if ev.kind == "switch":
-                holds[agent] = (ev.trajs[1], ev.time)
+    for ev in trace_rows(trace, "failure", "switch"):
+        agent = ev["agents"][0]
+        traj, entered = holds.pop(agent)
+        stays.append((agent, traj, entered, ev["time"]))
+        if ev["kind"] == "switch":
+            holds[agent] = (ev["trajs"][1], ev["time"])
     stays += [(a, traj, entered, trace.horizon) for a, (traj, entered) in holds.items()]
     tours = []
     for agent, traj, entered, left in stays:
@@ -151,7 +149,8 @@ def reference_tours(trace):
 
 
 def tour_rows(trace):
-    return [(e.time, e.trajs[0], e.agents[0]) for e in trace.events_of("tour-complete")]
+    return [(e["time"], e["trajs"][0], e["agents"][0])
+            for e in trace_rows(trace, "tour-complete")]
 
 
 @given(simulations())
@@ -187,8 +186,8 @@ def test_determinism_per_seed():
     a = run(inst, sched, SimConfig(seed=3, **cfg))
     b = run(inst, sched, SimConfig(seed=3, **cfg))
     c = run(inst, sched, SimConfig(seed=4, **cfg))
-    as_tuples = lambda tr: [(e.time, e.kind, tuple(e.agents), tuple(e.trajs), e.msg)
-                            for e in tr.events]
+    as_tuples = lambda tr: [(e["time"], e["kind"], e["agents"], e["trajs"], e["msg"])
+                            for e in trace_rows(tr)]
     assert as_tuples(a) == as_tuples(b)
     assert as_tuples(a) != as_tuples(c)
 
@@ -197,10 +196,10 @@ def test_occupancy_check_detects_corruption():
     inst, g, sched = grid_setup()
     tr = run(inst, sched, SimConfig(horizon=8.0, strategy=Strategy("alw"),
                                     failures=[(4, 0.0)]))
-    assert occupancy_check(tr)
+    assert occupancy_replay(tr).consistent
     first = tr.rows_of("switch")[0]
     tr.trajs[2 * first + 1] = tr.trajs[2 * first]  # switch onto itself
-    assert not occupancy_check(tr)
+    assert not occupancy_replay(tr).consistent
 
 
 def test_parse_strategy():
@@ -246,8 +245,8 @@ def test_dfs_on_long_chain():
     sched = rs.schedule_opposite_directions(g, period=1.0)
     tr = run(None, sched, SimConfig(horizon=2.0, strategy=Strategy("dfs", root=n - 1),
                                     failures=[(0, 0.0)]), graph=g)
-    assert [e.trajs for e in tr.events_of("switch")][:1] == [[1, 0]]
-    assert occupancy_check(tr)
+    assert [e["trajs"] for e in trace_rows(tr, "switch")][:1] == [[1, 0]]
+    assert occupancy_replay(tr).consistent
 
 
 def test_run_peak_memory_stays_near_its_table():
