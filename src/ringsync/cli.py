@@ -8,7 +8,9 @@ at most one chunk of lines, beside the trace table, in memory.
 
 Importing this module loads neither numpy nor any layer of the package:
 each command, and each trace-file function, imports what it calls when it
-runs, so `report` never loads numpy.
+runs.  `generate`, `simulate` and `report` never load numpy; `schedule`
+loads it only for a path layout's section-time LP and for the exact max cut
+of a small odd component.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def instance_to_json(inst: Instance) -> dict:
         doc["circles"] = [[c.center.x, c.center.y, c.radius] for c in inst.circles]
         doc["comm_range"] = inst.comm_range
     else:
-        doc["paths"] = [p.vertices.tolist() for p in inst.paths]
+        doc["paths"] = [[list(v) for v in p.vertices] for p in inst.paths]
         doc["ranges"] = list(inst.ranges)
     return doc
 
@@ -150,7 +152,7 @@ def schedule_from_json(doc: dict) -> tuple[Schedule, list, SectionPlan | None]:
     if doc.get("format_version") != FORMAT_VERSION:
         raise InvalidInstanceError(
             f"unsupported schedule format_version {doc.get('format_version')!r}")
-    from .scheduler import Schedule, SectionPlan
+    from .scheduler import Schedule, SectionPlan, check_plan_shape
     with _required_keys("schedule"):
         check_positive("schedule period", doc["period"])
         epochs = doc.get("epochs")
@@ -178,6 +180,7 @@ def schedule_from_json(doc: dict) -> tuple[Schedule, list, SectionPlan | None]:
                 times=_by_agent(p["times"], "section plan times"),
                 section_lengths=None if p["section_lengths"] is None else
                 _by_agent(p["section_lengths"], "section plan section_lengths"))
+            check_plan_shape(plan)
     return sched, retained, plan
 
 

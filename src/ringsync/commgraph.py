@@ -28,8 +28,8 @@ from itertools import chain
 from typing import NamedTuple
 
 from .errors import InvalidInstanceError, NotSynchronizableError
-from .geometry import (ANGLE_TOL, Circle, ClosedPath, line_angle_points, link_positions,
-                       min_distance, norm_angle, norm_line_angle)
+from .geometry import (ANGLE_TOL, Circle, ClosedPath, _hypot, line_angle_points,
+                       link_positions, min_distance, norm_angle, norm_line_angle)
 
 
 def edge_key(i: int, j: int) -> tuple[int, int]:
@@ -231,28 +231,36 @@ def build_path_graph(paths: list[ClosedPath], ranges: list[float]) -> CommGraph:
     (at least 0, with slack) can neither link nor intersect and is skipped;
     every other pair runs the exact `min_distance` in (i, j) order.  The
     absolute slack scales with the coordinates, because `min_distance`
-    rounds at their magnitude.
+    rounds at their magnitude.  Candidates j > i come from the cell blocks of
+    the boxes' centers, with the widest box diagonal plus the largest reach
+    as the cell side, so every pair within reach shares a block.
     """
-    import numpy as np
-    n = len(paths)
-    lo = np.array([p.vertices.min(axis=0) for p in paths]).reshape(n, 2)
-    hi = np.array([p.vertices.max(axis=0) for p in paths]).reshape(n, 2)
-    rng = np.array(ranges, dtype=float)
-    tol = _PREFILTER_SLACK * (1.0 + np.abs(np.concatenate((lo, hi))).max(initial=0.0))
+    boxes = []
+    for p in paths:
+        xs, ys = zip(*p.vertices)
+        boxes.append((min(xs), min(ys), max(xs), max(ys)))
+    tol = _PREFILTER_SLACK * (1.0 + max((abs(c) for box in boxes for c in box), default=0.0))
+    reach = [r if r > 0 else 0.0 for r in ranges]
+    blocks = _cell_blocks(
+        [0.5 * x0 + 0.5 * x1 for x0, _, x1, _ in boxes],
+        [0.5 * y0 + 0.5 * y1 for _, y0, _, y1 in boxes],
+        max((_hypot(x1 - x0, y1 - y0) for x0, y0, x1, y1 in boxes), default=0.0)
+        + max(reach, default=0.0) * (1.0 + _PREFILTER_SLACK) + tol)
     edges = {}
-    for i in range(n - 1):
-        gap = np.maximum(np.maximum(lo[i + 1:] - hi[i], lo[i] - hi[i + 1:]), 0.0)
-        reach = np.minimum(rng[i], rng[i + 1:])
-        reach = np.where(reach > 0, reach, 0.0)
-        far = np.hypot(gap[:, 0], gap[:, 1]) > reach * (1.0 + _PREFILTER_SLACK) + tol
-        for j in (np.flatnonzero(~far) + (i + 1)).tolist():
+    for i, (lxi, lyi, hxi, hyi) in enumerate(boxes):
+        block = blocks[i]
+        for j in block[bisect_right(block, i):]:
+            lxj, lyj, hxj, hyj = boxes[j]
+            gap = _hypot(max(lxj - hxi, lxi - hxj, 0.0), max(lyj - hyi, lyi - hyj, 0.0))
+            if gap > min(reach[i], reach[j]) * (1.0 + _PREFILTER_SLACK) + tol:
+                continue
             d, si, sj = min_distance(paths[i], paths[j])
             if d <= min(ranges[i], ranges[j]):
                 pi = paths[i].position_at(si)
                 pj = paths[j].position_at(sj)
                 edges[(i, j)] = EdgeData(beta=line_angle_points(pi, pj),
                                          phi={i: si, j: sj})
-    return CommGraph(n=n, edges=edges, mode="path",
+    return CommGraph(n=len(paths), edges=edges, mode="path",
                      lengths=[p.length for p in paths])
 
 

@@ -6,7 +6,7 @@ import math
 
 from .commgraph import CommGraph
 from .errors import GenerationFailureError, InvalidInstanceError
-from .geometry import Circle, ClosedPath, Point2
+from .geometry import Circle, ClosedPath, Point2, _hypot
 from .instance import Instance
 
 _PLACEMENT_RETRY_CAP = 1000
@@ -42,9 +42,9 @@ def grid(rows: int, cols: int, spacing: float = 2.4, r: float = 0.5) -> Instance
 _CELL_SIDE = 2.0 * (1.0 + 1e-6)
 _CELL_LIMIT = 2.0**30
 # math.hypot and np.hypot differ in the last bit on about 0.6% of inputs, so
-# a distance within this of 2.0 is decided by np.hypot: every placement is
-# then the one numpy's vectorized test made, and instance files keep their
-# bytes with or without numpy loaded.
+# a distance within this of 2.0 is decided by geometry._hypot, the C hypot
+# that np.hypot calls: every placement is then the one numpy's vectorized
+# test made, and instance files keep their bytes.
 _HYPOT_TIE = 1e-12
 
 
@@ -57,8 +57,7 @@ def _clear(x: float, y: float, xs: list, ys: list, block) -> bool:
             continue
         if not d >= 2.0 - _HYPOT_TIE:        # overlapping, or NaN
             return False
-        import numpy as np
-        if not float(np.hypot(dx, dy)) > 2.0:
+        if not _hypot(dx, dy) > 2.0:
             return False
     return True
 

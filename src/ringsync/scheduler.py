@@ -143,14 +143,16 @@ class Schedule:
         for a in self.starts:
             if not (isinstance(a, (int, float)) and math.isfinite(a)):
                 raise InvalidInstanceError(f"schedule start {a!r} is not a finite number")
+        n = len(self.starts)
         if self.mode == "general" and not (
-                isinstance(self.epochs, list) and len(self.epochs) == len(self.starts)
+                isinstance(self.epochs, list) and len(self.epochs) == n
                 and all(type(ep) is dict and all(
-                    type(nb) is int and isinstance(t, (int, float)) and math.isfinite(t)
+                    type(nb) is int and 0 <= nb < n
+                    and isinstance(t, (int, float)) and math.isfinite(t)
                     for nb, t in ep.items()) for ep in self.epochs)):
             raise InvalidInstanceError(
-                "general schedule epochs must be one map of neighbour ids to finite "
-                f"times for each of its {len(self.starts)} starts")
+                "general schedule epochs must be one map of neighbour ids (agents "
+                f"0..{n - 1}) to finite times for each of its {n} starts")
 
 
 @dataclass
@@ -294,22 +296,33 @@ def _cycle_rows(order, cycles) -> np.ndarray:
     return rows
 
 
+def check_plan_shape(plan: SectionPlan):
+    """Raise InvalidInstanceError unless times and link_order have the same
+    trajectories and each time list is as long as its link list and holds
+    finite numbers."""
+    order, times = plan.link_order, plan.times
+    if times.keys() != order.keys() or not all(
+            type(times[i]) is list and type(nbs) is list and len(times[i]) == len(nbs)
+            and all(isinstance(t, (int, float)) and math.isfinite(t) for t in times[i])
+            for i, nbs in order.items()):
+        raise InvalidInstanceError("section plan times must be one list of finite numbers "
+                                   "per trajectory of its link order, of the same length")
+
+
 def validate_section_plan(plan: SectionPlan, cycles):
     """Check period sums and the opposite-direction cycle equations.
 
     The cycle sums are the rows of _cycle_rows, the equations the section-time
     LP solves, applied to the plan's times.  Returns the list of feasible z
     values, one per cycle, or raises InfeasibleSectionTimesError.  Raises
-    InvalidInstanceError if times and link_order differ in trajectories or
-    section counts, or if a cycle steps between trajectories the plan does
-    not link.  Each sum may miss by 1e-12 * T (times k for a k-cycle).
+    InvalidInstanceError where check_plan_shape does, or if a cycle steps
+    between trajectories the plan does not link.  Each sum may miss by
+    1e-12 * T (times k for a k-cycle).
     """
     import numpy as np
     T = plan.period
     tol = 1e-12 * T
-    if plan.times.keys() != plan.link_order.keys() or any(
-            len(plan.times[i]) != len(nbs) for i, nbs in plan.link_order.items()):
-        raise InvalidInstanceError("section plan times do not match its link order")
+    check_plan_shape(plan)
     for traj, times in plan.times.items():
         if any(t <= 0 for t in times):
             raise InfeasibleSectionTimesError(f"non-positive section time on {traj}")
@@ -396,7 +409,6 @@ def assign_section_times(g: CommGraph, period: float = 1.0) -> SectionPlan:
     MIN_SECTION_FRACTION * T.  The cycles are cycle_basis(g), the
     fundamental cycles of the BFS forest from node 0.
     """
-    import numpy as np
     check_positive("period", period)
     if g.lengths is None:
         raise InvalidInstanceError(
@@ -410,6 +422,8 @@ def assign_section_times(g: CommGraph, period: float = 1.0) -> SectionPlan:
     if not cycles:
         return SectionPlan(period=period, link_order=order, times=nominal,
                            section_lengths=sec_len)
+
+    import numpy as np
 
     # One variable per section, flattened in link order: each trajectory's
     # sections are contiguous, so its period row is one repeated unit column.

@@ -303,7 +303,13 @@ MALFORMED_DOCS = [
     ("case-study", "schedule", ("epochs", 0, "1"), "a"),
     ("case-study", "schedule", ("epochs", 0, "x"), 1.0),
     ("case-study", "schedule", ("epochs", 0, "1"), DELETE),
-    ("case-study", "schedule", ("plan", "link_order"), 5)]
+    ("case-study", "schedule", ("plan", "link_order"), 5),
+    ("case-study", "schedule", ("epochs", 0, "99"), 1.0),
+    ("case-study", "schedule", ("epochs", 0, "-1"), 1.0),
+    ("case-study", "schedule", ("plan", "times"), {"0": 5}),
+    ("case-study", "schedule", ("plan", "times", "9"), [100.0]),
+    ("case-study", "schedule", ("plan", "times", "0"), [100.0]),
+    ("case-study", "schedule", ("plan", "times", "0"), ["a", 50.0, 50.0])]
 LAYOUTS = {"grid": ("--grid", "3x3"), "case-study": ("--preset", "case-study")}
 
 
@@ -313,7 +319,10 @@ LAYOUTS = {"grid": ("--grid", "3x3"), "case-study": ("--preset", "case-study")}
                               "string-vertex", "ragged-vertex", "epochs-not-a-list",
                               "no-epochs", "too-few-epochs", "string-epoch",
                               "string-epoch-key", "missing-neighbour-epoch",
-                              "link-order-not-an-object"])
+                              "link-order-not-an-object", "non-agent-epoch-key",
+                              "negative-epoch-key", "plan-times-not-lists",
+                              "plan-times-extra-key", "plan-times-too-short",
+                              "string-plan-time"])
 def test_malformed_instance_or_schedule_is_error(tmp_path, capsys, layout, kind, path,
                                                  value):
     inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"

@@ -375,9 +375,53 @@ def _assert_circle_build_matches(circles, r):
     return expect
 
 
+def _prefilter_pairs_np(paths, ranges):
+    """The pairs the numpy bounding-box prefilter handed to min_distance, in
+    (i, j) order: the code build_path_graph ran before its cell blocks."""
+    from ringsync.commgraph import _PREFILTER_SLACK
+    n = len(paths)
+    vertices = [np.asarray(p.vertices, dtype=float) for p in paths]
+    lo = np.array([v.min(axis=0) for v in vertices]).reshape(n, 2)
+    hi = np.array([v.max(axis=0) for v in vertices]).reshape(n, 2)
+    rng = np.array(ranges, dtype=float)
+    tol = _PREFILTER_SLACK * (1.0 + np.abs(np.concatenate((lo, hi))).max(initial=0.0))
+    pairs = []
+    for i in range(n - 1):
+        gap = np.maximum(np.maximum(lo[i + 1:] - hi[i], lo[i] - hi[i + 1:]), 0.0)
+        reach = np.minimum(rng[i], rng[i + 1:])
+        reach = np.where(reach > 0, reach, 0.0)
+        far = np.hypot(gap[:, 0], gap[:, 1]) > reach * (1.0 + _PREFILTER_SLACK) + tol
+        pairs += [(i, j) for j in (np.flatnonzero(~far) + (i + 1)).tolist()]
+    return pairs
+
+
+def _measured_pairs(paths, ranges):
+    """The pairs build_path_graph runs min_distance on, in order, up to the
+    one that raises, and whether one raised."""
+    import ringsync.commgraph as commgraph
+    index = {id(p): k for k, p in enumerate(paths)}
+    pairs, real = [], commgraph.min_distance
+
+    def spy(p, q):
+        pairs.append((index[id(p)], index[id(q)]))
+        return real(p, q)
+
+    commgraph.min_distance = spy
+    try:
+        commgraph.build_path_graph(paths, ranges)
+    except rs.RingsyncError:
+        return pairs, True
+    finally:
+        commgraph.min_distance = real
+    return pairs, False
+
+
 def _assert_path_build_matches(paths, ranges):
     expect = _outcome(_path_graph_reference, paths, ranges)
     assert _outcome(rs.build_path_graph, paths, ranges) == expect
+    measured, raised = _measured_pairs(paths, ranges)
+    oracle = _prefilter_pairs_np(paths, ranges)
+    assert measured == (oracle[:len(measured)] if raised else oracle)
     return expect
 
 

@@ -113,6 +113,10 @@ def test_validator_rejects_mismatched_plan_shape():
     del plan.times[6]
     with pytest.raises(InvalidInstanceError):
         rs.validate_section_plan(plan, CASE_STUDY_CYCLES)
+    plan = paper_section_plan(1.0)
+    plan.times[3][0] = math.nan
+    with pytest.raises(InvalidInstanceError):
+        rs.validate_section_plan(plan, CASE_STUDY_CYCLES)
 
 
 def test_period_scales_linearly():

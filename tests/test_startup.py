@@ -44,8 +44,11 @@ def loaded_layers(argv, cwd) -> set:
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """A case-study instance, its schedule and one trace; a 4x4 circle grid
-    and its schedule; a random 60-circle layout, which has odd cycles."""
+    and its schedule; a random 60-circle layout, which has odd cycles; a
+    staggered 1x3 path grid, whose graph is a tree."""
+    from conftest import path_grid
     d = tmp_path_factory.mktemp("startup")
+    (d / "tree.json").write_text(cli._dumps(cli.instance_to_json(path_grid(1, 3))))
     for argv in (["generate", "--preset", "case-study", "-o", "inst.json"],
                  ["schedule", "-i", "inst.json", "-o", "sched.json"],
                  ["simulate", "-i", "inst.json", "-s", "sched.json", "--horizon", "2000",
@@ -88,12 +91,18 @@ def test_command_loads_only_its_layers(workdir, argv, unused):
     ["-m", "ringsync.cli", "simulate", "-i", "circles.json", "-s", "circles-sched.json",
      "--horizon", "3000", "--strategy", "rand:0.5", "--fail", "10", "-o", "circle-traces"],
     ["-m", "ringsync.cli", "simulate", "-i", "circles.json", "-s", "circles-sched.json",
-     "--horizon", "3000", "--strategy", "alw", "-o", "circle-traces-alw"]])
+     "--horizon", "3000", "--strategy", "alw", "-o", "circle-traces-alw"],
+    ["-m", "ringsync.cli", "generate", "--preset", "case-study", "-o", "case-study.json"],
+    ["-m", "ringsync.cli", "simulate", "-i", "inst.json", "-s", "sched.json",
+     "--horizon", "2000", "--strategy", "rand:0.5", "--fail", "1", "-o", "path-traces"],
+    ["-m", "ringsync.cli", "schedule", "-i", "tree.json", "-o", "tree-sched.json"]])
 def test_report_and_cli_import_load_no_numpy(workdir, argv):
-    # The report step, and circle layouts (grids, random layouts and the
-    # random fig10a preset), schedules and simulations, run on the standard
-    # library alone, the greedy max cut of a random layout's large odd
-    # component too; path layouts (ClosedPath) and the LP do not.
+    # The report step, circle layouts (grids, random layouts and the random
+    # fig10a preset), schedules and simulations, the greedy max cut of a
+    # random layout's large odd component, path layouts (ClosedPath), their
+    # simulations and the schedule of a path layout whose graph is a tree
+    # run on the standard library alone; only the path LP, and the exact max
+    # cut of a small odd component, need numpy.
     loaded = {name.partition(".")[0] for name in loaded_modules(argv, workdir)}
     assert not loaded & {"numpy", "scipy"}, sorted(loaded & {"numpy", "scipy"})
 
