@@ -338,8 +338,12 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def _read_json(path: str) -> dict:
+    def parse_int(text):
+        if math.isinf(float(text)):
+            raise InvalidInstanceError(f"{path} holds an integer beyond the float range")
+        return int(text)
     with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+        doc = json.load(f, parse_int=parse_int)
     if type(doc) is not dict:
         raise InvalidInstanceError(f"{path} does not hold a JSON object")
     return doc

@@ -23,7 +23,7 @@ def check_positive(name: str, value) -> None:
     """Raise InvalidInstanceError unless value is a finite number > 0."""
     try:
         ok = math.isfinite(value) and value > 0
-    except TypeError:          # not a number, e.g. None or a string from JSON
+    except (TypeError, OverflowError):  # not a number, or an int beyond the floats
         ok = False
     if not ok:
         raise InvalidInstanceError(f"{name} must be finite and positive, got {value!r}")

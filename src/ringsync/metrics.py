@@ -7,11 +7,11 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, compress, islice
-from operator import and_, sub
+from itertools import compress, islice
+from operator import and_
 
 from .errors import InvalidInstanceError
-from .trace import (EMIT, MEETING, TOUR_COMPLETE, Occupancy, Trace, occupancy_replay,
+from .trace import (EMIT, MEETING, SWITCH, TOUR_COMPLETE, Trace, occupancy_replay,
                     parse_strategy)
 
 INF = float("inf")
@@ -135,10 +135,10 @@ def broadcast_time(trace: Trace) -> float:
     return sum(t - t0 for t, t0 in zip(latest, emits.values())) / len(emits)
 
 
-def abandoned_time(trace: Trace, occupancy: Occupancy | None = None) -> float:
+def abandoned_time(trace: Trace) -> float:
     """Max over trajectories of the longest unattended interval; an
     occupation interval still open after the last row ends at the horizon."""
-    occ = occupancy_replay(trace) if occupancy is None else occupancy
+    occ = occupancy_replay(trace)
     reached = [0.0] * trace.n         # per trajectory: the latest end so far
     worst = 0.0
     for traj, start, end in zip(occ.traj, occ.start, occ.end):
@@ -147,37 +147,38 @@ def abandoned_time(trace: Trace, occupancy: Occupancy | None = None) -> float:
     return max([worst, *(trace.horizon - t for t in reached)])
 
 
-def meeting_times(trace: Trace) -> dict:
-    """Per agent, the times of its meetings as a list in trace order."""
-    meets = [[] for _ in range(trace.n)]
-    rows = trace.mask_of("meeting")
-    agents = trace.agents
-    for t, a, b in zip(compress(trace.time, rows),
-                       compress(islice(agents, 0, None, 2), rows),
-                       compress(islice(agents, 1, None, 2), rows)):
-        meets[a].append(t)
-        meets[b].append(t)
-    return dict(enumerate(meets))
-
-
-def starvation_time(trace: Trace, meets: dict | None = None):
+def starvation_time(trace: Trace):
     """Max over surviving agents of the longest gap between meetings.
 
     The gaps of an agent run from 0 to its first meeting, between its
     meetings, and from its last meeting to the horizon.  Returns (max_gap,
     potentially_starving): agents whose final gap runs to the end of the
-    horizon are flagged as potentially starving.  meets is
-    `meeting_times(trace)`, computed here when not given.
+    horizon are flagged as potentially starving.  One fold over the meeting
+    rows keeps per agent its latest meeting time (0.0 before any) and its
+    longest gap so far, -inf until its first meeting, which is the flag of
+    an agent that never met.
     """
-    meets = meeting_times(trace) if meets is None else meets
+    last = [0.0] * trace.n
+    longest = [-INF] * trace.n
+    rows = trace.mask_of("meeting")
+    agents = trace.agents
+    for t, a, b in zip(compress(trace.time, rows),
+                       compress(islice(agents, 0, None, 2), rows),
+                       compress(islice(agents, 1, None, 2), rows)):
+        gap = t - last[a]
+        if gap > longest[a]:
+            longest[a] = gap
+        last[a] = t
+        gap = t - last[b]
+        if gap > longest[b]:
+            longest[b] = gap
+        last[b] = t
     worst = 0.0
     flagged = []
     for a in trace.survivors:
-        times = meets[a]
-        final = trace.horizon - (times[-1] if times else 0.0)
-        longest = max(map(sub, times, [0.0] + times), default=0.0)
-        worst = max(worst, longest, final)
-        if not times or final >= trace.period:
+        final = trace.horizon - last[a]
+        worst = max(worst, longest[a], final)
+        if longest[a] == -INF or final >= trace.period:
             flagged.append(a)
     return worst, flagged
 
@@ -187,69 +188,57 @@ def completed_tours(trace: Trace) -> float:
     return trace.kind.count(TOUR_COMPLETE) / trace.n if trace.n else 0.0
 
 
-def _occupancy_at_boundaries(trace: Trace, occupancy: Occupancy, t_stable: float):
-    """Boundary times k*T up to the horizon, and per boundary the occupant of
-    each trajectory (-1 for none) once every switch and failure up to
-    k*T + 1e-9*T has applied.
-
-    The walk stops 3 periods after the later of t_stable and the last
-    occupancy change: from there on the state is constant, so the boundaries
-    at or after t_stable already hold a repeated state.
-    """
-    T = trace.period
-    changes = [t for t in chain(occupancy.start, occupancy.end) if math.isfinite(t)]
-    last = max([0.0, t_stable, *changes])
-    stop = min(trace.horizon + 1e-9, last + 3 * T)
-    times = []
-    k = 0
-    t_b = 0.0
-    while t_b <= stop:
-        times.append(t_b)
-        k += 1
-        t_b = k * T
-    cut = [t + 1e-9 * T for t in times]
-    states = [[-1] * trace.n for _ in times]
-    for traj, agent, start, end in zip(occupancy.traj, occupancy.agent, occupancy.start,
-                                       occupancy.end):
-        # the interval holds boundary b when start <= cut[b] < end
-        for b in range(bisect_left(cut, start), bisect_left(cut, end)):
-            states[b][traj] = agent
-    return times, states
-
-
-def prove_starvation(trace: Trace, meets: dict | None = None,
-                     occupancy: Occupancy | None = None) -> list:
+def prove_starvation(trace: Trace) -> list:
     """Agents proven to starve by state-cycle detection.
 
     Only valid for deterministic strategies ("alw", "dfs", rand at p in
     {0, 1}): once all failures have occurred, a repeated occupancy state at a
     period boundary closes a cycle; survivors with no meeting inside the
     cycle will never meet again.  Returns the list of proven-starving agents
-    (empty when no cycle is found or the strategy is randomized).  meets and
-    occupancy are `meeting_times(trace)` and `occupancy_replay(trace)`,
-    computed here when not given.
+    (empty when no cycle is found or the strategy is randomized).
+
+    One replay of the switch and failure rows, in trace order, keeps the
+    occupant of each trajectory (None for none).  The state at boundary k*T
+    is that list once every row up to k*T + 1e-9*T has applied; states are
+    kept from the first boundary at or after the last failure up to the
+    first repeat.
     """
     strategy = parse_strategy(trace.strategy)
     if strategy.kind == "rand" and strategy.p not in (0, 1):
         return []
-    t_stable = max((trace.time[r] for r in trace.rows_of("failure")), default=0.0)
-    occ = occupancy_replay(trace) if occupancy is None else occupancy
+    time, kind, agents, trajs = trace.time, trace.kind, trace.agents, trace.trajs
+    T = trace.period
+    t_stable = max((time[r] for r in trace.rows_of("failure")), default=0.0)
+    rows = trace.rows_of("failure", "switch")
+    occupant = list(trace.initial_occupancy)
     seen = {}
     t0 = None
-    for t_b, state in zip(*_occupancy_at_boundaries(trace, occ, t_stable)):
-        if t_b < t_stable:
-            continue
-        key = tuple(state)
-        if key in seen:
-            t0 = seen[key]    # the recurrent state's first visit
-            break
-        seen[key] = t_b
+    i = k = 0
+    while k * T <= trace.horizon + 1e-9:
+        t_b = k * T
+        cut = t_b + 1e-9 * T
+        while i < len(rows) and time[rows[i]] <= cut:
+            r = rows[i]
+            occupant[trajs[2 * r]] = None
+            if kind[r] == SWITCH:
+                occupant[trajs[2 * r + 1]] = agents[2 * r]
+            i += 1
+        if t_b >= t_stable:
+            state = tuple(occupant)
+            if state in seen:
+                t0 = seen[state]    # the recurrent state's first visit
+                break
+            seen[state] = t_b
+        k += 1
     if t0 is None:
         return []
-    meets = meeting_times(trace) if meets is None else meets
     # No meeting at or after the cycle's start: none in one full cycle of the
     # recurrent state, so none ever again.
-    return [a for a in trace.survivors if not (meets[a] and max(meets[a]) >= t0)]
+    start = bisect_left(time, t0)
+    rows = trace.mask_of("meeting")[start:]
+    met = set(compress(islice(agents, 2 * start, None, 2), rows))
+    met.update(compress(islice(agents, 2 * start + 1, None, 2), rows))
+    return [a for a in trace.survivors if a not in met]
 
 
 def report(trace: Trace) -> MetricsReport:
@@ -260,13 +249,11 @@ def report(trace: Trace) -> MetricsReport:
         raise InvalidInstanceError(
             f"trace header survivors are not the {trace.n - len(failed)} agents "
             "without a failure row")
-    meets = meeting_times(trace)
-    occupancy = occupancy_replay(trace)
-    st, flagged = starvation_time(trace, meets)
-    proven = prove_starvation(trace, meets, occupancy)
+    st, flagged = starvation_time(trace)
+    proven = prove_starvation(trace)
     return MetricsReport(
         broadcast_time=broadcast_time(trace),
-        abandoned_time=abandoned_time(trace, occupancy),
+        abandoned_time=abandoned_time(trace),
         starvation_time=st,
         completed_tours=completed_tours(trace),
         starvation_proven=bool(proven),

@@ -19,8 +19,9 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heappop, heappush, heapreplace, merge
 from itertools import count
+from operator import itemgetter
 from struct import pack
 
 from .commgraph import CommGraph, dfs_forest
@@ -302,25 +303,19 @@ def _merge_sorted(sources):
     """The items of several sources of sorted lists, in one sorted order, a
     list at a time.
 
-    The lists of one source must come in order of their first items, each
-    a lower bound of the items that follow it.  The least first item among
-    the sources' next lists then bounds every item not yet read, and every
-    item below it is final.  Only one list per source is read ahead.
+    The lists of one source must be non-empty and come in order of their
+    first items, each a lower bound of the items that follow it.
+    `heapq.merge` takes the lists in order of their first items; the first
+    item of the next list then bounds every item not yet read, and every
+    pending item below it is final.  Only one list per source is read ahead.
     """
-    heads = [(chunk[0], k, chunk, source) for k, source in enumerate(sources)
-             for chunk in [next(source, None)] if chunk]
-    heapify(heads)
     pending = []
-    while heads:
-        _, k, chunk, source = heads[0]
-        following = next(source, None)
-        if following:
-            heapreplace(heads, (following[0], k, following, source))
-        else:
-            heappop(heads)
-        pending += chunk
-        pending.sort()
-        cut = bisect_left(pending, heads[0][0]) if heads else len(pending)
+    for chunk in merge(*sources, key=itemgetter(0)):
+        cut = bisect_left(pending, chunk[0])
         if cut:
             yield pending[:cut]
             del pending[:cut]
+        pending += chunk
+        pending.sort()
+    if pending:
+        yield pending

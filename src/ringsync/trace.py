@@ -3,9 +3,9 @@
 A trace stores its events as one table of standard-library columns (see
 `Trace`); the trace file's event object, one JSON line per row, is the only
 other form a row takes.  Which agent held which trajectory when is read back
-from a trace in one place, `occupancy_replay`, from which the metrics take
-abandoned time and starvation; the simulator, which makes the moves,
-releases each occupation's tour rows as it goes.
+from a trace by `occupancy_replay`, whose intervals give abandoned time, and
+by the starvation proof's own replay onto a list of occupants; the simulator,
+which makes the moves, releases each occupation's tour rows as it goes.
 This module needs only the standard library, so reading and measuring a
 trace loads neither numpy nor any geometry, graph or scheduling code.
 """

@@ -125,7 +125,9 @@ BAD_TRACE_HEADERS = [
      "initial_occupancy has 10 entries for 9 trajectories"),
     ({"n": 2, "initial_occupancy": [1, 1], "survivors": [0, 1]},
      "initial_occupancy holds an agent twice"),
-    ({"survivors": [0, *range(9)]}, "survivors holds an agent twice")]
+    ({"survivors": [0, *range(9)]}, "survivors holds an agent twice"),
+    ({"period": 10**400}, "period"), ({"horizon": 10**400}, "horizon"),
+    ({"survivors": 5}, "must be lists")]
 
 
 # Header survivors that contradict the failure rows of a 3x3 grid trace, each

@@ -309,7 +309,16 @@ MALFORMED_DOCS = [
     ("case-study", "schedule", ("plan", "times"), {"0": 5}),
     ("case-study", "schedule", ("plan", "times", "9"), [100.0]),
     ("case-study", "schedule", ("plan", "times", "0"), [100.0]),
-    ("case-study", "schedule", ("plan", "times", "0"), ["a", 50.0, 50.0])]
+    ("case-study", "schedule", ("plan", "times", "0"), ["a", 50.0, 50.0]),
+    ("case-study", "schedule", ("plan",), 5),
+    ("grid", "instance", ("circles", 0, 0), 10**400),
+    ("grid", "instance", ("circles", 0, 2), 10**400),
+    ("grid", "instance", ("comm_range",), 10**400),
+    ("case-study", "instance", ("paths", 0, 0, 0), 10**400),
+    ("grid", "schedule", ("period",), 10**400),
+    ("grid", "schedule", ("starts", 0), 10**400),
+    ("case-study", "schedule", ("epochs", 0, "1"), 10**400),
+    ("case-study", "schedule", ("plan", "times", "0"), [10**400, 50.0, 50.0])]
 LAYOUTS = {"grid": ("--grid", "3x3"), "case-study": ("--preset", "case-study")}
 
 
@@ -322,7 +331,10 @@ LAYOUTS = {"grid": ("--grid", "3x3"), "case-study": ("--preset", "case-study")}
                               "link-order-not-an-object", "non-agent-epoch-key",
                               "negative-epoch-key", "plan-times-not-lists",
                               "plan-times-extra-key", "plan-times-too-short",
-                              "string-plan-time"])
+                              "string-plan-time", "plan-not-an-object",
+                              "huge-circle-x", "huge-radius", "huge-comm-range",
+                              "huge-path-vertex", "huge-period", "huge-start",
+                              "huge-epoch", "huge-plan-time"])
 def test_malformed_instance_or_schedule_is_error(tmp_path, capsys, layout, kind, path,
                                                  value):
     inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
@@ -404,7 +416,9 @@ def test_trace_agent_id_out_of_range_is_error(tmp_path, capsys, key, value):
     ("meeting", "agents", [0, 9]), ("meeting", "agents", [0, -1]),
     ("tour-complete", "trajs", [9]), ("meeting", "kind", "meetx"),
     ("emit", "time", float("nan")), ("meeting", "location", [float("inf"), 0.0]),
-    ("emit", "time", 1e9), ("meeting", "kind", "enter-region")])
+    ("emit", "time", 1e9), ("meeting", "kind", "enter-region"),
+    ("meeting", "kind", ["meeting"]), ("meeting", "location", [1.0]), ("emit", "msg", 5),
+    ("emit", "time", "x"), ("emit", "time", 10**400)])
 def test_trace_bad_event_is_error(tmp_path, capsys, kind, key, value):
     # time 1e9 puts the first emit after every other event
     _, _, traces = pipeline(tmp_path, seeds="1")
@@ -675,7 +689,8 @@ MALFORMED_NUMBERS = [
     (("generate", "--grid", "3"), "--grid columns '' is not a valid int"),
     (("generate", "--random", "5", "--seed", "-1"), "--seed -1 is negative"),
     (("generate", "--random", "5", "--range", "inf"),
-     "range inf must be finite and non-negative")]
+     "range inf must be finite and non-negative"),
+    (("generate", "--random", "0"), "need n >= 1")]
 
 
 @pytest.mark.parametrize("args,message", MALFORMED_NUMBERS,

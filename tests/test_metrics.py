@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import ringsync as rs
-from ringsync.metrics import INF, TABLE_HEADER, meeting_times, prove_starvation
+from ringsync.metrics import INF, TABLE_HEADER, prove_starvation
 from ringsync.simulator import SimConfig, run
 from ringsync.trace import Strategy, occupancy_replay
 
@@ -113,6 +113,8 @@ def test_report_and_aggregate():
     # infinity propagates through the average
     starved = rs.report(run_preset("fig9a", Strategy("alw")))
     assert math.isinf(rs.aggregate([starved, reports[0]]).broadcast_time)
+    with pytest.raises(ValueError, match="no reports to aggregate"):
+        rs.aggregate([])
 
 
 def test_metrics_recomputation_stable():
@@ -129,12 +131,6 @@ def test_render_table_columns():
     text = rs.render_table([("alw", starved)])
     assert "Max. ST(s)" in text and "Avg. BT(s)" in text
     assert "inf" in text and "4000.00" in text
-
-
-def test_meeting_times_match_events():
-    tr = grid_trace(horizon=3.0)
-    mt = meeting_times(tr)
-    assert sum(len(v) for v in mt.values()) == 2 * len(tr.rows_of("meeting"))
 
 
 def test_dfs_completes_more_tours_than_rand_on_dense_block():

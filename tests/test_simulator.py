@@ -216,6 +216,8 @@ def test_parse_strategy():
     for text in (5, None, ["alw"]):
         with pytest.raises(InvalidInstanceError, match="unknown strategy"):
             parse_strategy(text)
+    with pytest.raises(InvalidInstanceError, match="unknown strategy 'bogus'"):
+        Strategy("bogus")
 
 
 def test_resolve_root_topleft():

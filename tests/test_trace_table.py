@@ -7,11 +7,14 @@ agents, msg), one `_dumps` call per event line, and metrics that walk the
 rows.  On the simulations of `test_gossip.py` (grids and random layouts,
 every strategy, failures at link instants), the table must give the same
 lines, survive a write and read column for column, rebuild through
-`Trace.extend`, and give the same report.
+`Trace.extend`, and give the same report.  The report must also equal the
+references on hand-built traces that no simulation writes.
 """
 
+from operator import itemgetter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import ringsync as rs
 from ringsync import cli
@@ -60,11 +63,13 @@ def reference_intervals(trace, events):
                 start, agent = current.pop(traj)
                 intervals[traj].append((start, ev["time"], agent))
         elif ev["kind"] == "switch":
-            src, dst = ev["trajs"]
-            if src in current:
-                start, agent = current.pop(src)
-                intervals[src].append((start, ev["time"], agent))
-            current[dst] = (ev["time"], ev["agents"][0])
+            # the source's occupation ends, and so does that of an agent
+            # the switch lands on
+            for traj in ev["trajs"]:
+                if traj in current:
+                    start, agent = current.pop(traj)
+                    intervals[traj].append((start, ev["time"], agent))
+            current[ev["trajs"][1]] = (ev["time"], ev["agents"][0])
     for traj, (start, agent) in current.items():
         intervals[traj].append((start, trace.horizon, agent))
     return intervals
@@ -186,6 +191,57 @@ def test_read_table_and_report_equal_the_simulated(trace):
         assert type(table.msg) is list and len(table.msg) == m
     assert_same_table(read, trace)
     assert rs.report(read) == rs.report(trace)
+
+
+@st.composite
+def hand_built_traces(draw):
+    """Traces that no simulation writes: switches from a trajectory the agent
+    does not hold and onto an occupied one, failures on any trajectory,
+    agents that meet themselves, empty initial trajectories and survivors
+    that may never meet, under every deterministic strategy and rand:0.5.
+    Rows fall at period boundaries k*T, just after them (1e-10*T and
+    1e-9*T, the boundary's cut, then 2e-9*T) and mid-period."""
+    n = draw(st.integers(1, 5))
+    T = draw(st.sampled_from([1.0, 0.3, 80.0]))
+    periods = draw(st.integers(1, 6))
+    agent = st.integers(0, n - 1)
+    time = st.builds(lambda k, offset: k * T + offset * T, st.integers(0, periods),
+                     st.sampled_from([0.0, 1e-10, 1e-9, 2e-9, 0.5]))
+
+    def row(kind, agents, trajs):
+        return {"time": draw(time), "kind": kind, "agents": agents, "trajs": trajs,
+                "location": None, "msg": None}
+
+    failed = draw(st.lists(agent, unique=True))
+    events = [row("failure", [a], [draw(agent)]) for a in failed]
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["meeting", "switch", "tour-complete"]))
+        if kind == "meeting":
+            pair = [draw(agent), draw(agent)]
+            events.append(row(kind, pair, pair))
+        elif kind == "switch":
+            events.append(row(kind, [draw(agent)], [draw(agent), draw(agent)]))
+        else:
+            a = draw(agent)
+            events.append(row(kind, [a], [a]))
+    events.sort(key=itemgetter("time"))
+    held = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    occupancy = [a if keep else None
+                 for a, keep in zip(draw(st.permutations(range(n))), held)]
+    survivors = draw(st.permutations([a for a in range(n) if a not in failed]))
+    horizon = periods * T + draw(st.sampled_from([0.0, 0.5])) * T
+    strategy = draw(st.sampled_from(["alw", "dfs:0", "rand:0", "rand:1", "rand:0.5"]))
+    return trace_of(events, n=n, period=T, horizon=horizon, strategy=strategy, seed=0,
+                    initial_occupancy=occupancy, survivors=survivors)
+
+
+@given(hand_built_traces())
+@settings(max_examples=500, deadline=None)
+def test_report_matches_row_references_on_hand_built_traces(trace):
+    rep = rs.report(trace)
+    assert (rep.abandoned_time, rep.starvation_time, rep.completed_tours,
+            rep.starvation_proven, rep.potentially_starving) == \
+        reference_report(trace, trace_rows(trace))
 
 
 def signed_zero_table(build: str) -> Trace:
