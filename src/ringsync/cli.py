@@ -292,7 +292,7 @@ def _events_table(body: list[str]) -> list[list]:
     `json.loads` over their joined text."""
     try:
         events = json.loads("[" + ",".join(body) + "]")
-    except json.JSONDecodeError:
+    except ValueError:          # not JSON, or an integer too long to convert
         events = None
     if events is None or len(events) != len(body) or not set(map(type, events)) <= {dict}:
         raise InvalidInstanceError("each trace event line must hold one JSON object")
@@ -313,7 +313,7 @@ def trace_from_lines(lines) -> Trace:
     lines = iter(lines)
     try:
         head = json.loads(next(lines, ""))
-    except json.JSONDecodeError:
+    except ValueError:          # not JSON, or an integer too long to convert
         head = None
     if type(head) is not dict:
         raise InvalidInstanceError("trace header line must hold one JSON object")

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
@@ -36,24 +35,21 @@ def edge_key(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-@dataclass(frozen=True)
-class EdgeData:
+class EdgeData(NamedTuple):
     beta: float          # undirected line angle, [0, pi)
     phi: dict            # node -> link position on that node's trajectory
 
 
-@dataclass
 class CommGraph:
-    n: int
-    edges: dict = field(default_factory=dict)  # (i, j) i<j -> EdgeData
-    mode: str = "circle"                       # "circle" | "path"
-    lengths: list | None = None                # trajectory lengths (path mode)
-    # per node: neighbours in ascending order; it and the cached forest are facts
-    # of edges, which is never mutated after construction (subgraph builds anew)
-    _adj: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        adj = [[] for _ in range(self.n)]
+    def __init__(self, n: int, edges: dict | None = None, mode: str = "circle",
+                 lengths: list | None = None):
+        self.n = n
+        self.edges = {} if edges is None else edges  # (i, j) i<j -> EdgeData
+        self.mode = mode                              # "circle" | "path"
+        self.lengths = lengths                        # trajectory lengths (path mode)
+        # per node: neighbours in ascending order; it and the cached forest are facts
+        # of edges, which is never mutated after construction (subgraph builds anew)
+        adj = [[] for _ in range(n)]
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
@@ -80,7 +76,8 @@ class CommGraph:
 
     def subgraph(self, keep_edges) -> "CommGraph":
         keep = {edge_key(*e) for e in keep_edges}
-        return replace(self, edges={k: v for k, v in self.edges.items() if k in keep})
+        return CommGraph(self.n, {k: v for k, v in self.edges.items() if k in keep},
+                         self.mode, self.lengths)
 
     @cached_property
     def forest(self) -> "Forest":

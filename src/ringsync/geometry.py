@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate
 
@@ -42,29 +41,22 @@ def norm_line_angle(a: float) -> float:
     return 0.0 if a == math.pi else a
 
 
-@dataclass(frozen=True)
 class Point2:
-    x: float
-    y: float
-
-    def __post_init__(self):
+    def __init__(self, x: float, y: float):
         try:
-            finite = math.isfinite(self.x) and math.isfinite(self.y)
+            finite = math.isfinite(x) and math.isfinite(y)
         except TypeError:          # not a number, e.g. a string from JSON
-            raise InvalidInstanceError(
-                f"coordinates ({self.x!r}, {self.y!r}) are not numbers") from None
+            raise InvalidInstanceError(f"coordinates ({x!r}, {y!r}) are not numbers") from None
         if not finite:
-            raise DegenerateGeometryError(f"non-finite coordinates ({self.x}, {self.y})")
+            raise DegenerateGeometryError(f"non-finite coordinates ({x}, {y})")
+        self.x, self.y = x, y
 
 
-@dataclass(frozen=True)
 class Circle:
-    center: Point2
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if not (isinstance(self.radius, (int, float)) and self.radius > 0):
-            raise DegenerateGeometryError(f"circle radius must be positive, got {self.radius}")
+    def __init__(self, center: Point2, radius: float = 1.0):
+        if not (isinstance(radius, (int, float)) and radius > 0):
+            raise DegenerateGeometryError(f"circle radius must be positive, got {radius}")
+        self.center, self.radius = center, radius
 
     def point_at(self, angle: float) -> Point2:
         """Point on the circle at the given angle from the positive x axis."""
@@ -196,18 +188,14 @@ def _segments_intersect(p1, p2, q1, q2) -> bool:
             or on_seg(q1, q2, p1) or on_seg(q1, q2, p2))
 
 
-@dataclass
 class ClosedPath:
-    """Simple closed polyline with arc-length parameterization."""
+    """Simple closed polyline with arc-length parameterization: vertices are
+    (x, y) float tuples, implicitly closed (the last connects to the first),
+    and cum_lengths holds 0.0, then the running sums of seg_lengths."""
 
-    vertices: list  # (x, y) float tuples, implicitly closed (last connects to first)
-    seg_lengths: list = field(init=False, repr=False)
-    cum_lengths: list = field(init=False, repr=False)  # 0.0, then the running sums
-    length: float = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, vertices: list):
         try:
-            v = [(float(x), float(y)) for x, y in self.vertices]
+            v = [(float(x), float(y)) for x, y in vertices]
         except (TypeError, ValueError):
             v = []
         if len(v) < 3:

@@ -3,25 +3,29 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .commgraph import CommGraph, build_circle_graph, build_path_graph
 from .errors import InvalidInstanceError
 from .geometry import Circle, ClosedPath
 
+# The default of meta: a new dict per instance.  A marker, not None, so that
+# a file's null meta is rejected as the non-object it is.
+_NEW_META = object()
 
-@dataclass
+
 class Instance:
-    mode: str                       # "circle" | "path"
-    circles: list[Circle] | None = None
-    paths: list[ClosedPath] | None = None
-    comm_range: float | None = None        # circle mode: shared normalized range
-    ranges: list[float] | None = None      # path mode: per-trajectory range
-    label: str = ""
-    meta: dict = field(default_factory=dict)  # period, white agents, dfs root, ...
-
-    def __post_init__(self):
+    def __init__(self, mode: str, circles: list[Circle] | None = None,
+                 paths: list[ClosedPath] | None = None, comm_range: float | None = None,
+                 ranges: list[float] | None = None, label: str = "",
+                 meta: dict = _NEW_META):
         """Reject a mode, meta or range that no generator writes."""
+        self.mode = mode                # "circle" | "path"
+        self.circles = circles
+        self.paths = paths
+        self.comm_range = comm_range    # circle mode: shared normalized range
+        self.ranges = ranges            # path mode: per-trajectory range
+        self.label = label
+        self.meta = {} if meta is _NEW_META else meta  # period, white agents, dfs root, ...
         if self.mode not in ("circle", "path"):
             raise InvalidInstanceError(f"unknown instance mode {self.mode!r}")
         if type(self.meta) is not dict:

@@ -5,9 +5,8 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress, islice
+from itertools import compress, count, islice, repeat
 from operator import and_
 
 from .errors import InvalidInstanceError
@@ -17,15 +16,20 @@ from .trace import (EMIT, MEETING, SWITCH, TOUR_COMPLETE, Trace, occupancy_repla
 INF = float("inf")
 
 
-@dataclass
 class MetricsReport:
-    broadcast_time: float        # average, seconds; inf when undeliverable
-    abandoned_time: float        # max over trajectories, seconds
-    starvation_time: float       # max over surviving agents, seconds
-    completed_tours: float       # average per trajectory
-    starvation_proven: bool = False
-    potentially_starving: list = field(default_factory=list)
-    per_seed: list = field(default_factory=list)
+    def __init__(self, broadcast_time: float, abandoned_time: float, starvation_time: float,
+                 completed_tours: float, starvation_proven: bool = False,
+                 potentially_starving: list | None = None, per_seed: list | None = None):
+        self.broadcast_time = broadcast_time      # average, seconds; inf when undeliverable
+        self.abandoned_time = abandoned_time      # max over trajectories, seconds
+        self.starvation_time = starvation_time    # max over surviving agents, seconds
+        self.completed_tours = completed_tours    # average per trajectory
+        self.starvation_proven = starvation_proven
+        self.potentially_starving = [] if potentially_starving is None else potentially_starving
+        self.per_seed = [] if per_seed is None else per_seed
+
+    def __eq__(self, other):
+        return type(other) is MetricsReport and vars(self) == vars(other)
 
     def row(self, label: str = "") -> str:
         bt = "inf" if math.isinf(self.broadcast_time) else f"{self.broadcast_time:.2f}"
@@ -201,21 +205,35 @@ def prove_starvation(trace: Trace) -> list:
     occupant of each trajectory (None for none).  The state at boundary k*T
     is that list once every row up to k*T + 1e-9*T has applied; states are
     kept from the first boundary at or after the last failure up to the
-    first repeat.
+    first repeat, and the rows before that boundary apply in one pass.
+    Where k*T cannot tell k from k + 1 (the last failure at or past 2**53
+    periods), that boundary is the last failure's time, and the next one,
+    no later, repeats its state.
     """
     strategy = parse_strategy(trace.strategy)
     if strategy.kind == "rand" and strategy.p not in (0, 1):
         return []
     time, kind, agents, trajs = trace.time, trace.kind, trace.agents, trace.trajs
     T = trace.period
-    t_stable = max((time[r] for r in trace.rows_of("failure")), default=0.0)
+    t_stable = max([0.0, *(time[r] for r in trace.rows_of("failure"))])
+    if t_stable / T < 2**53:
+        # ceil of the rounded quotient is the first k or the one after it
+        k = math.ceil(t_stable / T)
+        if k and (k - 1) * T >= t_stable:
+            k -= 1
+        elif k * T < t_stable:
+            k += 1
+        boundaries = (j * T for j in count(k))
+    else:
+        boundaries = repeat(t_stable)
     rows = trace.rows_of("failure", "switch")
     occupant = list(trace.initial_occupancy)
     seen = {}
     t0 = None
-    i = k = 0
-    while k * T <= trace.horizon + 1e-9:
-        t_b = k * T
+    i = 0
+    for t_b in boundaries:
+        if t_b > trace.horizon + 1e-9:
+            break
         cut = t_b + 1e-9 * T
         while i < len(rows) and time[rows[i]] <= cut:
             r = rows[i]
@@ -223,13 +241,11 @@ def prove_starvation(trace: Trace) -> list:
             if kind[r] == SWITCH:
                 occupant[trajs[2 * r + 1]] = agents[2 * r]
             i += 1
-        if t_b >= t_stable:
-            state = tuple(occupant)
-            if state in seen:
-                t0 = seen[state]    # the recurrent state's first visit
-                break
-            seen[state] = t_b
-        k += 1
+        state = tuple(occupant)
+        if state in seen:
+            t0 = seen[state]        # the recurrent state's first visit
+            break
+        seen[state] = t_b
     if t0 is None:
         return []
     # No meeting at or after the cycle's start: none in one full cycle of the

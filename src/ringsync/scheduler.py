@@ -14,7 +14,6 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -51,18 +50,21 @@ _HIGHS_CORE = "scipy.optimize._highspy._core"
 
 
 def _highs_core():
-    """scipy's HiGHS extension module, loaded without importing scipy.optimize.
+    """scipy's HiGHS extension module, loaded from its file in scipy's
+    directory without running scipy's own package code.
 
     It is registered under its canonical name before it runs, so a later
     import of scipy.optimize reuses it: pybind11 refuses to register the
-    module's types a second time.
+    module's types a second time.  scipy itself is imported only to name
+    its version when the extension is missing.
     """
     core = sys.modules.get(_HIGHS_CORE)
     if core is None:
-        import scipy
-        spec = importlib.machinery.PathFinder.find_spec(
-            _HIGHS_CORE, [os.path.join(scipy.__path__[0], "optimize", "_highspy")])
+        package = importlib.util.find_spec("scipy")
+        spec = package and importlib.machinery.PathFinder.find_spec(_HIGHS_CORE, [
+            os.path.join(package.submodule_search_locations[0], "optimize", "_highspy")])
         if spec is None:
+            import scipy
             raise ImportError(f"path-mode scheduling needs scipy>=1.15, whose HiGHS "
                               f"bindings it calls; scipy {scipy.__version__} lacks them")
         core = importlib.util.module_from_spec(spec)
@@ -123,42 +125,42 @@ def linprog(c, A_eq, b_eq, bounds):
     return SimpleNamespace(status=0 if accepted else 2, x=x)
 
 
-@dataclass
 class Schedule:
-    mode: str                  # "same-direction" | "opposite-directions" | "general"
-    period: float
-    starts: list               # per agent: start angle (circle) or arc length (general)
-    dirs: list                 # per agent: CCW | CW
-    # general mode only: per trajectory, neighbor -> link arrival epoch in [0, T)
-    epochs: list | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("same-direction", "opposite-directions", "general"):
-            raise InvalidInstanceError(f"unknown schedule mode {self.mode!r}")
-        if not all(isinstance(seq, (list, tuple)) for seq in (self.starts, self.dirs)):
+    def __init__(self, mode: str, period: float, starts: list, dirs: list,
+                 epochs: list | None = None):
+        self.mode = mode          # "same-direction" | "opposite-directions" | "general"
+        self.period = period
+        self.starts = starts      # per agent: start angle (circle) or arc length (general)
+        self.dirs = dirs          # per agent: CCW | CW
+        # general mode only: per trajectory, neighbor -> link arrival epoch in [0, T)
+        self.epochs = epochs
+        if mode not in ("same-direction", "opposite-directions", "general"):
+            raise InvalidInstanceError(f"unknown schedule mode {mode!r}")
+        if not all(isinstance(seq, (list, tuple)) for seq in (starts, dirs)):
             raise InvalidInstanceError("schedule starts and dirs must be lists")
-        for d in self.dirs:
+        for d in dirs:
             if d not in (CCW, CW):
                 raise InvalidInstanceError(f"schedule direction {d!r} is not CCW or CW")
-        for a in self.starts:
+        for a in starts:
             if not (isinstance(a, (int, float)) and math.isfinite(a)):
                 raise InvalidInstanceError(f"schedule start {a!r} is not a finite number")
-        n = len(self.starts)
-        if self.mode == "general" and not (
-                isinstance(self.epochs, list) and len(self.epochs) == n
+        n = len(starts)
+        if mode == "general" and not (
+                isinstance(epochs, list) and len(epochs) == n
                 and all(type(ep) is dict and all(
                     type(nb) is int and 0 <= nb < n
                     and isinstance(t, (int, float)) and math.isfinite(t)
-                    for nb, t in ep.items()) for ep in self.epochs)):
+                    for nb, t in ep.items()) for ep in epochs)):
             raise InvalidInstanceError(
                 "general schedule epochs must be one map of neighbour ids (agents "
                 f"0..{n - 1}) to finite times for each of its {n} starts")
 
 
-@dataclass
 class SyncReport:
-    period: float
-    edges: dict = field(default_factory=dict)  # (i,j) -> (synchronized, phase_error_seconds)
+    def __init__(self, period: float, edges: dict | None = None):
+        self.period = period
+        # (i, j) -> (synchronized, phase_error_seconds)
+        self.edges = {} if edges is None else edges
 
     @property
     def all_synchronized(self) -> bool:
@@ -250,7 +252,6 @@ def link_epochs(g: CommGraph, s: Schedule) -> dict:
 # Section plans (general mode)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SectionPlan:
     """Per-trajectory section times between consecutive link locations.
 
@@ -259,10 +260,13 @@ class SectionPlan:
     link_order[i][(k+1) % m].  Single-link trajectories hold one full-loop
     section.  section_lengths mirrors times when geometry is known.
     """
-    period: float
-    link_order: dict      # traj -> list of neighbor ids
-    times: dict           # traj -> list of section times
-    section_lengths: dict | None = None
+
+    def __init__(self, period: float, link_order: dict, times: dict,
+                 section_lengths: dict | None = None):
+        self.period = period
+        self.link_order = link_order    # traj -> list of neighbor ids
+        self.times = times              # traj -> list of section times
+        self.section_lengths = section_lengths
 
 
 def _sections_between(link_order_i, from_nb, to_nb) -> list:

@@ -18,7 +18,6 @@ import math
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from heapq import heappop, heappush, heapreplace, merge
 from itertools import count
 from operator import itemgetter
@@ -33,22 +32,21 @@ from .trace import (CHUNK_ROWS, EMIT, FAILURE, MEETING, NO_ID, SWITCH, TOUR_COMP
                     Strategy, Trace, gc_paused)
 
 
-@dataclass
 class SimConfig:
-    horizon: float
-    strategy: Strategy = field(default_factory=lambda: Strategy("alw"))
-    seed: int = 0
-    failures: list = field(default_factory=list)   # (agent id, time)
-    emission_period: float | None = None           # default: schedule period
-
-    def __post_init__(self):
-        check_positive("horizon", self.horizon)
-        if type(self.seed) is not int or self.seed < 0:
-            raise InvalidInstanceError(f"seed {self.seed!r} is not a non-negative integer")
-        if self.emission_period is not None:
-            check_positive("emission_period", self.emission_period)
+    def __init__(self, horizon: float, strategy: Strategy | None = None, seed: int = 0,
+                 failures: list | None = None, emission_period: float | None = None):
+        check_positive("horizon", horizon)
+        if type(seed) is not int or seed < 0:
+            raise InvalidInstanceError(f"seed {seed!r} is not a non-negative integer")
+        if emission_period is not None:
+            check_positive("emission_period", emission_period)
+        self.horizon = horizon
+        self.strategy = Strategy("alw") if strategy is None else strategy
+        self.seed = seed
+        self.failures = [] if failures is None else failures   # (agent id, time)
+        self.emission_period = emission_period                 # default: schedule period
         for agent, t in self.failures:
-            if not (0.0 <= t <= self.horizon):
+            if not (0.0 <= t <= horizon):
                 raise InvalidInstanceError(
                     f"failure time {t} for agent {agent} outside [0, horizon]")
 

@@ -16,9 +16,9 @@ import gc
 import math
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import chain, compress, count
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import InvalidInstanceError, check_positive
 
@@ -34,6 +34,9 @@ _TRAJ_ARITY = (1, 1, 2, 2, 1)
 NO_ID = -1
 # The location of an event that has none.
 _NO_LOCATION = (math.nan, math.nan)
+# The default of a trace's survivors: a new list per trace.  A marker, not
+# None, so that a header's null survivors is rejected as the non-list it is.
+_NEW_LIST = object()
 # Rows that the trace writer and the trace reader hold as Python values at a
 # time, so that their memory beyond the table does not grow with the trace.
 CHUNK_ROWS = 1024
@@ -54,18 +57,17 @@ def gc_paused():
             gc.enable()
 
 
-@dataclass
 class Strategy:
     """A switch strategy; `describe()` is the trace header's `strategy`."""
-    kind: str          # "alw" | "rand" | "dfs"
-    p: float = 0.5     # rand switch probability
-    root: int | str = 0  # dfs root node index, or "topleft"
 
-    def __post_init__(self):
-        if self.kind not in ("alw", "rand", "dfs"):
-            raise InvalidInstanceError(f"unknown strategy {self.kind!r}")
-        if self.kind == "rand" and not (0.0 <= self.p <= 1.0):
-            raise InvalidInstanceError(f"rand probability {self.p} outside [0,1]")
+    def __init__(self, kind: str, p: float = 0.5, root: int | str = 0):
+        if kind not in ("alw", "rand", "dfs"):
+            raise InvalidInstanceError(f"unknown strategy {kind!r}")
+        if kind == "rand" and not (0.0 <= p <= 1.0):
+            raise InvalidInstanceError(f"rand probability {p} outside [0,1]")
+        self.kind = kind   # "alw" | "rand" | "dfs"
+        self.p = p         # rand switch probability
+        self.root = root   # dfs root node index, or "topleft"
 
     def describe(self) -> str:
         if self.kind == "rand":
@@ -91,7 +93,6 @@ def parse_strategy(text: str) -> Strategy:
     raise InvalidInstanceError(f"unknown strategy {text!r}")
 
 
-@dataclass(eq=False)
 class Trace:
     """A simulation's header and its event table, one row per event in trace order.
 
@@ -108,24 +109,27 @@ class Trace:
       msg       list: the message key of an emit, None otherwise.
     The header is checked when a Trace is built, and each row by `extend`,
     which the trace reader calls; columns given to the constructor are not
-    checked.
+    checked.  initial_occupancy holds each trajectory's agent at the start,
+    None for none.
     """
-    n: int
-    period: float
-    horizon: float
-    strategy: str
-    seed: int
-    initial_occupancy: list          # per trajectory: agent id (identity at start)
-    survivors: list = field(default_factory=list)
-    time: array = field(default_factory=lambda: array("d"))
-    kind: array = field(default_factory=lambda: array("b"))
-    agents: array = field(default_factory=lambda: array("q"))
-    trajs: array = field(default_factory=lambda: array("q"))
-    location: array = field(default_factory=lambda: array("d"))
-    msg: list = field(default_factory=list)
 
-    def __post_init__(self):
-        n, survivors, occupancy = self.n, self.survivors, self.initial_occupancy
+    def __init__(self, n: int, period: float, horizon: float, strategy: str, seed: int,
+                 initial_occupancy: list, survivors: list = _NEW_LIST,
+                 time: array | None = None, kind: array | None = None,
+                 agents: array | None = None, trajs: array | None = None,
+                 location: array | None = None, msg: list | None = None):
+        if survivors is _NEW_LIST:
+            survivors = []
+        self.n, self.period, self.horizon, self.strategy, self.seed = (
+            n, period, horizon, strategy, seed)
+        self.initial_occupancy, self.survivors = initial_occupancy, survivors
+        self.time = array("d") if time is None else time
+        self.kind = array("b") if kind is None else kind
+        self.agents = array("q") if agents is None else agents
+        self.trajs = array("q") if trajs is None else trajs
+        self.location = array("d") if location is None else location
+        self.msg = [] if msg is None else msg
+        occupancy = initial_occupancy
         if type(n) is not int or not 0 <= n <= 2**63:     # ids are int64
             raise InvalidInstanceError(f"trace header n {n!r} is not an agent count")
         if not (isinstance(survivors, list) and isinstance(occupancy, list)):
@@ -142,9 +146,9 @@ class Trace:
         for key, ids in (("survivors", survivors), ("initial_occupancy", held)):
             if len(set(ids)) != len(ids):
                 raise InvalidInstanceError(f"trace header {key} holds an agent twice")
-        check_positive("trace header period", self.period)
-        check_positive("trace header horizon", self.horizon)
-        parse_strategy(self.strategy)
+        check_positive("trace header period", period)
+        check_positive("trace header horizon", horizon)
+        parse_strategy(strategy)
 
     def __len__(self) -> int:
         return len(self.time)
@@ -235,8 +239,7 @@ def _finite_column(values, key: str) -> array:
     return col
 
 
-@dataclass
-class Occupancy:
+class Occupancy(NamedTuple):
     """Occupation intervals from one replay of a trace's switch and failure rows.
 
     Interval k: `agent[k]` held `traj[k]` from `start[k]` to `end[k]`; `end`

@@ -127,7 +127,7 @@ BAD_TRACE_HEADERS = [
      "initial_occupancy holds an agent twice"),
     ({"survivors": [0, *range(9)]}, "survivors holds an agent twice"),
     ({"period": 10**400}, "period"), ({"horizon": 10**400}, "horizon"),
-    ({"survivors": 5}, "must be lists")]
+    ({"survivors": 5}, "must be lists"), ({"survivors": None}, "must be lists")]
 
 
 # Header survivors that contradict the failure rows of a 3x3 grid trace, each

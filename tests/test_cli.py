@@ -437,7 +437,8 @@ def test_trace_bad_event_is_error(tmp_path, capsys, kind, key, value):
 
 @pytest.mark.parametrize("head,word", [
     ([1], "JSON object"), (3, "JSON object"), *BAD_TRACE_HEADERS,
-    ("not json", "JSON object"), (None, "JSON object")])
+    ("not json", "JSON object"), (None, "JSON object"),
+    pytest.param('{"seed": 1' + "0" * 5000 + "}", "JSON object", id="5001-digit-seed")])
 def test_trace_bad_header_is_error(tmp_path, capsys, head, word):
     """A header line that is a JSON non-object, the text head or, for None,
     an empty file; or the trace's header with the fields head."""
@@ -530,7 +531,7 @@ def test_report_rejects_version_1_trace(tmp_path, capsys):
 SCIPY_PROBE = """
 import json, sys
 import ringsync.cli as cli
-loaded = {"import": "scipy" in sys.modules}
+loaded = {"import": "scipy.optimize._highspy._core" in sys.modules}
 optimize = {"import": "scipy.optimize" in sys.modules}
 steps = [
     ("generate", ["generate", "--grid", "3x3", "-o", "grid.json"]),
@@ -547,7 +548,7 @@ steps = [
 codes = {}
 for name, argv in steps:
     codes[name] = cli.main(argv)
-    loaded[name] = "scipy" in sys.modules
+    loaded[name] = "scipy.optimize._highspy._core" in sys.modules
     optimize[name] = "scipy.optimize" in sys.modules
 print(json.dumps({"loaded": loaded, "optimize": optimize, "codes": codes}))
 """
@@ -555,7 +556,7 @@ print(json.dumps({"loaded": loaded, "optimize": optimize, "codes": codes}))
 
 def test_scipy_loaded_only_by_path_schedule(tmp_path):
     # the aligned 2x2 path grid fails without an LP: the interval cut
-    # rejects every z, so that schedule leaves scipy unloaded
+    # rejects every z, so that schedule leaves the HiGHS extension unloaded
     aligned = cli.instance_to_json(path_grid(2, 2, staggered=False))
     (tmp_path / "aligned.json").write_text(cli._dumps(aligned))
     src = os.path.dirname(os.path.dirname(rs.__file__))
@@ -885,6 +886,7 @@ BAD_INSTANCES = {
     "comm-range-inf": (_set("comm_range", float("inf")), "range inf"),
     "radius-string": (_set(("circles", 0), [0.0, 0.0, "1.0"]), "radius must be positive"),
     "meta-list": (_set("meta", []), "meta [] is not an object"),
+    "meta-null": (_set("meta", None), "meta None is not an object"),
     "mode-unknown": (_set("mode", "polygon", path=True), "unknown instance mode 'polygon'"),
     "top-level-list": (lambda: [cli.instance_to_json(rs.grid(2, 2))],
                        "does not hold a JSON object"),

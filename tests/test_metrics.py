@@ -182,3 +182,29 @@ def test_report_of_trace_with_bad_period_or_horizon_is_error(tmp_path):
         "trace header period must be finite and positive, got nan",
         "trace header horizon must be finite and positive, got 0.0",
         "trace header horizon must be finite and positive, got 'x'"]
+
+
+TINY_PERIOD_PROBE = """
+import time
+import ringsync as rs
+from conftest import event, trace_of
+trace = trace_of([event(0.5, "failure", [0])], n=2, period=1e-300, horizon=1.0,
+                 strategy="alw", seed=0, initial_occupancy=[0, 1], survivors=[1])
+start = time.perf_counter()
+print(rs.prove_starvation(trace), rs.report(trace).potentially_starving,
+      time.perf_counter() - start)
+"""
+
+
+def test_prove_starvation_on_tiny_period_returns(tmp_path):
+    # The last failure lies 5e299 periods in: the proof starts at the first
+    # boundary after it instead of stepping to it.  In a child process under a
+    # timeout, as a regression would never return.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(rs.__file__))
+    proc = subprocess.run([sys.executable, "-c", TINY_PERIOD_PROBE], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])),
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    proven, flagged, seconds = proc.stdout.split()
+    assert proven == flagged == "[1]" and float(seconds) < 0.5

@@ -107,6 +107,34 @@ def test_report_and_cli_import_load_no_numpy(workdir, argv):
     assert not loaded & {"numpy", "scipy"}, sorted(loaded & {"numpy", "scipy"})
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--grid", "3x3", "-o", "grid.json"],
+    ["generate", "--preset", "case-study", "-o", "case-study.json"],
+    ["schedule", "-i", "circles.json", "-o", "circles-sched.json"],
+    ["schedule", "-i", "inst.json", "-o", "path-sched.json"],
+    ["simulate", "-i", "circles.json", "-s", "circles-sched.json", "--horizon", "3000",
+     "--strategy", "rand:0.5", "--fail", "2", "-o", "circle-traces"],
+    ["simulate", "-i", "inst.json", "-s", "sched.json", "--horizon", "2000",
+     "--strategy", "dfs:0", "--fail", "1", "-o", "path-traces"],
+    ["report", "-t", "traces"]])
+def test_command_loads_no_dataclasses_or_inspect(workdir, argv):
+    # What a bare interpreter loads, site hooks included, does not count, nor
+    # what numpy's own import loads (it imports inspect) where the path LP
+    # loads numpy.
+    loaded = loaded_modules(["-m", "ringsync.cli", *argv], workdir)
+    baseline = loaded_modules(["-c", "import numpy" if "numpy" in loaded else "pass"],
+                              workdir)
+    assert not (loaded - baseline) & {"dataclasses", "inspect"}
+
+
+def test_path_schedule_loads_highs_core_without_scipy(workdir):
+    probe = ("import sys, ringsync.cli as cli\n"
+             "cli.main(['schedule', '-i', 'inst.json', '-o', 'highs-sched.json'])\n"
+             "print(sorted(name for name in sys.modules if name.startswith('scipy')))")
+    loaded = _run(["-c", probe], workdir).stdout.splitlines()[-1]
+    assert "'scipy.optimize._highspy._core'" in loaded and "'scipy'" not in loaded
+
+
 def test_package_names_resolve():
     for name in rs.__all__:
         module = sys.modules[getattr(rs, name).__module__]

@@ -77,7 +77,9 @@ def test_time_inversion_across_a_boundary_is_error(row):
     assert parse_error(text) == "trace events are not in time order"
 
 
-@pytest.mark.parametrize("line", ["{\"kind\": \"emit\"", "[1, 2]", "3", "{} {}", "{},{}"])
+@pytest.mark.parametrize("line", ["{\"kind\": \"emit\"", "[1, 2]", "3", "{} {}", "{},{}",
+                                  pytest.param("{\"time\": 1" + "0" * 5000 + "}",
+                                               id="5001-digit-time")])
 def test_bad_line_in_last_chunk_is_error(line):
     text = lines()
     text[-1] = line
