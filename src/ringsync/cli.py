@@ -1,16 +1,15 @@
 """Command-line front end: generate, schedule, simulate, and report.
 
 File formats are versioned JSON (instances, schedules, summaries) and
-line-delimited JSON for traces.  All randomness flows from explicit seeds,
-so a pipeline re-run with the same arguments is byte-identical.  Traces are
-written and read CHUNK_ROWS lines at a time, so `simulate` and `report` hold
-at most one chunk of lines, beside the trace table, in memory.
+line-delimited JSON for traces, whose writer and reader are
+`ringsync.trace.write_trace` and `trace_from_lines`.  All randomness flows
+from explicit seeds, so a pipeline re-run with the same arguments is
+byte-identical.
 
 Importing this module loads neither numpy nor any layer of the package:
-each command, and each trace-file function, imports what it calls when it
-runs.  `generate`, `simulate` and `report` never load numpy; `schedule`
-loads it only for a path layout's section-time LP and for the exact max cut
-of a small odd component.
+each command imports what it calls when it runs.  `generate`, `simulate`
+and `report` never load numpy; `schedule` loads it only for a path layout's
+section-time LP and for the exact max cut of a small odd component.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from itertools import islice
 from typing import TYPE_CHECKING
 
 from .errors import InvalidInstanceError, RingsyncError, check_positive
@@ -30,7 +28,6 @@ from .errors import InvalidInstanceError, RingsyncError, check_positive
 if TYPE_CHECKING:
     from .instance import Instance
     from .scheduler import Schedule, SectionPlan
-    from .trace import Trace
 
 # The layer entry points the commands call: name here -> (module, name there).
 # Each is imported on first access through __getattr__ (PEP 562), and the
@@ -45,6 +42,7 @@ _LAYER_ENTRIES = {
     "schedule_same_direction": ("scheduler", "schedule_same_direction"),
     "run": ("simulator", "run"),
     "metrics_report": ("metrics", "report"),
+    "trace_from_lines": ("trace", "trace_from_lines"),
 }
 _self = sys.modules[__name__]
 
@@ -60,14 +58,13 @@ def __getattr__(name: str):
 
 
 FORMAT_VERSION = 1
-TRACE_FORMAT_VERSION = 2   # 2: no per-delivery events; gossip is derived from meetings
 OUTPUT_DIR_ENV = "RINGSYNC_OUTPUT_DIR"
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
-# One encoder for every document and trace line; json.dumps with these
+# One encoder for every document and error line; json.dumps with these
 # arguments would build a new JSONEncoder per call.
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -192,146 +189,6 @@ def _by_agent(doc, what: str) -> dict:
         raise InvalidInstanceError(f"{what} is not an object keyed by agent ids") from None
 
 
-# The event keys, which are also the names of the table's columns.
-_EVENT_KEYS = ("time", "kind", "agents", "trajs", "location", "msg")
-# Strings a `_Memo` holds at most.
-_MEMO_KEYS = 1 << 16
-
-
-class _Memo(dict):
-    """fmt(key) per key, computed on the key's first lookup.  It forgets
-    everything when it holds `_MEMO_KEYS` keys, so that a trace whose rows
-    share no fields does not hold one string per row."""
-
-    def __init__(self, fmt):
-        super().__init__()
-        self.fmt = fmt
-
-    def __missing__(self, key):
-        if len(self) >= _MEMO_KEYS:
-            self.clear()
-        value = self[key] = self.fmt(key)
-        return value
-
-
-def _line_ends():
-    """fmt(key): the text of an event line before its msg and after its
-    time, from the row's `_trace_line_chunks` key.  A line holds the keys of
-    `_dumps` in sorted order, agents, kind, location, msg, time, trajs and
-    type, each formatted as the encoder would: ints by str, floats by
-    float.__repr__ and strings by `_dumps`."""
-    from struct import unpack
-
-    from .trace import EVENT_KINDS, NO_ID
-    kinds = [_dumps(kind) for kind in EVENT_KINDS]
-
-    def fmt(key: tuple) -> tuple:
-        agent, agent2, traj, traj2, x, y, kind = unpack("<4q2dq", key[0])
-        agents = f"[{agent}]" if agent2 == NO_ID else f"[{agent},{agent2}]"
-        trajs = f"[{traj}]" if traj2 == NO_ID else f"[{traj},{traj2}]"
-        location = "null" if math.isnan(x) else f"[{x!r},{y!r}]"
-        return (f'{{"agents":{agents},"kind":{kinds[kind]},"location":{location},'
-                '"msg":', f',"trajs":{trajs},"type":"event"}}')
-    return fmt
-
-
-def _trace_line_chunks(trace: Trace):
-    """The trace file's lines, a list at a time: the header alone, then the
-    event lines of CHUNK_ROWS rows per list.
-
-    Each event line is byte for byte the `_dumps` encoding of the row's
-    {"type": "event", "time", "kind", "agents", "trajs", "location", "msg"}
-    object, built from the text before its msg, the msg, the time and the
-    text after it.  Rows repeat their agents, trajs, location and kind, so
-    the two ends are formatted once per distinct key, those four fields as
-    the 56 raw bytes of seven int64 words (raw, so that a NaN location finds
-    its string), and times once per distinct value in a chunk, keyed by the
-    float unless the chunk may hold -0.0 and 0.0, which are equal.
-    """
-    from array import array
-    from struct import iter_unpack
-
-    from .trace import CHUNK_ROWS
-    yield [_dumps({"format_version": TRACE_FORMAT_VERSION, "type": "header",
-                   "n": trace.n, "period": trace.period, "horizon": trace.horizon,
-                   "strategy": trace.strategy, "seed": trace.seed,
-                   "initial_occupancy": trace.initial_occupancy,
-                   "survivors": trace.survivors})]
-    ends = _Memo(_line_ends())
-    for start in range(0, len(trace), CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
-        pairs = slice(2 * rows.start, 2 * rows.stop)
-        kind = trace.kind[rows]
-        words = array("q", bytes(56 * len(kind)))
-        for k, column in enumerate((trace.agents[pairs], trace.trajs[pairs],
-                                    array("q", trace.location[pairs].tobytes()))):
-            words[2 * k::7], words[2 * k + 1::7] = column[0::2], column[1::2]
-        words[6::7] = array("q", kind)
-        time = trace.time[rows]    # in time order: only a chunk spanning 0 has -0.0 and 0.0
-        times = map(float.__repr__ if time[0] <= 0.0 <= time[-1] else
-                    _Memo(float.__repr__).__getitem__, time)
-        msg = ["null" if m is None else _dumps(m) for m in trace.msg[rows]]
-        yield [f'{head}{m},"time":{t}{tail}' for (head, tail), m, t in
-               zip(map(ends.__getitem__, iter_unpack("56s", words)), msg, times)]
-
-
-def trace_to_lines(trace: Trace) -> list[str]:
-    """The trace file's lines: a header, then one line per event row."""
-    return [line for lines in _trace_line_chunks(trace) for line in lines]
-
-
-def _write_trace(path: str, trace: Trace) -> None:
-    """Write the trace file CHUNK_ROWS lines at a time."""
-    with open(path, "w", encoding="utf-8") as f:
-        for lines in _trace_line_chunks(trace):
-            f.write("\n".join(lines) + "\n")
-
-
-def _events_table(body: list[str]) -> list[list]:
-    """The columns of event lines body, in `_EVENT_KEYS` order, parsed by one
-    `json.loads` over their joined text."""
-    try:
-        events = json.loads("[" + ",".join(body) + "]")
-    except ValueError:          # not JSON, or an integer too long to convert
-        events = None
-    if events is None or len(events) != len(body) or not set(map(type, events)) <= {dict}:
-        raise InvalidInstanceError("each trace event line must hold one JSON object")
-    return [[event[key] for event in events] for key in _EVENT_KEYS]
-
-
-def trace_from_lines(lines) -> Trace:
-    """Parse a trace file's lines, from a list or an open file, into a trace
-    table; blank lines are skipped.
-
-    The event lines are parsed CHUNK_ROWS at a time, and `Trace.extend`
-    checks each chunk's columns and appends them, so at most one chunk of
-    lines and their parsed objects is held beside the table.  A line that is
-    not one JSON object, a missing key, a format_version other than 2 and
-    whatever `Trace` rejects raise InvalidInstanceError.
-    """
-    from .trace import CHUNK_ROWS, Trace, gc_paused
-    lines = iter(lines)
-    try:
-        head = json.loads(next(lines, ""))
-    except ValueError:          # not JSON, or an integer too long to convert
-        head = None
-    if type(head) is not dict:
-        raise InvalidInstanceError("trace header line must hold one JSON object")
-    if head.get("format_version") != TRACE_FORMAT_VERSION:
-        raise InvalidInstanceError(
-            f"unsupported trace format_version {head.get('format_version')!r}")
-    with _required_keys("trace"):
-        trace = Trace(n=head["n"], period=head["period"], horizon=head["horizon"],
-                      strategy=head["strategy"], seed=head["seed"],
-                      initial_occupancy=head["initial_occupancy"],
-                      survivors=head["survivors"])
-        body = filter(str.strip, lines)
-        with gc_paused():
-            while chunk := list(islice(body, CHUNK_ROWS)):
-                trace.extend(*_events_table(chunk))
-    return trace
-
-
 def _write_json(path: str, doc: dict) -> None:
     with open(_out_path(path), "w", encoding="utf-8") as f:
         f.write(_dumps(doc) + "\n")
@@ -343,7 +200,10 @@ def _read_json(path: str) -> dict:
             raise InvalidInstanceError(f"{path} holds an integer beyond the float range")
         return int(text)
     with open(path, encoding="utf-8") as f:
-        doc = json.load(f, parse_int=parse_int)
+        try:
+            doc = json.load(f, parse_int=parse_int)
+        except RecursionError:
+            raise InvalidInstanceError(f"{path} nests JSON values too deeply") from None
     if type(doc) is not dict:
         raise InvalidInstanceError(f"{path} does not hold a JSON object")
     return doc
@@ -446,7 +306,7 @@ def _resolve_failures(args, inst: Instance, n: int) -> list:
 
 def cmd_simulate(args) -> int:
     from .simulator import SimConfig
-    from .trace import parse_strategy
+    from .trace import parse_strategy, write_trace
     inst = instance_from_json(_read_json(args.instance))
     sched, retained, _ = schedule_from_json(_read_json(args.schedule))
     g = inst.graph()
@@ -472,8 +332,10 @@ def cmd_simulate(args) -> int:
         config = SimConfig(horizon=args.horizon, strategy=strategy, seed=seed,
                            failures=failures,
                            emission_period=args.emission_period)
-        _write_trace(os.path.join(outdir, f"trace-{seed}.jsonl"),
-                     _self.run(inst, sched, config, graph=g))
+        trace = _self.run(inst, sched, config, graph=g)
+        with open(os.path.join(outdir, f"trace-{seed}.jsonl"), "w", encoding="utf-8") as f:
+            write_trace(f, trace)
+        del trace    # the table goes before the next seed's run builds its own
     print(f"wrote {len(seeds)} trace(s) to {outdir}")
     return 0
 
@@ -487,7 +349,7 @@ def cmd_report(args) -> int:
     reports = []
     for name in files:
         with open(os.path.join(args.traces, name), encoding="utf-8") as f:
-            reports.append(_self.metrics_report(trace_from_lines(f)))
+            reports.append(_self.metrics_report(_self.trace_from_lines(f)))
     agg = aggregate(reports)
     label = args.label or os.path.basename(os.path.normpath(args.traces))
     print(TABLE_HEADER)

@@ -28,9 +28,6 @@ class MetricsReport:
         self.potentially_starving = [] if potentially_starving is None else potentially_starving
         self.per_seed = [] if per_seed is None else per_seed
 
-    def __eq__(self, other):
-        return type(other) is MetricsReport and vars(self) == vars(other)
-
     def row(self, label: str = "") -> str:
         bt = "inf" if math.isinf(self.broadcast_time) else f"{self.broadcast_time:.2f}"
         return (f"{label:>12} | {self.starvation_time:10.2f} | {self.completed_tours:8.2f}"

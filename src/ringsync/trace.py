@@ -8,16 +8,23 @@ by the starvation proof's own replay onto a list of occupants; the simulator,
 which makes the moves, releases each occupation's tour rows as it goes.
 This module needs only the standard library, so reading and measuring a
 trace loads neither numpy nor any geometry, graph or scheduling code.
+
+The trace file, line-delimited JSON, is written by `write_trace` and read
+by `trace_from_lines`, both here.  They handle CHUNK_ROWS lines at a time,
+so `simulate` and `report` hold at most one chunk of lines, beside the
+trace table, in memory.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import math
 from array import array
 from contextlib import contextmanager
-from itertools import chain, compress, count
+from itertools import chain, compress, count, islice
 from operator import itemgetter
+from struct import iter_unpack, unpack
 from typing import NamedTuple
 
 from .errors import InvalidInstanceError, check_positive
@@ -281,3 +288,127 @@ def occupancy_replay(trace: Trace) -> Occupancy:
     traj, agent, start, end = map(list, zip(*closed)) if closed else ([], [], [], [])
     return Occupancy(traj=traj, agent=agent, start=start, end=end, consistent=consistent)
 
+
+# ---------------------------------------------------------------------------
+# The trace file: a header line, then one line per event row.
+
+FORMAT_VERSION = 2   # 2: no per-delivery events; gossip is derived from meetings
+# The header's keys besides format_version and type, in `Trace`'s argument order.
+_HEADER_KEYS = ("n", "period", "horizon", "strategy", "seed", "initial_occupancy",
+                "survivors")
+# The event keys, which are also the names of the table's columns.
+_EVENT_KEYS = ("time", "kind", "agents", "trajs", "location", "msg")
+# Strings a `_Memo` holds at most.
+_MEMO_KEYS = 1 << 16
+
+# The canonical encoder of every line; json.dumps with these arguments would
+# build a new JSONEncoder per call.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_KIND_TEXT = [_dumps(kind) for kind in EVENT_KINDS]
+
+
+class _Memo(dict):
+    """fmt(key) per key, computed on the key's first lookup.  It forgets
+    everything when it holds `_MEMO_KEYS` keys, so that a trace whose rows
+    share no fields does not hold one string per row."""
+
+    def __init__(self, fmt):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, key):
+        if len(self) >= _MEMO_KEYS:
+            self.clear()
+        value = self[key] = self.fmt(key)
+        return value
+
+
+def _line_ends(key: tuple) -> tuple:
+    """The text of an event line before its msg and after its time, from
+    the row's `write_trace` key.  A line holds the keys of `_dumps` in
+    sorted order, agents, kind, location, msg, time, trajs and type, each
+    formatted as the encoder would: ints by str, floats by float.__repr__
+    and strings by `_dumps`."""
+    agent, agent2, traj, traj2, x, y, kind = unpack("<4q2dq", key[0])
+    agents = f"[{agent}]" if agent2 == NO_ID else f"[{agent},{agent2}]"
+    trajs = f"[{traj}]" if traj2 == NO_ID else f"[{traj},{traj2}]"
+    location = "null" if math.isnan(x) else f"[{x!r},{y!r}]"
+    return (f'{{"agents":{agents},"kind":{_KIND_TEXT[kind]},"location":{location},'
+            '"msg":', f',"trajs":{trajs},"type":"event"}}')
+
+
+def write_trace(file, trace: Trace) -> None:
+    """Write the trace file to the open text file: the header line alone,
+    then the event lines of CHUNK_ROWS rows per write.
+
+    Each event line is byte for byte the `_dumps` encoding of the row's
+    {"type": "event", "time", "kind", "agents", "trajs", "location", "msg"}
+    object, built from the text before its msg, the msg, the time and the
+    text after it.  Rows repeat their agents, trajs, location and kind, so
+    the two ends are formatted once per distinct key, those four fields as
+    the 56 raw bytes of seven int64 words (raw, so that a NaN location finds
+    its string), and times once per distinct value in a chunk, keyed by the
+    float unless the chunk may hold -0.0 and 0.0, which are equal.
+    """
+    file.write(_dumps({"format_version": FORMAT_VERSION, "type": "header",
+                       **{key: getattr(trace, key) for key in _HEADER_KEYS}}) + "\n")
+    ends = _Memo(_line_ends)
+    for start in range(0, len(trace), CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        pairs = slice(2 * rows.start, 2 * rows.stop)
+        kind = trace.kind[rows]
+        words = array("q", bytes(56 * len(kind)))
+        for k, column in enumerate((trace.agents[pairs], trace.trajs[pairs],
+                                    array("q", trace.location[pairs].tobytes()))):
+            words[2 * k::7], words[2 * k + 1::7] = column[0::2], column[1::2]
+        words[6::7] = array("q", kind)
+        time = trace.time[rows]    # in time order: only a chunk spanning 0 has -0.0 and 0.0
+        times = map(float.__repr__ if time[0] <= 0.0 <= time[-1] else
+                    _Memo(float.__repr__).__getitem__, time)
+        msg = ["null" if m is None else _dumps(m) for m in trace.msg[rows]]
+        file.write("\n".join([f'{head}{m},"time":{t}{tail}' for (head, tail), m, t in
+                              zip(map(ends.__getitem__, iter_unpack("56s", words)),
+                                  msg, times)]) + "\n")
+
+
+def _events_table(body: list[str]) -> list[list]:
+    """The columns of event lines body, in `_EVENT_KEYS` order, parsed by one
+    `json.loads` over their joined text."""
+    try:
+        events = json.loads("[" + ",".join(body) + "]")
+    except (ValueError, RecursionError):   # not JSON, an integer too long, or too deep
+        events = None
+    if events is None or len(events) != len(body) or not set(map(type, events)) <= {dict}:
+        raise InvalidInstanceError("each trace event line must hold one JSON object")
+    return [[event[key] for event in events] for key in _EVENT_KEYS]
+
+
+def trace_from_lines(lines) -> Trace:
+    """Parse a trace file's lines, from a list or an open file, into a trace
+    table; blank lines are skipped.
+
+    The event lines are parsed CHUNK_ROWS at a time, and `Trace.extend`
+    checks each chunk's columns and appends them, so at most one chunk of
+    lines and their parsed objects is held beside the table.  A line that is
+    not one JSON object, a missing key, a format_version other than 2 and
+    whatever `Trace` rejects raise InvalidInstanceError.
+    """
+    lines = iter(lines)
+    try:
+        head = json.loads(next(lines, ""))
+    except (ValueError, RecursionError):   # not JSON, an integer too long, or too deep
+        head = None
+    if type(head) is not dict:
+        raise InvalidInstanceError("trace header line must hold one JSON object")
+    if head.get("format_version") != FORMAT_VERSION:
+        raise InvalidInstanceError(
+            f"unsupported trace format_version {head.get('format_version')!r}")
+    try:
+        trace = Trace(**{key: head[key] for key in _HEADER_KEYS})
+        body = filter(str.strip, lines)
+        with gc_paused():
+            while chunk := list(islice(body, CHUNK_ROWS)):
+                trace.extend(*_events_table(chunk))
+    except KeyError as exc:
+        raise InvalidInstanceError(f"trace document lacks key {exc}") from None
+    return trace

@@ -1,15 +1,15 @@
+import io
 import math
 
 import pytest
 
 import ringsync as rs
-from ringsync.cli import _EVENT_KEYS
-from ringsync.trace import EVENT_KINDS, NO_ID, Trace
+from ringsync.trace import _EVENT_KEYS, EVENT_KINDS, NO_ID, Trace, write_trace
 
 
 def trace_rows(trace, *kinds):
     """The trace's rows of the given kinds (all when none is given), in trace
-    order, as the trace file's event objects: dicts with `cli._EVENT_KEYS`,
+    order, as the trace file's event objects: dicts with `trace._EVENT_KEYS`,
     read field by field from the columns, without the trace writer."""
     def ids(column, r):
         return column[2 * r:2 * r + (1 if column[2 * r + 1] == NO_ID else 2)].tolist()
@@ -27,6 +27,13 @@ def trace_of(events, **header):
     trace = Trace(**header)
     trace.extend(*([e[key] for e in events] for key in _EVENT_KEYS))
     return trace
+
+
+def trace_lines(trace):
+    """The trace file's lines, as `write_trace` writes them."""
+    out = io.StringIO()
+    write_trace(out, trace)
+    return out.getvalue().splitlines()
 
 
 def event(time, kind, agents, msg=None):

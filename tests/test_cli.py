@@ -8,9 +8,10 @@ import pytest
 
 import ringsync as rs
 import ringsync.scheduler as sch
-from conftest import BAD_TRACE_HEADERS, SURVIVOR_MISMATCHES, path_grid
+from conftest import BAD_TRACE_HEADERS, SURVIVOR_MISMATCHES, path_grid, trace_lines
 from ringsync import cli, commgraph
 from ringsync.errors import InvalidInstanceError
+from ringsync.trace import trace_from_lines
 
 
 def invoke(*argv):
@@ -127,8 +128,8 @@ def test_trace_round_trip(tmp_path):
     _, _, traces = pipeline(tmp_path, strategy="rand:0.5", seeds="1",
                             extra=("--fail", "2", "--fail-seed", "5"))
     lines = (traces / "trace-0.jsonl").read_text().splitlines()
-    tr = cli.trace_from_lines(lines)
-    assert "\n".join(cli.trace_to_lines(tr)) == "\n".join(lines)
+    tr = trace_from_lines(lines)
+    assert trace_lines(tr) == lines
 
 
 def test_pipeline_byte_identical(tmp_path):
@@ -438,7 +439,8 @@ def test_trace_bad_event_is_error(tmp_path, capsys, kind, key, value):
 @pytest.mark.parametrize("head,word", [
     ([1], "JSON object"), (3, "JSON object"), *BAD_TRACE_HEADERS,
     ("not json", "JSON object"), (None, "JSON object"),
-    pytest.param('{"seed": 1' + "0" * 5000 + "}", "JSON object", id="5001-digit-seed")])
+    pytest.param('{"seed": 1' + "0" * 5000 + "}", "JSON object", id="5001-digit-seed"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "JSON object", id="nested-brackets")])
 def test_trace_bad_header_is_error(tmp_path, capsys, head, word):
     """A header line that is a JSON non-object, the text head or, for None,
     an empty file; or the trace's header with the fields head."""
@@ -454,7 +456,7 @@ def test_trace_bad_header_is_error(tmp_path, capsys, head, word):
     # Parsed directly first: report on a header that passes the parse may
     # never return (a zero period steps its period boundaries by zero).
     with pytest.raises(InvalidInstanceError, match=word):
-        cli.trace_from_lines(lines)
+        trace_from_lines(lines)
     path.write_text("".join(line + "\n" for line in lines))
     capsys.readouterr()
     assert invoke("report", "-t", str(traces)) == 1
@@ -472,7 +474,7 @@ def test_report_of_survivors_contradicting_failure_rows_is_error(tmp_path, capsy
     head = json.loads(lines[0])
     assert head["survivors"] != survivors
     lines[0] = json.dumps({**head, "survivors": survivors})
-    trace = cli.trace_from_lines(lines)
+    trace = trace_from_lines(lines)
     with pytest.raises(InvalidInstanceError, match="survivors are not the"):
         rs.report(trace)
     path.write_text("".join(line + "\n" for line in lines))
@@ -500,8 +502,8 @@ def test_generate_builds_graph_once_in_command(tmp_path, monkeypatch, capsys,
 def test_trace_lines_match_json_dumps(tmp_path):
     _, _, traces = pipeline(tmp_path, seeds="1", extra=("--fail-at", "4:600"))
     lines = (traces / "trace-0.jsonl").read_text().splitlines()
-    trace = cli.trace_from_lines(lines)
-    assert cli.trace_to_lines(trace) == lines == [
+    trace = trace_from_lines(lines)
+    assert trace_lines(trace) == lines == [
         json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
         for line in lines]
 
@@ -526,6 +528,33 @@ def test_report_rejects_version_1_trace(tmp_path, capsys):
     assert invoke("report", "-t", str(traces)) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InvalidInstanceError" and "format_version 1" in err["message"]
+
+
+@pytest.mark.parametrize("where,word", [
+    ("event", "each trace event line must hold one JSON object"),
+    ("instance", "nests JSON values too deeply")])
+def test_deeply_nested_json_is_typed_error(tmp_path, capsys, where, word):
+    """100,000 nested brackets as a trace's event line, through report, or
+    as a value in an instance file, through schedule: the JSON parser's
+    RecursionError becomes one InvalidInstanceError line.  The header line
+    is a case of `test_trace_bad_header_is_error`."""
+    deep = "[" * 100_000 + "]" * 100_000
+    if where == "instance":
+        inst = tmp_path / "i.json"
+        inst.write_text('{"format_version":1,"mode":"circle","meta":' + deep + "}")
+        argv = ("schedule", "-i", str(inst), "-o", str(tmp_path / "s.json"))
+    else:
+        _, _, traces = pipeline(tmp_path, seeds="1")
+        path = traces / "trace-0.jsonl"
+        lines = path.read_text().splitlines()
+        lines[1] = deep
+        path.write_text("\n".join(lines) + "\n")
+        argv = ("report", "-t", str(traces))
+    capsys.readouterr()
+    assert invoke(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "InvalidInstanceError" and word in err[0]
 
 
 SCIPY_PROBE = """
@@ -762,7 +791,7 @@ def test_simulate_agent_failed_twice_fails_once(tmp_path, capsys):
     traces = tmp_path / "t"
     assert invoke("simulate", "-i", str(inst), "-s", str(sched), "--horizon", "600",
                   "--fail-at", "4:0,4:100", "-o", str(traces)) == 0
-    tr = cli.trace_from_lines((traces / "trace-0.jsonl").read_text().splitlines())
+    tr = trace_from_lines((traces / "trace-0.jsonl").read_text().splitlines())
     rows = tr.rows_of("failure")
     assert [tr.agents[2 * r] for r in rows] == [4] and [tr.time[r] for r in rows] == [0.0]
 

@@ -107,6 +107,16 @@ def test_report_and_cli_import_load_no_numpy(workdir, argv):
     assert not loaded & {"numpy", "scipy"}, sorted(loaded & {"numpy", "scipy"})
 
 
+def test_trace_reader_and_report_load_no_cli(workdir):
+    probe = ("import ringsync\n"
+             "from ringsync.trace import trace_from_lines\n"
+             "with open('traces/trace-0.jsonl', encoding='utf-8') as f:\n"
+             "    print(ringsync.report(trace_from_lines(f)).row())")
+    loaded = loaded_modules(["-c", probe], workdir)
+    assert {"ringsync.trace", "ringsync.metrics"} <= loaded
+    assert not loaded & {"ringsync.cli", "argparse"}
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--grid", "3x3", "-o", "grid.json"],
     ["generate", "--preset", "case-study", "-o", "case-study.json"],

@@ -10,11 +10,11 @@ from functools import lru_cache
 import pytest
 
 import ringsync as rs
-from ringsync import cli
 from ringsync.errors import InvalidInstanceError
 from ringsync.simulator import SimConfig, run
-from ringsync.trace import CHUNK_ROWS, Strategy
-from test_trace_table import assert_same_table
+from ringsync.trace import CHUNK_ROWS, Strategy, _dumps, trace_from_lines, write_trace
+from conftest import trace_lines, trace_rows
+from test_trace_table import assert_same_table, reference_lines
 
 
 @lru_cache(maxsize=None)
@@ -33,34 +33,37 @@ def long_trace():
 
 def lines():
     """A fresh copy of the long trace's lines; line k + 1 is event row k."""
-    return cli.trace_to_lines(long_trace())
+    return trace_lines(long_trace())
 
 
 def parse_error(edited) -> str:
     with pytest.raises(InvalidInstanceError) as exc:
-        cli.trace_from_lines(edited)
+        trace_from_lines(edited)
     return str(exc.value)
 
 
 def test_round_trip_over_chunks():
     text = lines()
-    trace = cli.trace_from_lines(text)
+    trace = trace_from_lines(text)
     assert_same_table(trace, long_trace())
-    assert cli.trace_to_lines(trace) == text
+    assert trace_lines(trace) == text
 
 
 def test_file_writer_matches_lines(tmp_path):
+    # against the row-at-a-time encoding of every line
     path = tmp_path / "trace-0.jsonl"
-    cli._write_trace(str(path), long_trace())
-    assert path.read_text(encoding="utf-8") == "\n".join(lines()) + "\n"
+    with open(path, "w", encoding="utf-8") as f:
+        write_trace(f, long_trace())
+    reference = reference_lines(long_trace(), trace_rows(long_trace()))
+    assert path.read_text(encoding="utf-8") == "\n".join(reference) + "\n"
 
 
 def test_open_file_and_list_parse_alike(tmp_path):
     path = tmp_path / "trace-0.jsonl"
     path.write_text("\n".join(lines()) + "\n", encoding="utf-8")
     with open(path, encoding="utf-8") as f:
-        from_file = cli.trace_from_lines(f)
-    assert_same_table(from_file, cli.trace_from_lines(lines()))
+        from_file = trace_from_lines(f)
+    assert_same_table(from_file, trace_from_lines(lines()))
     assert_same_table(from_file, long_trace())
 
 
@@ -73,7 +76,7 @@ def test_time_inversion_across_a_boundary_is_error(row):
     after = json.loads(text[CHUNK_ROWS + 1])["time"]
     doc = json.loads(text[row + 1])
     doc["time"] = after + 0.5 if row == CHUNK_ROWS - 1 else before - 0.5
-    text[row + 1] = cli._dumps(doc)
+    text[row + 1] = _dumps(doc)
     assert parse_error(text) == "trace events are not in time order"
 
 
@@ -89,4 +92,4 @@ def test_bad_line_in_last_chunk_is_error(line):
 def test_blank_lines_at_a_boundary_are_skipped():
     text = lines()
     edited = text[:CHUNK_ROWS + 1] + ["", "  \n", "\n"] + text[CHUNK_ROWS + 1:] + [""]
-    assert_same_table(cli.trace_from_lines(edited), long_trace())
+    assert_same_table(trace_from_lines(edited), long_trace())
