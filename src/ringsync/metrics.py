@@ -202,7 +202,8 @@ def prove_starvation(trace: Trace) -> list:
     occupant of each trajectory (None for none).  The state at boundary k*T
     is that list once every row up to k*T + 1e-9*T has applied; states are
     kept from the first boundary at or after the last failure up to the
-    first repeat, and the rows before that boundary apply in one pass.
+    first repeat or the last boundary at or before horizon + 1e-9*T, and
+    the rows before the first boundary apply in one pass.
     Where k*T cannot tell k from k + 1 (the last failure at or past 2**53
     periods), that boundary is the last failure's time, and the next one,
     no later, repeats its state.
@@ -229,7 +230,7 @@ def prove_starvation(trace: Trace) -> list:
     t0 = None
     i = 0
     for t_b in boundaries:
-        if t_b > trace.horizon + 1e-9:
+        if t_b > trace.horizon + 1e-9 * T:
             break
         cut = t_b + 1e-9 * T
         while i < len(rows) and time[rows[i]] <= cut:

@@ -411,7 +411,9 @@ def assign_section_times(g: CommGraph, period: float = 1.0) -> SectionPlan:
     SECTION_LP_BUDGET LP solves, SectionSearchBudgetError is raised.  Trees
     get constant speed exactly.  No section time is below
     MIN_SECTION_FRACTION * T.  The cycles are cycle_basis(g), the
-    fundamental cycles of the BFS forest from node 0.
+    fundamental cycles of the BFS forest from node 0.  A plan for cycles
+    that fails validate_section_plan (the LP's absolute tolerances can
+    admit one at a tiny period) raises InfeasibleSectionTimesError.
     """
     check_positive("period", period)
     if g.lengths is None:
@@ -543,8 +545,10 @@ def assign_section_times(g: CommGraph, period: float = 1.0) -> SectionPlan:
     for i in times:
         scale = period / math.fsum(times[i])
         times[i] = [t * scale for t in times[i]]
-    return SectionPlan(period=period, link_order=order, times=times,
+    plan = SectionPlan(period=period, link_order=order, times=times,
                        section_lengths=sec_len)
+    validate_section_plan(plan, cycles)
+    return plan
 
 
 def schedule_general(g: CommGraph, plan: SectionPlan) -> Schedule:

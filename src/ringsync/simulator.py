@@ -18,7 +18,7 @@ import math
 import sys
 from array import array
 from bisect import bisect_left
-from heapq import heappop, heappush, heapreplace, merge
+from heapq import merge
 from itertools import count
 from operator import itemgetter
 from struct import pack
@@ -74,16 +74,16 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     timeline, with the tour-complete rows due before its last instant, are
     then sorted as (time, kind code, trajectory pair, agent pair, msg,
     location) tuples and appended to the columns, so they fill in trace
-    order.  Tours come from a heap of the next full period of each cohort
-    of occupation intervals.
+    order.  Tours come from cohorts, the occupation intervals that began
+    at one instant.
     An interval from start to end (the horizon if still open) completes a
     tour at start + k*T for every k >= 1 with start + k*T <= end + 1e-9*T.
-    A schedule that fails verify_schedule on graph (default: the
-    instance's), lacks the general-mode epoch of a link, has no start or
-    direction per agent, or is in general mode on a circle instance or a
-    circle mode on a path instance, a failure
-    agent or dfs root that is no agent id, or a run of more than
-    sys.maxsize rows raises InvalidInstanceError.
+    InvalidInstanceError is raised for a schedule that fails
+    verify_schedule on graph (default: the instance's), lacks the
+    general-mode epoch of a link, has no start or direction per agent, or
+    whose mode does not fit the instance (general mode on circles, circle
+    mode on paths); for a failure agent or dfs root that is no agent id; and
+    for a run of more than sys.maxsize rows.
     """
     g = graph if graph is not None else instance.graph()
     n = g.n
@@ -120,16 +120,16 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     occupancy = list(range(n))        # traj -> agent id or None
     agent_traj = list(range(n))       # agent -> traj, None once it failed
     # Occupation intervals complete their tours in cohorts, the intervals
-    # that began at one instant.  Cohort c began at begun[c]; its open
-    # intervals are the keys of members[c], each the tail of its tour rows
-    # (traj, NO_ID, agent, NO_ID, None, nan, nan); next_k[c] is its next tour
-    # not yet released, and waves a heap of (time of that tour, c, k).
-    # held[traj] is (cohort, tail) of the interval its occupant holds.
+    # that began at one instant: cohorts[start] is [k, tails], where
+    # start + k*T is its next tour not yet appended and tails maps each open
+    # interval's trajectory to the tail of its tour rows
+    # (traj, NO_ID, agent, NO_ID, None, nan, nan).  opened[traj] is the start
+    # of the interval that traj's occupant holds.
     tol = 1e-9 * T
     open_limit = horizon + tol
-    tails = [(traj, NO_ID, traj, NO_ID, None, nan, nan) for traj in range(n)]
-    held = [(0, tail) for tail in tails]
-    begun, members, next_k, waves = [0.0], [dict.fromkeys(tails)], [1], [(T, 0, 1)]
+    cohorts = {0.0: [1, {traj: (traj, NO_ID, traj, NO_ID, None, nan, nan)
+                         for traj in range(n)}]}
+    opened = [0.0] * n
     columns = dict(time=array("d"), kind=array("b"), agents=array("q"), trajs=array("q"),
                    location=array("d"), msg=[])
     # Rows as `_timeline` gives them: rows[:mark] are final and in trace
@@ -139,25 +139,24 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     def release(before: float) -> None:
         """Append the tour rows of the open intervals before the time
         `before` to rows, a cohort at a time."""
-        while waves and waves[0][0] < before:
-            tour, c, k = waves[0]
-            if tour <= open_limit and members[c]:
-                rows.extend(map((tour, TOUR_COMPLETE).__add__, members[c]))
-                next_k[c] = k + 1
-                heapreplace(waves, (begun[c] + (k + 1) * T, c, k + 1))
-            else:
-                heappop(waves)
-                members[c] = None     # no open interval left, or past the horizon
+        for start, cohort in cohorts.items():
+            k, tails = cohort
+            while (tour := start + k * T) < before and tour <= open_limit:
+                rows.extend(map((tour, TOUR_COMPLETE).__add__, tails.values()))
+                k += 1
+            cohort[0] = k
 
     def close(traj: int, t: float) -> None:
         """End the interval of traj's occupant at t: append its tour rows
         not yet released, up to t + 1e-9*T, and drop it from its cohort."""
-        c, tail = held[traj]
-        k = next_k[c]
-        while (tour := begun[c] + k * T) <= t + tol:
+        start = opened[traj]
+        k, tails = cohorts[start]
+        tail = tails.pop(traj)
+        while (tour := start + k * T) <= t + tol:
             rows.append((tour, TOUR_COMPLETE) + tail)
             k += 1
-        del members[c][tail]
+        if not tails:
+            del cohorts[start]
 
     with gc_paused():
         for chunk in timeline:
@@ -182,14 +181,9 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
                             occupancy[src] = None
                             occupancy[dst] = agent
                             agent_traj[agent] = dst
-                            if begun[-1] != t:
-                                heappush(waves, (t + T, len(begun), 1))
-                                begun.append(t)
-                                members.append({})
-                                next_k.append(1)
-                            tail = (dst, NO_ID, agent, NO_ID, None, nan, nan)
-                            members[-1][tail] = None
-                            held[dst] = (len(begun) - 1, tail)
+                            cohorts.setdefault(t, [1, {}])[1][dst] = (
+                                dst, NO_ID, agent, NO_ID, None, nan, nan)
+                            opened[dst] = t
                             rows.append((t, SWITCH, src, dst, agent, NO_ID, None, x, y))
                     else:                     # an emission or a failure of agent i
                         traj = agent_traj[i]

@@ -678,6 +678,21 @@ def test_schedule_over_solve_budget_is_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("inst,traj", [(rs.preset("case-study"), 2), (path_grid(2, 2), 1)],
+                         ids=["case-study", "grid-2x2"])
+def test_schedule_refuses_negative_section_times(tmp_path, capsys, inst, traj):
+    # At a period of 2**-40 s the LP's absolute tolerances admit a negative
+    # section time; the plan's own check refuses it instead of writing it.
+    inst_file = tmp_path / "paths.json"
+    inst_file.write_text(cli._dumps(cli.instance_to_json(inst)))
+    assert invoke("schedule", "-i", str(inst_file), "--period", repr(2.0**-40),
+                  "-o", str(tmp_path / "s.json")) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "InfeasibleSectionTimesError",
+        "message": f"non-positive section time on {traj}"}
+    assert not (tmp_path / "s.json").exists()
+
+
 def _grid_schedule(tmp_path, capsys):
     """A 3x3 grid instance and its period-300 opposite-direction schedule."""
     inst, sched = tmp_path / "i.json", tmp_path / "s.json"

@@ -79,6 +79,26 @@ def test_starvation_not_claimed_for_nondeterministic_strategy():
     assert prove_starvation(tr) == []
 
 
+@pytest.mark.parametrize("name", ["fig9a", "fig9b", "fig11", "fig7-starve"])
+def test_starvation_proof_does_not_depend_on_the_units(name):
+    # Scaling the period and horizon by a power of two is exact, so the proof
+    # and the flags must not move; the boundaries stop at the horizon plus a
+    # tolerance relative to the period, not one in seconds.
+    inst = rs.preset(name)
+    g = inst.graph()
+    failures = [(w, 0.0) for w in inst.meta["whites"]]
+
+    def verdict(periods, scale):
+        T = inst.meta["period"] * scale
+        tr = run(inst, rs.schedule_opposite_directions(g, period=T),
+                 SimConfig(horizon=periods * T, strategy=Strategy("alw"), failures=failures))
+        rep = rs.report(tr)
+        return prove_starvation(tr), rep.starvation_proven, rep.potentially_starving
+
+    for periods in (1, 2, 3, 5):
+        assert verdict(periods, 2.0**-40) == verdict(periods, 1.0) == verdict(periods, 2.0**40)
+
+
 @pytest.mark.parametrize("name", ["fig9a", "fig11", "fig7-starve"])
 def test_rand_at_integer_one_proves_starvation(name):
     # p=1 and p=1.0 always switch, so they run the same simulation; only

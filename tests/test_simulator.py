@@ -9,7 +9,8 @@ from ringsync.errors import InvalidInstanceError
 from ringsync.metrics import _gossip_scan
 from ringsync.commgraph import dfs_forest
 from ringsync.simulator import SimConfig, resolve_root, run
-from ringsync.trace import Strategy, occupancy_replay, parse_strategy
+from ringsync.rng import Rng
+from ringsync.trace import CHUNK_ROWS, SWITCH, Strategy, occupancy_replay, parse_strategy
 from conftest import path_grid, trace_rows
 from test_gossip import scheduled, simulations
 
@@ -167,6 +168,19 @@ def test_tour_rows_of_a_bouncing_agent_match_stay_replay():
         inst, g, sched = scheduled("random", 2, seed)
         trace = run(inst, sched, SimConfig(horizon=20.0, failures=[(0, 0.0)]), graph=g)
         assert tour_rows(trace) == reference_tours(trace), seed
+
+
+@pytest.mark.parametrize("strategy", ["rand:0.5", "alw"])
+def test_tour_rows_match_stay_replay_across_chunk_flushes(strategy):
+    # A fifth of random 60's agents fail at t=0, so the survivors switch
+    # hundreds of times while `run` flushes its rows to the columns.
+    inst, g, sched = scheduled("random", 60, 0)
+    failures = [(a, 0.0) for a in Rng(0).choice(60, 12)]
+    trace = run(inst, sched, SimConfig(horizon=60.0, strategy=parse_strategy(strategy),
+                                       failures=failures), graph=g)
+    assert len(trace.time) > 4 * CHUNK_ROWS
+    assert trace.kind.count(SWITCH) > 100
+    assert tour_rows(trace) == reference_tours(trace)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", True, False, None])
