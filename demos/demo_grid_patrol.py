@@ -27,7 +27,6 @@ def main():
     reports = []
     for seed in SEEDS:
         trace = run(inst, sched, SimConfig(horizon=HORIZON, seed=seed))
-        assert rs.occupancy_replay(trace).consistent
         reports.append(rs.report(trace))
 
     agg = rs.aggregate(reports)

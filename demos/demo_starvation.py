@@ -20,7 +20,6 @@ def evaluate(inst, sched, strategy, failures, horizon, seeds):
     for seed in seeds:
         trace = run(inst, sched, SimConfig(horizon=horizon, strategy=strategy,
                                            seed=seed, failures=failures))
-        assert rs.occupancy_replay(trace).consistent
         reports.append(rs.report(trace))
     return rs.aggregate(reports)
 

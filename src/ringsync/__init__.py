@@ -25,7 +25,7 @@ _SUBMODULE_NAMES = {
                   "schedule_opposite_directions", "schedule_same_direction",
                   "validate_section_plan", "verify_schedule"),
     "simulator": ("SimConfig", "run"),
-    "trace": ("Strategy", "Trace", "occupancy_replay", "parse_strategy"),
+    "trace": ("Strategy", "Trace", "parse_strategy"),
 }
 _SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
 __all__ = sorted(_SUBMODULE)

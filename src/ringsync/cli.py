@@ -166,8 +166,7 @@ def schedule_from_json(doc: dict) -> tuple[Schedule, list, SectionPlan | None]:
             raise InvalidInstanceError("schedule retained_edges must be pairs of agent ids")
         retained = [tuple(e) for e in retained]
         plan = None
-        if doc.get("plan"):
-            p = doc["plan"]
+        if (p := doc.get("plan")) is not None:
             if type(p) is not dict:
                 raise InvalidInstanceError("schedule plan must be an object")
             check_positive("section plan period", p["period"])

@@ -10,8 +10,7 @@ from itertools import compress, count, islice, repeat
 from operator import and_
 
 from .errors import InvalidInstanceError
-from .trace import (EMIT, MEETING, SWITCH, TOUR_COMPLETE, Trace, occupancy_replay,
-                    parse_strategy)
+from .trace import EMIT, MEETING, SWITCH, TOUR_COMPLETE, Trace, parse_strategy
 
 INF = float("inf")
 
@@ -137,15 +136,28 @@ def broadcast_time(trace: Trace) -> float:
 
 
 def abandoned_time(trace: Trace) -> float:
-    """Max over trajectories of the longest unattended interval; an
-    occupation interval still open after the last row ends at the horizon."""
-    occ = occupancy_replay(trace)
-    reached = [0.0] * trace.n         # per trajectory: the latest end so far
+    """Max over trajectories of the longest unattended interval; one still
+    vacant after the last row runs to the horizon.
+
+    One fold over the failure and switch rows keeps per trajectory the time
+    it became vacant, 0.0 for one empty at the start and None while it is
+    held.  A row vacates its source only if the source is held, from time 0
+    at the earliest, and a switch ends its target's vacancy only if the
+    target is vacant.
+    """
+    vacant = [0.0 if a is None else None for a in trace.initial_occupancy]
     worst = 0.0
-    for traj, start, end in zip(occ.traj, occ.start, occ.end):
-        worst = max(worst, start - reached[traj])
-        reached[traj] = max(reached[traj], trace.horizon if math.isinf(end) else end)
-    return max([worst, *(trace.horizon - t for t in reached)])
+    time, kind, trajs = trace.time, trace.kind, trace.trajs
+    for r in trace.rows_of("failure", "switch"):
+        t, src = time[r], trajs[2 * r]
+        if vacant[src] is None:
+            vacant[src] = max(0.0, t)
+        if kind[r] == SWITCH:
+            dst = trajs[2 * r + 1]
+            if vacant[dst] is not None:
+                worst = max(worst, t - vacant[dst])
+                vacant[dst] = None
+    return max([worst, *(trace.horizon - t for t in vacant if t is not None)])
 
 
 def starvation_time(trace: Trace):

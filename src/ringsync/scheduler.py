@@ -32,7 +32,8 @@ CW = "CW"
 # Phase tolerance (fraction of the period) of verify_schedule.
 PHASE_TOL = 1e-9
 
-# Smallest admissible section time, as a fraction of the period.
+# Smallest section time the section-time LP admits, as a fraction of the
+# period; tree layouts get constant speed instead, which may go below it.
 MIN_SECTION_FRACTION = 0.01
 
 # Slack of the interval cut (_interval_infeasible) per row nonzero, plus one.
@@ -300,10 +301,10 @@ def _cycle_rows(order, cycles) -> np.ndarray:
     return rows
 
 
-def check_plan_shape(plan: SectionPlan):
+def check_plan_shape(plan: SectionPlan, nonpositive=InvalidInstanceError):
     """Raise InvalidInstanceError unless times and link_order have the same
     trajectories and each time list is as long as its link list and holds
-    finite numbers."""
+    finite numbers, then `nonpositive` if a time is 0 or less."""
     order, times = plan.link_order, plan.times
     if times.keys() != order.keys() or not all(
             type(times[i]) is list and type(nbs) is list and len(times[i]) == len(nbs)
@@ -311,6 +312,9 @@ def check_plan_shape(plan: SectionPlan):
             for i, nbs in order.items()):
         raise InvalidInstanceError("section plan times must be one list of finite numbers "
                                    "per trajectory of its link order, of the same length")
+    for traj, ts in times.items():
+        if any(t <= 0 for t in ts):
+            raise nonpositive(f"non-positive section time on {traj}")
 
 
 def validate_section_plan(plan: SectionPlan, cycles):
@@ -318,18 +322,17 @@ def validate_section_plan(plan: SectionPlan, cycles):
 
     The cycle sums are the rows of _cycle_rows, the equations the section-time
     LP solves, applied to the plan's times.  Returns the list of feasible z
-    values, one per cycle, or raises InfeasibleSectionTimesError.  Raises
-    InvalidInstanceError where check_plan_shape does, or if a cycle steps
-    between trajectories the plan does not link.  Each sum may miss by
-    1e-12 * T (times k for a k-cycle).
+    values, one per cycle, or raises InfeasibleSectionTimesError, also for
+    a section time of 0 or less.  Raises InvalidInstanceError where
+    check_plan_shape does for the plan's shape, or if a cycle steps between
+    trajectories the plan does not link.  Each sum may miss by 1e-12 * T
+    (times k for a k-cycle).
     """
     import numpy as np
     T = plan.period
     tol = 1e-12 * T
-    check_plan_shape(plan)
+    check_plan_shape(plan, InfeasibleSectionTimesError)
     for traj, times in plan.times.items():
-        if any(t <= 0 for t in times):
-            raise InfeasibleSectionTimesError(f"non-positive section time on {traj}")
         if abs(sum(times) - T) > tol:
             raise InfeasibleSectionTimesError(
                 f"section times on {traj} sum to {sum(times)}, expected {T}")
@@ -408,12 +411,14 @@ def assign_section_times(g: CommGraph, period: float = 1.0) -> SectionPlan:
     check is the only one prefixes get.  The result is the lexicographically
     first z with the least bound, as full enumeration returns.  The worst
     case is still exponential in the number of cycles: past
-    SECTION_LP_BUDGET LP solves, SectionSearchBudgetError is raised.  Trees
-    get constant speed exactly.  No section time is below
-    MIN_SECTION_FRACTION * T.  The cycles are cycle_basis(g), the
-    fundamental cycles of the BFS forest from node 0.  A plan for cycles
-    that fails validate_section_plan (the LP's absolute tolerances can
-    admit one at a tiny period) raises InfeasibleSectionTimesError.
+    SECTION_LP_BUDGET LP solves, SectionSearchBudgetError is raised.  Where
+    there are cycles, no section time is below MIN_SECTION_FRACTION * T.
+    Trees get constant speed exactly, so a section between two close links
+    keeps its share of the loop, however small.  The cycles are
+    cycle_basis(g), the fundamental cycles of the BFS forest from node 0.
+    A plan for cycles that fails validate_section_plan (the LP's absolute
+    tolerances can admit one at a tiny period) raises
+    InfeasibleSectionTimesError.
     """
     check_positive("period", period)
     if g.lengths is None:

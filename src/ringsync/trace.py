@@ -2,12 +2,13 @@
 
 A trace stores its events as one table of standard-library columns (see
 `Trace`); the trace file's event object, one JSON line per row, is the only
-other form a row takes.  Which agent held which trajectory when is read back
-from a trace by `occupancy_replay`, whose intervals give abandoned time, and
-by the starvation proof's own replay onto a list of occupants; the simulator,
-which makes the moves, releases each occupation's tour rows as it goes.
-This module needs only the standard library, so reading and measuring a
-trace loads neither numpy nor any geometry, graph or scheduling code.
+other form a row takes.  Who held which trajectory when is not stored: the
+metrics fold it from the switch and failure rows, abandoned time as each
+trajectory's vacancy and the starvation proof as a list of occupants, and
+the simulator, which makes the moves, releases each occupation's tour rows
+as it goes.  This module needs only the standard library, so reading and
+measuring a trace loads neither numpy nor any geometry, graph or scheduling
+code.
 
 The trace file, line-delimited JSON, is written by `write_trace` and read
 by `trace_from_lines`, both here.  They handle CHUNK_ROWS lines at a time,
@@ -23,9 +24,7 @@ import math
 from array import array
 from contextlib import contextmanager
 from itertools import chain, compress, count, islice
-from operator import itemgetter
 from struct import iter_unpack, unpack
-from typing import NamedTuple
 
 from .errors import InvalidInstanceError, check_positive
 
@@ -244,49 +243,6 @@ def _finite_column(values, key: str) -> array:
         bad = next(v for v, x in zip(values, col) if not math.isfinite(x))
         raise InvalidInstanceError(f"trace event {key} {bad!r} is not finite")
     return col
-
-
-class Occupancy(NamedTuple):
-    """Occupation intervals from one replay of a trace's switch and failure rows.
-
-    Interval k: `agent[k]` held `traj[k]` from `start[k]` to `end[k]`; `end`
-    is inf when the agent still holds the trajectory after the last row.  Per
-    trajectory, intervals are in time order.  `consistent` is False when some
-    row moves or fails an agent that does not hold the row's source
-    trajectory, or a switch lands on a trajectory another agent holds.
-    """
-    traj: list
-    agent: list
-    start: list
-    end: list
-    consistent: bool
-
-
-def occupancy_replay(trace: Trace) -> Occupancy:
-    """Replay the switch and failure rows once, in trace order."""
-    current = {traj: (0.0, a) for traj, a in enumerate(trace.initial_occupancy)
-               if a is not None}
-    closed = []                       # (traj, agent, start, end)
-    consistent = True
-    time, kind, agents, trajs = trace.time, trace.kind, trace.agents, trace.trajs
-    for r in trace.rows_of("failure", "switch"):
-        t, agent, src = time[r], agents[2 * r], trajs[2 * r]
-        held = current.pop(src, None)
-        if held is not None:
-            closed.append((src, held[1], held[0], t))
-        if held is None or held[1] != agent:
-            consistent = False
-        if kind[r] == SWITCH:
-            dst = trajs[2 * r + 1]
-            other = current.get(dst)
-            if other is not None:
-                consistent = False
-                closed.append((dst, other[1], other[0], t))
-            current[dst] = (t, agent)
-    closed += [(traj, a, start, math.inf) for traj, (start, a) in current.items()]
-    closed.sort(key=itemgetter(0))    # stable: each trajectory's stays keep their order
-    traj, agent, start, end = map(list, zip(*closed)) if closed else ([], [], [], [])
-    return Occupancy(traj=traj, agent=agent, start=start, end=end, consistent=consistent)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,53 @@ def trace_of(events, **header):
     return trace
 
 
+def reference_occupancy_check(trace, events):
+    """Whether the event objects keep the occupancy invariant: each switch
+    moves its agent off the trajectory it holds onto one that is empty or
+    its own.  A failure frees the failed agent's trajectory."""
+    occupancy = {t: a for t, a in enumerate(trace.initial_occupancy) if a is not None}
+    where = {a: t for t, a in occupancy.items()}
+    for ev in events:
+        if ev["kind"] == "failure":
+            traj = where.pop(ev["agents"][0], None)
+            if traj is not None:
+                occupancy.pop(traj, None)
+        elif ev["kind"] == "switch":
+            agent = ev["agents"][0]
+            src, dst = ev["trajs"]
+            if occupancy.get(dst) not in (None, agent) or occupancy.get(src) != agent:
+                return False
+            del occupancy[src]
+            occupancy[dst] = agent
+            where[agent] = dst
+    return True
+
+
+def reference_intervals(trace, events):
+    """Per trajectory, its occupation intervals (start, end, agent) in time
+    order, replayed from the event objects; one still open after the last
+    row ends at the horizon."""
+    intervals = {t: [] for t in range(trace.n)}
+    current = {t: (0.0, a) for t, a in enumerate(trace.initial_occupancy) if a is not None}
+    for ev in events:
+        if ev["kind"] == "failure":
+            traj = ev["trajs"][0]
+            if traj in current:
+                start, agent = current.pop(traj)
+                intervals[traj].append((start, ev["time"], agent))
+        elif ev["kind"] == "switch":
+            # the source's occupation ends, and so does that of an agent
+            # the switch lands on
+            for traj in ev["trajs"]:
+                if traj in current:
+                    start, agent = current.pop(traj)
+                    intervals[traj].append((start, ev["time"], agent))
+            current[ev["trajs"][1]] = (ev["time"], ev["agents"][0])
+    for traj, (start, agent) in current.items():
+        intervals[traj].append((start, trace.horizon, agent))
+    return intervals
+
+
 def trace_lines(trace):
     """The trace file's lines, as `write_trace` writes them."""
     out = io.StringIO()

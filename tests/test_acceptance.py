@@ -12,13 +12,13 @@ import pytest
 
 import ringsync as rs
 from conftest import (CASE_STUDY_CYCLES, cycle_feasible_opposite, cycle_residue,
-                      paper_section_plan, trace_rows)
+                      paper_section_plan, reference_occupancy_check, trace_rows)
 from ringsync import cli
 from ringsync.commgraph import CommGraph, EdgeData, edge_key
 from ringsync.errors import NotSynchronizableError
 from ringsync.geometry import Circle, Point2
 from ringsync.simulator import SimConfig, run
-from ringsync.trace import Strategy, occupancy_replay
+from ringsync.trace import Strategy
 
 TRACES = []  # every trace produced below; re-checked by the occupancy criterion
 
@@ -154,7 +154,7 @@ def test_criterion_6_starvation(name):
 def test_criterion_7_occupancy_invariant():
     assert TRACES, "earlier criteria must run first"
     for tr in TRACES:
-        assert occupancy_replay(tr).consistent
+        assert reference_occupancy_check(tr, trace_rows(tr))
     _passline(7, f"occupancy invariant holds on all {len(TRACES)} traces")
 
 

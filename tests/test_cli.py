@@ -984,3 +984,50 @@ def test_simulate_of_bad_schedule_is_error(tmp_path, capsys, name):
     err = _simulate_error(tmp_path, capsys, inst, sched)
     assert err["error"] == "InvalidInstanceError" and word in err["message"]
     assert not (tmp_path / "t").exists()
+
+
+# Section plan edits that `schedule` never writes, each with the message of
+# the InvalidInstanceError that `simulate` exits with.
+BAD_PLANS = {
+    "times-negative": (lambda p: {**p, "times": {k: [-1.0] * len(v)
+                                                 for k, v in p["times"].items()}},
+                       "non-positive section time on 0"),
+    "plan-empty-list": (lambda p: [], "schedule plan must be an object"),
+    "plan-zero": (lambda p: 0, "schedule plan must be an object"),
+    "plan-false": (lambda p: False, "schedule plan must be an object"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_PLANS)
+def test_simulate_of_plan_never_written_is_error(tmp_path, capsys, name):
+    inst, sched = tmp_path / "i.json", tmp_path / "s.json"
+    assert invoke("generate", "--preset", "case-study", "-o", str(inst)) == 0
+    assert invoke("schedule", "-i", str(inst), "-o", str(sched)) == 0
+    doc = json.loads(sched.read_text())
+    edit, message = BAD_PLANS[name]
+    doc["plan"] = edit(doc["plan"])
+    sched.write_text(cli._dumps(doc))
+    capsys.readouterr()
+    err = _simulate_error(tmp_path, capsys, inst, sched)
+    assert err == {"error": "InvalidInstanceError", "message": message}
+    assert not (tmp_path / "t").exists()
+
+
+def test_tree_plan_keeps_sections_below_the_cycle_floor(tmp_path, capsys):
+    # A tree gets constant speed, so trajectory 0's links with 1 and 2, 1
+    # apart on its 202-long loop, are a section of 1/202 T: below
+    # MIN_SECTION_FRACTION * T, which binds only where there are cycles.
+    # The plan is valid, and schedule and simulate take it.
+    def rect(x0, x1, y0, y1):
+        return rs.ClosedPath([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+    inst = rs.Instance(mode="path", ranges=[0.45] * 3, paths=[
+        rect(0.0, 100.0, 0.0, 1.0), rect(99.5, 100.5, 1.4, 2.4), rect(100.4, 101.4, -1.0, 0.9)])
+    plan = rs.assign_section_times(inst.graph(), period=1.0)
+    assert min(map(min, plan.times.values())) < sch.MIN_SECTION_FRACTION
+    assert rs.validate_section_plan(plan, []) == []
+    inst_file, sched = tmp_path / "i.json", tmp_path / "s.json"
+    inst_file.write_text(cli._dumps(cli.instance_to_json(inst)))
+    assert invoke("schedule", "-i", str(inst_file), "--period", "1", "-o", str(sched)) == 0
+    assert invoke("simulate", "-i", str(inst_file), "-s", str(sched), "--horizon", "10",
+                  "-o", str(tmp_path / "t")) == 0
+    assert (tmp_path / "t" / "trace-0.jsonl").exists()

@@ -8,7 +8,9 @@ import pytest
 import ringsync as rs
 from ringsync.metrics import INF, TABLE_HEADER, prove_starvation
 from ringsync.simulator import SimConfig, run
-from ringsync.trace import Strategy, occupancy_replay
+from ringsync.trace import Strategy
+from conftest import event, reference_intervals, trace_of, trace_rows
+from test_trace_table import reference_abandoned
 
 
 def run_preset(name, strategy, seed=0, fail_whites=True):
@@ -60,10 +62,24 @@ def test_abandoned_after_total_loss():
     tr = run(inst, sched, SimConfig(horizon=4000.0, strategy=Strategy("alw"),
                                     failures=failures))
     assert rs.abandoned_time(tr) >= 2000.0
-    occ = occupancy_replay(tr)
-    for traj, end in zip(occ.traj, occ.end):
-        if traj in inst.meta["p_trajs"]:
-            assert end <= 2000.0 + 1e-9
+    intervals = reference_intervals(tr, trace_rows(tr))
+    for traj in inst.meta["p_trajs"]:
+        assert all(end <= 2000.0 + 1e-9 for _, end, _ in intervals[traj])
+
+
+def test_abandoned_time_counts_vacancies_from_time_zero():
+    # Trajectory 0 is vacated at -5 and 2 starts empty: both count from 0 as
+    # the interval reference does.  Agent 1's switch from 0, which it does
+    # not hold, vacates nothing, and its switch onto 1, which it holds,
+    # ends no vacancy.
+    trace = trace_of(
+        [event(-5.0, "failure", [0]),
+         {**event(1.0, "switch", [1]), "trajs": [0, 1]},
+         {**event(3.0, "switch", [1]), "trajs": [1, 2]}],
+        n=3, period=1.0, horizon=10.0, strategy="alw", seed=0,
+        initial_occupancy=[0, 1, None], survivors=[1, 2])
+    assert rs.abandoned_time(trace) == 10.0
+    assert rs.abandoned_time(trace) == reference_abandoned(trace, trace_rows(trace))
 
 
 def test_starvation_proven_for_alw():

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -10,9 +11,10 @@ from ringsync.metrics import _gossip_scan
 from ringsync.commgraph import dfs_forest
 from ringsync.simulator import SimConfig, resolve_root, run
 from ringsync.rng import Rng
-from ringsync.trace import CHUNK_ROWS, SWITCH, Strategy, occupancy_replay, parse_strategy
-from conftest import path_grid, trace_rows
+from ringsync.trace import CHUNK_ROWS, SWITCH, Strategy, parse_strategy
+from conftest import path_grid, reference_occupancy_check, trace_rows
 from test_gossip import scheduled, simulations
+from test_trace_table import reference_abandoned
 
 
 def grid_setup(period=1.0):
@@ -41,7 +43,7 @@ def test_trace_time_ordered_and_occupancy_holds():
     tr = run(inst, sched, SimConfig(horizon=5.0, failures=[(4, 2.0)]))
     times = list(tr.time)
     assert times == sorted(times)
-    assert occupancy_replay(tr).consistent
+    assert reference_occupancy_check(tr, trace_rows(tr))
     assert tr.survivors == [a for a in range(9) if a != 4]
 
 
@@ -75,7 +77,7 @@ def test_dfs_switches_only_on_tree_edges():
                                     failures=[(4, 0.0), (1, 0.0)]))
     for e in trace_rows(tr, "switch"):
         assert tuple(sorted(e["trajs"])) in tree
-    assert occupancy_replay(tr).consistent
+    assert reference_occupancy_check(tr, trace_rows(tr))
 
 
 def test_switch_adopts_target_and_counts_tours():
@@ -89,7 +91,7 @@ def test_switch_adopts_target_and_counts_tours():
     tr = run(inst, sched, SimConfig(horizon=6.0, strategy=Strategy("alw"),
                                     failures=[(1, 0.0)]))
     switches = trace_rows(tr, "switch")
-    assert switches and occupancy_replay(tr).consistent
+    assert switches and reference_occupancy_check(tr, trace_rows(tr))
     # agent 0 bounces between the two trajectories every period
     trajs = [e["trajs"][1] for e in switches]
     assert trajs == [1, 0] * (len(trajs) // 2) + ([1] if len(trajs) % 2 else [])
@@ -170,17 +172,30 @@ def test_tour_rows_of_a_bouncing_agent_match_stay_replay():
         assert tour_rows(trace) == reference_tours(trace), seed
 
 
-@pytest.mark.parametrize("strategy", ["rand:0.5", "alw"])
-def test_tour_rows_match_stay_replay_across_chunk_flushes(strategy):
-    # A fifth of random 60's agents fail at t=0, so the survivors switch
-    # hundreds of times while `run` flushes its rows to the columns.
+@functools.cache
+def chunk_flush_trace(strategy):
+    """Random 60 with a fifth of its agents failed at t=0, so the survivors
+    switch hundreds of times while `run` flushes its rows to the columns."""
     inst, g, sched = scheduled("random", 60, 0)
     failures = [(a, 0.0) for a in Rng(0).choice(60, 12)]
-    trace = run(inst, sched, SimConfig(horizon=60.0, strategy=parse_strategy(strategy),
-                                       failures=failures), graph=g)
+    return run(inst, sched, SimConfig(horizon=60.0, strategy=parse_strategy(strategy),
+                                      failures=failures), graph=g)
+
+
+@pytest.mark.parametrize("strategy", ["rand:0.5", "alw"])
+def test_tour_rows_match_stay_replay_across_chunk_flushes(strategy):
+    trace = chunk_flush_trace(strategy)
     assert len(trace.time) > 4 * CHUNK_ROWS
     assert trace.kind.count(SWITCH) > 100
     assert tour_rows(trace) == reference_tours(trace)
+
+
+@pytest.mark.parametrize("strategy", ["rand:0.5", "alw"])
+def test_abandoned_time_matches_interval_reference_across_chunk_flushes(strategy):
+    trace = chunk_flush_trace(strategy)
+    rows = trace_rows(trace)
+    assert reference_occupancy_check(trace, rows)
+    assert repr(rs.abandoned_time(trace)) == repr(reference_abandoned(trace, rows))
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", True, False, None])
@@ -210,10 +225,10 @@ def test_occupancy_check_detects_corruption():
     inst, g, sched = grid_setup()
     tr = run(inst, sched, SimConfig(horizon=8.0, strategy=Strategy("alw"),
                                     failures=[(4, 0.0)]))
-    assert occupancy_replay(tr).consistent
+    assert reference_occupancy_check(tr, trace_rows(tr))
     first = tr.rows_of("switch")[0]
     tr.trajs[2 * first + 1] = tr.trajs[2 * first]  # switch onto itself
-    assert not occupancy_replay(tr).consistent
+    assert not reference_occupancy_check(tr, trace_rows(tr))
 
 
 def test_parse_strategy():
@@ -262,7 +277,7 @@ def test_dfs_on_long_chain():
     tr = run(None, sched, SimConfig(horizon=2.0, strategy=Strategy("dfs", root=n - 1),
                                     failures=[(0, 0.0)]), graph=g)
     assert [e["trajs"] for e in trace_rows(tr, "switch")][:1] == [[1, 0]]
-    assert occupancy_replay(tr).consistent
+    assert reference_occupancy_check(tr, trace_rows(tr))
 
 
 def test_run_peak_memory_stays_near_its_table():
