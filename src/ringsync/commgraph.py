@@ -41,12 +41,10 @@ class EdgeData(NamedTuple):
 
 
 class CommGraph:
-    def __init__(self, n: int, edges: dict | None = None, mode: str = "circle",
-                 lengths: list | None = None):
+    def __init__(self, n: int, edges: dict | None = None, lengths: list | None = None):
         self.n = n
         self.edges = {} if edges is None else edges  # (i, j) i<j -> EdgeData
-        self.mode = mode                              # "circle" | "path"
-        self.lengths = lengths                        # trajectory lengths (path mode)
+        self.lengths = lengths                        # trajectory lengths, None on circles
         # per node: neighbours in ascending order; it and the cached forest are facts
         # of edges, which is never mutated after construction (subgraph builds anew)
         adj = [[] for _ in range(n)]
@@ -77,7 +75,7 @@ class CommGraph:
     def subgraph(self, keep_edges) -> "CommGraph":
         keep = {edge_key(*e) for e in keep_edges}
         return CommGraph(self.n, {k: v for k, v in self.edges.items() if k in keep},
-                         self.mode, self.lengths)
+                         self.lengths)
 
     @cached_property
     def forest(self) -> "Forest":
@@ -218,7 +216,7 @@ def build_circle_graph(circles: list[Circle], r: float) -> CommGraph:
                 phi_ij, phi_ji = link_positions(ci, circles[j])
                 edges[(i, j)] = EdgeData(beta=line_angle_points(ci.center, circles[j].center),
                                          phi={i: phi_ij, j: phi_ji})
-    return CommGraph(n=len(circles), edges=edges, mode="circle")
+    return CommGraph(n=len(circles), edges=edges)
 
 
 def build_path_graph(paths: list[ClosedPath], ranges: list[float]) -> CommGraph:
@@ -257,8 +255,7 @@ def build_path_graph(paths: list[ClosedPath], ranges: list[float]) -> CommGraph:
                 pj = paths[j].position_at(sj)
                 edges[(i, j)] = EdgeData(beta=line_angle_points(pi, pj),
                                          phi={i: si, j: sj})
-    return CommGraph(n=len(paths), edges=edges, mode="path",
-                     lengths=[p.length for p in paths])
+    return CommGraph(n=len(paths), edges=edges, lengths=[p.length for p in paths])
 
 
 def two_color(g: CommGraph):

@@ -141,9 +141,8 @@ def abandoned_time(trace: Trace) -> float:
 
     One fold over the failure and switch rows keeps per trajectory the time
     it became vacant, 0.0 for one empty at the start and None while it is
-    held.  A row vacates its source only if the source is held, from time 0
-    at the earliest, and a switch ends its target's vacancy only if the
-    target is vacant.
+    held.  A row vacates its source only if the source is held, and a switch
+    ends its target's vacancy only if the target is vacant.
     """
     vacant = [0.0 if a is None else None for a in trace.initial_occupancy]
     worst = 0.0
@@ -151,7 +150,7 @@ def abandoned_time(trace: Trace) -> float:
     for r in trace.rows_of("failure", "switch"):
         t, src = time[r], trajs[2 * r]
         if vacant[src] is None:
-            vacant[src] = max(0.0, t)
+            vacant[src] = t
         if kind[r] == SWITCH:
             dst = trajs[2 * r + 1]
             if vacant[dst] is not None:

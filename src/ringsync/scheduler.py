@@ -157,21 +157,6 @@ class Schedule:
                 f"0..{n - 1}) to finite times for each of its {n} starts")
 
 
-class SyncReport:
-    def __init__(self, period: float, edges: dict | None = None):
-        self.period = period
-        # (i, j) -> (synchronized, phase_error_seconds)
-        self.edges = {} if edges is None else edges
-
-    @property
-    def all_synchronized(self) -> bool:
-        return all(ok for ok, _ in self.edges.values())
-
-    @property
-    def max_phase_error(self) -> float:
-        return max((err for _, err in self.edges.values()), default=0.0)
-
-
 def arrival_time(alpha: float, direction: str, phi: float, period: float) -> float:
     """First time an agent starting at alpha reaches angle phi."""
     if direction == CCW:
@@ -222,31 +207,31 @@ def _arrival_pair(g: CommGraph, s: Schedule, i: int, j: int) -> tuple:
             arrival_time(s.starts[j], s.dirs[j], g.phi(j, i), s.period))
 
 
-def verify_schedule(g: CommGraph, s: Schedule) -> SyncReport:
-    """Check every edge: first arrivals at the two link positions coincide mod T."""
-    report = SyncReport(period=s.period)
+def verify_schedule(g: CommGraph, s: Schedule) -> dict:
+    """The common link epoch of every edge (i, j) of g, in edge_list order:
+    math.fmod(t_i, T), where t_i and t_j are the first arrivals of agents i
+    and j at their link positions.
+
+    Raises ClosureViolationError, naming every edge whose two arrivals
+    differ mod T by more than PHASE_TOL * T, with .edge the first of them.
+    """
+    T = s.period
+    epochs, bad = {}, []
     for (i, j) in g.edge_list():
         ti, tj = _arrival_pair(g, s, i, j)
-        diff = math.fmod(abs(ti - tj), s.period)
-        err = min(diff, s.period - diff)
-        report.edges[(i, j)] = (err <= PHASE_TOL * s.period, err)
-    return report
+        diff = math.fmod(abs(ti - tj), T)
+        if not min(diff, T - diff) <= PHASE_TOL * T:
+            bad.append((i, j))
+        epochs[i, j] = math.fmod(ti, T)
+    if bad:
+        raise ClosureViolationError(f"cycle closure violated on edges {bad}", edge=bad[0])
+    return epochs
 
 
 def _verified(g: CommGraph, s: Schedule) -> Schedule:
-    """s, or ClosureViolationError on the edges verify_schedule rejects."""
-    report = verify_schedule(g, s)
-    bad = [e for e, (ok, _) in report.edges.items() if not ok]
-    if bad:
-        raise ClosureViolationError(
-            f"cycle closure violated on edges {bad}", edge=bad[0])
+    """s, once verify_schedule accepts it on g."""
+    verify_schedule(g, s)
     return s
-
-
-def link_epochs(g: CommGraph, s: Schedule) -> dict:
-    """Per edge, the common link arrival epoch in [0, T) of both occupants."""
-    return {(i, j): math.fmod(_arrival_pair(g, s, i, j)[0], s.period)
-            for (i, j) in g.edge_list()}
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +286,11 @@ def _cycle_rows(order, cycles) -> np.ndarray:
     return rows
 
 
-def check_plan_shape(plan: SectionPlan, nonpositive=InvalidInstanceError):
+def check_plan_shape(plan: SectionPlan, infeasible=InvalidInstanceError):
     """Raise InvalidInstanceError unless times and link_order have the same
     trajectories and each time list is as long as its link list and holds
-    finite numbers, then `nonpositive` if a time is 0 or less."""
+    finite numbers, then `infeasible` if a time is 0 or less or a
+    trajectory's times miss the period by more than 1e-12 * T."""
     order, times = plan.link_order, plan.times
     if times.keys() != order.keys() or not all(
             type(times[i]) is list and type(nbs) is list and len(times[i]) == len(nbs)
@@ -314,7 +300,11 @@ def check_plan_shape(plan: SectionPlan, nonpositive=InvalidInstanceError):
                                    "per trajectory of its link order, of the same length")
     for traj, ts in times.items():
         if any(t <= 0 for t in ts):
-            raise nonpositive(f"non-positive section time on {traj}")
+            raise infeasible(f"non-positive section time on {traj}")
+    T = plan.period
+    for traj, ts in times.items():
+        if abs(sum(ts) - T) > 1e-12 * T:
+            raise infeasible(f"section times on {traj} sum to {sum(ts)}, expected {T}")
 
 
 def validate_section_plan(plan: SectionPlan, cycles):
@@ -322,8 +312,9 @@ def validate_section_plan(plan: SectionPlan, cycles):
 
     The cycle sums are the rows of _cycle_rows, the equations the section-time
     LP solves, applied to the plan's times.  Returns the list of feasible z
-    values, one per cycle, or raises InfeasibleSectionTimesError, also for
-    a section time of 0 or less.  Raises InvalidInstanceError where
+    values, one per cycle, or raises InfeasibleSectionTimesError, also where
+    check_plan_shape raises `infeasible`: for a section time of 0 or less or
+    a period sum that misses.  Raises InvalidInstanceError where
     check_plan_shape does for the plan's shape, or if a cycle steps between
     trajectories the plan does not link.  Each sum may miss by 1e-12 * T
     (times k for a k-cycle).
@@ -332,10 +323,6 @@ def validate_section_plan(plan: SectionPlan, cycles):
     T = plan.period
     tol = 1e-12 * T
     check_plan_shape(plan, InfeasibleSectionTimesError)
-    for traj, times in plan.times.items():
-        if abs(sum(times) - T) > tol:
-            raise InfeasibleSectionTimesError(
-                f"section times on {traj} sum to {sum(times)}, expected {T}")
     x = np.array([t for i in plan.link_order for t in plan.times[i]])
     zs = []
     for cyc, total in zip(cycles, (_cycle_rows(plan.link_order, cycles) @ x).tolist()):

@@ -24,10 +24,10 @@ from operator import itemgetter
 from struct import pack
 
 from .commgraph import CommGraph, dfs_forest
-from .errors import InvalidInstanceError, check_positive
+from .errors import ClosureViolationError, InvalidInstanceError, check_positive
 from .instance import Instance
 from .rng import Rng
-from .scheduler import Schedule, link_epochs, verify_schedule
+from .scheduler import Schedule, verify_schedule
 from .trace import (CHUNK_ROWS, EMIT, FAILURE, MEETING, NO_ID, SWITCH, TOUR_COMPLETE,
                     Strategy, Trace, gc_paused)
 
@@ -94,8 +94,10 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     if instance is not None and (schedule.mode == "general") != (instance.mode == "path"):
         raise InvalidInstanceError(
             f"{schedule.mode} schedule does not fit a {instance.mode} instance")
-    if not verify_schedule(g, schedule).all_synchronized:
-        raise InvalidInstanceError("schedule is not synchronized; refusing to simulate")
+    try:
+        epochs = verify_schedule(g, schedule)
+    except ClosureViolationError:
+        raise InvalidInstanceError("schedule is not synchronized; refusing to simulate") from None
     for agent, _ in config.failures:
         if not 0 <= agent < n:
             raise InvalidInstanceError(f"failure agent {agent} outside 0..{n - 1}")
@@ -109,7 +111,6 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
         dfs_edges = set(dfs_forest(g, strategy.root).tree_edges())
     T = schedule.period
     horizon = config.horizon
-    epochs = link_epochs(g, schedule)
     # Per edge (i, j): its epoch, and the link positions on i and on j.
     links = [(epochs[i, j], i, j, g.phi(i, j), g.phi(j, i)) for i, j in sorted(epochs)]
     rng = Rng(config.seed)

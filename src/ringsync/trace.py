@@ -174,7 +174,9 @@ class Trace:
         kind holds names, agents and trajs lists of ids, location a list of
         two numbers or None, msg a str or None.  Raises InvalidInstanceError
         for an unknown kind, ids that are not 1-2 ints in 0..n-1 (as many as
-        the kind names), a non-finite time or location, or times out of order.
+        the kind names), a non-finite time or location, times out of order,
+        or a time below 0 or past horizon + 1e-9 * period, the last instant
+        at which the simulator completes a tour.
         """
         try:
             codes = list(map(_PRIORITY.get, kind))
@@ -187,6 +189,11 @@ class Trace:
         ordered = times.tolist()
         if ordered != sorted(ordered):
             raise InvalidInstanceError("trace events are not in time order")
+        limit = self.horizon + 1e-9 * self.period
+        if times and (times[0] < 0 or times[-1] > limit):
+            bad = times[0] if times[0] < 0 else times[-1]
+            raise InvalidInstanceError(f"trace event time {bad!r} is outside [0, {limit!r}], "
+                                       "the horizon and its tour tolerance")
         pairs = [loc for loc in location if loc is not None]
         if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
             bad = next(p for p in pairs if type(p) not in (list, tuple) or len(p) != 2)

@@ -89,6 +89,26 @@ def event(time, kind, agents, msg=None):
             "location": None, "msg": msg}
 
 
+def link_arrivals(g, s):
+    """Per edge (i, j) of g, the first arrivals of agents i and j at their
+    link positions: a general schedule's epochs, or `arrival_time` from each
+    agent's start and direction."""
+    from ringsync.scheduler import arrival_time
+    if s.mode == "general":
+        return {(i, j): (s.epochs[i][j], s.epochs[j][i]) for i, j in g.edge_list()}
+    return {(i, j): (arrival_time(s.starts[i], s.dirs[i], g.phi(i, j), s.period),
+                     arrival_time(s.starts[j], s.dirs[j], g.phi(j, i), s.period))
+            for i, j in g.edge_list()}
+
+
+def phase_errors(g, s):
+    """Per edge of g, in edge order, how far apart its two first arrivals
+    fall mod the period."""
+    T = s.period
+    return [min(abs(ti - tj) % T, T - abs(ti - tj) % T)
+            for ti, tj in link_arrivals(g, s).values()]
+
+
 def trace_order(e):
     """The sort key of trace order: time, kind priority, trajectories,
     agents and msg."""

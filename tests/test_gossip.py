@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import ringsync as rs
 from conftest import event, trace_of, trace_order, trace_rows
 from ringsync.metrics import INF, _gossip_scan, broadcast_time
-from ringsync.scheduler import link_epochs
+from ringsync.scheduler import verify_schedule
 from ringsync.simulator import SimConfig, run
 from ringsync.trace import Strategy
 
@@ -90,7 +90,7 @@ def simulations(draw):
         layout = ("random", draw(st.integers(2, 12)), draw(st.integers(0, 30)))
     inst, g, sched = scheduled(*layout)
     horizon = float(draw(st.integers(1, 8)))
-    link_instants = sorted(e + k for e in link_epochs(g, sched).values()
+    link_instants = sorted(e + k for e in verify_schedule(g, sched).values()
                            for k in range(int(horizon)) if e + k <= horizon)
     # Half the failures land on a link instant, so they tie with meetings.
     fail_time = st.floats(0.0, horizon)

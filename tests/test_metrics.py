@@ -68,12 +68,12 @@ def test_abandoned_after_total_loss():
 
 
 def test_abandoned_time_counts_vacancies_from_time_zero():
-    # Trajectory 0 is vacated at -5 and 2 starts empty: both count from 0 as
+    # Trajectory 0 is vacated at 0 and 2 starts empty: both count from 0 as
     # the interval reference does.  Agent 1's switch from 0, which it does
     # not hold, vacates nothing, and its switch onto 1, which it holds,
     # ends no vacancy.
     trace = trace_of(
-        [event(-5.0, "failure", [0]),
+        [event(0.0, "failure", [0]),
          {**event(1.0, "switch", [1]), "trajs": [0, 1]},
          {**event(3.0, "switch", [1]), "trajs": [1, 2]}],
         n=3, period=1.0, horizon=10.0, strategy="alw", seed=0,

@@ -1,11 +1,13 @@
 import math
+import re
 
 import pytest
 
 import ringsync as rs
 from ringsync.errors import ClosureViolationError, InvalidInstanceError, NotSynchronizableError
 from ringsync.geometry import Circle, Point2
-from ringsync.scheduler import CCW, CW, arrival_time
+from ringsync.scheduler import CCW, CW, PHASE_TOL, arrival_time
+from conftest import link_arrivals, phase_errors
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,7 +28,7 @@ def test_same_direction_chain_starts():
     s = rs.schedule_same_direction(g, period=1.0)
     assert s.dirs == [CCW, CCW, CCW]
     assert s.starts == pytest.approx([0.0, math.pi, 0.0])
-    assert rs.verify_schedule(g, s).all_synchronized
+    rs.verify_schedule(g, s)
 
 
 def test_same_direction_rejects_odd_cycle(triangle):
@@ -49,16 +51,14 @@ def test_opposite_directions_chain():
     g = collinear_chain(3)
     s = rs.schedule_opposite_directions(g, period=10.0)
     assert s.dirs[0] != s.dirs[1] and s.dirs[1] != s.dirs[2]
-    rep = rs.verify_schedule(g, s)
-    assert rep.all_synchronized
-    assert rep.max_phase_error < 1e-9 * 10.0
+    rs.verify_schedule(g, s)
+    assert max(phase_errors(g, s)) < 1e-9 * 10.0
 
 
 def test_opposite_directions_grid_closure(grid33_graph):
     s = rs.schedule_opposite_directions(grid33_graph, period=300.0)
-    rep = rs.verify_schedule(grid33_graph, s)
-    assert rep.all_synchronized
-    assert rep.max_phase_error < 1e-9 * 300.0
+    rs.verify_schedule(grid33_graph, s)
+    assert max(phase_errors(grid33_graph, s)) < 1e-9 * 300.0
     for (i, j) in grid33_graph.edge_list():
         assert s.dirs[i] != s.dirs[j]
 
@@ -74,7 +74,7 @@ def test_opposite_directions_covers_disconnected_graph():
     g = rs.build_circle_graph(circles, 0.5)
     s = rs.schedule_opposite_directions(g)
     assert None not in s.starts and None not in s.dirs
-    assert rs.verify_schedule(g, s).all_synchronized
+    rs.verify_schedule(g, s)
 
 
 def test_infeasible_random_chord_is_dropped():
@@ -86,7 +86,7 @@ def test_infeasible_random_chord_is_dropped():
     gs = rs.max_synch_subgraph(rs.max_bipartite_subgraph(g))
     assert len(gs.edges) == gs.n - 1
     s = rs.schedule_opposite_directions(gs)
-    assert rs.verify_schedule(gs, s).all_synchronized
+    rs.verify_schedule(gs, s)
 
 
 # --- section plans and the general scheduler ---------------------------------
@@ -123,7 +123,7 @@ def test_schedule_general_two_trajectories():
     plan = rs.assign_section_times(g, period=8.0)
     s = rs.schedule_general(g, plan)
     assert s.epochs[0][1] == pytest.approx(s.epochs[1][0] % 8.0, abs=1e-9)
-    assert rs.verify_schedule(g, s).all_synchronized
+    rs.verify_schedule(g, s)
 
 
 def two_squares():
@@ -139,9 +139,8 @@ def test_schedule_general_case_study_synchronizes():
     g = inst.graph()
     plan = rs.assign_section_times(g, period=100.0)
     s = rs.schedule_general(g, plan)
-    rep = rs.verify_schedule(g, s)
-    assert rep.all_synchronized
-    assert rep.max_phase_error < 1e-9 * 100.0
+    rs.verify_schedule(g, s)
+    assert max(phase_errors(g, s)) < 1e-9 * 100.0
 
 
 def test_schedule_general_closure_error_on_bad_plan():
@@ -158,6 +157,33 @@ def test_schedule_general_closure_error_on_bad_plan():
     # tree edges close exactly, so the first bad edge is a non-tree edge
     assert exc.value.edge in g.edge_list()
     assert exc.value.edge not in g.forest.tree_edges()
+
+
+def test_verify_schedule_names_every_edge_off_by_twice_the_tolerance():
+    g = rs.preset("case-study").graph()
+    s = rs.schedule_general(g, rs.assign_section_times(g, period=100.0))
+    bad = [g.edge_list()[2], g.edge_list()[5]]
+    for i, j in bad:
+        s.epochs[i][j] += 2 * PHASE_TOL * s.period
+    with pytest.raises(ClosureViolationError,
+                       match=re.escape(f"cycle closure violated on edges {bad}")) as exc:
+        rs.verify_schedule(g, s)
+    assert exc.value.edge == bad[0]
+
+
+@pytest.mark.parametrize("mode", ["same-direction", "opposite-directions", "general"])
+def test_verify_schedule_returns_the_first_arrival_epochs(grid33_graph, mode):
+    if mode == "general":
+        g = rs.preset("case-study").graph()
+        s = rs.schedule_general(g, rs.assign_section_times(g, period=100.0))
+    else:
+        g = grid33_graph
+        scheduler = (rs.schedule_same_direction if mode == "same-direction"
+                     else rs.schedule_opposite_directions)
+        s = scheduler(g, period=300.0)
+    epochs = rs.verify_schedule(g, s)
+    assert list(epochs) == g.edge_list()
+    assert epochs == {e: math.fmod(ti, s.period) for e, (ti, _) in link_arrivals(g, s).items()}
 
 
 def test_section_plan_time_between():

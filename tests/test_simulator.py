@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import ringsync as rs
+import ringsync.scheduler as sch
 from ringsync.errors import InvalidInstanceError
 from ringsync.metrics import _gossip_scan
 from ringsync.commgraph import dfs_forest
@@ -300,6 +301,19 @@ def test_run_peak_memory_stays_near_its_table():
                 for key in ("time", "kind", "agents", "trajs", "location")) + 8 * len(trace.msg)
     assert len(trace) == 81835
     assert peak < 2.5 * table
+
+
+def test_run_computes_each_edge_arrivals_once(monkeypatch):
+    # verify_schedule's check and the simulator's link epochs are one walk
+    inst, g, sched = grid_setup()
+    arrival_pair, edges = sch._arrival_pair, []
+
+    def counted(g, s, i, j):
+        edges.append((i, j))
+        return arrival_pair(g, s, i, j)
+    monkeypatch.setattr(sch, "_arrival_pair", counted)
+    run(inst, sched, SimConfig(horizon=2.0), graph=g)
+    assert edges == g.edge_list()
 
 
 def test_run_rejects_schedule_that_does_not_fit_the_instance():

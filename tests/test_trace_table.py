@@ -158,13 +158,16 @@ def hand_built_traces(draw):
     agents that meet themselves, empty initial trajectories and survivors
     that may never meet, under every deterministic strategy and rand:0.5.
     Rows fall at period boundaries k*T, just after them (1e-10*T and
-    1e-9*T, the boundary's cut, then 2e-9*T) and mid-period."""
+    1e-9*T, the boundary's cut, then 2e-9*T) and mid-period, up to the last
+    instant a trace may hold, horizon + 1e-9*T."""
     n = draw(st.integers(1, 5))
     T = draw(st.sampled_from([1.0, 0.3, 80.0]))
     periods = draw(st.integers(1, 6))
+    horizon = periods * T + draw(st.sampled_from([0.0, 0.5])) * T
     agent = st.integers(0, n - 1)
     time = st.builds(lambda k, offset: k * T + offset * T, st.integers(0, periods),
-                     st.sampled_from([0.0, 1e-10, 1e-9, 2e-9, 0.5]))
+                     st.sampled_from([0.0, 1e-10, 1e-9, 2e-9, 0.5])
+                     ).filter(lambda t: t <= horizon + 1e-9 * T)
 
     def row(kind, agents, trajs):
         return {"time": draw(time), "kind": kind, "agents": agents, "trajs": trajs,
@@ -187,7 +190,6 @@ def hand_built_traces(draw):
     occupancy = [a if keep else None
                  for a, keep in zip(draw(st.permutations(range(n))), held)]
     survivors = draw(st.permutations([a for a in range(n) if a not in failed]))
-    horizon = periods * T + draw(st.sampled_from([0.0, 0.5])) * T
     strategy = draw(st.sampled_from(["alw", "dfs:0", "rand:0", "rand:1", "rand:0.5"]))
     return trace_of(events, n=n, period=T, horizon=horizon, strategy=strategy, seed=0,
                     initial_occupancy=occupancy, survivors=survivors)
@@ -222,6 +224,22 @@ def test_signed_zero_times_are_written_with_their_sign(build):
     trace = signed_zero_table(build)
     assert {repr(t) for t in trace.time} >= {"-0.0", "0.0"}
     assert trace_lines(trace) == reference_lines(trace, trace_rows(trace))
+
+
+@pytest.mark.parametrize("time,ok", [
+    (-5.0, False), (-1e-300, False), (-0.0, True), (0.0, True),
+    (30.0, True), (30.0 + 1e-9 * 3.0, True), (30.0 + 2e-9 * 3.0, False), (55.0, False)])
+def test_event_times_outside_the_horizon_are_errors(time, ok):
+    """A row lies in [0, horizon + 1e-9*T], the last instant at which the
+    simulator completes a tour."""
+    header = dict(n=2, period=3.0, horizon=30.0, strategy="alw", seed=0,
+                  initial_occupancy=[0, 1], survivors=[0, 1])
+    events = [event(time, "emit", [0], msg="0:0")]
+    if ok:
+        assert list(trace_of(events, **header).time) == [time]
+    else:
+        with pytest.raises(InvalidInstanceError, match="outside"):
+            trace_of(events, **header)
 
 
 @pytest.mark.parametrize("fields,word", BAD_TRACE_HEADERS)
