@@ -404,7 +404,9 @@ def assign_section_times(g: CommGraph, period: float = 1.0) -> SectionPlan:
     keeps its share of the loop, however small.  The cycles are
     cycle_basis(g), the fundamental cycles of the BFS forest from node 0.
     A plan for cycles that fails validate_section_plan (the LP's absolute
-    tolerances can admit one at a tiny period) raises
+    tolerances can admit one at a tiny period), and a tree plan that fails
+    check_plan_shape (co-located links make a zero-length section a whole
+    loop, so its trajectory's times sum to 2T), raise
     InfeasibleSectionTimesError.
     """
     check_positive("period", period)
@@ -418,8 +420,10 @@ def assign_section_times(g: CommGraph, period: float = 1.0) -> SectionPlan:
 
     nominal = {i: [L * period / g.lengths[i] for L in sec_len[i]] for i in order}
     if not cycles:
-        return SectionPlan(period=period, link_order=order, times=nominal,
+        plan = SectionPlan(period=period, link_order=order, times=nominal,
                            section_lengths=sec_len)
+        check_plan_shape(plan, InfeasibleSectionTimesError)
+        return plan
 
     import numpy as np
 

@@ -13,7 +13,10 @@ code.
 The trace file, line-delimited JSON, is written by `write_trace` and read
 by `trace_from_lines`, both here.  They handle CHUNK_ROWS lines at a time,
 so `simulate` and `report` hold at most one chunk of lines, beside the
-trace table, in memory.
+trace table, in memory.  It is format 3: a header line, then one event line
+per row that holds time, kind, agents and trajs, and location and msg only
+where they are not null.  Format 2, whose event lines also held
+"type":"event" and the null keys, is still read.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import json
 import math
 from array import array
 from contextlib import contextmanager
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, count, islice, repeat
 from struct import iter_unpack, unpack
 
 from .errors import InvalidInstanceError, check_positive
@@ -255,11 +258,17 @@ def _finite_column(values, key: str) -> array:
 # ---------------------------------------------------------------------------
 # The trace file: a header line, then one line per event row.
 
-FORMAT_VERSION = 2   # 2: no per-delivery events; gossip is derived from meetings
+# 2: no per-delivery events; gossip is derived from meetings.  3: event lines
+# drop the constant "type":"event" and a null location or msg.
+FORMAT_VERSION = 3
+# The versions the reader takes: a format-2 event line is a format-3 line
+# plus "type":"event" and explicit nulls, which the reader ignores.
+_READ_VERSIONS = (2, 3)
 # The header's keys besides format_version and type, in `Trace`'s argument order.
 _HEADER_KEYS = ("n", "period", "horizon", "strategy", "seed", "initial_occupancy",
                 "survivors")
-# The event keys, which are also the names of the table's columns.
+# The event keys, which are also the names of the table's columns.  An event
+# line must hold the first four; it holds the last two only where not null.
 _EVENT_KEYS = ("time", "kind", "agents", "trajs", "location", "msg")
 # Strings a `_Memo` holds at most.
 _MEMO_KEYS = 1 << 16
@@ -289,15 +298,15 @@ class _Memo(dict):
 def _line_ends(key: tuple) -> tuple:
     """The text of an event line before its msg and after its time, from
     the row's `write_trace` key.  A line holds the keys of `_dumps` in
-    sorted order, agents, kind, location, msg, time, trajs and type, each
-    formatted as the encoder would: ints by str, floats by float.__repr__
-    and strings by `_dumps`."""
+    sorted order, agents, kind, location (unless null), msg (unless null),
+    time and trajs, each formatted as the encoder would: ints by str, floats
+    by float.__repr__ and strings by `_dumps`."""
     agent, agent2, traj, traj2, x, y, kind = unpack("<4q2dq", key[0])
     agents = f"[{agent}]" if agent2 == NO_ID else f"[{agent},{agent2}]"
     trajs = f"[{traj}]" if traj2 == NO_ID else f"[{traj},{traj2}]"
-    location = "null" if math.isnan(x) else f"[{x!r},{y!r}]"
-    return (f'{{"agents":{agents},"kind":{_KIND_TEXT[kind]},"location":{location},'
-            '"msg":', f',"trajs":{trajs},"type":"event"}}')
+    location = "" if math.isnan(x) else f'"location":[{x!r},{y!r}],'
+    return (f'{{"agents":{agents},"kind":{_KIND_TEXT[kind]},{location}',
+            f',"trajs":{trajs}}}')
 
 
 def write_trace(file, trace: Trace) -> None:
@@ -305,13 +314,14 @@ def write_trace(file, trace: Trace) -> None:
     then the event lines of CHUNK_ROWS rows per write.
 
     Each event line is byte for byte the `_dumps` encoding of the row's
-    {"type": "event", "time", "kind", "agents", "trajs", "location", "msg"}
-    object, built from the text before its msg, the msg, the time and the
-    text after it.  Rows repeat their agents, trajs, location and kind, so
-    the two ends are formatted once per distinct key, those four fields as
-    the 56 raw bytes of seven int64 words (raw, so that a NaN location finds
-    its string), and times once per distinct value in a chunk, keyed by the
-    float unless the chunk may hold -0.0 and 0.0, which are equal.
+    {"time", "kind", "agents", "trajs", "location", "msg"} object without
+    its null location and null msg, built from the text before its msg, the
+    msg, the time and the text after it.  Rows repeat their agents, trajs,
+    location and kind, so the two ends are formatted once per distinct key,
+    those four fields as the 56 raw bytes of seven int64 words (raw, so that
+    a NaN location finds its text), and times once per distinct value in a
+    chunk, keyed by the float unless the chunk may hold -0.0 and 0.0, which
+    are equal.
     """
     file.write(_dumps({"format_version": FORMAT_VERSION, "type": "header",
                        **{key: getattr(trace, key) for key in _HEADER_KEYS}}) + "\n")
@@ -328,33 +338,37 @@ def write_trace(file, trace: Trace) -> None:
         time = trace.time[rows]    # in time order: only a chunk spanning 0 has -0.0 and 0.0
         times = map(float.__repr__ if time[0] <= 0.0 <= time[-1] else
                     _Memo(float.__repr__).__getitem__, time)
-        msg = ["null" if m is None else _dumps(m) for m in trace.msg[rows]]
-        file.write("\n".join([f'{head}{m},"time":{t}{tail}' for (head, tail), m, t in
+        msg = ["" if m is None else f'"msg":{_dumps(m)},' for m in trace.msg[rows]]
+        file.write("\n".join([f'{head}{m}"time":{t}{tail}' for (head, tail), m, t in
                               zip(map(ends.__getitem__, iter_unpack("56s", words)),
                                   msg, times)]) + "\n")
 
 
 def _events_table(body: list[str]) -> list[list]:
     """The columns of event lines body, in `_EVENT_KEYS` order, parsed by one
-    `json.loads` over their joined text."""
+    `json.loads` over their joined text; a missing location or msg is null."""
     try:
         events = json.loads("[" + ",".join(body) + "]")
     except (ValueError, RecursionError):   # not JSON, an integer too long, or too deep
         events = None
     if events is None or len(events) != len(body) or not set(map(type, events)) <= {dict}:
         raise InvalidInstanceError("each trace event line must hold one JSON object")
-    return [[event[key] for event in events] for key in _EVENT_KEYS]
+    return ([[event[key] for event in events] for key in _EVENT_KEYS[:4]]
+            + [list(map(dict.get, events, repeat(key))) for key in _EVENT_KEYS[4:]])
 
 
 def trace_from_lines(lines) -> Trace:
     """Parse a trace file's lines, from a list or an open file, into a trace
     table; blank lines are skipped.
 
+    Format 2 reads as format 3: its event lines only add "type":"event",
+    which is ignored, and explicit nulls, which read as the absent keys do.
     The event lines are parsed CHUNK_ROWS at a time, and `Trace.extend`
     checks each chunk's columns and appends them, so at most one chunk of
     lines and their parsed objects is held beside the table.  A line that is
-    not one JSON object, a missing key, a format_version other than 2 and
-    whatever `Trace` rejects raise InvalidInstanceError.
+    not one JSON object, a missing key other than location and msg, a
+    format_version other than 2 and 3 and whatever `Trace` rejects raise
+    InvalidInstanceError.
     """
     lines = iter(lines)
     try:
@@ -363,7 +377,7 @@ def trace_from_lines(lines) -> Trace:
         head = None
     if type(head) is not dict:
         raise InvalidInstanceError("trace header line must hold one JSON object")
-    if head.get("format_version") != FORMAT_VERSION:
+    if head.get("format_version") not in _READ_VERSIONS:
         raise InvalidInstanceError(
             f"unsupported trace format_version {head.get('format_version')!r}")
     try:

@@ -83,6 +83,22 @@ def trace_lines(trace):
     return out.getvalue().splitlines()
 
 
+def assert_same_lines(got, want):
+    """Fail unless the two lists of lines are equal, naming the first index
+    at which they differ and both lines there.  pytest's own report of a
+    failed `==` diffs the whole lists, which on a trace of a few hundred KB
+    runs for minutes."""
+    __tracebackhide__ = True
+    if got == want:
+        return
+    k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+             min(len(got), len(want)))
+
+    def at(lines):
+        return repr(lines[k]) if k < len(lines) else f"none (of {len(lines)} lines)"
+    pytest.fail(f"line {k} differs:\n  got:  {at(got)}\n  want: {at(want)}", pytrace=False)
+
+
 def event(time, kind, agents, msg=None):
     """An event object without a location whose trajectories are its agents'."""
     return {"time": time, "kind": kind, "agents": agents, "trajs": agents,

@@ -12,6 +12,7 @@ from conftest import BAD_TRACE_HEADERS, SURVIVOR_MISMATCHES, path_grid, trace_li
 from ringsync import cli, commgraph
 from ringsync.errors import InvalidInstanceError
 from ringsync.trace import trace_from_lines
+from test_sections import jittered_path_layout
 
 
 def invoke(*argv):
@@ -72,6 +73,21 @@ def test_schedule_tree_note(tmp_path, capsys):
     invoke("generate", "--preset", "fig9a", "-o", str(inst_file))
     invoke("schedule", "-i", str(inst_file), "-o", str(sched_file))
     assert "tree" in capsys.readouterr().out
+
+
+def test_schedule_tree_plan_with_colocated_links_is_error(tmp_path, capsys):
+    # The layout's maximum bipartite subgraph is a 6-edge tree whose
+    # co-located links make a zero-length section a whole loop: the
+    # constant-speed plan's times on trajectory 0 sum to 2T.
+    inst_file, sched_file = tmp_path / "j.json", tmp_path / "s.json"
+    inst_file.write_text(cli._dumps(cli.instance_to_json(jittered_path_layout(4))))
+    capsys.readouterr()
+    assert invoke("schedule", "-i", str(inst_file), "-o", str(sched_file)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in err] == [
+        {"error": "InfeasibleSectionTimesError",
+         "message": "section times on 0 sum to 2.0, expected 1.0"}]
+    assert not sched_file.exists()
 
 
 @pytest.mark.parametrize("mode", ["opposite", "same"])
@@ -543,7 +559,7 @@ def test_trace_lines_match_json_dumps(tmp_path):
 def test_simulate_trace_has_no_deliver_events(tmp_path):
     _, _, traces = pipeline(tmp_path, seeds="1", extra=("--fail-at", "4:600"))
     lines = (traces / "trace-0.jsonl").read_text().splitlines()
-    assert json.loads(lines[0])["format_version"] == 2
+    assert json.loads(lines[0])["format_version"] == 3
     assert {json.loads(line)["kind"] for line in lines[1:]} == {
         "emit", "meeting", "switch", "failure", "tour-complete"}
 

@@ -32,21 +32,21 @@ PIPELINES = {
 DIGESTS = {
     "fig7-starve-whites": {
         "summary.json": "570b669316ff34e3b6d5e404068857d8e35ad106964efe9d04231c222380fc89",
-        "trace-0.jsonl": "d5600b9fccac05eba652e379b035033985e068f3bfb5b35f16955d79cfb6aac2",
+        "trace-0.jsonl": "37b3f6e07d82f91cc79c8ca6610499ba52c85d29050f1427e0e63279e3cbd7b5",
     },
     "grid-10x10-alw": {
         "summary.json": "b96b433a27d09450dc6a64dd11dbd6c4da24264214709bd4fc2feeee93bb02ad",
-        "trace-0.jsonl": "bed616e801d2e9f8a7f5891829e49f696fbfd7ef136d87b97086bf44f6ba9428",
+        "trace-0.jsonl": "a580482d833090a00b575d4afca3ef1466bf86ad8faf0606e0ec17f8ae88b84e",
     },
     "grid-3x3-same": {
         "summary.json": "006bb672299536528c079508b6cda48dd646c71ed550818956389fd7b9027490",
-        "trace-0.jsonl": "0bb9ade478a9f5b0f24e99e266692bd15b1dc5f5dbe0be0b908772d1620978df",
+        "trace-0.jsonl": "160929252ab5d89e9d90f06bb03839c7c0be259cd150d8207fdafc7d1b0ce608",
     },
     "random-400-rand": {
         "summary.json": "a6c14a1b7af8d86f2a4ed038fdd55a9104f4d3abc14fc55d32d636254fac8428",
-        "trace-0.jsonl": "41cb20b5eaf63f6915bae9fd32bbd4172197e1d0bbc103a611ea7c4f10b3e86a",
-        "trace-1.jsonl": "1775d23a7518f8c3fe7fcfc8248ccf128ce62b9abbc9c2046890f51dee656fa7",
-        "trace-2.jsonl": "556c1539250209796fda4cacf161f981f8c880f4e3540bbbcbd211216c6a4278",
+        "trace-0.jsonl": "091515a9c86246d2457280cfe0509c35c6eff85f5e4c50fc238a9898e2f14e87",
+        "trace-1.jsonl": "ce095b8f5413acfe443877a6e0ed53f347816eafaf4846c6a9257d1393c7c642",
+        "trace-2.jsonl": "c39c8425d7d8c00698a1eea3549154ae18792ae84fc3ded31058b22cd67ed3f4",
     },
 }
 

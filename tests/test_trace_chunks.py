@@ -13,7 +13,7 @@ import ringsync as rs
 from ringsync.errors import InvalidInstanceError
 from ringsync.simulator import SimConfig, run
 from ringsync.trace import CHUNK_ROWS, Strategy, _dumps, trace_from_lines, write_trace
-from conftest import trace_lines, trace_rows
+from conftest import assert_same_lines, trace_lines, trace_rows
 from test_trace_table import assert_same_table, reference_lines
 
 
@@ -46,7 +46,7 @@ def test_round_trip_over_chunks():
     text = lines()
     trace = trace_from_lines(text)
     assert_same_table(trace, long_trace())
-    assert trace_lines(trace) == text
+    assert_same_lines(trace_lines(trace), text)
 
 
 def test_file_writer_matches_lines(tmp_path):
@@ -55,7 +55,7 @@ def test_file_writer_matches_lines(tmp_path):
     with open(path, "w", encoding="utf-8") as f:
         write_trace(f, long_trace())
     reference = reference_lines(long_trace(), trace_rows(long_trace()))
-    assert path.read_text(encoding="utf-8") == "\n".join(reference) + "\n"
+    assert_same_lines(path.read_text(encoding="utf-8").split("\n"), reference + [""])
 
 
 def test_open_file_and_list_parse_alike(tmp_path):
@@ -93,3 +93,33 @@ def test_blank_lines_at_a_boundary_are_skipped():
     text = lines()
     edited = text[:CHUNK_ROWS + 1] + ["", "  \n", "\n"] + text[CHUNK_ROWS + 1:] + [""]
     assert_same_table(trace_from_lines(edited), long_trace())
+
+
+def test_explicit_null_location_and_msg_read_as_absent():
+    # Every other line that lacks one spells it out as null, so that each
+    # chunk mixes both forms.
+    text = lines()
+    for k in range(1, len(text), 2):
+        doc = json.loads(text[k])
+        text[k] = _dumps({"location": None, "msg": None, **doc})
+    assert sum('"location":null' in line for line in text) > CHUNK_ROWS
+    assert sum('"msg":null' in line for line in text) > CHUNK_ROWS
+    assert_same_table(trace_from_lines(text), long_trace())
+
+
+@pytest.mark.parametrize("key", ["time", "kind", "agents", "trajs"])
+def test_event_line_without_a_required_key_is_error(key):
+    text = lines()
+    doc = json.loads(text[CHUNK_ROWS + 1])
+    del doc[key]
+    text[CHUNK_ROWS + 1] = _dumps(doc)
+    assert parse_error(text) == f"trace document lacks key {key!r}"
+
+
+@pytest.mark.parametrize("version", [1, 4, "3", None])
+def test_other_format_versions_are_errors(version):
+    text = lines()
+    head = json.loads(text[0])
+    head["format_version"] = version
+    text[0] = _dumps(head)
+    assert parse_error(text) == f"unsupported trace format_version {version!r}"

@@ -8,20 +8,26 @@ rows.  On the simulations of `test_gossip.py` (grids and random layouts,
 every strategy, failures at link instants), the table must give the same
 lines, survive a write and read column for column, rebuild through
 `Trace.extend`, and give the same report.  The report must also equal the
-references on hand-built traces that no simulation writes.
+references on hand-built traces that no simulation writes.  A trace
+rewritten in format 2, whose event lines also hold "type":"event" and the
+null keys, must read to the same table and the same summary.
 """
 
+import json
+import tempfile
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringsync as rs
+from ringsync import cli
 from ringsync.errors import InvalidInstanceError
 from ringsync.simulator import SimConfig, run
 from ringsync.trace import FORMAT_VERSION, Trace, _dumps, trace_from_lines
-from conftest import (BAD_TRACE_HEADERS, event, reference_intervals, trace_lines, trace_of,
-                      trace_order, trace_rows)
+from conftest import (BAD_TRACE_HEADERS, assert_same_lines, event, reference_intervals,
+                      trace_lines, trace_of, trace_order, trace_rows)
 from test_gossip import reference_arrivals, reference_broadcast_time, simulations
 
 HEADER_KEYS = ("n", "period", "horizon", "strategy", "seed", "initial_occupancy",
@@ -29,9 +35,20 @@ HEADER_KEYS = ("n", "period", "horizon", "strategy", "seed", "initial_occupancy"
 
 
 def reference_lines(trace, events):
+    """The format-3 lines of the trace and its event objects: each event
+    line is the `_dumps` encoding of its object without the null keys."""
     header = {"format_version": FORMAT_VERSION, "type": "header",
               **{key: getattr(trace, key) for key in HEADER_KEYS}}
-    return [_dumps(header)] + [_dumps({"type": "event", **e}) for e in events]
+    return [_dumps(header)] + [_dumps({k: v for k, v in e.items() if v is not None})
+                               for e in events]
+
+
+def format_2_lines(trace):
+    """The trace's lines as format 2 wrote them: each event line is the
+    `_dumps` encoding of its object with "type":"event" and the null keys."""
+    header = {"format_version": 2, "type": "header",
+              **{key: getattr(trace, key) for key in HEADER_KEYS}}
+    return [_dumps(header)] + [_dumps({"type": "event", **e}) for e in trace_rows(trace)]
 
 
 def reference_abandoned(trace, events):
@@ -125,7 +142,7 @@ def test_table_matches_row_references(trace):
     keys = list(map(trace_order, events))
     assert keys == sorted(keys)
     lines = trace_lines(trace)
-    assert lines == reference_lines(trace, events)
+    assert_same_lines(lines, reference_lines(trace, events))
     assert_same_table(trace_from_lines(lines), trace)
     header = {key: getattr(trace, key) for key in HEADER_KEYS}
     assert_same_table(trace_of(events, **header), trace)
@@ -134,6 +151,20 @@ def test_table_matches_row_references(trace):
             rep.starvation_proven, rep.potentially_starving) == \
         reference_report(trace, events)
     assert rep.broadcast_time == reference_broadcast_time(trace, reference_arrivals(trace))
+
+
+@given(simulations())
+@settings(max_examples=100, deadline=None)
+def test_event_lines_omit_type_and_null_keys(trace):
+    """Each event line is the canonical encoding of its row's object without
+    "type" and without the keys whose value is null."""
+    lines = trace_lines(trace)
+    assert len(lines) == len(trace) + 1
+    for line, row in zip(lines[1:], trace_rows(trace)):
+        doc = json.loads(line)
+        assert line == _dumps(doc)
+        assert None not in doc.values() and "type" not in doc
+        assert {**dict.fromkeys(("location", "msg")), **doc} == row
 
 
 @given(simulations())
@@ -204,6 +235,25 @@ def test_report_matches_row_references_on_hand_built_traces(trace):
         reference_report(trace, trace_rows(trace))
 
 
+def report_summary(lines: list[str]) -> bytes:
+    """The summary file that `report` writes for one trace file of lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        traces, summary = Path(tmp, "traces"), Path(tmp, "summary.json")
+        traces.mkdir()
+        (traces / "trace-0.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.main(["report", "-t", str(traces), "--label", "t",
+                         "-o", str(summary)]) == 0
+        return summary.read_bytes()
+
+
+@given(st.one_of(simulations(), hand_built_traces()))
+@settings(max_examples=100, deadline=None)
+def test_format_2_rewrite_reads_to_the_same_table_and_summary(trace):
+    old = format_2_lines(trace)
+    assert_same_table(trace_from_lines(old), trace)
+    assert report_summary(old) == report_summary(trace_lines(trace))
+
+
 def signed_zero_table(build: str) -> Trace:
     """A table whose first chunk holds a -0.0 and a 0.0 time, in both orders."""
     if build == "run":
@@ -223,7 +273,7 @@ def test_signed_zero_times_are_written_with_their_sign(build):
     # first zero's sign for both
     trace = signed_zero_table(build)
     assert {repr(t) for t in trace.time} >= {"-0.0", "0.0"}
-    assert trace_lines(trace) == reference_lines(trace, trace_rows(trace))
+    assert_same_lines(trace_lines(trace), reference_lines(trace, trace_rows(trace)))
 
 
 @pytest.mark.parametrize("time,ok", [
