@@ -98,10 +98,16 @@ def instance_to_json(inst: Instance) -> dict:
     return doc
 
 
+def _check_version(doc: dict, kind: str) -> None:
+    """Refuse a document whose format_version is not the int FORMAT_VERSION:
+    True and 1.0 equal 1, but are no version."""
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise InvalidInstanceError(f"unsupported {kind} format_version {version!r}")
+
+
 def instance_from_json(doc: dict) -> Instance:
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise InvalidInstanceError(
-            f"unsupported instance format_version {doc.get('format_version')!r}")
+    _check_version(doc, "instance")
     from .geometry import Circle, ClosedPath, Point2
     from .instance import Instance
     with _required_keys("instance"):
@@ -146,9 +152,7 @@ def schedule_to_json(sched: Schedule, retained_edges, dropped,
 
 
 def schedule_from_json(doc: dict) -> tuple[Schedule, list, SectionPlan | None]:
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise InvalidInstanceError(
-            f"unsupported schedule format_version {doc.get('format_version')!r}")
+    _check_version(doc, "schedule")
     from .scheduler import Schedule, SectionPlan, check_plan_shape
     with _required_keys("schedule"):
         check_positive("schedule period", doc["period"])
@@ -282,7 +286,7 @@ def cmd_schedule(args) -> int:
 
 
 def _resolve_failures(args, inst: Instance, n: int) -> list:
-    if args.fail_at:
+    if args.fail_at is not None:
         out = []
         for part in args.fail_at.split(","):
             agent, _, t = part.partition(":")
@@ -316,7 +320,7 @@ def cmd_simulate(args) -> int:
     g = g.subgraph(retained)
     strategy = parse_strategy(args.strategy)
     failures = _resolve_failures(args, inst, g.n)
-    if args.seed_list:
+    if args.seed_list is not None:
         seeds = [_seed(s, "--seed-list entry") for s in args.seed_list.split(",")]
         repeated = next((s for k, s in enumerate(seeds) if s in seeds[:k]), None)
         if repeated is not None:

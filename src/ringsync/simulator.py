@@ -72,10 +72,9 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     the first failure, so until then the candidates are the rows; after it
     each candidate is processed in turn.  The rows of each chunk of the
     timeline, with the tour-complete rows due before its last instant, are
-    then sorted as (time, kind code, trajectory pair, agent pair, msg,
-    location) tuples and appended to the columns, so they fill in trace
-    order.  Tours come from cohorts, the occupation intervals that began
-    at one instant.
+    then sorted as (time, kind code, trajectory pair, agent pair, msg)
+    tuples and appended to the columns, so they fill in trace order.  Tours
+    come from cohorts, the occupation intervals that began at one instant.
     An interval from start to end (the horizon if still open) completes a
     tour at start + k*T for every k >= 1 with start + k*T <= end + 1e-9*T.
     InvalidInstanceError is raised for a schedule that fails
@@ -111,12 +110,10 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
         dfs_edges = set(dfs_forest(g, strategy.root).tree_edges())
     T = schedule.period
     horizon = config.horizon
-    # Per edge (i, j): its epoch, and the link positions on i and on j.
-    links = [(epochs[i, j], i, j, g.phi(i, j), g.phi(j, i)) for i, j in sorted(epochs)]
+    links = [(epochs[i, j], i, j) for i, j in sorted(epochs)]
     rng = Rng(config.seed)
     timeline = _timeline(config, links, n, T, rng)
     first_failure = min((t for _, t in config.failures), default=math.inf)
-    nan = math.nan
 
     occupancy = list(range(n))        # traj -> agent id or None
     agent_traj = list(range(n))       # agent -> traj, None once it failed
@@ -124,15 +121,14 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
     # that began at one instant: cohorts[start] is [k, tails], where
     # start + k*T is its next tour not yet appended and tails maps each open
     # interval's trajectory to the tail of its tour rows
-    # (traj, NO_ID, agent, NO_ID, None, nan, nan).  opened[traj] is the start
+    # (traj, NO_ID, agent, NO_ID, None).  opened[traj] is the start
     # of the interval that traj's occupant holds.
     tol = 1e-9 * T
     open_limit = horizon + tol
-    cohorts = {0.0: [1, {traj: (traj, NO_ID, traj, NO_ID, None, nan, nan)
-                         for traj in range(n)}]}
+    cohorts = {0.0: [1, {traj: (traj, NO_ID, traj, NO_ID, None) for traj in range(n)}]}
     opened = [0.0] * n
     columns = dict(time=array("d"), kind=array("b"), agents=array("q"), trajs=array("q"),
-                   location=array("d"), msg=[])
+                   msg=[])
     # Rows as `_timeline` gives them: rows[:mark] are final and in trace
     # order, the rest are sorted and cut when a chunk of the timeline is done.
     rows, mark = [], 0
@@ -165,13 +161,13 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
                 rows += chunk         # no failure yet: the candidates are the rows
             else:
                 for row in chunk:
-                    t, kind, i, j, _, _, msg, x, y = row
+                    t, kind, i, j, _, _, msg = row
                     if kind == MEETING:
                         oi, oj = occupancy[i], occupancy[j]
                         if oi == i and oj == j:
                             rows.append(row)
                         elif oi is not None and oj is not None:
-                            rows.append((t, MEETING, i, j, oi, oj, None, x, y))
+                            rows.append((t, MEETING, i, j, oi, oj, None))
                         elif oi != oj and (strategy.kind == "alw" or (
                                 rng.random() < strategy.p if strategy.kind == "rand"
                                 else (i, j) in dfs_edges)):
@@ -183,15 +179,15 @@ def run(instance: Instance, schedule: Schedule, config: SimConfig,
                             occupancy[dst] = agent
                             agent_traj[agent] = dst
                             cohorts.setdefault(t, [1, {}])[1][dst] = (
-                                dst, NO_ID, agent, NO_ID, None, nan, nan)
+                                dst, NO_ID, agent, NO_ID, None)
                             opened[dst] = t
-                            rows.append((t, SWITCH, src, dst, agent, NO_ID, None, x, y))
+                            rows.append((t, SWITCH, src, dst, agent, NO_ID, None))
                     else:                     # an emission or a failure of agent i
                         traj = agent_traj[i]
                         if traj == i:
                             rows.append(row)
                         elif traj is not None:
-                            rows.append((t, kind, traj, NO_ID, i, NO_ID, msg, nan, nan))
+                            rows.append((t, kind, traj, NO_ID, i, NO_ID, msg))
                         if kind == FAILURE and traj is not None:
                             close(traj, t)
                             occupancy[traj] = agent_traj[i] = None
@@ -218,14 +214,13 @@ def _append_rows(columns: dict, rows: list) -> None:
     struct packs a column several times faster than array() converts it."""
     if not rows:
         return
-    time, kind, traj, traj2, agent, agent2, msg, x, y = zip(*rows)
+    time, kind, traj, traj2, agent, agent2, msg = zip(*rows)
     columns["time"].frombytes(pack(f"{len(rows)}d", *time))
     columns["kind"].frombytes(bytes(kind))
-    for key, code, first, second in (("trajs", "q", traj, traj2), ("agents", "q", agent, agent2),
-                                     ("location", "d", x, y)):
+    for key, first, second in (("trajs", traj, traj2), ("agents", agent, agent2)):
         pairs = [0] * (2 * len(rows))
         pairs[0::2], pairs[1::2] = first, second
-        columns[key].frombytes(pack(f"{len(pairs)}{code}", *pairs))
+        columns[key].frombytes(pack(f"{len(pairs)}q", *pairs))
     columns["msg"] += msg
 
 
@@ -233,7 +228,7 @@ def _timeline(config: SimConfig, links: list, n: int, T: float, rng):
     """run's candidate rows, as `_append_rows` takes them, in trace order, a
     sorted list at a time: each failure and emission as if agent a still
     held trajectory a, and a meeting of i and j at every link instant of
-    each edge (i, j) of links, (epoch, i, j, x, y) tuples.
+    each edge (i, j) of links, (epoch, i, j) tuples.
 
     Each agent emits once per emission period of [0, horizon / 2] at a
     seeded random phase, modeling messages issued at arbitrary instants of
@@ -257,11 +252,10 @@ def _timeline(config: SimConfig, links: list, n: int, T: float, rng):
     while rounds * em <= half:
         rounds += 1
     phases = array("d", (rng.random() for _ in range(rounds * n)))
-    nan = math.nan
 
     def emissions():
         for k in range(rounds):
-            chunk = sorted([(t, EMIT, a, NO_ID, a, NO_ID, f"{a}:{k}", nan, nan)
+            chunk = sorted([(t, EMIT, a, NO_ID, a, NO_ID, f"{a}:{k}")
                             for a, u in enumerate(phases[k * n:(k + 1) * n])
                             if (t := (k + u) * em) <= horizon])
             if chunk:
@@ -277,17 +271,16 @@ def _timeline(config: SimConfig, links: list, n: int, T: float, rng):
             for k, group in enumerate(groups):
                 kT = (k + j) * T
                 if group and group[-1][0] + kT <= horizon:
-                    chunk += [(e0 + kT, MEETING, a, b, a, b, None, x, y)
-                              for e0, a, b, x, y in group]
+                    chunk += [(e0 + kT, MEETING, a, b, a, b, None) for e0, a, b in group]
                 else:
-                    chunk += [(t, MEETING, a, b, a, b, None, x, y) for e0, a, b, x, y in group
+                    chunk += [(t, MEETING, a, b, a, b, None) for e0, a, b in group
                               if (t := e0 + kT) <= horizon]
             if not chunk:
                 return
             chunk.sort()
             yield chunk
 
-    failures = sorted((float(t), FAILURE, int(a), NO_ID, int(a), NO_ID, None, nan, nan)
+    failures = sorted((float(t), FAILURE, int(a), NO_ID, int(a), NO_ID, None)
                       for a, t in config.failures)
     return _merge_sorted([iter([failures] if failures else []), emissions(), meetings()])
 

@@ -13,10 +13,12 @@ code.
 The trace file, line-delimited JSON, is written by `write_trace` and read
 by `trace_from_lines`, both here.  They handle CHUNK_ROWS lines at a time,
 so `simulate` and `report` hold at most one chunk of lines, beside the
-trace table, in memory.  It is format 3: a header line, then one event line
-per row that holds time, kind, agents and trajs, and location and msg only
-where they are not null.  Format 2, whose event lines also held
-"type":"event" and the null keys, is still read.
+trace table, in memory.  It is format 4: a header line, then one event line
+per row that holds time, kind, agents and trajs, and msg only where it is
+not null.  A meeting's or a switch's place is no fact of the run: it is the
+edge's link position on each trajectory, which the instance gives.  Formats
+2 and 3, whose event lines also held the link location, and in format 2
+"type":"event" and the null keys, are still read.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ _AGENT_ARITY = (1, 1, 2, 1, 1)
 _TRAJ_ARITY = (1, 1, 2, 2, 1)
 # The second agent or trajectory id of an event that names only one.
 NO_ID = -1
-# The location of an event that has none.
-_NO_LOCATION = (math.nan, math.nan)
 # The default of a trace's survivors: a new list per trace.  A marker, not
 # None, so that a header's null survivors is rejected as the non-list it is.
 _NEW_LIST = object()
@@ -113,8 +113,6 @@ class Trace:
       agents    array('q'), pairs: agent ids, NO_ID (-1) second when the
                 event names one agent;
       trajs     array('q'), pairs: trajectory ids, padded the same way;
-      location  array('d'), pairs: link positions, NaN where the event has
-                none;
       msg       list: the message key of an emit, None otherwise.
     The header is checked when a Trace is built, and each row by `extend`,
     which the trace reader calls; columns given to the constructor are not
@@ -126,7 +124,7 @@ class Trace:
                  initial_occupancy: list, survivors: list = _NEW_LIST,
                  time: array | None = None, kind: array | None = None,
                  agents: array | None = None, trajs: array | None = None,
-                 location: array | None = None, msg: list | None = None):
+                 msg: list | None = None):
         if survivors is _NEW_LIST:
             survivors = []
         self.n, self.period, self.horizon, self.strategy, self.seed = (
@@ -136,7 +134,6 @@ class Trace:
         self.kind = array("b") if kind is None else kind
         self.agents = array("q") if agents is None else agents
         self.trajs = array("q") if trajs is None else trajs
-        self.location = array("d") if location is None else location
         self.msg = [] if msg is None else msg
         occupancy = initial_occupancy
         if type(n) is not int or not 0 <= n <= 2**63:     # ids are int64
@@ -171,15 +168,14 @@ class Trace:
         codes = {_PRIORITY[k] for k in kinds}
         return self.kind.tobytes().translate(bytes(code in codes for code in range(256)))
 
-    def extend(self, time, kind, agents, trajs, location, msg) -> None:
+    def extend(self, time, kind, agents, trajs, msg) -> None:
         """Append rows from per-event Python values, validated once per column.
 
-        kind holds names, agents and trajs lists of ids, location a list of
-        two numbers or None, msg a str or None.  Raises InvalidInstanceError
-        for an unknown kind, ids that are not 1-2 ints in 0..n-1 (as many as
-        the kind names), a non-finite time or location, times out of order,
-        or a time below 0 or past horizon + 1e-9 * period, the last instant
-        at which the simulator completes a tour.
+        kind holds names, agents and trajs lists of ids, msg a str or None.
+        Raises InvalidInstanceError for an unknown kind, ids that are not 1-2
+        ints in 0..n-1 (as many as the kind names), a non-finite time, times
+        out of order, or a time below 0 or past horizon + 1e-9 * period, the
+        last instant at which the simulator completes a tour.
         """
         try:
             codes = list(map(_PRIORITY.get, kind))
@@ -197,14 +193,6 @@ class Trace:
             bad = times[0] if times[0] < 0 else times[-1]
             raise InvalidInstanceError(f"trace event time {bad!r} is outside [0, {limit!r}], "
                                        "the horizon and its tour tolerance")
-        pairs = [loc for loc in location if loc is not None]
-        if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}):
-            bad = next(p for p in pairs if type(p) not in (list, tuple) or len(p) != 2)
-            raise InvalidInstanceError(f"trace event location {bad!r} is not null "
-                                       "or two numbers")
-        _finite_column(list(chain.from_iterable(pairs)), "location")
-        locs = array("d", list(chain.from_iterable(
-            [_NO_LOCATION if loc is None else loc for loc in location])))
         if not set(map(type, msg)) <= {str, type(None)}:
             bad = next(x for x in msg if x is not None and type(x) is not str)
             raise InvalidInstanceError(f"trace event msg {bad!r} is not a string or null")
@@ -216,7 +204,6 @@ class Trace:
         self.kind += array("b", codes)
         self.agents += agent_ids
         self.trajs += traj_ids
-        self.location += locs
         self.msg += msg
 
 
@@ -259,17 +246,19 @@ def _finite_column(values, key: str) -> array:
 # The trace file: a header line, then one line per event row.
 
 # 2: no per-delivery events; gossip is derived from meetings.  3: event lines
-# drop the constant "type":"event" and a null location or msg.
-FORMAT_VERSION = 3
-# The versions the reader takes: a format-2 event line is a format-3 line
-# plus "type":"event" and explicit nulls, which the reader ignores.
-_READ_VERSIONS = (2, 3)
+# drop the constant "type":"event" and a null location or msg.  4: they drop
+# the location, the instance's link position of the row's edge.
+FORMAT_VERSION = 4
+# The versions the reader takes: a format-2 or format-3 event line is a
+# format-4 line plus a location, and in format 2 "type":"event" and explicit
+# nulls, all of which the reader ignores.
+_READ_VERSIONS = (2, 3, 4)
 # The header's keys besides format_version and type, in `Trace`'s argument order.
 _HEADER_KEYS = ("n", "period", "horizon", "strategy", "seed", "initial_occupancy",
                 "survivors")
 # The event keys, which are also the names of the table's columns.  An event
-# line must hold the first four; it holds the last two only where not null.
-_EVENT_KEYS = ("time", "kind", "agents", "trajs", "location", "msg")
+# line must hold the first four; it holds msg only where it is not null.
+_EVENT_KEYS = ("time", "kind", "agents", "trajs", "msg")
 # Strings a `_Memo` holds at most.
 _MEMO_KEYS = 1 << 16
 
@@ -298,15 +287,13 @@ class _Memo(dict):
 def _line_ends(key: tuple) -> tuple:
     """The text of an event line before its msg and after its time, from
     the row's `write_trace` key.  A line holds the keys of `_dumps` in
-    sorted order, agents, kind, location (unless null), msg (unless null),
-    time and trajs, each formatted as the encoder would: ints by str, floats
-    by float.__repr__ and strings by `_dumps`."""
-    agent, agent2, traj, traj2, x, y, kind = unpack("<4q2dq", key[0])
+    sorted order, agents, kind, msg (unless null), time and trajs, each
+    formatted as the encoder would: ints by str, floats by float.__repr__
+    and strings by `_dumps`."""
+    agent, agent2, traj, traj2, kind = unpack("<5q", key[0])
     agents = f"[{agent}]" if agent2 == NO_ID else f"[{agent},{agent2}]"
     trajs = f"[{traj}]" if traj2 == NO_ID else f"[{traj},{traj2}]"
-    location = "" if math.isnan(x) else f'"location":[{x!r},{y!r}],'
-    return (f'{{"agents":{agents},"kind":{_KIND_TEXT[kind]},{location}',
-            f',"trajs":{trajs}}}')
+    return f'{{"agents":{agents},"kind":{_KIND_TEXT[kind]},', f',"trajs":{trajs}}}'
 
 
 def write_trace(file, trace: Trace) -> None:
@@ -314,14 +301,12 @@ def write_trace(file, trace: Trace) -> None:
     then the event lines of CHUNK_ROWS rows per write.
 
     Each event line is byte for byte the `_dumps` encoding of the row's
-    {"time", "kind", "agents", "trajs", "location", "msg"} object without
-    its null location and null msg, built from the text before its msg, the
-    msg, the time and the text after it.  Rows repeat their agents, trajs,
-    location and kind, so the two ends are formatted once per distinct key,
-    those four fields as the 56 raw bytes of seven int64 words (raw, so that
-    a NaN location finds its text), and times once per distinct value in a
-    chunk, keyed by the float unless the chunk may hold -0.0 and 0.0, which
-    are equal.
+    {"time", "kind", "agents", "trajs", "msg"} object without its null msg,
+    built from the text before its msg, the msg, the time and the text after
+    it.  Rows repeat their agents, trajs and kind, so the two ends are
+    formatted once per distinct key, those three fields as the 40 bytes of
+    five int64 words, and times once per distinct value in a chunk, keyed by
+    the float unless the chunk may hold -0.0 and 0.0, which are equal.
     """
     file.write(_dumps({"format_version": FORMAT_VERSION, "type": "header",
                        **{key: getattr(trace, key) for key in _HEADER_KEYS}}) + "\n")
@@ -330,23 +315,23 @@ def write_trace(file, trace: Trace) -> None:
         rows = slice(start, start + CHUNK_ROWS)
         pairs = slice(2 * rows.start, 2 * rows.stop)
         kind = trace.kind[rows]
-        words = array("q", bytes(56 * len(kind)))
-        for k, column in enumerate((trace.agents[pairs], trace.trajs[pairs],
-                                    array("q", trace.location[pairs].tobytes()))):
-            words[2 * k::7], words[2 * k + 1::7] = column[0::2], column[1::2]
-        words[6::7] = array("q", kind)
+        words = array("q", bytes(40 * len(kind)))
+        for k, column in enumerate((trace.agents[pairs], trace.trajs[pairs])):
+            words[2 * k::5], words[2 * k + 1::5] = column[0::2], column[1::2]
+        words[4::5] = array("q", kind)
         time = trace.time[rows]    # in time order: only a chunk spanning 0 has -0.0 and 0.0
         times = map(float.__repr__ if time[0] <= 0.0 <= time[-1] else
                     _Memo(float.__repr__).__getitem__, time)
         msg = ["" if m is None else f'"msg":{_dumps(m)},' for m in trace.msg[rows]]
         file.write("\n".join([f'{head}{m}"time":{t}{tail}' for (head, tail), m, t in
-                              zip(map(ends.__getitem__, iter_unpack("56s", words)),
+                              zip(map(ends.__getitem__, iter_unpack("40s", words)),
                                   msg, times)]) + "\n")
 
 
 def _events_table(body: list[str]) -> list[list]:
     """The columns of event lines body, in `_EVENT_KEYS` order, parsed by one
-    `json.loads` over their joined text; a missing location or msg is null."""
+    `json.loads` over their joined text; a missing msg is null, and keys
+    that are no column, such as a location or "type", are ignored."""
     try:
         events = json.loads("[" + ",".join(body) + "]")
     except (ValueError, RecursionError):   # not JSON, an integer too long, or too deep
@@ -354,21 +339,21 @@ def _events_table(body: list[str]) -> list[list]:
     if events is None or len(events) != len(body) or not set(map(type, events)) <= {dict}:
         raise InvalidInstanceError("each trace event line must hold one JSON object")
     return ([[event[key] for event in events] for key in _EVENT_KEYS[:4]]
-            + [list(map(dict.get, events, repeat(key))) for key in _EVENT_KEYS[4:]])
+            + [list(map(dict.get, events, repeat("msg")))])
 
 
 def trace_from_lines(lines) -> Trace:
     """Parse a trace file's lines, from a list or an open file, into a trace
     table; blank lines are skipped.
 
-    Format 2 reads as format 3: its event lines only add "type":"event",
-    which is ignored, and explicit nulls, which read as the absent keys do.
-    The event lines are parsed CHUNK_ROWS at a time, and `Trace.extend`
-    checks each chunk's columns and appends them, so at most one chunk of
-    lines and their parsed objects is held beside the table.  A line that is
-    not one JSON object, a missing key other than location and msg, a
-    format_version other than 2 and 3 and whatever `Trace` rejects raise
-    InvalidInstanceError.
+    Formats 2 and 3 read as format 4: their event lines only add a
+    location and, in format 2, "type":"event", which are ignored, and
+    explicit nulls, which read as an absent msg does.  The event lines are
+    parsed CHUNK_ROWS at a time, and `Trace.extend` checks each chunk's
+    columns and appends them, so at most one chunk of lines and their parsed
+    objects is held beside the table.  A line that is not one JSON object, a
+    missing key other than msg, a format_version that is not the int 2, 3 or
+    4 and whatever `Trace` rejects raise InvalidInstanceError.
     """
     lines = iter(lines)
     try:
@@ -377,9 +362,9 @@ def trace_from_lines(lines) -> Trace:
         head = None
     if type(head) is not dict:
         raise InvalidInstanceError("trace header line must hold one JSON object")
-    if head.get("format_version") not in _READ_VERSIONS:
-        raise InvalidInstanceError(
-            f"unsupported trace format_version {head.get('format_version')!r}")
+    version = head.get("format_version")
+    if type(version) is not int or version not in _READ_VERSIONS:
+        raise InvalidInstanceError(f"unsupported trace format_version {version!r}")
     try:
         trace = Trace(**{key: head[key] for key in _HEADER_KEYS})
         body = filter(str.strip, lines)

@@ -13,10 +13,8 @@ def trace_rows(trace, *kinds):
     read field by field from the columns, without the trace writer."""
     def ids(column, r):
         return column[2 * r:2 * r + (1 if column[2 * r + 1] == NO_ID else 2)].tolist()
-    loc = trace.location
     return [{"time": trace.time[r], "kind": EVENT_KINDS[trace.kind[r]],
              "agents": ids(trace.agents, r), "trajs": ids(trace.trajs, r),
-             "location": None if math.isnan(loc[2 * r]) else [loc[2 * r], loc[2 * r + 1]],
              "msg": trace.msg[r]}
             for r in (trace.rows_of(*kinds) if kinds else range(len(trace)))]
 
@@ -100,9 +98,8 @@ def assert_same_lines(got, want):
 
 
 def event(time, kind, agents, msg=None):
-    """An event object without a location whose trajectories are its agents'."""
-    return {"time": time, "kind": kind, "agents": agents, "trajs": agents,
-            "location": None, "msg": msg}
+    """An event object whose trajectories are its agents'."""
+    return {"time": time, "kind": kind, "agents": agents, "trajs": agents, "msg": msg}
 
 
 def link_arrivals(g, s):

@@ -13,6 +13,7 @@ from ringsync import cli, commgraph
 from ringsync.errors import InvalidInstanceError
 from ringsync.trace import trace_from_lines
 from test_sections import jittered_path_layout
+from test_trace_table import assert_same_table
 
 
 def invoke(*argv):
@@ -432,9 +433,9 @@ def test_trace_agent_id_out_of_range_is_error(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("kind,key,value", [
     ("meeting", "agents", [0, 9]), ("meeting", "agents", [0, -1]),
     ("tour-complete", "trajs", [9]), ("meeting", "kind", "meetx"),
-    ("emit", "time", float("nan")), ("meeting", "location", [float("inf"), 0.0]),
+    ("emit", "time", float("nan")), ("meeting", "agents", [0]),
     ("emit", "time", 1e9), ("meeting", "kind", "enter-region"),
-    ("meeting", "kind", ["meeting"]), ("meeting", "location", [1.0]), ("emit", "msg", 5),
+    ("meeting", "kind", ["meeting"]), ("meeting", "trajs", [1]), ("emit", "msg", 5),
     ("emit", "time", "x"), ("emit", "time", 10**400)])
 def test_trace_bad_event_is_error(tmp_path, capsys, kind, key, value):
     # time 1e9 puts the first emit after every other event
@@ -450,6 +451,27 @@ def test_trace_bad_event_is_error(tmp_path, capsys, kind, key, value):
     assert invoke("report", "-t", str(traces)) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InvalidInstanceError" and key in err["message"]
+
+
+@pytest.mark.parametrize("value", [[float("inf"), 0.0], [1.0], "x", None, [0.5, 0.25]])
+def test_trace_event_location_is_ignored(tmp_path, capsys, value):
+    """A location key, which formats 2 and 3 wrote on meetings and switches,
+    is no column of the table: whatever it holds, on a meeting and an emit,
+    report reads the trace as if it were absent."""
+    _, _, traces = pipeline(tmp_path, seeds="1", extra=("--fail-at", "4:600"))
+    path = traces / "trace-0.jsonl"
+    text = path.read_text()
+    lines = text.splitlines()
+    for kind in ("meeting", "emit"):
+        row = next(k for k, line in enumerate(lines) if json.loads(line).get("kind") == kind)
+        lines[row] = json.dumps({**json.loads(lines[row]), "location": value})
+    assert_same_table(trace_from_lines(lines), trace_from_lines(text.splitlines()))
+    summaries = []
+    for content in (text, "\n".join(lines) + "\n"):
+        path.write_text(content)
+        assert invoke("report", "-t", str(traces), "-o", str(tmp_path / "s.json")) == 0
+        summaries.append((tmp_path / "s.json").read_bytes())
+    assert summaries[0] == summaries[1]
 
 
 @pytest.mark.parametrize("head,word", [
@@ -559,7 +581,7 @@ def test_trace_lines_match_json_dumps(tmp_path):
 def test_simulate_trace_has_no_deliver_events(tmp_path):
     _, _, traces = pipeline(tmp_path, seeds="1", extra=("--fail-at", "4:600"))
     lines = (traces / "trace-0.jsonl").read_text().splitlines()
-    assert json.loads(lines[0])["format_version"] == 3
+    assert json.loads(lines[0])["format_version"] == 4
     assert {json.loads(line)["kind"] for line in lines[1:]} == {
         "emit", "meeting", "switch", "failure", "tour-complete"}
 
@@ -777,6 +799,9 @@ MALFORMED_NUMBERS = [
     (("simulate", "--fail-at", "3:abc"), "--fail-at time 'abc' is not a valid float"),
     (("simulate", "--seed-list", "1,b"), "--seed-list entry 'b' is not a valid int"),
     (("simulate", "--seed-list", "-1"), "--seed-list entry -1 is negative"),
+    (("simulate", "--seed-list", ""), "--seed-list entry '' is not a valid int"),
+    (("simulate", "--seed-list", "1,,2"), "--seed-list entry '' is not a valid int"),
+    (("simulate", "--fail-at", ""), "--fail-at agent '' is not a valid int"),
     (("simulate", "--fail", "2", "--fail-seed", "-1"), "--fail-seed -1 is negative"),
     (("generate", "--grid", "3xq"), "--grid columns 'q' is not a valid int"),
     (("generate", "--grid", "3"), "--grid columns '' is not a valid int"),
@@ -878,6 +903,26 @@ def test_schedule_file_bad_format_version_is_error(tmp_path, capsys):
     err = _simulate_error(tmp_path, capsys, inst, sched)
     assert err == {"error": "InvalidInstanceError",
                    "message": "unsupported schedule format_version 2"}
+
+
+@pytest.mark.parametrize("kind", ["instance", "schedule"])
+@pytest.mark.parametrize("version", [1.0, True, "1", None, 2])
+def test_document_format_version_other_than_int_1_is_error(tmp_path, capsys, kind, version):
+    """1.0 and True equal 1, yet neither is a version: the instance, read by
+    schedule, and the schedule, read by simulate, are refused without output."""
+    inst, sched = _grid_schedule(tmp_path, capsys)
+    path = inst if kind == "instance" else sched
+    doc = json.loads(path.read_text())
+    doc["format_version"] = version
+    path.write_text(cli._dumps(doc))
+    out = tmp_path / "out"
+    argv = (("schedule", "-i", str(inst)) if kind == "instance" else
+            ("simulate", "-i", str(inst), "-s", str(sched), "--horizon", "600"))
+    assert invoke(*argv, "-o", str(out)) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "InvalidInstanceError",
+        "message": f"unsupported {kind} format_version {version!r}"}
+    assert not out.exists()
 
 
 def test_schedule_reports_infeasible_cycle_drops(tmp_path, capsys):

@@ -83,7 +83,8 @@ def scheduled(kind, a, b):
 
 
 @st.composite
-def simulations(draw):
+def simulations(draw, with_graph=False):
+    """Simulated traces; with_graph, (trace, synchronized subgraph) pairs."""
     if draw(st.booleans()):
         layout = ("grid", draw(st.integers(1, 4)), draw(st.integers(1, 4)))
     else:
@@ -105,7 +106,8 @@ def simulations(draw):
                        seed=draw(st.integers(0, 10_000)),
                        failures=[(agent, draw(fail_time)) for agent in failed],
                        emission_period=draw(st.sampled_from([None, 0.4, 2.5])))
-    return run(inst, sched, config, graph=g)
+    trace = run(inst, sched, config, graph=g)
+    return (trace, g) if with_graph else trace
 
 
 @given(simulations())

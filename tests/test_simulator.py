@@ -298,7 +298,7 @@ def test_run_peak_memory_stays_near_its_table():
         tracemalloc.stop()
     # The msg column counts one 8-byte reference per row.
     table = sum(memoryview(getattr(trace, key)).nbytes
-                for key in ("time", "kind", "agents", "trajs", "location")) + 8 * len(trace.msg)
+                for key in ("time", "kind", "agents", "trajs")) + 8 * len(trace.msg)
     assert len(trace) == 81835
     assert peak < 2.5 * table
 

@@ -116,8 +116,21 @@ def test_event_line_without_a_required_key_is_error(key):
     assert parse_error(text) == f"trace document lacks key {key!r}"
 
 
-@pytest.mark.parametrize("version", [1, 4, "3", None])
+@pytest.mark.parametrize("version", [2, 3, 4])
+def test_format_versions_2_to_4_read_alike(version):
+    # The trace's event lines are format-4 lines, which formats 2 and 3
+    # admit: their location and type keys are ignored where present.
+    text = lines()
+    head = json.loads(text[0])
+    assert head["format_version"] == 4
+    head["format_version"] = version
+    text[0] = _dumps(head)
+    assert_same_table(trace_from_lines(text), long_trace())
+
+
+@pytest.mark.parametrize("version", [1, 5, "3", None, 3.0, True])
 def test_other_format_versions_are_errors(version):
+    # 3.0 == 3 and True == 1, yet neither is a version.
     text = lines()
     head = json.loads(text[0])
     head["format_version"] = version

@@ -9,8 +9,9 @@ every strategy, failures at link instants), the table must give the same
 lines, survive a write and read column for column, rebuild through
 `Trace.extend`, and give the same report.  The report must also equal the
 references on hand-built traces that no simulation writes.  A trace
-rewritten in format 2, whose event lines also hold "type":"event" and the
-null keys, must read to the same table and the same summary.
+rewritten in format 2, whose event lines also hold the link location,
+"type":"event" and the null keys, or in format 3, whose lines also hold the
+location, must read to the same table and the same summary.
 """
 
 import json
@@ -35,20 +36,36 @@ HEADER_KEYS = ("n", "period", "horizon", "strategy", "seed", "initial_occupancy"
 
 
 def reference_lines(trace, events):
-    """The format-3 lines of the trace and its event objects: each event
-    line is the `_dumps` encoding of its object without the null keys."""
+    """The format-4 lines of the trace and its event objects: each event
+    line is the `_dumps` encoding of its object without the null msg."""
     header = {"format_version": FORMAT_VERSION, "type": "header",
               **{key: getattr(trace, key) for key in HEADER_KEYS}}
     return [_dumps(header)] + [_dumps({k: v for k, v in e.items() if v is not None})
                                for e in events]
 
 
-def format_2_lines(trace):
-    """The trace's lines as format 2 wrote them: each event line is the
-    `_dumps` encoding of its object with "type":"event" and the null keys."""
-    header = {"format_version": 2, "type": "header",
+def parent_location(g, row):
+    """The location that formats 2 and 3 wrote for an event object: for a
+    meeting or a switch on g's edge (i, j), i < j, its link positions
+    [phi(i, j), phi(j, i)]; None for other rows, or without a graph."""
+    if g is None or row["kind"] not in ("meeting", "switch"):
+        return None
+    i, j = sorted(row["trajs"])
+    return [g.phi(i, j), g.phi(j, i)]
+
+
+def old_format_lines(trace, g, version):
+    """The trace's lines as format 2 or 3 wrote them, with each meeting's
+    and switch's location on g.  A format-3 event line is the `_dumps`
+    encoding of its object with its location and without the null keys; a
+    format-2 line also holds "type":"event" and the null keys."""
+    header = {"format_version": version, "type": "header",
               **{key: getattr(trace, key) for key in HEADER_KEYS}}
-    return [_dumps(header)] + [_dumps({"type": "event", **e}) for e in trace_rows(trace)]
+    events = [{**e, "location": parent_location(g, e)} for e in trace_rows(trace)]
+    if version == 2:
+        return [_dumps(header)] + [_dumps({"type": "event", **e}) for e in events]
+    return [_dumps(header)] + [_dumps({k: v for k, v in e.items() if v is not None})
+                               for e in events]
 
 
 def reference_abandoned(trace, events):
@@ -128,8 +145,8 @@ def reference_report(trace, events):
 def assert_same_table(a, b):
     for key in HEADER_KEYS:
         assert getattr(a, key) == getattr(b, key), key
-    # Bytes, so that the NO_ID and NaN padding is compared too.
-    for key in ("time", "kind", "agents", "trajs", "location"):
+    # Bytes, so that the NO_ID padding is compared too.
+    for key in ("time", "kind", "agents", "trajs"):
         col_a, col_b = getattr(a, key), getattr(b, key)
         assert col_a.typecode == col_b.typecode and col_a.tobytes() == col_b.tobytes(), key
     assert a.msg == b.msg
@@ -157,14 +174,15 @@ def test_table_matches_row_references(trace):
 @settings(max_examples=100, deadline=None)
 def test_event_lines_omit_type_and_null_keys(trace):
     """Each event line is the canonical encoding of its row's object without
-    "type" and without the keys whose value is null."""
+    "type", without a location and without a null msg."""
     lines = trace_lines(trace)
     assert len(lines) == len(trace) + 1
     for line, row in zip(lines[1:], trace_rows(trace)):
         doc = json.loads(line)
-        assert line == _dumps(doc)
-        assert None not in doc.values() and "type" not in doc
-        assert {**dict.fromkeys(("location", "msg")), **doc} == row
+        assert line == _dumps(doc) == _dumps({k: v for k, v in row.items()
+                                              if k != "msg" or v is not None})
+        assert None not in doc.values() and not {"type", "location"} & set(doc)
+        assert {"msg": None, **doc} == row
 
 
 @given(simulations())
@@ -175,8 +193,9 @@ def test_read_table_and_report_equal_the_simulated(trace):
     m = len(trace)
     for table in (trace, read):
         assert [(getattr(table, key).typecode, len(getattr(table, key)))
-                for key in ("time", "kind", "agents", "trajs", "location")] == \
-            [("d", m), ("b", m), ("q", 2 * m), ("q", 2 * m), ("d", 2 * m)]
+                for key in ("time", "kind", "agents", "trajs")] == \
+            [("d", m), ("b", m), ("q", 2 * m), ("q", 2 * m)]
+        assert not hasattr(table, "location")
         assert type(table.msg) is list and len(table.msg) == m
     assert_same_table(read, trace)
     assert vars(rs.report(read)) == vars(rs.report(trace))
@@ -202,7 +221,7 @@ def hand_built_traces(draw):
 
     def row(kind, agents, trajs):
         return {"time": draw(time), "kind": kind, "agents": agents, "trajs": trajs,
-                "location": None, "msg": None}
+                "msg": None}
 
     failed = draw(st.lists(agent, unique=True))
     events = [row("failure", [a], [draw(agent)]) for a in failed]
@@ -246,12 +265,30 @@ def report_summary(lines: list[str]) -> bytes:
         return summary.read_bytes()
 
 
-@given(st.one_of(simulations(), hand_built_traces()))
-@settings(max_examples=100, deadline=None)
-def test_format_2_rewrite_reads_to_the_same_table_and_summary(trace):
-    old = format_2_lines(trace)
+def assert_rewrite_reads_alike(traced, version):
+    """The trace rewritten in the old format version, with its link
+    locations on the graph, reads to the same table and summary.  A
+    hand-built trace has no graph, so its rewrite holds no location."""
+    trace, g = traced
+    old = old_format_lines(trace, g, version)
     assert_same_table(trace_from_lines(old), trace)
     assert report_summary(old) == report_summary(trace_lines(trace))
+
+
+TRACES_AND_GRAPHS = st.one_of(simulations(with_graph=True),
+                              hand_built_traces().map(lambda trace: (trace, None)))
+
+
+@given(TRACES_AND_GRAPHS)
+@settings(max_examples=100, deadline=None)
+def test_format_2_rewrite_reads_to_the_same_table_and_summary(traced):
+    assert_rewrite_reads_alike(traced, 2)
+
+
+@given(TRACES_AND_GRAPHS)
+@settings(max_examples=100, deadline=None)
+def test_format_3_rewrite_reads_to_the_same_table_and_summary(traced):
+    assert_rewrite_reads_alike(traced, 3)
 
 
 def signed_zero_table(build: str) -> Trace:
