@@ -23,7 +23,8 @@ import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
-from .errors import InvalidInstanceError, RingsyncError, check_positive
+from .errors import (InfeasibleSectionTimesError, InvalidInstanceError, RingsyncError,
+                     check_positive)
 
 if TYPE_CHECKING:
     from .instance import Instance
@@ -233,7 +234,7 @@ def _seed(value, what: str) -> int:
 
 def cmd_generate(args) -> int:
     from . import generator
-    if args.grid:
+    if args.grid is not None:
         rows, _, cols = args.grid.partition("x")
         inst = generator.grid(_parse(int, rows, "--grid rows"),
                               _parse(int, cols, "--grid columns"),
@@ -298,8 +299,8 @@ def _resolve_failures(args, inst: Instance, n: int) -> list:
         if whites is None:
             raise InvalidInstanceError("instance has no white agent list")
         return [(w, 0.0) for w in whites]
-    if args.fail:
-        if not 0 < args.fail <= n:
+    if args.fail is not None:
+        if not 0 <= args.fail <= n:
             raise InvalidInstanceError(f"cannot fail {args.fail} of {n} agents")
         from .rng import Rng
         agents = Rng(_seed(args.fail_seed, "--fail-seed")).choice(n, args.fail)
@@ -311,13 +312,20 @@ def cmd_simulate(args) -> int:
     from .simulator import SimConfig
     from .trace import parse_strategy, write_trace
     inst = instance_from_json(_read_json(args.instance))
-    sched, retained, _ = schedule_from_json(_read_json(args.schedule))
+    sched, retained, plan = schedule_from_json(_read_json(args.schedule))
     g = inst.graph()
     missing = next((e for e in retained if not g.has_edge(*e)), None)
     if missing is not None:
         raise InvalidInstanceError(
             f"schedule retains edge {list(missing)}, which the instance lacks")
     g = g.subgraph(retained)
+    if plan is not None:
+        from .commgraph import cycle_basis
+        from .scheduler import validate_section_plan
+        try:
+            validate_section_plan(plan, cycle_basis(g))
+        except InfeasibleSectionTimesError as exc:
+            raise InvalidInstanceError(str(exc)) from None
     strategy = parse_strategy(args.strategy)
     failures = _resolve_failures(args, inst, g.n)
     if args.seed_list is not None:
@@ -354,7 +362,8 @@ def cmd_report(args) -> int:
         with open(os.path.join(args.traces, name), encoding="utf-8") as f:
             reports.append(_self.metrics_report(_self.trace_from_lines(f)))
     agg = aggregate(reports)
-    label = args.label or os.path.basename(os.path.normpath(args.traces))
+    label = (args.label if args.label is not None
+             else os.path.basename(os.path.normpath(args.traces)))
     print(TABLE_HEADER)
     print(agg.row(label))
     if args.output:

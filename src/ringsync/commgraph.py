@@ -27,8 +27,8 @@ from itertools import chain
 from typing import NamedTuple
 
 from .errors import InvalidInstanceError, NotSynchronizableError
-from .geometry import (ANGLE_TOL, Circle, ClosedPath, _hypot, line_angle_points,
-                       link_positions, min_distance, norm_angle, norm_line_angle)
+from .geometry import (ANGLE_TOL, Circle, ClosedPath, line_angle_points, link_positions,
+                       min_distance, norm_angle, norm_line_angle)
 
 
 def edge_key(i: int, j: int) -> tuple[int, int]:
@@ -239,14 +239,14 @@ def build_path_graph(paths: list[ClosedPath], ranges: list[float]) -> CommGraph:
     blocks = _cell_blocks(
         [0.5 * x0 + 0.5 * x1 for x0, _, x1, _ in boxes],
         [0.5 * y0 + 0.5 * y1 for _, y0, _, y1 in boxes],
-        max((_hypot(x1 - x0, y1 - y0) for x0, y0, x1, y1 in boxes), default=0.0)
+        max((math.hypot(x1 - x0, y1 - y0) for x0, y0, x1, y1 in boxes), default=0.0)
         + max(reach, default=0.0) * (1.0 + _PREFILTER_SLACK) + tol)
     edges = {}
     for i, (lxi, lyi, hxi, hyi) in enumerate(boxes):
         block = blocks[i]
         for j in block[bisect_right(block, i):]:
             lxj, lyj, hxj, hyj = boxes[j]
-            gap = _hypot(max(lxj - hxi, lxi - hxj, 0.0), max(lyj - hyi, lyi - hyj, 0.0))
+            gap = math.hypot(max(lxj - hxi, lxi - hxj, 0.0), max(lyj - hyi, lyi - hyj, 0.0))
             if gap > min(reach[i], reach[j]) * (1.0 + _PREFILTER_SLACK) + tol:
                 continue
             d, si, sj = min_distance(paths[i], paths[j])

@@ -6,7 +6,7 @@ import math
 
 from .commgraph import CommGraph
 from .errors import GenerationFailureError, InvalidInstanceError
-from .geometry import Circle, ClosedPath, Point2, _hypot
+from .geometry import Circle, ClosedPath, Point2
 from .instance import Instance
 
 _PLACEMENT_RETRY_CAP = 1000
@@ -41,23 +41,12 @@ def grid(rows: int, cols: int, spacing: float = 2.4, r: float = 0.5) -> Instance
 # out is tested against every center.
 _CELL_SIDE = 2.0 * (1.0 + 1e-6)
 _CELL_LIMIT = 2.0**30
-# math.hypot and np.hypot differ in the last bit on about 0.6% of inputs, so
-# a distance within this of 2.0 is decided by geometry._hypot, the C hypot
-# that np.hypot calls: every placement is then the one numpy's vectorized
-# test made, and instance files keep their bytes.
-_HYPOT_TIE = 1e-12
 
 
 def _clear(x: float, y: float, xs: list, ys: list, block) -> bool:
-    """Whether np.hypot puts (x, y) more than 2.0 from every center of block."""
+    """Whether (x, y) is more than 2.0 from every center of block."""
     for j in block:
-        dx, dy = x - xs[j], y - ys[j]
-        d = math.hypot(dx, dy)
-        if d > 2.0 + _HYPOT_TIE:
-            continue
-        if not d >= 2.0 - _HYPOT_TIE:        # overlapping, or NaN
-            return False
-        if not _hypot(dx, dy) > 2.0:
+        if not math.hypot(x - xs[j], y - ys[j]) > 2.0:     # overlapping, or NaN
             return False
     return True
 
@@ -76,8 +65,7 @@ def random_connected(n: int, r: float = 0.5, seed: int = 0) -> Instance:
     `ringsync.rng.Rng` in the same order.  Each placed center is listed under
     every cell of the 3x3 block around its own cell of side about 2, so an
     attempt is tested, by `_clear`, only against the one list of its own
-    cell: a layout costs O(attempts) work, not O(n^2), and loads no numpy
-    unless a distance ties 2.0 to within `_HYPOT_TIE`.
+    cell: a layout costs O(attempts) work, not O(n^2), and loads no numpy.
     """
     if n < 1:
         raise InvalidInstanceError("need n >= 1")

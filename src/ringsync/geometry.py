@@ -4,17 +4,15 @@ Angles are radians, normalized to [0, 2*pi). Undirected line angles live in
 [0, pi). Closed paths are simple polygons parameterized by arc length,
 s in [0, length).
 
-Path arithmetic runs on the standard library and rounds as the numpy code
-it replaced did, so path graphs keep their bits: 2-vector dot products as
-numpy's FMA kernel (`_dot2`), and lengths and distances with the C
-library's hypot, which np.hypot calls (`_hypot`).
+Path arithmetic runs on the standard library: plain IEEE products and sums,
+and math.hypot for lengths and distances, so path graphs depend neither on
+the C library nor on the CPU's fused multiply-add.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import cache
 from itertools import accumulate
 
 from .errors import DegenerateGeometryError, InvalidInstanceError, OverlappingTrajectoriesError
@@ -79,61 +77,6 @@ def link_positions(ci: Circle, cj: Circle) -> tuple[float, float]:
     return phi_ij, phi_ji
 
 
-# Veltkamp's splitter for 53-bit doubles: 2**27 + 1.
-_SPLIT = 134217729.0
-
-
-def _dot2(a0: float, a1: float, b0: float, b1: float) -> float:
-    """a0*b0 + a1*b1 rounded as numpy's 2-vector `@` rounds it with an FMA
-    kernel, 0.0 + fma(a1, b1, a0*b0), so path graphs keep their bits.
-
-    a1*b1 == q + e exactly by Dekker's two-product with Veltkamp splitting
-    (Numer. Math. 1971), and math.fsum rounds p + q + e once.  The split is
-    exact while it cannot overflow and e cannot underflow; outside that range
-    the sum is rounded from exact rationals.
-    """
-    p, q = a0 * b0, a1 * b1
-    if (2.0**-480 < abs(a1) < 2.0**480 and 2.0**-480 < abs(b1) < 2.0**480
-            and abs(p) < 2.0**1000):
-        c = _SPLIT * a1
-        ah = c - (c - a1)
-        c = _SPLIT * b1
-        bh = c - (c - b1)
-        al, bl = a1 - ah, b1 - bh
-        return math.fsum((p, q, al * bl - (((q - ah * bh) - al * bh) - ah * bl)))
-    if a1 == 0.0 or b1 == 0.0 or not (math.isfinite(a1) and math.isfinite(b1)):
-        return 0.0 + (p + q)            # a1*b1 is exact: zero, infinite or NaN
-    if not math.isfinite(p):
-        return p
-    from fractions import Fraction
-    exact = Fraction(a1) * Fraction(b1) + Fraction(p)
-    try:
-        return 0.0 + float(exact)
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
-
-
-@cache
-def _c_hypot():
-    """The C library's hypot through ctypes, or np.hypot, which calls it,
-    where ctypes cannot reach the C library."""
-    try:
-        import ctypes
-        c_hypot = ctypes.CDLL(None).hypot
-    except (ImportError, OSError, AttributeError, TypeError):
-        import numpy as np
-        return lambda x, y: float(np.hypot(x, y))
-    c_hypot.restype = ctypes.c_double
-    c_hypot.argtypes = (ctypes.c_double, ctypes.c_double)
-    return c_hypot
-
-
-def _hypot(x: float, y: float) -> float:
-    """hypot(x, y) as np.hypot rounds it; math.hypot, which rounds correctly,
-    differs from it in the last bit on about 0.6% of inputs."""
-    return _c_hypot()(x, y)
-
-
 def _seg_seg_closest(p1, p2, q1, q2):
     """Closest points of two segments.
 
@@ -147,19 +90,19 @@ def _seg_seg_closest(p1, p2, q1, q2):
                             (q1, q2, p1, False), (q1, q2, p2, False)):
         (ax, ay), (bx, by), (px, py) = a, b, p
         abx, aby = bx - ax, by - ay
-        ab2 = _dot2(abx, aby, abx, aby)
-        t = 0.0 if ab2 == 0.0 else min(max(_dot2(px - ax, py - ay, abx, aby), 0.0),
+        ab2 = abx * abx + aby * aby
+        t = 0.0 if ab2 == 0.0 else min(max((px - ax) * abx + (py - ay) * aby, 0.0),
                                        ab2) / ab2
         # a clamped point is the endpoint itself: a + 1.0 * ab can miss b
         cx, cy = a if t == 0.0 else b if t == 1.0 else (ax + t * abx, ay + t * aby)
-        d = _hypot(px - cx, py - cy)
+        d = math.hypot(px - cx, py - cy)
         seg_len = math.sqrt(ab2)
         if swap:
             # p is on segment q; offset of p from q1
-            off_q = 0.0 if p is q1 else _hypot(px - q1[0], py - q1[1])
+            off_q = 0.0 if p is q1 else math.hypot(px - q1[0], py - q1[1])
             cand = (d, t * seg_len, off_q)
         else:
-            off_p = 0.0 if p is p1 else _hypot(px - p1[0], py - p1[1])
+            off_p = 0.0 if p is p1 else math.hypot(px - p1[0], py - p1[1])
             cand = (d, off_p, t * seg_len)
         if best is None or cand[0] < best[0] or (cand[0] == best[0] and cand[1:] < best[1:]):
             best = cand
@@ -203,7 +146,7 @@ class ClosedPath:
         if not all(math.isfinite(x) and math.isfinite(y) for x, y in v):
             raise DegenerateGeometryError("non-finite path vertex")
         self.vertices = v
-        self.seg_lengths = [_hypot(bx - ax, by - ay)
+        self.seg_lengths = [math.hypot(bx - ax, by - ay)
                             for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1])]
         if 0.0 in self.seg_lengths:
             raise DegenerateGeometryError("zero-length path segment")

@@ -266,23 +266,29 @@ def _sections_between(link_order_i, from_nb, to_nb) -> list:
     return [(k + step) % m for step in range((link_order_i.index(to_nb) - k) % m)]
 
 
-def _cycle_rows(order, cycles) -> np.ndarray:
-    """The cycle equations over the section times flattened in order's order.
+def _cycle_sections(order, cyc):
+    """The (trajectory, section index) pairs in cycle cyc's closure sum.
 
-    Row r counts each section in cycle r's closure sum: every cycle node
-    contributes its sections from the link with the next cycle node to the
-    link with the previous one, and the sum must be z*T for an integer z.
+    Every cycle node contributes its sections from the link with the next
+    cycle node to the link with the previous one, and the sum of their times
+    must be z*T for an integer z.
     """
+    for idx, node in enumerate(cyc):
+        for k in _sections_between(order.get(node, []), cyc[(idx + 1) % len(cyc)], cyc[idx - 1]):
+            yield node, k
+
+
+def _cycle_rows(order, cycles) -> np.ndarray:
+    """The cycle equations over the section times flattened in order's order:
+    row r counts each section of `_cycle_sections` of cycle r."""
     import numpy as np
     offset, nvars = {}, 0
     for i, nbs in order.items():
         offset[i], nvars = nvars, nvars + len(nbs)
     rows = np.zeros((len(cycles), nvars))
     for r, cyc in enumerate(cycles):
-        for idx, node in enumerate(cyc):
-            for k in _sections_between(order.get(node, []),
-                                       cyc[(idx + 1) % len(cyc)], cyc[idx - 1]):
-                rows[r, offset[node] + k] += 1.0
+        for node, k in _cycle_sections(order, cyc):
+            rows[r, offset[node] + k] += 1.0
     return rows
 
 
@@ -310,23 +316,23 @@ def check_plan_shape(plan: SectionPlan, infeasible=InvalidInstanceError):
 def validate_section_plan(plan: SectionPlan, cycles):
     """Check period sums and the opposite-direction cycle equations.
 
-    The cycle sums are the rows of _cycle_rows, the equations the section-time
-    LP solves, applied to the plan's times.  Returns the list of feasible z
-    values, one per cycle, or raises InfeasibleSectionTimesError, also where
-    check_plan_shape raises `infeasible`: for a section time of 0 or less or
-    a period sum that misses.  Raises InvalidInstanceError where
-    check_plan_shape does for the plan's shape, or if a cycle steps between
-    trajectories the plan does not link.  Each sum may miss by 1e-12 * T
-    (times k for a k-cycle).
+    Each cycle's sum is the math.fsum of the plan's times over its
+    `_cycle_sections`, the equation the section-time LP solves.  Returns the
+    list of feasible z values, one per cycle, or raises
+    InfeasibleSectionTimesError, also where check_plan_shape raises
+    `infeasible`: for a section time of 0 or less or a period sum that misses.
+    Raises InvalidInstanceError where check_plan_shape does for the plan's
+    shape, or if a cycle steps between trajectories the plan does not link.
+    Each sum may miss by 1e-12 * T (times k for a k-cycle).
     """
-    import numpy as np
     T = plan.period
     tol = 1e-12 * T
     check_plan_shape(plan, InfeasibleSectionTimesError)
-    x = np.array([t for i in plan.link_order for t in plan.times[i]])
     zs = []
-    for cyc, total in zip(cycles, (_cycle_rows(plan.link_order, cycles) @ x).tolist()):
+    for cyc in cycles:
         k = len(cyc)
+        total = math.fsum(plan.times[node][s]
+                          for node, s in _cycle_sections(plan.link_order, cyc))
         z = round(total / T)
         if not (0 < z < k) or abs(total - z * T) > tol * k:
             raise InfeasibleSectionTimesError(

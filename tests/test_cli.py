@@ -141,6 +141,15 @@ def test_simulate_and_report_round_trip(tmp_path, capsys):
     assert len(doc["per_seed"]) == 2
 
 
+def test_report_empty_label_is_the_label(tmp_path, capsys):
+    _, _, traces = pipeline(tmp_path, seeds="1")
+    summary = tmp_path / "summary.json"
+    capsys.readouterr()
+    assert invoke("report", "-t", str(traces), "--label", "", "-o", str(summary)) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(" " * 12 + " | ")
+    assert json.loads(summary.read_text())["label"] == ""
+
+
 def test_trace_round_trip(tmp_path):
     _, _, traces = pipeline(tmp_path, strategy="rand:0.5", seeds="1",
                             extra=("--fail", "2", "--fail-seed", "5"))
@@ -805,6 +814,7 @@ MALFORMED_NUMBERS = [
     (("simulate", "--fail", "2", "--fail-seed", "-1"), "--fail-seed -1 is negative"),
     (("generate", "--grid", "3xq"), "--grid columns 'q' is not a valid int"),
     (("generate", "--grid", "3"), "--grid columns '' is not a valid int"),
+    (("generate", "--grid", ""), "--grid rows '' is not a valid int"),
     (("generate", "--random", "5", "--seed", "-1"), "--seed -1 is negative"),
     (("generate", "--random", "5", "--range", "inf"),
      "range inf must be finite and non-negative"),
@@ -865,6 +875,35 @@ def test_simulate_fail_more_than_the_agents_is_error(tmp_path, capsys, count):
     inst, sched = _grid_schedule(tmp_path, capsys)
     err = _simulate_error(tmp_path, capsys, inst, sched, "--fail", count)
     assert err["error"] == "InvalidInstanceError" and count in err["message"]
+
+
+def test_simulate_fail_zero_equals_no_failures(tmp_path, capsys):
+    inst, sched = _grid_schedule(tmp_path, capsys)
+    traces = []
+    for k, extra in enumerate(((), ("--fail", "0"))):
+        out = tmp_path / f"t{k}"
+        assert invoke("simulate", "-i", str(inst), "-s", str(sched), "--horizon", "600",
+                      "--strategy", "rand:0.5", *extra, "-o", str(out)) == 0
+        traces.append((out / "trace-0.jsonl").read_bytes())
+    assert traces[0] == traces[1]
+
+
+def test_simulate_refuses_plan_whose_cycle_does_not_close(tmp_path, capsys):
+    """5 s moved between two sections of trajectory 0 keep its period sum,
+    but break the cycle equations the schedule's epochs were built from."""
+    inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+    assert invoke("generate", "--preset", "case-study", "-o", str(inst)) == 0
+    assert invoke("schedule", "-i", str(inst), "-o", str(sched)) == 0
+    doc = json.loads(sched.read_text())
+    times = doc["plan"]["times"]["0"]
+    times[0] += 5.0
+    times[1] -= 5.0
+    sched.write_text(cli._dumps(doc))
+    capsys.readouterr()
+    assert _simulate_error(tmp_path, capsys, inst, sched) == {
+        "error": "InvalidInstanceError",
+        "message": "cycle [4, 2, 1, 0, 3, 6] sums to 3.950000 T, not an admissible multiple"}
+    assert not (tmp_path / "t").exists()
 
 
 def test_simulate_fail_whites_without_whites_is_error(tmp_path, capsys):

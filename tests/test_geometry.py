@@ -1,18 +1,17 @@
-import functools
+import hashlib
 import itertools
+import json
 import math
-import random
-import struct
-from fractions import Fraction
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ringsync.errors import DegenerateGeometryError, OverlappingTrajectoriesError
-from ringsync.geometry import (Circle, ClosedPath, Point2, _c_hypot, _dot2, _hypot,
-                               _seg_seg_closest, line_angle_points, link_positions,
-                               min_distance, norm_angle, norm_line_angle)
+from ringsync.geometry import (Circle, ClosedPath, Point2, _seg_seg_closest,
+                               line_angle_points, link_positions, min_distance,
+                               norm_angle, norm_line_angle)
 
 TWO_PI = 2.0 * math.pi
 
@@ -155,58 +154,27 @@ def test_circle_point_at():
 
 
 # ---------------------------------------------------------------------------
-# The standard-library path arithmetic against exact rationals and against
-# the numpy code it replaced
+# The standard-library path arithmetic against the numpy code it replaced
 
-_HALF_ABOVE_MAX = Fraction(2**1024 - 2**970)   # halfway from the largest double to 2**1024
-
-
-def fma_oracle(a: float, b: float, c: float) -> float:
-    """fma(a, b, c) for finite a and b: the double nearest the exact a*b + c,
-    ties to even (IEEE 754).  The rounding of the rational is checked
-    against both neighbouring doubles, not trusted."""
-    if not math.isfinite(c):
-        return c
-    exact = Fraction(a) * Fraction(b) + Fraction(c)
-    if exact == 0:
-        return a * b + c         # then a*b is exact, and IEEE's zero sign rules apply
-    if abs(exact) >= _HALF_ABOVE_MAX:
-        return math.inf if exact > 0 else -math.inf
-    r = float(exact)
-    err = abs(Fraction(r) - exact)
-    for nb in (math.nextafter(r, math.inf), math.nextafter(r, -math.inf)):
-        if math.isfinite(nb):
-            other = abs(Fraction(nb) - exact)
-            even = struct.unpack("<q", struct.pack("<d", r))[0] % 2 == 0
-            assert err < other or (err == other and even), (a, b, c)
-    return r
+# Both compute each quantity with the same formulas.  They differ only where
+# numpy's 2-vector dot fuses a multiply-add, which rounds once where two
+# products and a sum round three times, and where np.hypot and math.hypot,
+# each within one ulp, round to neighbouring doubles.  Each such difference
+# is at most a few ulps of the largest coordinate magnitude, and the
+# formulas scale it by a small constant: a projection's parameter by one
+# division and its point by one product.  64 ulps of that magnitude covers
+# both with room: over the corpus below and 200,000 random segment pairs
+# drawn as `_coordinate` draws, no distance moved by more than 4.1 of them.
+# Products of coordinate differences below 2**-511 are subnormal and round
+# by 2**-1074 absolutely; the points and distances they shift move by less
+# than 2**-500, which the tolerance adds.
+_ULPS = 64
 
 
-def dot2_oracle(a0: float, a1: float, b0: float, b1: float) -> float:
-    """numpy's 2-vector dot with an FMA kernel: the kernel's fma(a1, b1, a0*b0)
-    added to numpy's zero sum, which turns -0.0 into 0.0."""
-    return 0.0 + fma_oracle(a1, b1, a0 * b0)
-
-
-def bits(*values) -> list:
-    return [float(x).hex() for x in values]
-
-
-@functools.cache
-def _numpy_dot_is_fma() -> bool:
-    rnd = random.Random(0)
-    for _ in range(5000):
-        a0, a1, b0, b1 = (rnd.uniform(-10.0, 10.0) for _ in range(4))
-        if bits(np.array([a0, a1]) @ np.array([b0, b1])) != bits(dot2_oracle(a0, a1, b0, b1)):
-            return False
-    return True
-
-
-def require_numpy_dot_is_fma():
-    """The numpy oracles below are the reference only where numpy's 2-vector
-    `@` is `dot2_oracle`, as with an FMA kernel; elsewhere the test skips."""
-    if not _numpy_dot_is_fma():
-        pytest.skip("numpy's 2-vector @ is not 0.0 + fma(a1, b1, a0*b0) with this numpy")
+def _tolerance(points) -> float:
+    """64 ulps of the largest coordinate magnitude among points, plus 2**-500."""
+    return (_ULPS * sys.float_info.epsilon * max(abs(c) for p in points for c in p)
+            + 2.0**-500)
 
 
 def _seg_seg_closest_np(p1, p2, q1, q2):
@@ -253,20 +221,38 @@ def _position_at_np(vertices, s):
     return float(p[0]), float(p[1])
 
 
+def _point_at(a, b, offset):
+    """The point offset along segment ab from a."""
+    length = math.dist(a, b)
+    return a if length == 0.0 else tuple(ai + offset / length * (bi - ai)
+                                          for ai, bi in zip(a, b))
+
+
 def assert_segments_match_numpy(p1, p2, q1, q2):
-    new = _seg_seg_closest(*[(float(x), float(y)) for x, y in (p1, p2, q1, q2)])
-    old = _seg_seg_closest_np(*[np.array(p, dtype=float) for p in (p1, p2, q1, q2)])
-    assert bits(*new) == bits(*old), (p1, p2, q1, q2)
+    """The distance equals numpy's within the tolerance, and so does the
+    distance of the two points the offsets name: where two candidates tie,
+    either side may name the other pair of closest points."""
+    points = [(float(x), float(y)) for x, y in (p1, p2, q1, q2)]
+    d, t, u = _seg_seg_closest(*points)
+    d_np = _seg_seg_closest_np(*[np.array(p) for p in points])[0]
+    tol = _tolerance(points)
+    assert abs(d - d_np) <= tol, (points, d, d_np)
+    named = math.dist(_point_at(*points[:2], t), _point_at(*points[2:], u))
+    assert abs(named - d_np) <= tol, (points, named, d_np)
 
 
 def assert_path_matches_numpy(path: ClosedPath):
+    """Lengths within one ulp, as math.hypot and np.hypot each round to
+    within one; running sums and positions within the tolerance."""
     seg, cum = _lengths_np(path.vertices)
-    assert bits(*path.seg_lengths) == bits(*seg)
-    assert bits(*path.cum_lengths) == bits(*cum)
-    assert bits(path.length) == bits(cum[-1])
+    assert all(abs(a - b) <= math.ulp(b) for a, b in zip(path.seg_lengths, seg.tolist()))
+    tol = _tolerance(path.vertices + [(path.length, 0.0)])
+    assert all(abs(a - b) <= tol for a, b in zip(path.cum_lengths, cum.tolist()))
+    assert abs(path.length - cum[-1]) <= tol
     for s in np.linspace(-1.5 * path.length, 2.5 * path.length, 61).tolist() + path.cum_lengths:
         q = path.position_at(s)
-        assert bits(q.x, q.y) == bits(*_position_at_np(path.vertices, s)), s
+        x, y = _position_at_np(path.vertices, s)
+        assert abs(q.x - x) <= tol and abs(q.y - y) <= tol, s
 
 
 # Coordinates: small reals, integers (parallel, collinear, touching and
@@ -284,7 +270,6 @@ _point = st.tuples(_coordinate, _coordinate)
 @example((0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (2.0, 1.0))           # a point segment
 @example((0.0, 0.0), (1.0, 0.0), (1.0, 0.4), (2.0, 0.4))           # parallel
 def test_seg_seg_closest_matches_numpy(p1, p2, q1, q2):
-    require_numpy_dot_is_fma()
     assert_segments_match_numpy(p1, p2, q1, q2)
 
 
@@ -304,8 +289,7 @@ def _path_corpus():
 @pytest.mark.parametrize("inst", _path_corpus())
 def test_path_corpus_matches_numpy(inst):
     """Lengths, positions and the segment distance of every pair the graph
-    build measures equal the numpy code's, bit for bit."""
-    require_numpy_dot_is_fma()
+    build measures equal the numpy code's within the tolerance."""
     for path in inst.paths:
         assert_path_matches_numpy(path)
     boxes = [[*np.min(p.vertices, axis=0), *np.max(p.vertices, axis=0)] for p in inst.paths]
@@ -316,6 +300,40 @@ def test_path_corpus_matches_numpy(inst):
         for _, a1, a2 in inst.paths[i].segments():
             for _, b1, b2 in inst.paths[j].segments():
                 assert_segments_match_numpy(a1, a2, b1, b2)
+
+
+# sha256 of `graph_bits` of each layout's graph, as the numpy arithmetic
+# built it: these graphs came out bit for bit the same on the standard
+# library's, and must stay so.
+GRAPH_DIGESTS = {
+    "case-study": "448fc112c22141986964451f164597ee57e1e474dfe936516d56b868460d7637",
+    "aligned-2x2": "d41ad198b7b25a1718a7570aa2648369a641e686810e85b4f8b6f94f9dc055fb",
+    "grid-2x2": "e91a37cfc1f27930c82600fad6a8409dec8498ccba93c41cf3cebff7ce7d889b",
+    "grid-3x3": "b8cbc990e3016847eecfd7fc702e7e3b953ac1efa392031a65b0f297c8b1eb62",
+    "grid-4x4": "0e909b35aafe5c539a89821b4c90dba9257c5b35f7918808ccc7ea221e6e6eb0",
+    "grid-5x5": "e3fe5859e470bc6fc16e7e5dff7bf68709a8552c02f23ca770cb09d3a5794005",
+    "grid-6x6": "4868386fd0f9c0d3e228b34bc048340d216fe012eb802ccccc477baa56d034cb",
+    "grid-7x7": "4a36746543a541ef5a2133f1f86172e885cbc050584f0a9f6fde4dd045232c59",
+    "grid-8x8": "49a8d01202679ed7f77c8e6ef9e1ab120b5423928cb0db5bde36693e9bb204d8",
+}
+
+
+def graph_bits(g) -> bytes:
+    """Each edge with its beta and two link positions, and each trajectory
+    length, as hex floats."""
+    return json.dumps({"edges": [[i, j, e.beta.hex(), e.phi[i].hex(), e.phi[j].hex()]
+                                 for (i, j), e in sorted(g.edges.items())],
+                       "lengths": [length.hex() for length in g.lengths]}).encode()
+
+
+@pytest.mark.parametrize("name", GRAPH_DIGESTS)
+def test_path_graph_bits_are_pinned(name):
+    from conftest import path_grid
+    from ringsync import preset
+    inst = (preset(name) if name == "case-study" else
+            path_grid(2, 2, staggered=False) if name == "aligned-2x2" else
+            path_grid(int(name[-1]), int(name[-1])))
+    assert hashlib.sha256(graph_bits(inst.graph())).hexdigest() == GRAPH_DIGESTS[name]
 
 
 def test_closed_path_accepts_arrays_and_int_lists():
@@ -339,59 +357,3 @@ def test_closed_path_accepts_arrays_and_int_lists():
 def test_closed_path_rejects_degenerate_vertices(vertices, message):
     with pytest.raises(DegenerateGeometryError, match=message):
         ClosedPath(vertices)
-
-
-def test_hypot_is_np_hypot():
-    rnd = random.Random(1)
-    pairs = [(rnd.uniform(-3.0, 3.0), rnd.uniform(-3.0, 3.0)) for _ in range(20000)]
-    pairs += [(2.0 * math.cos(a), 2.0 * math.sin(a))
-              for a in (rnd.uniform(0.0, 2.0 * math.pi) for _ in range(20000))]
-    pairs += [(1e300, 1e300), (5e-324, 5e-324), (0.0, -0.0), (math.inf, math.nan)]
-    assert bits(*(_hypot(x, y) for x, y in pairs)) == bits(*(np.hypot(x, y) for x, y in pairs))
-    # and not math.hypot, which rounds the other way on some of these
-    assert any(_hypot(x, y) != math.hypot(x, y) for x, y in pairs)
-
-
-def test_hypot_falls_back_to_numpy_without_ctypes(monkeypatch):
-    import ctypes
-    _c_hypot.cache_clear()
-    monkeypatch.setattr(ctypes, "CDLL", lambda name: (_ for _ in ()).throw(OSError(name)))
-    try:
-        assert _hypot(3.0, 4.0) == 5.0 and type(_hypot(3.0, 4.0)) is float
-        assert _c_hypot()(1.1, 2.3) == float(np.hypot(1.1, 2.3))
-    finally:
-        _c_hypot.cache_clear()
-
-
-_finite = st.floats(allow_nan=False, allow_infinity=False)
-
-
-def _magnitudes(lo: int, hi: int):
-    """Signed doubles with binary exponents in [lo, hi)."""
-    return st.builds(lambda m, e, s: s * math.ldexp(m, e), st.floats(1.0, 2.0, exclude_max=True),
-                     st.integers(lo, hi - 1), st.sampled_from([1.0, -1.0]))
-
-
-@settings(max_examples=1500, deadline=None)
-@given(st.one_of(
-    st.tuples(_finite, _finite, _finite, _finite),
-    st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
-              st.floats(-1e3, 1e3)),
-    # near overflow: the split's 2**27 + 1 times a1 or b1 overflows above
-    # about 2**996, and a1*b1 may overflow where the sum does not
-    st.tuples(_magnitudes(1000, 1024), _magnitudes(470, 1024), _finite, _magnitudes(-30, 30)),
-    st.tuples(_magnitudes(990, 1024), _magnitudes(470, 560), st.just(1.0),
-              _magnitudes(470, 560)),
-    # near underflow and on subnormals: a1*b1 or its error term below 2**-1022
-    st.tuples(_magnitudes(-1074, -1000), _magnitudes(-560, -470), _magnitudes(-600, -400),
-              _magnitudes(-560, -470)),
-    st.tuples(_magnitudes(-540, -500), _magnitudes(-1074, -1022), st.just(1.0),
-              _magnitudes(-60, 60))))
-@example((-1.7976931348623157e308, 1.5 * 2.0**1000, 1.0, 2.0**24))  # a1*b1 overflows only
-@example((1.0, 2.0**480, 1.0, 2.0**480))
-@example((1.0, 2.0**-480, 1.0, 2.0**-480))
-@example((1.0, 3.0, -9.0, 3.0))                                      # an exact zero
-@example((-0.0, 0.0, 1.0, 5.0))
-def test_dot2_is_the_exact_fma(args):
-    a0, a1, b0, b1 = args
-    assert bits(_dot2(a0, a1, b0, b1)) == bits(dot2_oracle(a0, a1, b0, b1))

@@ -102,9 +102,11 @@ def test_report_and_cli_import_load_no_numpy(workdir, argv):
     # random layout's large odd component, path layouts (ClosedPath), their
     # simulations and the schedule of a path layout whose graph is a tree
     # run on the standard library alone; only the path LP, and the exact max
-    # cut of a small odd component, need numpy.
+    # cut of a small odd component, need numpy.  None loads ctypes: path
+    # lengths and distances are math.hypot's.
     loaded = {name.partition(".")[0] for name in loaded_modules(argv, workdir)}
-    assert not loaded & {"numpy", "scipy"}, sorted(loaded & {"numpy", "scipy"})
+    unwanted = {"numpy", "scipy", "ctypes"}
+    assert not loaded & unwanted, sorted(loaded & unwanted)
 
 
 def test_trace_reader_and_report_load_no_cli(workdir):
